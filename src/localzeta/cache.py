@@ -8,19 +8,23 @@ validation is discarded with a warning and recomputed, never trusted.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from .groups import ENUM_CAP, Family, GroupTable
-from .rings import parse_ring
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _memo = {}
+
+# the arrays of a stored table, all covered by its content hash
+_ARRAYS = ("mats", "inv", "rho", "gen_mats")
 
 
 def as_family(obj) -> Family:
@@ -45,10 +49,14 @@ def _disk_key(fam: Family, ring) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def _blob_hash(mats, inv):
+def _blob_hash(arrays, provenance, name, dim_scheme):
+    """sha256 over every array and header field that the loader uses."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(mats).tobytes())
-    h.update(np.ascontiguousarray(inv).tobytes())
+    for key in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[key])
+        h.update(f"{key} {arr.dtype.str} {arr.shape}".encode())
+        h.update(arr.tobytes())
+    h.update(json.dumps([provenance, name, dim_scheme]).encode())
     return h.hexdigest()
 
 
@@ -66,9 +74,7 @@ def _load_disk(fam: Family, ring):
     try:
         with np.load(path, allow_pickle=False) as blob:
             header = json.loads(bytes(blob["header"]).decode())
-            mats = blob["mats"]
-            inv = blob["inv"]
-            gen_mats = blob["gen_mats"]
+            arrays = {key: blob[key] for key in _ARRAYS}
         want = {
             "version": FORMAT_VERSION,
             "family": fam.text,
@@ -79,22 +85,20 @@ def _load_disk(fam: Family, ring):
         for key, val in want.items():
             if header.get(key) != val:
                 raise ValueError(f"header field {key} does not match")
-        if header["blob_sha256"] != _blob_hash(mats, inv):
+        digest = _blob_hash(
+            arrays, header["provenance"], header["name"], header["dim_scheme"]
+        )
+        if header["blob_sha256"] != digest:
             raise ValueError("content hash mismatch")
-        index = {}
-        step = mats.shape[1] * mats.shape[2] * 2
-        buf = np.ascontiguousarray(mats, dtype="<u2").tobytes()
-        for i in range(mats.shape[0]):
-            index[buf[i * step : (i + 1) * step]] = i
         generators = [
             (tuple(prov), g)
-            for prov, g in zip(header["provenance"], gen_mats)
+            for prov, g in zip(header["provenance"], arrays["gen_mats"])
         ]
         return GroupTable(
             ring,
-            mats,
-            inv,
-            index,
+            arrays["mats"],
+            arrays["inv"],
+            arrays["rho"],
             generators,
             header["name"],
             header["dim_scheme"],
@@ -108,8 +112,17 @@ def _store_disk(fam: Family, ring, table: GroupTable):
     path = _cache_path(fam, ring)
     if path is None:
         return
+    tmp = None
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        root = os.path.dirname(path)
+        os.makedirs(root, exist_ok=True)
+        arrays = {
+            "mats": table.mats,
+            "inv": table.inv,
+            "rho": table.rho,
+            "gen_mats": np.stack([g for _, g in table.generators]),
+        }
+        provenance = [list(p) for p, _ in table.generators]
         header = {
             "version": FORMAT_VERSION,
             "family": fam.text,
@@ -119,23 +132,30 @@ def _store_disk(fam: Family, ring, table: GroupTable):
             "name": table.name,
             "dim_scheme": table.dim_scheme,
             "size": table.size,
-            "provenance": [list(p) for p, _ in table.generators],
-            "blob_sha256": _blob_hash(table.mats, table.inv),
+            "provenance": provenance,
+            "blob_sha256": _blob_hash(
+                arrays, provenance, table.name, table.dim_scheme
+            ),
         }
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
+        fd, tmp = tempfile.mkstemp(
+            dir=root, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
+        with os.fdopen(fd, "wb") as fh:
             np.savez(
                 fh,
                 header=np.frombuffer(
                     json.dumps(header, sort_keys=True).encode(), dtype=np.uint8
                 ),
-                mats=table.mats,
-                inv=table.inv,
-                gen_mats=np.stack([g for _, g in table.generators]),
+                **arrays,
             )
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:  # cache is best-effort
         sys.stderr.write(f"warning: could not write cache {path}: {exc}\n")
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def table_for(family, ring, cap=ENUM_CAP) -> GroupTable:
@@ -150,7 +170,3 @@ def table_for(family, ring, cap=ENUM_CAP) -> GroupTable:
         _store_disk(fam, ring, table)
     _memo[key] = table
     return table
-
-
-def table_for_literal(family_text, ring_literal, cap=ENUM_CAP) -> GroupTable:
-    return table_for(family_text, parse_ring(ring_literal), cap=cap)

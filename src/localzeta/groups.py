@@ -2,8 +2,11 @@
 
 A GroupTable is a fully enumerated finite group of d x d matrices over one
 of the rings from :mod:`localzeta.rings`, with canonical little-endian
-``<u2`` byte encodings, an element index, and tracked inverses.  On top of
-the table sit the counting routines used by the zeta layer:
+``<u2`` byte encodings, tracked inverses, and the right-regular table
+``rho`` of every product x * g that the enumeration formed.  On top of the
+table sit the counting routines used by the zeta layer; their group
+actions are integer gathers on ``rho`` and the inverse map, with no matrix
+product:
 
 * conjugacy classes by orbit partition under generator conjugation,
   cross-checkable against the commuting-pair count (class count times group
@@ -26,6 +29,7 @@ from .chevalley import chevalley_group
 
 ENUM_CAP = 2_000_000
 PAIR_SCAN_CAP = 20_000
+KEY_CHUNK = 1 << 14  # rows whose byte keys are formed at once
 
 
 class GroupsError(ValueError):
@@ -41,12 +45,52 @@ def encode_mat(mat) -> bytes:
     return np.ascontiguousarray(mat, dtype="<u2").tobytes()
 
 
+def _keys(mats):
+    """encode_mat of every matrix in an (N, d, d) stack, as a list."""
+    enc = np.ascontiguousarray(mats, dtype="<u2")
+    if not enc.shape[0]:
+        return []
+    rows = enc.reshape(enc.shape[0], -1)
+    return rows.view(f"V{rows.shape[1] * 2}").ravel().tolist()
+
+
+def _indices(index, mats):
+    """index[encode_mat(x)] for every x in the stack; KeyError if absent.
+
+    Keys are formed a chunk at a time, so a large stack never holds all of
+    its byte strings at once.
+    """
+    out = np.empty(mats.shape[0], dtype=np.int64)
+    for lo in range(0, mats.shape[0], KEY_CHUNK):
+        hi = lo + KEY_CHUNK
+        out[lo:hi] = [index[k] for k in _keys(mats[lo:hi])]
+    return out
+
+
+def inverse_perm(perm):
+    """The inverse of a permutation given as an index array."""
+    out = np.empty_like(perm)
+    out[perm] = np.arange(perm.shape[0], dtype=perm.dtype)
+    return out
+
+
 class GroupTable:
-    def __init__(self, ring, mats, inv, index, generators, name, dim_scheme):
+    """An enumerated group with its right-regular table.
+
+    ``rho[x, c]`` is the index of ``x * g_c`` for the c-th generator, so
+    every action the counting layer needs is a gather on ``rho`` and
+    ``inv``: right multiplication by ``g^-1`` is the inverse permutation of
+    ``rho[:, c]``, left multiplication is ``inv[rho_g^-1[inv[x]]]``, and
+    conjugation composes the two.
+    """
+
+    def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
+                 index=None):
         self.ring = ring
         self.mats = mats  # (N, d, d) int32
-        self.inv = inv  # (N,) int32 index of inverse
-        self._index = index  # bytes -> int
+        self.inv = inv  # (N,) int64 index of inverse
+        self.rho = rho  # (N, ngens) int32 index of x * g
+        self._index = index  # bytes -> int, built on first use
         self.generators = generators  # list of (provenance, matrix)
         self.name = name
         self.dim_scheme = dim_scheme
@@ -57,27 +101,27 @@ class GroupTable:
     def size(self):
         return self.mats.shape[0]
 
+    @property
+    def index(self):
+        """encode_mat(x) -> index of x; a Python loop, so built lazily."""
+        if self._index is None:
+            self._index = {k: i for i, k in enumerate(_keys(self.mats))}
+        return self._index
+
     def lookup(self, mat):
         key = encode_mat(mat)
-        if key not in self._index:
+        if key not in self.index:
             raise GroupsError(f"matrix not in table {self.name}")
-        return self._index[key]
+        return self.index[key]
 
     def lookup_batch(self, mats):
-        out = np.empty(mats.shape[0], dtype=np.int64)
-        enc = np.ascontiguousarray(mats, dtype="<u2")
-        step = enc.shape[1] * enc.shape[2] * 2
-        buf = enc.tobytes()
-        idx = self._index
-        for i in range(mats.shape[0]):
-            key = buf[i * step : (i + 1) * step]
-            if key not in idx:
-                raise GroupsError(f"matrix not in table {self.name}")
-            out[i] = idx[key]
-        return out
+        try:
+            return _indices(self.index, mats)
+        except KeyError:
+            raise GroupsError(f"matrix not in table {self.name}") from None
 
     def contains(self, mat):
-        return encode_mat(mat) in self._index
+        return encode_mat(mat) in self.index
 
     def mul(self, i, j):
         return int(
@@ -85,46 +129,83 @@ class GroupTable:
         )
 
     # ------------------------------------------------------------------
-    # conjugacy
+    # actions as gathers on rho
 
-    def _perm_pairs(self, left_mats, right_mats):
-        """Permutations i -> index(L @ x_i @ R) for aligned L, R lists."""
-        perms = []
-        for L, R in zip(left_mats, right_mats):
-            prod = self.ring.mat_mul(self.ring.mat_mul(L, self.mats), R)
-            perms.append(self.lookup_batch(prod).astype(np.int64))
-        return perms
+    def columns(self, sub: "GroupTable"):
+        """The rho column of each generator of sub.
+
+        Every family draws its generators from the same root, additive and
+        unit lists, so a subgroup's generators are among this table's.  An
+        identity generator acts trivially and gets no column.
+        """
+        cols = {encode_mat(g): c for c, (_, g) in enumerate(self.generators)}
+        ident = encode_mat(self.ring.identity_mat(self.d))
+        out = []
+        for prov, g in sub.generators:
+            key = encode_mat(g)
+            if key == ident:
+                continue
+            if key not in cols:
+                raise GroupsError(
+                    f"generator {prov} of {sub.name} is not a generator "
+                    f"of {self.name}"
+                )
+            out.append(cols[key])
+        return out
+
+    def right_inverse_perm(self, col):
+        """x -> x g^-1 for the generator g of rho column col."""
+        return inverse_perm(self.rho[:, col])
+
+    def left_perm(self, col):
+        """x -> g x, as inv[rho_g^-1[inv[x]]]."""
+        return self.inv[self.right_inverse_perm(col)[self.inv]]
+
+    def conjugation_perm(self, col):
+        """x -> g x g^-1, as rho_g^-1[left_g(x)]."""
+        right_inv = self.right_inverse_perm(col)
+        return right_inv[self.inv[right_inv[self.inv]]]
+
+    # ------------------------------------------------------------------
+    # conjugacy
 
     @staticmethod
     def _orbit_labels(n, perms):
-        """Connected-component labels under the given permutations."""
-        labels = np.arange(n, dtype=np.int64)
-        allperms = []
-        for p in perms:
-            inv = np.empty_like(p)
-            inv[p] = np.arange(n, dtype=np.int64)
-            allperms.append(p)
-            allperms.append(inv)
-        changed = True
-        while changed:
-            changed = False
-            for p in allperms:
-                nxt = np.minimum(labels, labels[p])
-                if not np.array_equal(nxt, labels):
-                    labels = nxt
-                    changed = True
-        # canonical relabel 0..K-1 in first-appearance order
-        _, labels = np.unique(labels, return_inverse=True)
-        return labels
+        """Orbit label per point under the group the permutations generate.
+
+        Hook and shortcut (Shiloach and Vishkin): every edge x -- p(x)
+        whose ends have different parents hooks the larger parent onto the
+        smaller, then pointer jumping flattens every tree to a star; repeat
+        until no edge joins two stars.  A parent never rises, so each orbit
+        ends as one star rooted at its smallest element; labels number the
+        orbits in that order.
+        """
+        parent = np.arange(n, dtype=np.int64)
+        hooked = True
+        while hooked:
+            hooked = False
+            for p in perms:
+                a, b = parent, parent[p]
+                cross = a != b
+                if cross.any():
+                    hooked = True
+                    a, b = a[cross], b[cross]
+                    high = np.maximum(a, b)
+                    parent[high] = np.minimum(parent[high], np.minimum(a, b))
+            while True:
+                grand = parent[parent]
+                if np.array_equal(grand, parent):
+                    break
+                parent = grand
+        roots = parent == np.arange(n)
+        return (np.cumsum(roots) - 1)[parent]
 
     def conjugation_labels(self):
         """Conjugacy-class label per element (orbit partition)."""
         if self._labels is None:
-            gens = [g for _, g in self.generators]
-            ginv = [
-                self.mats[self.inv[self.lookup(g)]] for g in gens
+            perms = [
+                self.conjugation_perm(c) for c in range(len(self.generators))
             ]
-            perms = self._perm_pairs(gens, ginv)
             self._labels = self._orbit_labels(self.size, perms)
         return self._labels
 
@@ -153,28 +234,42 @@ class GroupTable:
     # subgroups, double cosets, Hecke pairs
 
     def subgroup_indices(self, sub: "GroupTable"):
-        """Indices of a separately enumerated subgroup inside this table."""
+        """Sorted indices of a separately enumerated subgroup in this table.
+
+        A breadth-first search from the identity over the rho columns of
+        sub's generators; its size must equal sub.size.
+        """
         if sub.ring is not self.ring or sub.d != self.d:
             raise GroupsError("subgroup table over a different carrier")
-        return self.lookup_batch(sub.mats)
+        cols = self.columns(sub)
+        seen = np.zeros(self.size, dtype=bool)
+        seen[0] = True  # generate puts the identity first
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            nxt = self.rho[frontier][:, cols].ravel()
+            frontier = np.unique(nxt[~seen[nxt]])
+            seen[frontier] = True
+        idx = np.flatnonzero(seen)
+        if idx.size != sub.size:
+            raise GroupsError(
+                f"{sub.name} generates {idx.size} elements of {self.name}, "
+                f"not its {sub.size}"
+            )
+        return idx
 
     def double_coset_data(self, sub1: "GroupTable", sub2: "GroupTable"):
         """(b, e): double coset count and Hecke pair count.
 
-        b is the number of orbits of x -> g1 x g2^{-1} for generators g1 of
-        sub1, g2 of sub2; e = #{(x,y): y in sub2, x y x^{-1} in sub1} is
-        computed from full conjugacy data, so the identity e = b|Q1||Q2|
-        is a genuine cross-check between two independent counts.
+        b is the number of orbits of x -> g1 x and x -> x g2^{-1} for
+        generators g1 of sub1, g2 of sub2; e = #{(x,y): y in sub2,
+        x y x^{-1} in sub1} is computed from full conjugacy data, so the
+        identity e = b|Q1||Q2| is a genuine cross-check between two
+        independent counts.
         """
         idx1 = self.subgroup_indices(sub1)
         idx2 = self.subgroup_indices(sub2)
-        ident = self.ring.identity_mat(self.d)
-        perms = []
-        for _, g in sub1.generators:
-            perms.extend(self._perm_pairs([g], [ident]))
-        for _, g in sub2.generators:
-            gi = self.mats[self.inv[self.lookup(g)]]
-            perms.extend(self._perm_pairs([ident], [gi]))
+        perms = [self.left_perm(c) for c in self.columns(sub1)]
+        perms += [self.right_inverse_perm(c) for c in self.columns(sub2)]
         labels = self._orbit_labels(self.size, perms)
         b = int(labels.max()) + 1
         e = self.hecke_pairs(idx1, idx2)
@@ -275,7 +370,9 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
 
     generators: list of (provenance, matrix).  Generators are deduplicated
     and sorted by canonical encoding, and elements are discovered in a
-    fixed order, so two runs produce identical tables.
+    fixed order, so two runs produce identical tables.  Every product
+    x * g formed on the way is kept as the right-regular table rho.
+    Raises TooLarge as soon as the (cap + 1)-th element is found.
     """
     seen = {}
     for prov, g in generators:
@@ -292,31 +389,38 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
 
     mats = [ident[None]]
     invs = [ident[None]]
+    rho = []
     index = {encode_mat(ident): 0}
-    size = 1
+    # add(key, len(index)) returns the key's index, numbering unseen keys
+    # in the order they are met
+    add = index.setdefault
     frontier = ident[None]
     frontier_inv = ident[None]
     while frontier.shape[0]:
+        # the frontier holds the contiguous indices discovered last
+        block = np.empty((frontier.shape[0], len(gens)), dtype=np.int32)
         new_mats = []
         new_invs = []
-        for g, gi in zip(gen_mats, gen_invs):
+        for col, (g, gi) in enumerate(zip(gen_mats, gen_invs)):
             prod = ring.mat_mul(frontier, g)
-            prod_inv = ring.mat_mul(gi, frontier_inv)
-            enc = np.ascontiguousarray(prod, dtype="<u2")
-            step = d * d * 2
-            buf = enc.tobytes()
-            fresh = []
-            for i in range(prod.shape[0]):
-                key = buf[i * step : (i + 1) * step]
-                if key not in index:
-                    index[key] = size
-                    size += 1
-                    fresh.append(i)
-            if fresh:
+            keys = _keys(prod)
+            size = len(index)
+            if len(keys) <= cap - size:
+                found = [add(k, len(index)) for k in keys]
+            else:
+                found = []
+                for k in keys:
+                    found.append(add(k, len(index)))
+                    if len(index) > cap:
+                        raise TooLarge(
+                            f"group {name} exceeded cap: reached {len(index)}"
+                        )
+            block[:, col] = found
+            fresh = np.flatnonzero(block[:, col] >= size)
+            if fresh.size:
                 new_mats.append(prod[fresh])
-                new_invs.append(prod_inv[fresh])
-        if size > cap:
-            raise TooLarge(f"group {name} exceeded cap: reached {size}")
+                new_invs.append(ring.mat_mul(gi, frontier_inv[fresh]))
+        rho.append(block)
         if new_mats:
             frontier = np.concatenate(new_mats)
             frontier_inv = np.concatenate(new_invs)
@@ -324,16 +428,10 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
             invs.append(frontier_inv)
         else:
             frontier = np.empty((0, d, d), dtype=np.int32)
-    all_mats = np.concatenate(mats)
-    all_invs = np.concatenate(invs)
-    inv_idx = np.empty(size, dtype=np.int64)
-    step = d * d * 2
-    buf = np.ascontiguousarray(all_invs, dtype="<u2").tobytes()
-    for i in range(size):
-        inv_idx[i] = index[buf[i * step : (i + 1) * step]]
+    inv_idx = np.concatenate([_indices(index, block) for block in invs])
     return GroupTable(
-        ring, all_mats, inv_idx, index, gens, name,
-        dim_scheme if dim_scheme is not None else d,
+        ring, np.concatenate(mats), inv_idx, np.concatenate(rho), gens, name,
+        dim_scheme if dim_scheme is not None else d, index=index,
     )
 
 

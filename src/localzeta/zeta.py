@@ -26,7 +26,7 @@ import numpy as np
 from .cache import as_family, table_for
 from .groups import ENUM_CAP, PAIR_SCAN_CAP, Family, GroupsError, TooLarge
 from .laurent import Laurent
-from .rings import make_ring
+from .rings import crt_split, make_ring
 
 
 class ZetaError(ValueError):
@@ -442,7 +442,7 @@ def _lambda_vector(table, sub_tables):
         enc = np.ascontiguousarray(proj, dtype="<u2")
         step = enc.shape[1] * enc.shape[2] * 2
         buf = enc.tobytes()
-        idx = sub._index
+        idx = sub.index
         member = np.fromiter(
             (buf[i * step : (i + 1) * step] in idx for i in range(table.size)),
             dtype=bool,
@@ -593,22 +593,6 @@ def transfer_report(family, primes, f, M, s1=None, s2=None, cap=ENUM_CAP):
     }
 
 
-def _factorize(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def euler_multiplicativity(family, n, cap=ENUM_CAP):
     """cc over Z/n must equal the product of cc over its prime-power parts."""
     if n < 2:
@@ -617,9 +601,9 @@ def euler_multiplicativity(family, n, cap=ENUM_CAP):
     total = table_for(fam, make_ring("zn", n=n), cap).class_count()
     parts = []
     product = 1
-    for p, k in _factorize(n):
-        cc = table_for(fam, make_ring("zn", n=p**k), cap).class_count()
-        parts.append({"modulus": p**k, "cc": cc})
+    for pk in crt_split(n):
+        cc = table_for(fam, make_ring("zn", n=pk), cap).class_count()
+        parts.append({"modulus": pk, "cc": cc})
         product *= cc
     return {
         "family": fam.text,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from localzeta import cache, cli
@@ -175,3 +176,75 @@ def test_verify_failure_exit_code(monkeypatch):
 def test_stringify_rejects_floats():
     with pytest.raises(TypeError):
         cli.to_json({"x": 1.5})
+
+
+def _cc_in_process(capsys):
+    cache.clear_memo()
+    assert cli.main(CC_ARGS) == 0
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+def _read_entry(path):
+    with np.load(path, allow_pickle=False) as blob:
+        arrays = {key: blob[key] for key in blob.files if key != "header"}
+        header = json.loads(bytes(blob["header"]).decode())
+    return header, arrays
+
+
+def _corrupt(field, header, arrays):
+    """A copy of a stored entry with one field changed, hash kept."""
+    header = json.loads(json.dumps(header))
+    arrays = {key: arr.copy() for key, arr in arrays.items()}
+    if field in arrays:
+        flat = arrays[field].reshape(-1)
+        flat[-1] ^= 1
+    elif field == "provenance":
+        header["provenance"][0][0] += "x"
+    elif field == "name":
+        header["name"] += "x"
+    else:
+        header[field] += 1
+    return header, arrays
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["mats", "inv", "rho", "gen_mats", "provenance", "name", "dim_scheme"],
+)
+def test_cache_discards_each_corrupted_field(tmp_path, monkeypatch, capsys,
+                                             field):
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    fresh, _ = _cc_in_process(capsys)
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    _cc_in_process(capsys)  # writes one entry per level
+    entries = sorted(tmp_path.glob("table-*.npz"))
+    assert len(entries) == 2
+    for path in entries:
+        header, arrays = _corrupt(field, *_read_entry(path))
+        np.savez(path, header=np.frombuffer(
+            json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
+            **arrays)
+    out, err = _cc_in_process(capsys)
+    assert out == fresh
+    assert err.count("discarding cache entry") == len(entries)
+    cache.clear_memo()
+
+
+def test_store_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    from localzeta.rings import make_ring
+
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    cache.clear_memo()
+    cache.table_for("heisenberg", make_ring("zq", 2, 1, 2))
+    names = [p.name for p in tmp_path.iterdir()]
+    assert len(names) == 1 and names[0].endswith(".npz")
+
+    def full_disk(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cache.np, "savez", full_disk)
+    cache.table_for("heisenberg", make_ring("zq", 2, 1, 3))
+    assert "could not write cache" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == names
+    cache.clear_memo()

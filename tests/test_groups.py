@@ -13,6 +13,7 @@ import pytest
 from localzeta.groups import (
     Family,
     GroupsError,
+    GroupTable,
     TooLarge,
     generate,
     parabolic_depth,
@@ -96,6 +97,15 @@ def test_cap_enforced():
     fam = Family("chevalley:A1")
     with pytest.raises(TooLarge):
         fam.table(ring, cap=50)
+
+
+def test_cap_fails_at_first_element_past_it():
+    # |G| = 729; the enumeration must stop at element cap + 1, not at the
+    # end of the breadth-first layer that crosses the cap
+    with pytest.raises(TooLarge) as err:
+        Family("heisenberg").table(parse_ring("zq:p=3,f=1,m=2"), cap=100)
+    reached = int(str(err.value).rsplit(" ", 1)[1])
+    assert reached == 101
 
 
 def test_double_cosets_trivial_cases():
@@ -285,3 +295,140 @@ def test_heisenberg_composite_ring():
     G = table("heisenberg", "zn:n=6")
     assert G.size == 216
     assert G.class_count() == 55
+
+
+# ----------------------------------------------------------------------
+# the Cayley-table core, checked against matrix products and a reference
+# orbit fixpoint that do not use rho
+
+SMALL_TABLES = [
+    ("heisenberg", "zq:p=2,f=1,m=3"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=2"),
+    ("parabolic:A1:-", "fqt:p=2,f=1,m=2"),
+    ("parabolic:B2:a1", "fqt:p=2,f=1,m=2"),
+]
+_small = {}
+
+
+def small_table(family, lit):
+    """Tables are immutable, so the tests below share them."""
+    if (family, lit) not in _small:
+        _small[family, lit] = table(family, lit)
+    return _small[family, lit]
+
+
+def _inverse_by_powers(ring, g):
+    ident = ring.identity_mat(g.shape[0])
+    prev = ident
+    while True:
+        nxt = ring.mat_mul(prev, g)
+        if (nxt == ident).all():
+            return prev
+        prev = nxt
+
+
+def _fixpoint_labels(n, perms):
+    """Min-label propagation over the permutations and their inverses."""
+    both = []
+    for p in perms:
+        inv = np.empty_like(p)
+        inv[p] = np.arange(n)
+        both += [p, inv]
+    labels = np.arange(n)
+    while True:
+        nxt = labels
+        for p in both:
+            nxt = np.minimum(nxt, nxt[p])
+        if np.array_equal(nxt, labels):
+            break
+        labels = nxt
+    _, labels = np.unique(labels, return_inverse=True)
+    return labels
+
+
+@pytest.mark.parametrize("family,lit", SMALL_TABLES)
+def test_rho_is_the_right_multiplication_table(family, lit):
+    G = small_table(family, lit)
+    assert G.rho.shape == (G.size, len(G.generators))
+    assert G.rho.dtype == np.int32
+    for c, (_, g) in enumerate(G.generators):
+        want = G.lookup_batch(G.ring.mat_mul(G.mats, g))
+        assert (G.rho[:, c] == want).all()
+
+
+@pytest.mark.parametrize("family,lit", SMALL_TABLES)
+def test_actions_match_matrix_products(family, lit):
+    G = small_table(family, lit)
+    mul = G.ring.mat_mul
+    # every row of the small tables, a fixed sample of the larger ones
+    rows = np.random.default_rng(5).permutation(G.size)[:1000]
+    X = G.mats[rows]
+    for c, (_, g) in enumerate(G.generators):
+        gi = _inverse_by_powers(G.ring, g)
+        assert (G.right_inverse_perm(c)[rows]
+                == G.lookup_batch(mul(X, gi))).all()
+        assert (G.left_perm(c)[rows] == G.lookup_batch(mul(g, X))).all()
+        assert (G.conjugation_perm(c)[rows]
+                == G.lookup_batch(mul(mul(g, X), gi))).all()
+
+
+@pytest.mark.parametrize("family,lit", SMALL_TABLES)
+def test_pointer_jumping_matches_fixpoint(family, lit):
+    G = small_table(family, lit)
+    ngens = len(G.generators)
+    conj = [G.conjugation_perm(c) for c in range(ngens)]
+    assert (G.conjugation_labels() == _fixpoint_labels(G.size, conj)).all()
+    moves = [G.left_perm(0), G.right_inverse_perm(ngens - 1)]
+    assert (G._orbit_labels(G.size, moves)
+            == _fixpoint_labels(G.size, moves)).all()
+
+
+def test_pointer_jumping_on_random_permutations():
+    rng = np.random.default_rng(7)
+    n = 3000
+    for k in range(4):
+        perms = []
+        for _ in range(k):
+            # a permutation with many fixed points leaves many orbits
+            p = np.arange(n)
+            moved = rng.choice(n, size=n // 4, replace=False)
+            p[moved] = rng.permutation(moved)
+            perms.append(p)
+        want = _fixpoint_labels(n, perms)
+        assert (GroupTable._orbit_labels(n, perms) == want).all()
+
+
+def test_subgroup_indices_match_lookup():
+    lit = "fqt:p=2,f=1,m=2"
+    H = small_table("heisenberg", "zq:p=2,f=1,m=3")
+    cases = [
+        (small_table("chevalley:A1", lit), small_table("parabolic:A1:-", lit)),
+        (small_table("parabolic:B2:a1", lit), table("parabolic:B2:-", lit)),
+        (H, generate(H.ring, H.generators[:2], name="sub")),
+    ]
+    for G, sub in cases:
+        idx = G.subgroup_indices(sub)
+        assert (idx == np.sort(G.lookup_batch(sub.mats))).all()
+        assert len(set(idx.tolist())) == sub.size
+
+
+def test_subgroup_with_foreign_generator_raises():
+    G = small_table("chevalley:A1", "fqt:p=2,f=1,m=2")
+    (_, g), (_, h) = G.generators[:2]
+    gh = G.ring.mat_mul(g, h)
+    assert not any((gh == x).all() for _, x in G.generators)
+    sub = generate(G.ring, [(("gh",), gh)], name="sub")
+    with pytest.raises(GroupsError, match="not a generator"):
+        G.subgroup_indices(sub)
+    with pytest.raises(GroupsError, match="not a generator"):
+        G.double_coset_data(sub, G)
+
+
+def test_subgroup_size_mismatch_raises():
+    lit = "fqt:p=2,f=1,m=2"
+    G = small_table("chevalley:A1", lit)
+    B = small_table("parabolic:A1:-", lit)
+    short = GroupTable(B.ring, B.mats[:-1], B.inv[:-1], B.rho[:-1],
+                       B.generators, "short", B.dim_scheme)
+    with pytest.raises(GroupsError, match="generates"):
+        G.subgroup_indices(short)
