@@ -6,8 +6,9 @@ string (coefficients outgrow 64 bits quickly), so identical runs emit
 byte-identical output; wall-clock timings go to stderr only.  CSV output
 is a flat projection of the same report.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error, 3 exceeded
-budget (enumeration cap, grid cap, summation budgets, divergence).
+Exit codes: 0 success, 1 failed verification or a failed internal
+identity, 2 usage error, 3 exceeded budget (enumeration cap, grid cap,
+summation budgets, divergence).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import verify as verify_suites
 from . import zeta as zt
-from .groups import ENUM_CAP, TooLarge
+from .groups import ENUM_CAP, IdentityError, TooLarge
 from .igusa import igusa_truncation, parse_poly
 from .presburger import (
     Divergent,
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
     except (TooLarge, Divergent, VariableBudget, ModulusBudget) as exc:
         sys.stderr.write(f"budget error: {exc}\n")
         return 3
+    except IdentityError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -40,6 +40,11 @@ class TooLarge(RuntimeError):
     pass
 
 
+class IdentityError(RuntimeError):
+    """An identity the computation relies on failed: a defect, not a
+    usage error, so it is deliberately not a ValueError."""
+
+
 def encode_mat(mat) -> bytes:
     """Canonical '<u2' little-endian row-major byte string."""
     return np.ascontiguousarray(mat, dtype="<u2").tobytes()
@@ -111,14 +116,14 @@ class GroupTable:
     def lookup(self, mat):
         key = encode_mat(mat)
         if key not in self.index:
-            raise GroupsError(f"matrix not in table {self.name}")
+            raise IdentityError(f"matrix not in table {self.name}")
         return self.index[key]
 
     def lookup_batch(self, mats):
         try:
             return _indices(self.index, mats)
         except KeyError:
-            raise GroupsError(f"matrix not in table {self.name}") from None
+            raise IdentityError(f"matrix not in table {self.name}") from None
 
     def contains(self, mat):
         return encode_mat(mat) in self.index

@@ -1,12 +1,16 @@
 """Exhaustive level-set integration of polynomial absolute values.
 
-zero_count evaluates an integer polynomial over every tuple of a truncated
-valuation ring and counts exact zeros; from the counts N_n at each level
-the measures mu(v(f) = n) are exact rationals, and their generating series
-in t = q^{-s} is the truncated integral of |f|^s over the d-dimensional
-unit polydisc.  Everything is brute force on purpose: the budget keeps it
-desk-scale and the arithmetic stays in lookup tables, so the numbers are
-an independent check on any closed form.
+From the zero counts N_n of an integer polynomial at each truncation
+level the measures mu(v(f) = n) are exact rationals, and their generating
+series in t = q^{-s} is the truncated integral of |f|^s over the
+d-dimensional unit polydisc.  The counts are exhaustive: every zero at
+level n + 1 lies over a zero at level n, because truncation is a ring
+homomorphism, so level_set_measures enumerates the q^d points of the fibre
+over each level-n zero and nothing else.  zero_count, the plain scan of
+the whole grid, is the oracle for those counts.  The budget applies to the
+ambient grid of every level and is checked before any evaluation.  The
+arithmetic stays in lookup tables, so the numbers are an independent
+check on any closed form.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import TooLarge
+from .groups import IdentityError, TooLarge
 from .rings import Ring
 from .zeta import ZetaSeries
 
@@ -221,23 +225,117 @@ def zero_count(poly, ring: Ring, arity=None) -> int:
     return total * ring.size ** (arity - len(names))
 
 
+def _lift_table(ring: Ring, k):
+    """(|R_k|, q) table: row x lists the q elements of ring over x in R_k.
+
+    ring is at level k + 1 and R_k is its truncation at level k; level 0
+    is a single point.  The entries take the smallest unsigned dtype that
+    holds them, which keeps the lifted zeros small.
+    """
+    q = ring.q
+    dtype = np.min_scalar_type(ring.size - 1)
+    if k == 0:
+        return np.arange(q, dtype=dtype).reshape(1, q)
+    proj = ring.project_table(k)
+    fibres = np.bincount(proj, minlength=q**k)
+    if fibres.shape != (q**k,) or (fibres != q).any():
+        raise IdentityError(
+            f"projection {ring.literal} -> level {k} has a fibre "
+            f"of size other than {q}"
+        )
+    return np.argsort(proj, kind="stable").astype(dtype).reshape(-1, q)
+
+
+def _digit_strings(q, d, lo, hi):
+    """(d, hi - lo) array: row j holds base-q digit j of lo..hi-1."""
+    powers = q ** np.arange(d, dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64) // powers[:, None] % q
+
+
+def _lift_chunk(poly, ring: Ring, table, zeros, digits, keep):
+    """The zeros of f among the lifts of the rows of zeros by digits.
+
+    Lift (row r, digit string s) has coordinate j equal to
+    table[zeros[r, j], digits[j, s]]; lifts are taken row-major.  Returns
+    the zeros found, one row each, as a (hits, d) array on ring; unless
+    keep, the rows have no columns and only their number is kept.
+    """
+    cols = [np.take(table[zeros[:, j]], digits[j], axis=1).ravel()
+            for j in range(len(poly.vars))]
+    width = len(zeros) * digits.shape[1]
+    vals = _eval_chunk(poly.ast, ring, dict(zip(poly.vars, cols)), width)
+    hits = np.flatnonzero(vals == ring.zero)
+    kept = cols if keep else []
+    found = np.empty((len(hits), len(kept)), dtype=table.dtype)
+    for j, col in enumerate(kept):
+        found[:, j] = col[hits]
+    return found
+
+
+def _lifted_zero_counts(poly, rings):
+    """N_k = #{x in R_k^d : f(x) = 0} for the d variables f mentions.
+
+    rings[k - 1] is the level-k ring.  Every level-(k+1) zero lies over a
+    level-k zero, so only the q^d lifts of each level-k zero are
+    evaluated, in pieces of at most CHUNK lifts.  The lifting runs depth
+    first: the zeros a piece finds go straight on to the next level, so
+    at most about one piece per level is held, however many zeros there
+    are.
+    """
+    q, d = rings[0].q, len(poly.vars)
+    fibre = q**d
+    rows = max(1, CHUNK // fibre)  # zeros per piece
+    width = min(fibre, CHUNK)  # digit strings per piece
+    tables = [_lift_table(ring, k) for k, ring in enumerate(rings)]
+    counts = [0] * len(rings)
+
+    def lift(k, zeros):
+        deeper = k + 1 < len(rings)
+        for lo in range(0, fibre, width):
+            digits = _digit_strings(q, d, lo, min(fibre, lo + width))
+            for r in range(0, len(zeros), rows):
+                found = _lift_chunk(poly, rings[k], tables[k],
+                                    zeros[r:r + rows], digits, deeper)
+                counts[k] += len(found)
+                if deeper and len(found):
+                    lift(k + 1, found)
+
+    lift(0, np.zeros((1, d), dtype=np.int32))
+    return counts
+
+
 def level_set_measures(poly, ring: Ring, arity=None):
     """Exact measures mu(v(f) = n) for 0 <= n < m, plus the tail mass.
 
     Uses mu(v >= n) = q^{-nd} N_n with N_n the zero count at level n, so
-    the measures and the tail q^{-md} N_m partition 1 exactly.
+    the measures and the tail q^{-md} N_m partition 1 exactly.  The N_n
+    come from lifting the level-(n-1) zeros through the fibres of the
+    projection; zero_count is the brute-force oracle for them.  The
+    budget is checked on the ambient grid of every level before any
+    evaluation.
     """
     poly = parse_poly(poly)
     if ring.VAL is None:
         raise IgusaError(f"no valuation on {ring.literal}")
     if arity is None:
         arity = len(poly.vars)
+    if arity < len(poly.vars):
+        raise IgusaError(
+            f"arity {arity} below variable count {len(poly.vars)}"
+        )
     d = arity
     q = ring.q
     m = ring.m
-    counts = [1]  # N_0: the empty congruence
     for k in range(1, m + 1):
-        counts.append(zero_count(poly, ring.subring_level(k), arity))
+        if q ** (k * d) > GRID_CAP:
+            raise TooLarge(
+                f"grid of {q ** (k * d)} points exceeds budget {GRID_CAP}"
+            )
+    rings = [ring.subring_level(k) for k in range(1, m + 1)]
+    lifted = _lifted_zero_counts(poly, rings)
+    unused = d - len(poly.vars)
+    counts = [1]  # N_0: the empty congruence
+    counts += [n * r.size**unused for n, r in zip(lifted, rings)]
     measures = []
     for n in range(m):
         mu = Fraction(counts[n], q ** (n * d)) - Fraction(

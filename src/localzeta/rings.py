@@ -257,7 +257,11 @@ class Ring:
             self.VAL = self._valuation_table()
             self.UNIT = self.VAL == 0
             unit_count = self.q**self.m - self.q ** (self.m - 1)
-            assert int(self.UNIT.sum()) == unit_count
+            if int(self.UNIT.sum()) != unit_count:
+                raise RingError(
+                    f"{self.literal}: {int(self.UNIT.sum())} units, "
+                    f"expected {unit_count}"
+                )
         # inverses by raising to |units| - 1, vectorized square-and-multiply
         e = unit_count - 1
         acc = np.full(size, self.one, dtype=np.int32)
@@ -269,7 +273,8 @@ class Ring:
             e >>= 1
         inv = np.where(self.UNIT, acc, -1).astype(np.int32)
         check = self.MUL[inv[self.UNIT], idx[self.UNIT]]
-        assert (check == self.one).all()
+        if (check != self.one).any():
+            raise RingError(f"{self.literal}: unit inverse table is wrong")
         self.INV = inv
 
     def _valuation_table(self):
@@ -432,7 +437,10 @@ class Ring:
         else:
             w = (self.q ** np.arange(k, dtype=np.int64))
             tab = (C[:, :k] * w).sum(axis=1).astype(np.int32)
-        assert tab.max() < low.size
+        if tab.min() < 0 or tab.max() >= low.size:
+            raise RingError(
+                f"{self.literal}: projection to level {k} leaves its range"
+            )
         self._proj_tables[k] = tab
         return tab
 

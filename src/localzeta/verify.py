@@ -24,7 +24,12 @@ from .chevalley import (
     verify_torus_conjugation,
 )
 from .groups import Family
-from .igusa import igusa_truncation, parse_poly
+from .igusa import (
+    igusa_truncation,
+    level_set_measures,
+    parse_poly,
+    zero_count,
+)
 from .presburger import (
     Divergent,
     LinForm,
@@ -70,7 +75,8 @@ def _suite(name, checks):
 
 
 def suite_igusa():
-    """Determinant integral on 2x2 matrices vs its closed form."""
+    """Determinant integral on 2x2 matrices vs its closed form, and the
+    lifted zero counts vs the brute-force scan on small rings."""
     checks = []
     poly = parse_poly("a*b - c*d")
     for q, M in ((2, 4), (3, 3)):
@@ -84,6 +90,21 @@ def suite_igusa():
             coefficients=series.coeffs,
             tail=tail,
         ))
+    mismatches = []
+    for text, ring, arity in (
+        ("a*b - c*d", make_ring("zq", 2, 1, 4), None),
+        ("a*b - c*d", make_ring("fqt", 3, 1, 2), None),
+        ("x^2 - 2*y^2", make_ring("zq", 2, 2, 2), 3),
+        ("x^3 - y^2", make_ring("fqt", 2, 1, 5), None),
+    ):
+        lifted = level_set_measures(text, ring, arity)["zero_counts"]
+        scanned = [zero_count(text, ring.subring_level(k), arity)
+                   for k in range(1, ring.m + 1)]
+        if lifted != scanned:
+            mismatches.append({"poly": text, "ring": ring.literal,
+                               "lifted": lifted, "scanned": scanned})
+    checks.append(_check("igusa-lift-vs-scan", not mismatches,
+                         mismatches=mismatches))
     return _suite("igusa", checks)
 
 
@@ -142,12 +163,7 @@ def suite_transfer():
 
 
 def suite_pointcount():
-    """|G(o/p^m)| = |G(F_q)| q^{(m-1)d} on the supported instances.
-
-    Adjoint A-type groups can deviate at p = 2; such a deviation is
-    recorded as an anomaly finding rather than a failure.  Everything
-    else hard-fails on mismatch.
-    """
+    """|G(o/p^m)| = |G(F_q)| q^{(m-1)d} on the supported instances."""
     cases = [
         ("chevalley:A1", 3, [(2, 3), (3, 3)]),
         ("chevalley:A2", 8, [(2, 2)]),
@@ -160,23 +176,12 @@ def suite_pointcount():
             for m in range(2, mmax + 1):
                 size = table_for(family, make_ring("zq", p, 1, m)).size
                 want = base * p ** (dim * (m - 1))
-                match = size == want
-                tolerated = (
-                    not match
-                    and family.startswith("chevalley:A")
-                    and p == 2
-                )
-                entry = _check(
+                checks.append(_check(
                     f"pointcount-{family}-p{p}-m{m}",
-                    match or tolerated,
+                    size == want,
                     size=size,
                     expected=want,
-                )
-                if tolerated:
-                    entry["anomaly"] = (
-                        "adjoint A-type deviation at p=2, recorded"
-                    )
-                checks.append(entry)
+                ))
     return _suite("pointcount", checks)
 
 

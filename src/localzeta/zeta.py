@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cache import as_family, table_for
-from .groups import ENUM_CAP, PAIR_SCAN_CAP, Family, GroupsError, TooLarge
+from .groups import ENUM_CAP, PAIR_SCAN_CAP, Family, IdentityError, TooLarge
 from .laurent import Laurent
 from .rings import crt_split, make_ring
 
@@ -319,6 +319,18 @@ def igusa_coordinate_form() -> BivariateRational:
     )
 
 
+def igusa_determinant_form(n) -> BivariateRational:
+    """prod_{i=1..n} (1 - X^-i) / (1 - X^-i Y): the n x n determinant.
+
+    Igusa's integral of |det|^s over the n^2 entries; n = 1 and n = 2 are
+    igusa_coordinate_form and igusa_two_by_two_form.
+    """
+    num = Laurent.const(1, 2)
+    for i in range(1, n + 1):
+        num = num * (Laurent.const(1, 2) - _X(-i))
+    return BivariateRational(num, {(-i, 1): 1 for i in range(1, n + 1)})
+
+
 # ----------------------------------------------------------------------
 # enumerated series
 
@@ -364,7 +376,7 @@ def hecke_zeta(system, s1, s2, kind, p, f, M, cap=ENUM_CAP) -> ZetaSeries:
         P2 = table_for(fam2, ring, cap)
         b, e = G.double_coset_data(P1, P2)
         if e != b * P1.size * P2.size:
-            raise ZetaError(
+            raise IdentityError(
                 f"double-coset/pair-count identity fails at level {ring.m}"
             )
         coeffs.append(Fraction(b))

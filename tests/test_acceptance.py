@@ -1,9 +1,7 @@
 """Acceptance gate: ten criteria, one test (and one line) each.
 
 Each test drives the corresponding verification suite and enforces the
-stated runtime tolerance.  Failures list the failing check names; a
-recorded point-count anomaly (adjoint A-type at p = 2) is surfaced in
-the pass line rather than failing the build.
+stated runtime tolerance.  Failures list the failing check names.
 """
 
 import json
@@ -50,9 +48,7 @@ def test_criterion_03_transfer():
 
 def test_criterion_04_point_count_law():
     rep, dt = _run("pointcount", 600)
-    anomalies = [c["name"] for c in rep["checks"] if "anomaly" in c]
-    extra = f" [recorded anomalies: {anomalies}]" if anomalies else ""
-    _line(4, "point-count law", dt, extra)
+    _line(4, "point-count law", dt)
 
 
 def test_criterion_05_counting_identities():

@@ -173,6 +173,25 @@ def test_verify_failure_exit_code(monkeypatch):
     assert json.loads(out.getvalue())["ok"] is False
 
 
+def test_internal_identity_failure_exit_code(monkeypatch, capsys):
+    from localzeta.groups import GroupTable
+
+    law = GroupTable.double_coset_data
+
+    def broken(self, P1, P2):
+        b, e = law(self, P1, P2)
+        return b, e + 1
+
+    monkeypatch.setattr(GroupTable, "double_coset_data", broken)
+    cache.clear_memo()
+    code = cli.main(["hecke", "--group", "A1", "--ring", "zq:p=2,f=1,m=2"])
+    cache.clear_memo()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: double-coset/pair-count identity")
+
+
 def test_stringify_rejects_floats():
     with pytest.raises(TypeError):
         cli.to_json({"x": 1.5})

@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from localzeta.groups import TooLarge
+from localzeta import igusa
+from localzeta.groups import IdentityError, TooLarge
 from localzeta.igusa import (
     IgusaError,
     igusa_truncation,
@@ -10,10 +12,16 @@ from localzeta.igusa import (
     parse_poly,
     zero_count,
 )
-from localzeta.rings import make_ring
-from localzeta.zeta import expand, igusa_coordinate_form, igusa_two_by_two_form
+from localzeta.rings import make_ring, parse_ring
+from localzeta.zeta import (
+    expand,
+    igusa_coordinate_form,
+    igusa_determinant_form,
+    igusa_two_by_two_form,
+)
 
 DET = "a*b - c*d"
+DET3 = "a*e*i+b*f*g+c*d*h-c*e*g-b*d*i-a*f*h"
 
 
 def test_parse_poly_basics():
@@ -132,3 +140,101 @@ def test_igusa_truncation_univariate():
     s, tail = igusa_truncation("x", make_ring("zq", p=2, f=1, m=5), 1)
     assert s == expand(igusa_coordinate_form(), 2, 5)
     assert tail == Fraction(1, 32)
+
+
+LIFT_CASES = [
+    (DET, "zq:p=2,f=1,m=5", None),
+    (DET, "fqt:p=2,f=1,m=5", None),
+    (DET, "zq:p=3,f=1,m=3", None),
+    (DET, "fqt:p=3,f=1,m=3", None),
+    (DET, "zq:p=2,f=2,m=2", None),
+    (DET, "fqt:p=2,f=2,m=2", None),
+    ("x*y - z^2", "zq:p=3,f=1,m=3", 5),
+    ("x^3 - y^2", "fqt:p=2,f=1,m=6", 3),
+    ("0", "zq:p=2,f=1,m=2", 3),
+    ("1", "zq:p=2,f=1,m=2", 3),
+    ("4", "zq:p=2,f=1,m=2", 1),
+    ("x^2", "zq:p=3,f=1,m=2", 1),
+    (DET3, "zq:p=2,f=1,m=2", None),
+    (DET3, "fqt:p=2,f=1,m=2", None),
+    ("a+b+c-a-b-c", "zq:p=2,f=1,m=4", None),
+    ("a+b+c-a-b-c", "fqt:p=3,f=1,m=2", 4),
+]
+
+
+def _scan_counts(poly, top, arity):
+    return [zero_count(poly, top.subring_level(k), arity)
+            for k in range(1, top.m + 1)]
+
+
+@pytest.mark.parametrize("poly,ring,arity", LIFT_CASES)
+def test_lifted_counts_match_scan(poly, ring, arity):
+    top = parse_ring(ring)
+    got = level_set_measures(poly, top, arity)["zero_counts"]
+    assert got == _scan_counts(poly, top, arity)
+
+
+@pytest.mark.parametrize("chunk", [8, 64])
+def test_lifted_counts_in_small_pieces(monkeypatch, chunk):
+    # 8 splits one fibre of q^4 = 16 lifts over two pieces; 64 puts four
+    # zeros in each piece
+    top = make_ring("zq", p=2, f=1, m=4)
+    want = _scan_counts(DET, top, 5)
+    monkeypatch.setattr(igusa, "CHUNK", chunk)
+    assert level_set_measures(DET, top, 5)["zero_counts"] == want
+
+
+def test_lift_checks_fibre_sizes(monkeypatch):
+    top = make_ring("fqt", p=2, f=1, m=2)
+    bad = top.project_table(1).copy()
+    bad[bad == 1] = 0  # one fibre of size 2q, one empty
+    monkeypatch.setitem(top._proj_tables, 1, bad)
+    with pytest.raises(IdentityError, match="fibre"):
+        level_set_measures("x", top, 1)
+
+
+def test_lifting_memory_does_not_grow_with_zeros(monkeypatch):
+    # every one of the 2^21 points at the top level is a zero; small
+    # pieces make any array that grows with the zeros stand out
+    monkeypatch.setattr(igusa, "CHUNK", 1 << 12)
+    top = make_ring("zq", p=2, f=1, m=7)
+    poly = "a+b+c-a-b-c"
+    for k in range(1, top.m + 1):
+        top.subring_level(k)
+    tracemalloc.start()
+    try:
+        assert zero_count(poly, top) == top.size**3
+        scan = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert level_set_measures(poly, top)["zero_counts"][-1] == top.size**3
+        lift = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lift <= scan
+
+
+def test_budget_checked_before_any_level(monkeypatch):
+    calls = []
+    monkeypatch.setattr(igusa, "_eval_chunk", lambda *a: calls.append(a))
+    # level 9 is the first whose ambient grid 2^27 exceeds the budget
+    top = make_ring("zq", p=2, f=1, m=9)
+    with pytest.raises(TooLarge, match="grid of 134217728 points"):
+        level_set_measures("a*b", top, 3)
+    assert not calls
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_determinant_form_small_cases(q):
+    for M in (1, 3, 5):
+        assert expand(igusa_determinant_form(1), q, M) == expand(
+            igusa_coordinate_form(), q, M)
+        assert expand(igusa_determinant_form(2), q, M) == expand(
+            igusa_two_by_two_form(), q, M)
+
+
+@pytest.mark.parametrize("kind", ["zq", "fqt"])
+def test_determinant_form_three_by_three(kind):
+    series, tail = igusa_truncation(DET3, make_ring(kind, p=2, f=1, m=2))
+    assert series == expand(igusa_determinant_form(3), 2, 2)
+    assert series.coeffs == [Fraction(21, 64), Fraction(147, 512)]
+    assert tail == Fraction(100864, 2**18)

@@ -166,6 +166,31 @@ def test_projection_is_ring_homomorphism():
             assert (counts == ring.size // low.size).all()
 
 
+def test_table_invariants_raise(monkeypatch):
+    # raised, not asserted, so they hold under python -O too
+    ring = Ring("fqt", p=2, f=1, m=2)
+    monkeypatch.setattr(ring, "_coeff_array", lambda: np.full((4, 2), 2))
+    with pytest.raises(RingError, match="range"):
+        ring.project_table(1)
+
+    build_units = Ring._build_unit_tables
+
+    def corrupt_square(self):
+        self.MUL = self.MUL.copy()
+        self.MUL[2, 2] = 2  # 2 * 2 = 1 in F_3
+        build_units(self)
+
+    monkeypatch.setattr(Ring, "_build_unit_tables", corrupt_square)
+    with pytest.raises(RingError, match="inverse"):
+        Ring("zq", p=3, f=1, m=1)
+    monkeypatch.setattr(Ring, "_build_unit_tables", build_units)
+
+    monkeypatch.setattr(Ring, "_valuation_table",
+                        lambda self: np.zeros(self.size, dtype=np.int32))
+    with pytest.raises(RingError, match="units"):
+        Ring("zq", p=2, f=1, m=2)
+
+
 def test_projection_respects_valuation_cap():
     ring = parse_ring("zq:p=2,f=1,m=3")
     low = ring.subring_level(2)
