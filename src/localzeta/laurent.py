@@ -1,14 +1,37 @@
-"""Multivariate Laurent polynomials with Fraction coefficients.
+"""Multivariate Laurent polynomials with exact coefficients.
 
-Terms are stored sparsely as ``{exponent tuple: Fraction}`` with zero
+Terms are stored sparsely as ``{exponent tuple: coefficient}`` with zero
 coefficients dropped, so equality is structural and exact.  Exponents may be
-negative; the few routines that need honest polynomials (exact division)
-shift into the polynomial range internally.
+negative.
+
+Coefficients are exact rationals kept in one normal form, produced by
+``exact``: a Python ``int`` when the value is integral, a ``Fraction`` only
+when it is not.  Almost every coefficient met in practice is an integer,
+and int arithmetic is many times faster than Fraction arithmetic.  Since
+``int`` and ``Fraction(n)`` compare and hash equal and print identically,
+the representation never shows in a result.  Division must go through
+``Fraction``: ``int / int`` would give a float, which ``exact`` refuses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def exact(c):
+    """c as an int when it is integral, else as a Fraction.
+
+    Every exact container (Laurent and Presburger terms, linear forms,
+    bivariate rationals) stores its coefficients through this, so a
+    Fraction with denominator 1 never survives.  Floats raise TypeError.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"inexact coefficient {c!r}")
+        c = Fraction(c)
+    return int(c.numerator) if c.denominator == 1 else c
 
 
 class Laurent:
@@ -19,14 +42,16 @@ class Laurent:
         out = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if not c:
                     continue
                 e = tuple(int(x) for x in e)
                 if len(e) != nvars:
                     raise ValueError(f"exponent {e} has wrong arity")
-                out[e] = out.get(e, Fraction(0)) + c
-                if not out[e]:
+                s = exact(out.get(e, 0) + c)
+                if s:
+                    out[e] = s
+                else:
                     del out[e]
         self.terms = out
 
@@ -34,17 +59,17 @@ class Laurent:
 
     @classmethod
     def const(cls, c, nvars):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, i, nvars, power=1):
         e = [0] * nvars
         e[i] = power
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, c, exps):
-        return cls(len(exps), {tuple(exps): Fraction(c)})
+        return cls(len(exps), {tuple(exps): c})
 
     def is_zero(self):
         return not self.terms
@@ -54,7 +79,7 @@ class Laurent:
 
     def const_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_const():
             raise ValueError("not a constant")
         return next(iter(self.terms.values()))
@@ -72,7 +97,7 @@ class Laurent:
         other = self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = exact(out.get(e, 0) + c)
             if s:
                 out[e] = s
             else:
@@ -100,7 +125,7 @@ class Laurent:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = exact(out.get(e, 0) + c1 * c2)
                 if s:
                     out[e] = s
                 else:
@@ -130,7 +155,7 @@ class Laurent:
         if len(self.terms) != 1:
             return None
         ((e, c),) = self.terms.items()
-        return Laurent(self.nvars, {tuple(-x for x in e): 1 / c})
+        return Laurent(self.nvars, {tuple(-x for x in e): Fraction(1) / c})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -163,45 +188,6 @@ class Laurent:
             rest[i] = 0
             out = out + Laurent.monomial(c, rest) * value**k
         return out
-
-    def shift_extent(self):
-        """Per-variable minimum exponent (0 if no terms)."""
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(
-            min(e[i] for e in self.terms) for i in range(self.nvars)
-        )
-
-    def divexact(self, other):
-        """Exact quotient self / other, or None if it does not divide."""
-        other = self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError
-        if self.is_zero():
-            return Laurent.const(0, self.nvars)
-        # shift both into honest polynomials
-        sh_f = self.shift_extent()
-        sh_g = other.shift_extent()
-        f = self * Laurent.monomial(1, [-x for x in sh_f])
-        g = other * Laurent.monomial(1, [-x for x in sh_g])
-
-        def lead(p):
-            return max(p.terms, key=lambda e: (sum(e), e))
-
-        q = Laurent.const(0, self.nvars)
-        lg = lead(g)
-        cg = g.terms[lg]
-        r = f
-        while not r.is_zero():
-            lr = lead(r)
-            e = tuple(a - b for a, b in zip(lr, lg))
-            if any(x < 0 for x in e):
-                return None
-            t = Laurent.monomial(r.terms[lr] / cg, e)
-            q = q + t
-            r = r - t * g
-        shift = tuple(a - b for a, b in zip(sh_f, sh_g))
-        return q * Laurent.monomial(1, shift)
 
     # ------------------------------------------------------------------
 

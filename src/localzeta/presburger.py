@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .laurent import Laurent
+from .laurent import Laurent, exact
 from .zeta import BivariateRational, ZetaSeries
 
 VAR_BUDGET = 4
@@ -57,6 +57,8 @@ class LinForm:
     Parsed atoms always carry integer coefficients; rational coefficients
     appear only inside the summation engine, where the forms stay
     integer-valued on their cells (floors of bounds along fixed residues).
+    Coefficients and the constant are in the ``laurent.exact`` normal form:
+    ints when integral, Fractions otherwise.
     """
 
     __slots__ = ("coeffs", "const")
@@ -64,10 +66,10 @@ class LinForm:
     def __init__(self, coeffs=None, const=0):
         self.coeffs = {}
         for v, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = exact(c)
             if c:
                 self.coeffs[v] = c
-        self.const = Fraction(const)
+        self.const = exact(const)
 
     @classmethod
     def of(cls, var):
@@ -82,7 +84,7 @@ class LinForm:
             return LinForm(self.coeffs, self.const + other)
         out = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            out[v] = out.get(v, Fraction(0)) + c
+            out[v] = out.get(v, 0) + c
         return LinForm(out, self.const + other.const)
 
     def __sub__(self, other):
@@ -91,13 +93,13 @@ class LinForm:
         return self + other.scale(-1)
 
     def scale(self, k):
-        k = Fraction(k)
+        k = exact(k)
         return LinForm(
             {v: c * k for v, c in self.coeffs.items()}, self.const * k
         )
 
     def coeff(self, var):
-        return self.coeffs.get(var, Fraction(0))
+        return self.coeffs.get(var, 0)
 
     def drop(self, var):
         rest = {v: c for v, c in self.coeffs.items() if v != var}
@@ -440,7 +442,7 @@ def parse_weight(text):
             B[v] = c
     if expo.const.denominator != 1:
         raise PresburgerError("weight constant must be an integer")
-    consts = A.pop("", Fraction(0))
+    consts = A.pop("", 0)
     return LinForm(A, consts), LinForm(B, expo.const)
 
 
@@ -787,21 +789,22 @@ def cocells(ast):
 
 
 class Poly:
-    """Multivariate polynomial with Fraction coefficients, for the
-    polynomial prefactors produced by summing v^k over progressions."""
+    """Multivariate polynomial with exact (``laurent.exact``) coefficients,
+    for the polynomial prefactors produced by summing v^k over
+    progressions."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
         for mono, c in (terms or {}).items():
-            c = Fraction(c)
+            c = exact(c)
             if c:
                 self.terms[mono] = c
 
     @classmethod
     def const(cls, c):
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def from_linform(cls, L: LinForm):
@@ -812,7 +815,7 @@ class Poly:
     def __add__(self, other):
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
         return Poly(out)
 
     def __mul__(self, other):
@@ -825,7 +828,7 @@ class Poly:
                 for v, e in m2:
                     exps[v] = exps.get(v, 0) + e
                 mono = tuple(sorted(exps.items()))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+                out[mono] = out.get(mono, 0) + c1 * c2
         return Poly(out)
 
     def __pow__(self, k):
@@ -866,7 +869,7 @@ class Poly:
                     rest.append((v, e))
             bucket = out.setdefault(k, Poly())
             bucket.terms[tuple(rest)] = (
-                bucket.terms.get(tuple(rest), Fraction(0)) + c
+                bucket.terms.get(tuple(rest), 0) + c
             )
         return {k: Poly(p.terms) for k, p in out.items()}
 
@@ -875,7 +878,7 @@ class Poly:
 
     def ground_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_ground():
             raise PresburgerError("polynomial is not ground")
         return self.terms[()]
@@ -1020,7 +1023,10 @@ def _residue_branches(term, z):
             # modulus, so the literal drops u entirely
             n = lit[2]
             cu = c * M0
-            assert cu.denominator == 1 and cu.numerator % n == 0
+            if cu.denominator != 1 or cu.numerator % n:
+                raise PresburgerError(
+                    f"residue modulus {M0} does not clear {lit[0]} on {z}"
+                )
             ground = moved.drop(z)
             glit = (lit[0], ground, n)
             g = _ground_literal(glit)
@@ -1053,9 +1059,11 @@ def _unit_bounds(term, z):
     rest = [l for l in term.lits if z not in l[1].vars()]
     branches = [([], [], rest)]
     for lit in zlits:
-        assert lit[0] == "le"
         c = lit[1].coeff(z)
-        assert c.denominator == 1
+        if lit[0] != "le" or c.denominator != 1:
+            raise PresburgerError(
+                f"bound on {z} is not an integral inequality: {lit}"
+            )
         a = c.numerator
         body = lit[1].drop(z)
         # a*z + body <= 0
@@ -1118,7 +1126,10 @@ def _sum_progression(term, z, lower, upper, ctx):
     """Integrate variable z over its (possibly one-sided) range."""
     bxf = term.xexp.coeff(z)
     byf = term.yexp.coeff(z)
-    assert bxf.denominator == 1 and byf.denominator == 1
+    if bxf.denominator != 1 or byf.denominator != 1:
+        raise PresburgerError(
+            f"non-integer weight coefficient on {z}: X^{bxf} Y^{byf}"
+        )
     bx, by = bxf.numerator, byf.numerator
     xrest = term.xexp.drop(z)
     yrest = term.yexp.drop(z)
@@ -1297,8 +1308,21 @@ def _assert_moduli(ast):
 # brute-force oracles
 
 
-def brute_force_sum(spec: SummationSpec, q, s, box) -> Fraction:
-    """Exact sum of q^(s*A + B) over solutions in [-box, box]^free."""
+def _integral(value, what):
+    """The int value of an exact number that must be an integer."""
+    if value.denominator != 1:
+        raise PresburgerError(f"non-integer {what} {value} at a solution")
+    return int(value.numerator)
+
+
+def solution_counts(spec: SummationSpec, box, M=None):
+    """Count the solutions in [-box, box]^free by their weight exponents.
+
+    Returns ``{(level, e): number of solutions}``, where a solution weighs
+    q^(s*A + B) with level = -A and e = B, both integers.  With M given,
+    only levels below M are kept.  This one enumeration is the ground
+    truth behind every brute-force sum and series.
+    """
     qf = (
         spec.formula
         if spec.formula.is_quantifier_free()
@@ -1306,14 +1330,36 @@ def brute_force_sum(spec: SummationSpec, q, s, box) -> Fraction:
     )
     ast = simplify(nnf(qf.ast))
     free = sorted(free_vars(ast) | spec.A.vars() | spec.B.vars())
-    total = Fraction(0)
+    counts = {}
     for point in itertools.product(range(-box, box + 1), repeat=len(free)):
         env = dict(zip(free, point))
         if not eval_formula(ast, env):
             continue
-        e = s * spec.A.evaluate(env) + spec.B.evaluate(env)
-        assert e.denominator == 1
-        total += Fraction(q) ** e.numerator
+        level = _integral(-spec.A.evaluate(env), "Y-degree")
+        if M is not None and level >= M:
+            continue
+        key = (level, _integral(spec.B.evaluate(env), "X-degree"))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def series_from_counts(counts, q, M) -> ZetaSeries:
+    """Coefficients of Y^0..Y^{M-1}: coefficient m collects q^e over the
+    counted solutions of level m (see ``solution_counts``)."""
+    coeffs = [0] * M
+    for (m, e), n in counts.items():
+        if m < 0:
+            raise PresburgerError("solution with negative Y-degree")
+        if m < M:
+            coeffs[m] += n * Fraction(q) ** e
+    return ZetaSeries(q, coeffs, "enumerated")
+
+
+def brute_force_sum(spec: SummationSpec, q, s, box) -> Fraction:
+    """Exact sum of q^(s*A + B) over solutions in [-box, box]^free."""
+    total = Fraction(0)
+    for (level, e), n in solution_counts(spec, box).items():
+        total += n * Fraction(q) ** _integral(e - s * level, "exponent")
     return total
 
 
@@ -1321,25 +1367,4 @@ def brute_force_series(spec: SummationSpec, q, M, box) -> ZetaSeries:
     """Series coefficients by direct enumeration: coefficient m collects
     q^B over solutions with -A = m.  The box must cover every solution
     with -A < M; suitable for formulas whose sections are bounded."""
-    qf = (
-        spec.formula
-        if spec.formula.is_quantifier_free()
-        else eliminate_quantifiers(spec.formula)
-    )
-    ast = simplify(nnf(qf.ast))
-    free = sorted(free_vars(ast) | spec.A.vars() | spec.B.vars())
-    coeffs = [Fraction(0)] * M
-    for point in itertools.product(range(-box, box + 1), repeat=len(free)):
-        env = dict(zip(free, point))
-        if not eval_formula(ast, env):
-            continue
-        level = -spec.A.evaluate(env)
-        assert level.denominator == 1
-        m = level.numerator
-        if m < 0:
-            raise PresburgerError("solution with negative Y-degree")
-        if m < M:
-            e = spec.B.evaluate(env)
-            assert e.denominator == 1
-            coeffs[m] += Fraction(q) ** e.numerator
-    return ZetaSeries(q, coeffs, "enumerated")
+    return series_from_counts(solution_counts(spec, box, M), q, M)

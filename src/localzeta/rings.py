@@ -421,9 +421,6 @@ class Ring:
             raise RingError(f"level {k} out of range 1..{self.m}")
         return make_ring(self.kind, p=self.p, f=self.f, m=k)
 
-    def residue_field(self):
-        return make_ring("zq", p=self.p, f=self.f, m=1)
-
     def project_table(self, k):
         """Index table sending each element to its level-k truncation."""
         if k in self._proj_tables:

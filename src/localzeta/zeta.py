@@ -25,7 +25,7 @@ import numpy as np
 
 from .cache import as_family, table_for
 from .groups import ENUM_CAP, PAIR_SCAN_CAP, Family, IdentityError, TooLarge
-from .laurent import Laurent
+from .laurent import Laurent, exact
 from .rings import crt_split, make_ring
 
 
@@ -59,9 +59,6 @@ class ZetaSeries:
     @property
     def M(self):
         return len(self.coeffs)
-
-    def is_counting(self):
-        return all(c.denominator == 1 and c >= 0 for c in self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -116,26 +113,31 @@ class BivariateRational:
                 fac[(int(a), int(b))] = fac.get((int(a), int(b)), 0) + mult
         if any(m < 0 for m in fac.values()):
             raise ZetaError("negative factor multiplicity")
-        const = Fraction(const)
+        const = exact(const)
         if const == 0:
             raise ZetaError("zero denominator constant")
-        # normal form: integer numerator and positive integer constant
-        denoms = [c.denominator for c in numerator.terms.values()]
-        scale = math.lcm(const.denominator, *denoms) if denoms else 1
-        numerator = numerator * scale
-        const = const * scale
-        nums = [abs(c.numerator) for c in numerator.terms.values()]
-        g = math.gcd(abs(const.numerator), *nums) if nums else 1
-        if g > 1:
-            numerator = numerator * Fraction(1, g)
-            const = const / g
+        # normal form: integer numerator, positive integer constant and
+        # content gcd 1, reached in integers (lcm-scale, then divide)
+        terms = numerator.terms
+        scale = math.lcm(const.denominator,
+                         *(c.denominator for c in terms.values()))
+        if scale != 1:
+            terms = {e: exact(c * scale) for e, c in terms.items()}
+            const = exact(const * scale)
+        if type(const) is not int:
+            raise ZetaError(f"denominator constant {const} is not integral")
+        g = math.gcd(const, *terms.values())
         if const < 0:
-            numerator = -numerator
-            const = -const
-        assert const.denominator == 1
+            g = -g
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+            const //= g
+        if terms is not numerator.terms:
+            numerator = Laurent(2)
+            numerator.terms = terms
         self.numerator = numerator
         self.factors = tuple(sorted(fac.items()))
-        self.const = int(const)
+        self.const = const
 
     @classmethod
     def one(cls):
@@ -173,8 +175,8 @@ class BivariateRational:
             key: max(fac1.get(key, 0), fac2.get(key, 0))
             for key in set(fac1) | set(fac2)
         }
-        num1 = self.numerator * Fraction(1, self.const)
-        num2 = other.numerator * Fraction(1, other.const)
+        num1 = self.numerator * other.const
+        num2 = other.numerator * self.const
         for key, mult in union.items():
             up1 = mult - fac1.get(key, 0)
             up2 = mult - fac2.get(key, 0)
@@ -182,7 +184,7 @@ class BivariateRational:
                 num1 = num1 * _factor_poly(*key) ** up1
             if up2:
                 num2 = num2 * _factor_poly(*key) ** up2
-        return BivariateRational(num1 + num2, union)
+        return BivariateRational(num1 + num2, union, self.const * other.const)
 
     def __neg__(self):
         return BivariateRational(-self.numerator, self.factors, self.const)
@@ -200,15 +202,6 @@ class BivariateRational:
                 raise ZetaError(f"pole at factor (1 - X^{a} Y^{b})")
             den *= base**mult
         return val / den
-
-    def as_dict(self):
-        return {
-            "numerator": self.numerator.format(("X", "Y")),
-            "denominator_constant": self.const,
-            "denominator_factors": [
-                [a, b, mult] for (a, b), mult in self.factors
-            ],
-        }
 
     def __repr__(self):
         den = " ".join(

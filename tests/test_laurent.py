@@ -1,0 +1,184 @@
+"""Exactness of the mixed int/Fraction coefficient representation.
+
+Laurent, LinForm and Poly store integral coefficients as ints and the rest
+as Fractions.  Each test runs seeded random arithmetic on them and compares
+the result, evaluated at rational points, with the same operation carried
+out on the operands' values in Fractions alone.  Every coefficient of every
+result must be in normal form: an int, or a Fraction that is not integral,
+and never a float.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from localzeta.laurent import Laurent, exact
+from localzeta.presburger import LinForm, Poly
+
+SEED = 20261018
+VARS = ("a", "b", "n")
+
+
+def _assert_normal(coeffs):
+    for c in coeffs:
+        assert type(c) is int or (
+            type(c) is Fraction and c.denominator != 1
+        ), repr(c)
+
+
+def _coeff(rng):
+    if rng.random() < 0.7:
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _point(rng, n):
+    out = []
+    while len(out) < n:
+        x = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        if x:
+            out.append(x)
+    return out
+
+
+def _laurent(rng, nvars=2):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randint(-2, 3) for _ in range(nvars))
+        terms[e] = _coeff(rng)
+    return Laurent(nvars, terms)
+
+
+def _linform(rng):
+    coeffs = {v: _coeff(rng) for v in rng.sample(VARS, rng.randint(0, 3))}
+    return LinForm(coeffs, _coeff(rng))
+
+
+def _poly(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = tuple(sorted(
+            (v, rng.randint(1, 2)) for v in rng.sample(VARS, rng.randint(0, 2))
+        ))
+        terms[mono] = _coeff(rng)
+    return Poly(terms)
+
+
+def _poly_value(p, env):
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        v = Fraction(c)
+        for var, e in mono:
+            v *= Fraction(env[var]) ** e
+        total += v
+    return total
+
+
+def test_exact_normal_form():
+    assert type(exact(3)) is int
+    assert exact(Fraction(6, 3)) == 2 and type(exact(Fraction(6, 3))) is int
+    assert type(exact(Fraction(1, 2))) is Fraction
+    assert type(exact(np.int64(4))) is int
+    assert type(exact(True)) is int
+    with pytest.raises(TypeError):
+        exact(0.5)
+    with pytest.raises(TypeError):
+        exact(np.float64(2.0))
+
+
+def _substituted_value(f, value, pt):
+    """Value at pt of f with variable 0 replaced by a number, in Fractions."""
+    return sum(
+        (Fraction(c) * value ** e[0] * pt[1] ** e[1]
+         for e, c in f.terms.items()),
+        Fraction(0),
+    )
+
+
+def test_laurent_arithmetic_matches_fractions():
+    rng = random.Random(SEED)
+    for _ in range(300):
+        f, g = _laurent(rng), _laurent(rng)
+        k = rng.randint(1, 7)
+        pt = _point(rng, 2)
+        fv, gv = f.evaluate(pt), g.evaluate(pt)
+        mono = Laurent.monomial(
+            _coeff(rng) or 3, (rng.randint(-2, 2), rng.randint(-2, 2))
+        )
+        mv = mono.evaluate(pt)
+        # a polynomial may only replace a variable that has no negative power
+        f_pos = Laurent(2, {(abs(e[0]), e[1]): c for e, c in f.terms.items()})
+        cases = [
+            (f + g, fv + gv),
+            (f - g, fv - gv),
+            (f * g, fv * gv),
+            (-f, -fv),
+            (f * Fraction(1, k), fv / k),
+            (f * k + Fraction(1, k), fv * k + Fraction(1, k)),
+            (f ** 2, fv ** 2),
+            (mono.monomial_inverse(), 1 / mv),
+            (mono ** -2, mv ** -2),
+            (f.substitute(0, mono), _substituted_value(f, mv, pt)),
+            (f_pos.substitute(0, g), _substituted_value(f_pos, gv, pt)),
+        ]
+        for got, want in cases:
+            _assert_normal(got.terms.values())
+            assert got.evaluate(pt) == want
+
+
+def test_linform_arithmetic_matches_fractions():
+    rng = random.Random(SEED + 1)
+    for _ in range(300):
+        f, g = _linform(rng), _linform(rng)
+        k = rng.randint(1, 7)
+        var = rng.choice(VARS)
+        env = dict(zip(VARS, _point(rng, len(VARS))))
+        # a ground form evaluates to its int constant; the reference
+        # arithmetic must stay in Fractions
+        fv, gv = Fraction(f.evaluate(env)), Fraction(g.evaluate(env))
+        cases = [
+            (f + g, fv + gv),
+            (f - g, fv - gv),
+            (f + Fraction(1, k), fv + Fraction(1, k)),
+            (f - k, fv - k),
+            (f.scale(Fraction(1, k)), fv / k),
+            (f.scale(-k), -k * fv),
+            (f.drop(var), fv - f.coeff(var) * env[var]),
+            (f.substitute(var, g), fv + f.coeff(var) * (gv - env[var])),
+        ]
+        for got, want in cases:
+            _assert_normal(list(got.coeffs.values()) + [got.const])
+            _assert_normal([got.coeff(var)])
+            assert got.evaluate(env) == want
+
+
+def test_poly_arithmetic_matches_fractions():
+    rng = random.Random(SEED + 2)
+    for _ in range(200):
+        f, g = _poly(rng), _poly(rng)
+        L = _linform(rng)
+        k = rng.randint(1, 7)
+        var = rng.choice(VARS)
+        env = dict(zip(VARS, _point(rng, len(VARS))))
+        fv, gv = _poly_value(f, env), _poly_value(g, env)
+        sub_env = dict(env, **{var: L.evaluate(env)})
+        cases = [
+            (f + g, fv + gv),
+            (f * g, fv * gv),
+            (f * Fraction(1, k), fv / k),
+            (f ** 3, fv ** 3),
+            (Poly.from_linform(L), L.evaluate(env)),
+            (f.substitute(var, L), _poly_value(f, sub_env)),
+        ]
+        for got, want in cases:
+            _assert_normal(got.terms.values())
+            assert _poly_value(got, env) == want
+        parts = f.split(var)
+        for part in parts.values():
+            _assert_normal(part.terms.values())
+        assert sum(
+            (_poly_value(p, env) * env[var] ** e for e, p in parts.items()),
+            Fraction(0),
+        ) == fv

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from localzeta import presburger
 from localzeta.laurent import Laurent
 from localzeta.presburger import (
     Divergent,
     LinForm,
+    Poly,
     ModulusBudget,
     PresburgerError,
     PresburgerFormula,
@@ -24,6 +27,7 @@ from localzeta.presburger import (
     parse,
     parse_weight,
     simplify,
+    solution_counts,
     sum_rational,
 )
 from localzeta.zeta import BivariateRational, expand
@@ -406,8 +410,95 @@ def test_sigma0_shifted_ray():
     assert expand(res.rational, 3, 4).coeffs == [1, 3, 9, 27]
 
 
+# sha256 of repr(rational) and sigma0 of sum_rational, recorded with the
+# all-Fraction engine; the int-first coefficients must not move a byte
+GOLDEN = [
+    ("0 <= a and a <= 2*n and 0 <= b and b <= 3*n and a + b = 3 mod 5",
+     "q^(-n*s - a - 2*b)",
+     "1c746ec6986e7d26db8e08bb7ca8aa287c46708160da42d6163ee460803f2aa6", 1),
+    ("0 <= a and a <= 3*n and 0 <= b and b <= n and a + 2*b = 1 mod 5",
+     "q^(-n*s - 2*a - b)",
+     "7f03a86ff8dce2898349e7c7fd95dff715b6a05bd463b760338f5be97bb4594b", 1),
+    ("0 <= a and a <= 3*n and 0 <= b and b <= 3*n and a + 3*b = 4 mod 5",
+     "q^(-n*s - a - 3*b)",
+     "f440fdc1ad55d1e803aea559ce31286b01ac56191af551af20809ed08a2a415a", 1),
+    ("exists k (0 <= k and k <= n and l = 3*k + 2) and n >= 0",
+     "q^(-n*s - l)",
+     "e8b162cba5260bf01e560e10f12044f9af029d330ad2dc5baf9188ebcebfe50b", 1),
+]
+
+
+@pytest.mark.parametrize("formula,weight,digest,sigma0", GOLDEN)
+def test_sum_rational_golden_repr(formula, weight, digest, sigma0):
+    res = sum_rational(SummationSpec(formula, weight))
+    assert hashlib.sha256(repr(res.rational).encode()).hexdigest() == digest
+    assert res.sigma0 == sigma0
+    assert type(res.rational.const) is int
+    assert all(type(c) is int for c in res.rational.numerator.terms.values())
+
+
+# ----------------------------------------------------------------------
+# runtime invariants raise PresburgerError
+
+
+def _term(lits, xexp=None, yexp=None):
+    return presburger._Term(
+        BivariateRational.one(), Poly.const(1),
+        xexp or LinForm(), yexp or LinForm({"z": 1}), lits,
+    )
+
+
+def test_unit_bounds_rejects_non_inequalities():
+    z = LinForm.of("z")
+    # a congruence on z must have been resolved by the residue split
+    with pytest.raises(PresburgerError, match="not an integral inequality"):
+        presburger._unit_bounds(_term([("cong", z, 3)]), "z")
+    # so must a rational coefficient of z
+    with pytest.raises(PresburgerError, match="not an integral inequality"):
+        presburger._unit_bounds(
+            _term([("le", z.scale(Fraction(1, 2)) - 3)]), "z"
+        )
+
+
+def test_sum_progression_rejects_rational_weight():
+    term = _term([], xexp=LinForm({"z": Fraction(1, 2)}))
+    with pytest.raises(PresburgerError, match="non-integer weight"):
+        list(presburger._sum_progression(
+            term, "z", LinForm.constant(0), LinForm.constant(3),
+            {"sigma": []},
+        ))
+
+
+def test_oracle_rejects_non_integer_degrees():
+    half = Fraction(1, 2)
+    spec = SummationSpec(
+        "n >= 0 and n <= 3", (LinForm({"n": -half}), LinForm())
+    )
+    with pytest.raises(PresburgerError, match="non-integer Y-degree"):
+        brute_force_series(spec, 2, 4, 5)
+    spec = SummationSpec(
+        "n >= 0 and n <= 3", (LinForm({"n": -1}), LinForm({"n": half}))
+    )
+    with pytest.raises(PresburgerError, match="non-integer X-degree"):
+        brute_force_series(spec, 2, 4, 5)
+    with pytest.raises(PresburgerError, match="non-integer"):
+        brute_force_sum(spec, 2, 1, 5)
+    spec = SummationSpec("n >= -1 and n <= 3", "q^(-n*s)")
+    with pytest.raises(PresburgerError, match="negative Y-degree"):
+        brute_force_series(spec, 2, 4, 5)
+
+
 # ----------------------------------------------------------------------
 # brute force oracles
+
+
+def test_solution_counts_buckets_levels():
+    spec = SummationSpec("0 <= l and l <= n", "q^(-n*s - l)")
+    # solutions (n, l) with l <= n < 3, keyed by (level n, exponent -l)
+    assert solution_counts(spec, 5, 3) == {
+        (0, 0): 1, (1, 0): 1, (1, -1): 1, (2, 0): 1, (2, -1): 1, (2, -2): 1,
+    }
+    assert sum(solution_counts(spec, 5).values()) == 21
 
 
 def test_brute_force_geometric_partial():

@@ -1,0 +1,70 @@
+"""Failures inside verification suites come out as failed checks."""
+
+import contextlib
+import io
+import json
+
+from localzeta import cli, verify
+from localzeta.groups import IdentityError
+
+
+def _crash():
+    raise RuntimeError("table went missing")
+
+
+def _passing():
+    return verify._suite("passing", [verify._check("fine", True)])
+
+
+def test_suite_exception_is_a_failed_check(monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "euler", _crash)
+    rep = verify.run_suite("euler")
+    assert rep["suite"] == "euler"
+    assert rep["ok"] is False
+    (check,) = rep["checks"]
+    assert check["ok"] is False
+    assert check["error"] == "RuntimeError: table went missing"
+
+
+def test_suite_exception_inside_all(monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", {"crash": _crash, "pass": _passing})
+    rep = verify.run_suite("all")
+    assert rep["ok"] is False
+    crashed, passed = rep["suites"]
+    assert crashed["ok"] is False
+    assert crashed["checks"][0]["name"] == "crash-raised"
+    assert passed["ok"] is True
+
+
+def test_suite_exception_exits_one_with_a_report(monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "euler", _crash)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--suite", "euler"])
+    assert code == 1
+    report = json.loads(out.getvalue())
+    assert report["ok"] is False
+    assert "table went missing" in report["checks"][0]["error"]
+    assert "Traceback" not in err.getvalue()
+
+
+def test_pairlaw_failure_is_a_failed_check(monkeypatch):
+    real = verify.hecke_zeta
+
+    def broken(system, s1, s2, kind, q, f, M):
+        if (system, q) == ("A1", 3):
+            raise IdentityError("double-coset/pair-count identity fails")
+        return real(system, s1, s2, kind, q, f, M)
+
+    monkeypatch.setattr(verify, "hecke_zeta", broken)
+    rep = verify.suite_counting()
+    assert rep["ok"] is False
+    pairlaw = {c["name"]: c for c in rep["checks"]
+               if c["name"].startswith("pairlaw-")}
+    assert len(pairlaw) == 3
+    bad = pairlaw.pop("pairlaw-A1-----q3")
+    assert bad["ok"] is False
+    assert bad["error"] == "double-coset/pair-count identity fails"
+    assert all(c["ok"] for c in pairlaw.values())
+    assert all(c["ok"] for c in rep["checks"]
+               if not c["name"].startswith("pairlaw-"))

@@ -48,6 +48,24 @@ def test_rational_normal_form():
     assert r4 == BivariateRational(X() * 3, {(1, 1): 1}, 2)
 
 
+def test_rational_normal_form_is_integral():
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    r = BivariateRational(X() * Fraction(2, 3) + Y() * sixth, {(1, 1): 1},
+                          Fraction(-5, 4))
+    assert r.numerator == X() * -8 - Y() * 2
+    assert r.const == 15
+    assert type(r.const) is int
+    assert all(type(c) is int for c in r.numerator.terms.values())
+    # sums cross-multiply the constants and reduce to the same normal form
+    a = BivariateRational(Laurent.const(third, 2), {(1, 1): 1})
+    b = BivariateRational(Laurent.const(1, 2), {(1, 1): 1}, 6)
+    assert a + b == BivariateRational(Laurent.const(half, 2), {(1, 1): 1})
+    assert repr(a + b) == "(1) / 2 (1 - X^1 Y^1)^1"
+    # zero has the constant 1, whatever constant it was built with
+    z = BivariateRational(Laurent.const(0, 2), (), Fraction(1, 2))
+    assert z.is_zero() and z.const == 1
+
+
 def test_rational_rejects_degenerate_factors():
     with pytest.raises(ZetaError):
         BivariateRational(X(), {(0, 0): 1})
