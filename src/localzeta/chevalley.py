@@ -47,6 +47,17 @@ def _vneg(a):
     return tuple(-x for x in a)
 
 
+def _integer(value, what, nonzero=False):
+    """A Fraction that must be an integer (and nonzero, if asked), as an
+    int; ChevalleyError otherwise."""
+    if value.denominator != 1 or (nonzero and value == 0):
+        kind = "a nonzero integer" if nonzero else "an integer"
+        raise ChevalleyError(
+            f"structure constant {what} is {value}, not {kind}"
+        )
+    return int(value)
+
+
 def _structure_signs(rs):
     """All N(a,b) as {(a, b): int} for root pairs whose sum is a root."""
     norm = {v: _dot(v, v) for v in rs.roots}
@@ -87,20 +98,24 @@ def _structure_signs(rs):
                     t3 = N(b, _vneg(xi))
                     term3 = t3 * N(_vsub(b, xi), a) if t3 else 0
                     # N(s, -xi) = -N(xi,eta) (eta,eta)/(s,s), never zero
-                    ns = Fraction(-N(xi, eta) * norm[eta], norm[s])
-                    assert ns.denominator == 1 and ns != 0
-                    q = Fraction(-(term1 + term3), int(ns))
-                    assert q.denominator == 1
-                    val = int(q)
+                    ns = _integer(
+                        Fraction(-N(xi, eta) * norm[eta], norm[s]),
+                        f"N({s}, {_vneg(xi)})", nonzero=True,
+                    )
+                    val = _integer(
+                        Fraction(-(term1 + term3), ns),
+                        f"N({a}, {b}) by the Jacobi identity",
+                    )
         elif not pa and not pb:
             val = -N(_vneg(a), _vneg(b))
         elif pa:  # b negative
             if s in pos_order:
                 # cycle (a, b, -s) gives N(a,b) = (s,s) N(b,-s) / (a,a),
                 # and N(b,-s) = -N(-b,s) with (-b, s) both positive
-                q = Fraction(-norm[s] * N(_vneg(b), s), norm[a])
-                assert q.denominator == 1
-                val = int(q)
+                val = _integer(
+                    Fraction(-norm[s] * N(_vneg(b), s), norm[a]),
+                    f"N({a}, {b}) by the cycle (a, b, -s)",
+                )
             else:
                 val = -N(_vneg(a), _vneg(b))
         else:

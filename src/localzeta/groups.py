@@ -1,12 +1,14 @@
 """Exhaustive enumeration of matrix groups over finite rings.
 
 A GroupTable is a fully enumerated finite group of d x d matrices over one
-of the rings from :mod:`localzeta.rings`, with canonical little-endian
-``<u2`` byte encodings, tracked inverses, and the right-regular table
-``rho`` of every product x * g that the enumeration formed.  On top of the
-table sit the counting routines used by the zeta layer; their group
-actions are integer gathers on ``rho`` and the inverse map, with no matrix
-product:
+of the rings from :mod:`localzeta.rings`, with tracked inverses and the
+right-regular table ``rho`` of every product x * g that the enumeration
+formed.  Matrices are found by packed integer keys: the entries of a
+matrix, bit-packed into uint64 words and folded into one uint64 when there
+are several words, are looked up in the table's sorted key array, and
+every hit is confirmed entry by entry.  On top of the table sit the
+counting routines used by the zeta layer; their group actions are integer
+gathers on ``rho`` and the inverse map, with no matrix product:
 
 * conjugacy classes by orbit partition under generator conjugation,
   cross-checkable against the commuting-pair count (class count times group
@@ -29,7 +31,8 @@ from .chevalley import chevalley_group
 
 ENUM_CAP = 2_000_000
 PAIR_SCAN_CAP = 20_000
-KEY_CHUNK = 1 << 14  # rows whose byte keys are formed at once
+PIECE = 1 << 18  # multiply-adds in one mat_mul call of generate
+FOLD_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying is a bijection
 
 
 class GroupsError(ValueError):
@@ -50,26 +53,118 @@ def encode_mat(mat) -> bytes:
     return np.ascontiguousarray(mat, dtype="<u2").tobytes()
 
 
-def _keys(mats):
-    """encode_mat of every matrix in an (N, d, d) stack, as a list."""
-    enc = np.ascontiguousarray(mats, dtype="<u2")
-    if not enc.shape[0]:
-        return []
-    rows = enc.reshape(enc.shape[0], -1)
-    return rows.view(f"V{rows.shape[1] * 2}").ravel().tolist()
+def _fold(words):
+    """One uint64 per row of an (n, w) uint64 word array.
 
-
-def _indices(index, mats):
-    """index[encode_mat(x)] for every x in the stack; KeyError if absent.
-
-    Keys are formed a chunk at a time, so a large stack never holds all of
-    its byte strings at once.
+    Each word is xored in, multiplied by the odd FOLD_MUL and xor-shifted;
+    every step is a bijection of the running key, so rows that differ in
+    their last word only never collide.  The fold is not injective, so
+    callers confirm every key match entry by entry.
     """
-    out = np.empty(mats.shape[0], dtype=np.int64)
-    for lo in range(0, mats.shape[0], KEY_CHUNK):
-        hi = lo + KEY_CHUNK
-        out[lo:hi] = [index[k] for k in _keys(mats[lo:hi])]
-    return out
+    key = np.zeros(words.shape[0], dtype=np.uint64)
+    for j in range(words.shape[1]):
+        key ^= words[:, j]
+        key *= FOLD_MUL
+        key ^= key >> np.uint64(32)
+    return key
+
+
+class _Packing:
+    """The uint64 key of every d x d matrix over one ring.
+
+    Entries take bits = (size - 1).bit_length() bits each, row-major from
+    the low end of ceil(d*d*bits / 64) uint64 words; an entry may straddle
+    two words.  One word is the key and is exact; several are folded.
+    """
+
+    def __init__(self, ring, d):
+        bits = (ring.size - 1).bit_length()
+        self.entries = d * d
+        self.words = -(-self.entries * bits // 64)
+        word, shift = np.divmod(bits * np.arange(self.entries), 64)
+        # entry i adds entry << shift to its first word; int64 products
+        # wrap like uint64 ones, which drops the bits past the word
+        self.weights = np.zeros((self.entries, self.words), dtype=np.int64)
+        self.weights[np.arange(self.entries), word] = (
+            np.left_shift(np.uint64(1), shift.astype(np.uint64))
+            .view(np.int64)
+        )
+        # the high bits of a straddling entry start the next word
+        self.carries = [
+            (i, int(word[i]) + 1, 64 - int(shift[i]))
+            for i in np.flatnonzero(shift + bits > 64)
+        ]
+
+    def __call__(self, mats):
+        flat = np.asarray(mats).reshape(-1, self.entries).astype(np.int64)
+        words = (flat @ self.weights).view(np.uint64)
+        for i, w, s in self.carries:
+            words[:, w] += (flat[:, i] >> s).view(np.uint64)
+        return words[:, 0] if self.words == 1 else _fold(words)
+
+
+def _sorted_lookup(skeys, keys):
+    """(pos, hit): where each key is in the sorted key array, if it is
+    there; pos is a valid index either way."""
+    pos = np.searchsorted(skeys, keys)
+    np.minimum(pos, skeys.shape[0] - 1, out=pos)
+    return pos, skeys[pos] == keys
+
+
+def _merge(run, into):
+    """Merge one sorted (keys, indices) run into another with no key in
+    common."""
+    at = np.searchsorted(into[0], run[0])
+    return np.insert(into[0], at, run[0]), np.insert(into[1], at, run[1])
+
+
+class _KeyRuns:
+    """Distinct keys with their element indices, as sorted runs.
+
+    The last two runs are merged while the older is at most twice the
+    newer, so each run is more than twice the next, there are at most
+    log2(N) + 1 runs, and a key's run grows 1.5-fold at each merge it
+    takes part in.
+    """
+
+    def __init__(self, keys, idx):
+        self.runs = [(keys, idx)]
+
+    def add(self, keys, idx):
+        """Add sorted keys, none of them present yet."""
+        if not keys.size:
+            return
+        self.runs.append((keys, idx))
+        while (len(self.runs) > 1
+               and self.runs[-2][0].size <= 2 * self.runs[-1][0].size):
+            self.runs.append(_merge(self.runs.pop(), self.runs.pop()))
+
+    def find(self, keys):
+        """(index, hit) of every key; the index is meaningful on a hit."""
+        idx = np.zeros(keys.shape[0], dtype=np.int64)
+        hit = np.zeros(keys.shape[0], dtype=bool)
+        for run_keys, run_idx in self.runs:
+            pos, here = _sorted_lookup(run_keys, keys)
+            idx[here] = run_idx[pos[here]]
+            hit |= here
+        return idx, hit
+
+    def merged(self):
+        """Every key in one sorted run: (keys, indices)."""
+        run = self.runs[-1]
+        for other in self.runs[-2::-1]:
+            run = _merge(run, other)
+        return run
+
+
+def _find(mats, skeys, sidx, keys, queries):
+    """(index, found) of every query matrix with the given keys, in a
+    table with these mats and sorted keys; the index is meaningful only
+    where found, and found means equal entry by entry."""
+    pos, hit = _sorted_lookup(skeys, keys)
+    idx = sidx[pos].astype(np.int64)
+    hit &= (mats[idx] == queries).all(axis=(1, 2))
+    return idx, hit
 
 
 def inverse_perm(perm):
@@ -90,43 +185,56 @@ class GroupTable:
     """
 
     def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
-                 index=None):
+                 sorted_keys=None):
         self.ring = ring
         self.mats = mats  # (N, d, d) int32
         self.inv = inv  # (N,) int64 index of inverse
         self.rho = rho  # (N, ngens) int32 index of x * g
-        self._index = index  # bytes -> int, built on first use
         self.generators = generators  # list of (provenance, matrix)
         self.name = name
         self.dim_scheme = dim_scheme
         self.d = mats.shape[1]
+        self._pack = _Packing(ring, self.d)
+        # (sorted keys, their element indices), built on first use
+        self._sorted = sorted_keys
         self._labels = None
 
     @property
     def size(self):
         return self.mats.shape[0]
 
-    @property
-    def index(self):
-        """encode_mat(x) -> index of x; a Python loop, so built lazily."""
-        if self._index is None:
-            self._index = {k: i for i, k in enumerate(_keys(self.mats))}
-        return self._index
+    def _sorted_keys(self):
+        """The sorted key array and the element index of each key."""
+        if self._sorted is None:
+            keys = self._pack(self.mats)
+            order = np.argsort(keys)
+            skeys = keys[order]
+            if (skeys[1:] == skeys[:-1]).any():
+                raise IdentityError(f"two elements of {self.name} share a key")
+            self._sorted = (skeys, order.astype(np.int32))
+        return self._sorted
 
-    def lookup(self, mat):
-        key = encode_mat(mat)
-        if key not in self.index:
-            raise IdentityError(f"matrix not in table {self.name}")
-        return self.index[key]
+    def _locate(self, mats):
+        """(index, found) for every matrix of an (n, d, d) stack."""
+        mats = np.asarray(mats)
+        skeys, sidx = self._sorted_keys()
+        return _find(self.mats, skeys, sidx, self._pack(mats), mats)
 
     def lookup_batch(self, mats):
-        try:
-            return _indices(self.index, mats)
-        except KeyError:
-            raise IdentityError(f"matrix not in table {self.name}") from None
+        idx, found = self._locate(mats)
+        if not found.all():
+            raise IdentityError(f"matrix not in table {self.name}")
+        return idx
+
+    def lookup(self, mat):
+        return int(self.lookup_batch(np.asarray(mat)[None])[0])
+
+    def contains_batch(self, mats):
+        """Membership of every matrix of an (n, d, d) stack."""
+        return self._locate(mats)[1]
 
     def contains(self, mat):
-        return encode_mat(mat) in self.index
+        return bool(self.contains_batch(np.asarray(mat)[None])[0])
 
     def mul(self, i, j):
         return int(
@@ -370,73 +478,119 @@ def _matrix_order_inverse(ring, mat, cap=200_000):
     raise GroupsError("generator has no finite order under cap (not a unit?)")
 
 
+def _canonical_generators(generators):
+    """(provenance, int32 matrix) pairs sorted by encode_mat, each matrix
+    once, with the provenance it first came with."""
+    gens = [(prov, np.asarray(g, dtype=np.int32)) for prov, g in generators]
+    gens.sort(key=lambda pg: encode_mat(pg[1]))  # stable
+    return [
+        pg for i, pg in enumerate(gens)
+        if i == 0 or encode_mat(pg[1]) != encode_mat(gens[i - 1][1])
+    ]
+
+
+def _room(buf, used, need):
+    """buf, or a copy of its first used rows with room for need rows."""
+    if need <= buf.shape[0]:
+        return buf
+    out = np.empty((max(need, 2 * buf.shape[0]),) + buf.shape[1:], buf.dtype)
+    out[:used] = buf[:used]
+    return out
+
+
+def _pieces(ngens, width, per):
+    """(c0, c1, r0, r1) blocks of the ngens x width products, in
+    generator-major order, each of at most per products: whole generator
+    columns while a column fits in per, else parts of one column."""
+    if width <= per:
+        step = per // width
+        for c0 in range(0, ngens, step):
+            yield c0, min(ngens, c0 + step), 0, width
+    else:
+        for c in range(ngens):
+            for r0 in range(0, width, per):
+                yield c, c + 1, r0, min(width, r0 + per)
+
+
 def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
     """Breadth-first closure of the generator list.
 
     generators: list of (provenance, matrix).  Generators are deduplicated
-    and sorted by canonical encoding, and elements are discovered in a
-    fixed order, so two runs produce identical tables.  Every product
-    x * g formed on the way is kept as the right-regular table rho.
-    Raises TooLarge as soon as the (cap + 1)-th element is found.
+    and sorted by canonical encoding.  Each layer forms its products x * g
+    generator-major (the whole frontier times g_0, then times g_1, ...),
+    in pieces of at most PIECE multiply-adds, and looks their keys up in the
+    sorted keys of the elements found so far; new elements are numbered in
+    the order they first occur, so two runs produce identical tables.
+    Every product is kept as the right-regular table rho.  Every product is
+    also compared entry by entry with the element it was numbered as, so a
+    key collision raises IdentityError and never merges two matrices.
+    Raises TooLarge in the piece that finds the (cap + 1)-th element.
     """
-    seen = {}
-    for prov, g in generators:
-        g = np.asarray(g, dtype=np.int32)
-        key = encode_mat(g)
-        if key not in seen:
-            seen[key] = (prov, g)
-    gens = [seen[k] for k in sorted(seen)]
+    gens = _canonical_generators(generators)
+    ngens = len(gens)
     d = gens[0][1].shape[0] if gens else 1
-    ident = ring.identity_mat(d)
+    gen_mats = np.array([g for _, g in gens], dtype=np.int32)
+    gen_invs = np.array(
+        [_matrix_order_inverse(ring, g) for _, g in gens], dtype=np.int32
+    )
+    pack = _Packing(ring, d)
 
-    gen_mats = [g for _, g in gens]
-    gen_invs = [_matrix_order_inverse(ring, g) for g in gen_mats]
-
-    mats = [ident[None]]
-    invs = [ident[None]]
+    # the first `size` rows of mats and invs are the elements found so far
+    # and their inverse matrices; runs holds their keys
+    mats = invs = ring.identity_mat(d)[None]
+    runs = _KeyRuns(pack(mats), np.zeros(1, dtype=np.int32))
+    size, lo = 1, 0
+    per = max(1, PIECE // d**3)
     rho = []
-    index = {encode_mat(ident): 0}
-    # add(key, len(index)) returns the key's index, numbering unseen keys
-    # in the order they are met
-    add = index.setdefault
-    frontier = ident[None]
-    frontier_inv = ident[None]
-    while frontier.shape[0]:
-        # the frontier holds the contiguous indices discovered last
-        block = np.empty((frontier.shape[0], len(gens)), dtype=np.int32)
-        new_mats = []
-        new_invs = []
-        for col, (g, gi) in enumerate(zip(gen_mats, gen_invs)):
-            prod = ring.mat_mul(frontier, g)
-            keys = _keys(prod)
-            size = len(index)
-            if len(keys) <= cap - size:
-                found = [add(k, len(index)) for k in keys]
-            else:
-                found = []
-                for k in keys:
-                    found.append(add(k, len(index)))
-                    if len(index) > cap:
-                        raise TooLarge(
-                            f"group {name} exceeded cap: reached {len(index)}"
-                        )
-            block[:, col] = found
-            fresh = np.flatnonzero(block[:, col] >= size)
-            if fresh.size:
-                new_mats.append(prod[fresh])
-                new_invs.append(ring.mat_mul(gi, frontier_inv[fresh]))
-        rho.append(block)
-        if new_mats:
-            frontier = np.concatenate(new_mats)
-            frontier_inv = np.concatenate(new_invs)
-            mats.append(frontier)
-            invs.append(frontier_inv)
-        else:
-            frontier = np.empty((0, d, d), dtype=np.int32)
-    inv_idx = np.concatenate([_indices(index, block) for block in invs])
+    while lo < size:
+        # the frontier is lo..size-1, the elements the last layer found
+        width = size - lo
+        block = np.empty((ngens, width), dtype=np.int32)  # generator-major
+        for c0, c1, r0, r1 in _pieces(ngens, width, per):
+            prod = ring.mat_mul(
+                mats[None, lo + r0:lo + r1], gen_mats[c0:c1, None]
+            ).reshape(-1, d, d)
+            keys = pack(prod)
+            # the distinct keys, ascending, each with its first occurrence
+            order = np.argsort(keys, kind="stable")
+            ks = keys[order]
+            head = np.ones(ks.shape[0], dtype=bool)
+            np.not_equal(ks[1:], ks[:-1], out=head[1:])
+            ukeys, first = ks[head], order[head]
+            uid, old = runs.find(ukeys)
+            new = np.flatnonzero(~old)
+            fresh = new[np.argsort(first[new])]
+            if size + fresh.size > cap:
+                raise TooLarge(f"group {name} exceeded cap: reached {cap + 1}")
+            uid[fresh] = np.arange(size, size + fresh.size)
+            col, row = np.divmod(first[fresh], r1 - r0)
+            mats = _room(mats, size, size + fresh.size)
+            invs = _room(invs, size, size + fresh.size)
+            mats[size:size + fresh.size] = prod[first[fresh]]
+            # (x g)^-1 = g^-1 x^-1
+            invs[size:size + fresh.size] = ring.mat_mul(
+                gen_invs[c0 + col], invs[lo + r0 + row]
+            )
+            size += fresh.size
+            ids = np.empty(keys.shape[0], dtype=np.int64)
+            ids[order] = uid[np.cumsum(head) - 1]
+            if not (mats[ids] == prod).all():
+                raise IdentityError(f"two matrices of {name} share a key")
+            block[c0:c1, r0:r1] = ids.reshape(c1 - c0, r1 - r0)
+            runs.add(ukeys[new], uid[new].astype(np.int32))
+        rho.append(block.T)
+        lo += width
+    if mats.shape[0] > size:
+        mats = mats[:size].copy()
+    invs = invs[:size]
+    skeys, sidx = runs.merged()
+    inv_idx, found = _find(mats, skeys, sidx, pack(invs), invs)
+    if not found.all():
+        raise IdentityError(f"an inverse is missing from {name}")
     return GroupTable(
-        ring, np.concatenate(mats), inv_idx, np.concatenate(rho), gens, name,
-        dim_scheme if dim_scheme is not None else d, index=index,
+        ring, mats, inv_idx, np.concatenate(rho), gens, name,
+        dim_scheme if dim_scheme is not None else d,
+        sorted_keys=(skeys, sidx),
     )
 
 
@@ -525,14 +679,36 @@ class Family:
         self.dim_scheme = rs.rank + len(self.roots) if self.include_torus \
             else len(self.roots)
 
+    def predicted_order(self, ring):
+        """|G| by its order law, or None where none is used.
+
+        Heisenberg: |R|^3.  Chevalley with its torus over O/p^m:
+        |G(F_q)| q^((m-1) dim G) (Lemma 6.1); Z/n has no single q.
+        """
+        if self.kind == "heisenberg":
+            return ring.size**3
+        if self.kind == "chevalley" and self.include_torus \
+                and ring.kind != "zn":
+            return self.cg.point_count(ring.q) \
+                * ring.q ** ((ring.m - 1) * self.dim_scheme)
+        return None
+
     def table(self, ring, cap=ENUM_CAP) -> GroupTable:
+        """Enumerate the group over ring; TooLarge before any enumeration
+        when its order law predicts more than cap elements."""
+        name = f"{self.text}/{ring.literal}"
+        order = self.predicted_order(ring)
+        if order is not None and order > cap:
+            raise TooLarge(
+                f"group {name} exceeded cap: its order law gives {order} "
+                f"elements, so enumeration would reach {cap + 1}"
+            )
         if self.kind == "heisenberg":
             gens = _heisenberg_generators(ring)
         else:
             gens = _chevalley_generators(
                 self.cg, ring, self.roots, self.include_torus
             )
-        name = f"{self.text}/{ring.literal}"
         return generate(ring, gens, cap=cap, name=name,
                         dim_scheme=self.dim_scheme)
 

@@ -506,10 +506,11 @@ class Ring:
         if self._fast_mod is not None:
             mod = self._fast_mod
             # inner dim * (mod-1)^2 < 2^53 always holds under the table cap,
-            # so float64 matmul (BLAS) is exact here
+            # so float64 matmul (BLAS) is exact here, and the integer
+            # remainder of the exact product is much cheaper than fmod
             if A.shape[-1] * (mod - 1) ** 2 < 2**53:
                 prod = np.matmul(A.astype(np.float64), B.astype(np.float64))
-                return (prod % mod).astype(np.int32)
+                return (prod.astype(np.int64) % mod).astype(np.int32)
             prod = np.matmul(A.astype(np.int64), B.astype(np.int64))
             return (prod % mod).astype(np.int32)
         batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])

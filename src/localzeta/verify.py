@@ -183,6 +183,47 @@ def suite_pointcount():
     return _suite("pointcount", checks)
 
 
+TABLE_CASES = [
+    ("heisenberg", "zq", 3, 1, 2),
+    ("chevalley:A1", "zq", 2, 2, 1),
+    ("borel:A2", "zq", 2, 1, 2),
+    ("chevalley:A1", "fqt", 2, 1, 3),
+    ("parabolic:B2:a1", "fqt", 2, 1, 1),
+]
+
+
+def table_product_checks(table):
+    """(rho_ok, inv_ok): the table's rho and inverse map re-derived by
+    matrix products alone, with no key and no lookup.
+
+    rho_ok: mats[rho[:, c]] equals mats * g_c entry by entry for every
+    generator; inv_ok: mats[inv] * mats is the identity for every element.
+    """
+    ring, mats = table.ring, table.mats
+    rho_ok = all(
+        np.array_equal(mats[table.rho[:, c]], ring.mat_mul(mats, g))
+        for c, (_, g) in enumerate(table.generators)
+    )
+    ident = ring.identity_mat(table.d)
+    inv_ok = bool((ring.mat_mul(mats[table.inv], mats) == ident).all())
+    return rho_ok, inv_ok
+
+
+def suite_tables():
+    """Freshly enumerated tables: rho and inverses by matrix products."""
+    checks = []
+    for family, kind, p, f, m in TABLE_CASES:
+        ring = make_ring(kind, p, f, m)
+        table = Family(family).table(ring)
+        rho_ok, inv_ok = table_product_checks(table)
+        tag = f"{family}-{ring.literal}"
+        checks.append(_check(f"rho-by-products-{tag}", rho_ok,
+                             size=table.size))
+        checks.append(_check(f"inverse-by-products-{tag}", inv_ok,
+                             size=table.size))
+    return _suite("tables", checks)
+
+
 def suite_counting():
     """Class/pair and double-coset/pair counting identities."""
     checks = []
@@ -551,6 +592,7 @@ SUITES = {
     "cc": suite_cc,
     "transfer": suite_transfer,
     "pointcount": suite_pointcount,
+    "tables": suite_tables,
     "counting": suite_counting,
     "haar": suite_haar,
     "steinberg": suite_steinberg,

@@ -442,18 +442,9 @@ def _lambda_vector(table, sub_tables):
     lam = np.zeros(table.size, dtype=np.int64)
     alive = np.ones(table.size, dtype=bool)
     for k in range(1, ring.m + 1):
-        sub = sub_tables[k]
-        proj = ring.mat_project(table.mats, k)
-        enc = np.ascontiguousarray(proj, dtype="<u2")
-        step = enc.shape[1] * enc.shape[2] * 2
-        buf = enc.tobytes()
-        idx = sub.index
-        member = np.fromiter(
-            (buf[i * step : (i + 1) * step] in idx for i in range(table.size)),
-            dtype=bool,
-            count=table.size,
-        )
-        alive &= member
+        rows = np.flatnonzero(alive)
+        proj = ring.mat_project(table.mats[rows], k)
+        alive[rows] = sub_tables[k].contains_batch(proj)
         lam[alive] = k
         if not alive.any():
             break

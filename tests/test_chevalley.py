@@ -9,6 +9,7 @@ in B2 and the classical point counts.
 import numpy as np
 import pytest
 
+from localzeta import chevalley
 from localzeta.chevalley import (
     ChevalleyError,
     ChevalleyGroup,
@@ -270,3 +271,42 @@ def test_iwahori_box_image():
                 "fqt:p=2,f=1,m=2"):
         rep = iwahori_box_report(a1, parse_ring(lit))
         assert rep["ok"], rep
+
+
+def _scaled_norms(monkeypatch, scale):
+    """Distort (v, v) for the roots in scale, as a wrong root datum would."""
+    real = chevalley._dot
+
+    def dot(u, v):
+        same = tuple(u) == tuple(v)
+        return real(u, v) * (scale.get(tuple(u), 1) if same else 1)
+
+    monkeypatch.setattr(chevalley, "_dot", dot)
+
+
+def test_cycle_quotient_must_be_integral(monkeypatch):
+    rs = root_system("A2")
+    _scaled_norms(monkeypatch, {rs.positive[-1]: 2})
+    with pytest.raises(ChevalleyError, match="by the cycle .* is -1/2, not "
+                       "an integer"):
+        chevalley._structure_signs(rs)
+
+
+def test_jacobi_quotient_must_be_integral(monkeypatch):
+    rs = root_system("A3")
+    # a1 and a1+a2 doubled: every cycle quotient stays integral, but
+    # N(a1, a2+a3) = -(term1 + term3) / N(s, -xi) becomes -1/2
+    a1, a12 = rs.positive[2], rs.positive[4]
+    assert rs.coeffs[a1] == (1, 0, 0) and rs.coeffs[a12] == (1, 1, 0)
+    _scaled_norms(monkeypatch, {a1: 2, a12: 2})
+    with pytest.raises(ChevalleyError, match="by the Jacobi identity is "
+                       "-1/2, not an integer"):
+        chevalley._structure_signs(rs)
+
+
+def test_extraspecial_constant_must_be_nonzero(monkeypatch):
+    rs = root_system("A3")
+    # p_down = -1 makes every N(xi, eta) zero, so N(s, -xi) is zero
+    monkeypatch.setattr(rs, "p_down", lambda a, b: -1)
+    with pytest.raises(ChevalleyError, match="is 0, not a nonzero integer"):
+        chevalley._structure_signs(rs)

@@ -7,13 +7,19 @@ q^2 + q - 1 (center q, plus q^2 - 1 noncentral fibers... verified against
 plain Burnside on the enumerated tables).
 """
 
+import contextlib
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
+from localzeta import cache, cli, groups
 from localzeta.groups import (
     Family,
     GroupsError,
     GroupTable,
+    IdentityError,
     TooLarge,
     generate,
     parabolic_depth,
@@ -432,3 +438,224 @@ def test_subgroup_size_mismatch_raises():
                        B.generators, "short", B.dim_scheme)
     with pytest.raises(GroupsError, match="generates"):
         G.subgroup_indices(short)
+
+
+# ----------------------------------------------------------------------
+# packed keys
+
+
+def _array_sha256(arr):
+    arr = np.ascontiguousarray(arr)
+    head = f"{arr.dtype.str} {arr.shape}".encode()
+    return hashlib.sha256(head + arr.tobytes()).hexdigest()
+
+
+# sha256 of (dtype, shape, bytes) of mats, inv and rho, recorded from the
+# enumeration that numbered elements through a dict of byte encodings; the
+# key widths are 45 bits, 8, 12, exactly 64, 128 (two words) and 100
+GOLDEN_TABLES = {
+    ("heisenberg", "zq:p=3,f=1,m=3"): (
+        "9ee24fb0dcfd5dc351668696c61b8e197006e64f788d4f3f864cd6167b89f8fe",
+        "aca599d23117e7e8b7d73e2781e73365a156a6a9e5df34ef3a348a344cf1c63b",
+        "03fa589cb8012b8d62c0b30bbfffdc30a8889ae7701a7e53b1f863c76d57f697",
+    ),
+    ("chevalley:A1", "fqt:p=2,f=1,m=4"): (
+        "811d0656cbbab8b5859675c90e065d13a7eea94763f66d15d2fd38d7161c2512",
+        "61a57313bfffede93d1e6f8a1601a04d8be1b60d6217077704d84f4d35fe1e85",
+        "420f51804edc2fdbf0b42ebf3d7e12c07ef69149a63d173132722444fef40f33",
+    ),
+    ("chevalley:A1", "zq:p=2,f=2,m=2"): (
+        "71e6023ed5169ecfc16132e2ac8511028321e40389dc1512ea80022c1258bd8f",
+        "b13781485c0d5571108fa9d8462ee080cc66b9ed532698b093a7feb343f0f135",
+        "7be784921e51c59f5542a67e5e02f270f8efa10929ae568ea6e51c69f95c698e",
+    ),
+    ("chevalley:A2", "zq:p=2,f=1,m=1"): (
+        "8e1ffe3f5959bb132622a0a6f20500abeb7440f6790d294a8f8adeb7c0799e36",
+        "32de0b7d2f4d87cbe572e1242106c9cef745e8cf7b69bea1edaa551957b5940b",
+        "5bebb8398cabb0bf644cca579618ec347ba531390627b5f6625b2687da01cf36",
+    ),
+    ("borel:A2", "zq:p=2,f=1,m=2"): (
+        "687949157e542c2ff7324066a1251e6ebd0735b389a6f3793a1ffc29f6959ea3",
+        "4e4acfeae64fcc809b6346c4a7c5b1b964e04a63d0dcdd31b9ec1d211aaf2c52",
+        "6304972ea781b31a723ee8b4a05f6d97640ba693401152372a74f83359c7ca8c",
+    ),
+    ("parabolic:B2:a1", "fqt:p=2,f=1,m=1"): (
+        "63af6a95f4723db2ca1ae1f9f62092299f5200e223c7c0caa6b8f5d0b8b6fa23",
+        "47dc4c6f74d943dc3070900c013df1cabdc045fd9b11bac1b4454022b7748c25",
+        "d54cda51ec5ec7ce57c7370716a84e0ac4ed87161a226d7db5171dfff5f314b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("family,lit", sorted(GOLDEN_TABLES))
+def test_golden_tables(family, lit):
+    # element order, inverses and rho are those the cache format stores
+    G = table(family, lit)
+    got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
+    assert got == GOLDEN_TABLES[family, lit]
+    assert cache.FORMAT_VERSION == 2
+
+
+def _big_int_words(mats, bits, nwords):
+    """The packed words of each matrix, from one Python int per matrix."""
+    out = []
+    for entries in np.asarray(mats).reshape(len(mats), -1).tolist():
+        value = sum(e << (bits * i) for i, e in enumerate(entries))
+        out.append([(value >> (64 * w)) & (2**64 - 1) for w in range(nwords)])
+    return np.array(out, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("lit,d,nwords", [
+    ("zq:p=3,f=1,m=3", 3, 1),   # 5 bits, 45 in all
+    ("zq:p=2,f=1,m=1", 8, 1),   # exactly 64
+    ("fqt:p=2,f=1,m=3", 8, 3),  # 3 bits: entries 21 and 42 straddle
+    ("zq:p=3,f=1,m=4", 4, 2),   # 7 bits: entry 9 straddles
+])
+def test_packing_matches_big_int_words(monkeypatch, lit, d, nwords):
+    ring = parse_ring(lit)
+    pack = groups._Packing(ring, d)
+    assert pack.words == nwords
+    mats = np.random.default_rng(3).integers(
+        0, ring.size, size=(50, d, d)).astype(np.int32)
+    mats[0] = ring.size - 1  # every bit set
+    want = _big_int_words(mats, (ring.size - 1).bit_length(), nwords)
+    seen = []
+    monkeypatch.setattr(groups, "_fold", lambda w: seen.append(w) or w[:, 0])
+    keys = pack(mats)
+    if nwords == 1:
+        assert not seen and (keys == want[:, 0]).all()
+    else:
+        assert (seen[0] == want).all()
+
+
+def test_fold_separates_rows_differing_in_the_last_word():
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, 2**63, size=(1000, 3), dtype=np.int64)
+    words = words.view(np.uint64)
+    words[:, :2] = words[0, :2]
+    assert np.unique(groups._fold(words)).size == 1000
+
+
+def test_fold_collision_raises(monkeypatch):
+    # with every multi-word key equal, the entry check must refuse to
+    # merge two matrices rather than number them as one element
+    monkeypatch.setattr(groups, "_fold",
+                        lambda w: np.zeros(w.shape[0], dtype=np.uint64))
+    with pytest.raises(IdentityError, match="share a key"):
+        Family("borel:A2").table(parse_ring("zq:p=2,f=1,m=2"))
+    # a one-word table never folds
+    assert Family("heisenberg").table(parse_ring("zq:p=2,f=1,m=2")).size \
+        == 64
+    # keys rebuilt after a cache load are checked for repeats too
+    G = small_table("parabolic:B2:a1", "fqt:p=2,f=1,m=2")
+    loaded = GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators,
+                        G.name, G.dim_scheme)
+    with pytest.raises(IdentityError, match="share a key"):
+        loaded.lookup(G.mats[1])
+
+
+def test_lookup_of_colliding_matrix_raises():
+    # parabolic:B2:a1 over F2 packs 100 one-bit entries into two words and
+    # every bit pattern is a matrix, so a true collision of the fold can be
+    # built: keep mix(w0) ^ w1 and change both words
+    G = Family("parabolic:B2:a1").table(parse_ring("fqt:p=2,f=1,m=1"))
+    mul, mask = int(groups.FOLD_MUL), 2**64 - 1
+
+    def mix(h):
+        h = (h * mul) & mask
+        return h ^ (h >> 32)
+
+    def unmix(h):
+        return ((h ^ (h >> 32)) * pow(mul, -1, 2**64)) & mask
+
+    x = G.mats[7]
+    w0, w1 = (int(w) for w in _big_int_words(x[None], 1, 2)[0])
+    w0, w1 = unmix(mix(w0) ^ 0b101), w1 ^ 0b101
+    bits = [(w0 >> i) & 1 for i in range(64)]
+    bits += [(w1 >> i) & 1 for i in range(36)]
+    y = np.array(bits, dtype=np.int32).reshape(10, 10)
+    assert (y != x).any()
+    assert G._pack(y[None])[0] == G._pack(x[None])[0]
+    with pytest.raises(IdentityError, match="matrix not in table"):
+        G.lookup(y)
+    with pytest.raises(IdentityError, match="matrix not in table"):
+        G.lookup_batch(np.stack([x, y]))
+    assert not G.contains(y)
+    assert G.contains_batch(np.stack([x, y])).tolist() == [True, False]
+
+
+def test_lookups_after_a_cache_load_rebuild_the_keys():
+    G = small_table("parabolic:B2:a1", "fqt:p=2,f=1,m=2")
+    loaded = GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators,
+                        G.name, G.dim_scheme)
+    rows = np.random.default_rng(9).permutation(G.size)
+    assert (loaded.lookup_batch(G.mats[rows]) == rows).all()
+    assert (loaded.lookup_batch(G.mats[G.inv]) == G.inv).all()
+    for mine, theirs in zip(loaded._sorted_keys(), G._sorted_keys()):
+        assert (mine == theirs).all()
+
+
+def test_generate_cap_stops_at_first_element_past_it():
+    # the enumeration itself (no order law) stops at element cap + 1
+    ring = parse_ring("zq:p=3,f=1,m=2")
+    with pytest.raises(TooLarge, match=r"reached 101$"):
+        generate(ring, groups._heisenberg_generators(ring), cap=100)
+
+
+# ----------------------------------------------------------------------
+# order laws
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=2,f=1,m=3"),
+    ("heisenberg", "fqt:p=2,f=2,m=1"),
+    ("heisenberg", "zn:n=6"),
+    ("chevalley:A1", "zq:p=3,f=1,m=2"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=4"),
+    ("chevalley:A1", "zq:p=2,f=2,m=2"),
+    ("chevalley:A2", "zq:p=2,f=1,m=1"),
+    ("chevalley:B2", "fqt:p=2,f=1,m=1"),
+])
+def test_predicted_order_is_the_enumerated_order(family, lit):
+    fam = Family(family)
+    ring = parse_ring(lit)
+    assert fam.predicted_order(ring) == fam.table(ring).size
+
+
+def test_no_order_law_without_one():
+    ring = parse_ring("zq:p=2,f=1,m=2")
+    assert Family("borel:A2").predicted_order(ring) is None
+    assert Family("chevalley:A1", include_torus=False) \
+        .predicted_order(ring) is None
+    assert Family("chevalley:A1").predicted_order(parse_ring("zn:n=6")) \
+        is None
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=3,f=1,m=2"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=3"),
+])
+def test_cap_below_the_order_law_fails_before_enumerating(
+        monkeypatch, family, lit):
+    # cc --levels M enumerates the levels 1..M-1; only the top one, the
+    # ring lit, is over the cap
+    ring = parse_ring(lit)
+    order = Family(family).predicted_order(ring)
+    real, rings = groups.generate, []
+
+    def recording(ring, *args, **kwargs):
+        rings.append(ring.literal)
+        return real(ring, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "generate", recording)
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    cache.clear_memo()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["cc", "--group", family, "--ring", lit,
+                         "--levels", str(ring.m + 1), "--cap", str(order - 1)])
+    cache.clear_memo()
+    assert code == 3
+    assert f"order law gives {order} elements" in err.getvalue()
+    assert out.getvalue() == ""
+    assert len(rings) == ring.m - 1 and lit not in rings

@@ -274,6 +274,30 @@ def test_matrix_multiplication_paths_agree():
         assert (fast == slow).all()
 
 
+@pytest.mark.parametrize("lit", ["zq:p=2,f=1,m=11", "zq:p=3,f=1,m=6",
+                                 "zn:n=2003"])
+def test_fast_mat_mul_near_its_largest_products(lit):
+    # the largest moduli under the table cap, entries at the top of the
+    # range and inner dimensions up to 14 (G2 adjoint): the float64 product
+    # and its integer remainder must equal a MUL/ADD gather over the ring
+    ring = parse_ring(lit)
+    assert ring._fast_mod == ring.size
+    rng = np.random.default_rng(13)
+    for k in (3, 8, 14):
+        A = rng.integers(ring.size - 40, ring.size, size=(30, 4, k))
+        B = rng.integers(0, ring.size, size=(30, k, 5))
+        B[:15] = ring.size - 1
+        A, B = A.astype(np.int32), B.astype(np.int32)
+        acc = ring.MUL[A[:, :, 0, None], B[:, None, 0, :]]
+        for t in range(1, k):
+            acc = ring.ADD[acc, ring.MUL[A[:, :, t, None], B[:, None, t, :]]]
+        got = ring.mat_mul(A, B)
+        assert got.dtype == np.int32
+        assert (got == acc).all()
+        exact = (A.astype(object) @ B.astype(object)) % ring.size
+        assert (got == exact.astype(np.int64)).all()
+
+
 def test_matrix_ops_table_ring():
     ring = parse_ring("zq:p=2,f=2,m=2")
     rng = np.random.default_rng(11)

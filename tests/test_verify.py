@@ -1,11 +1,13 @@
-"""Failures inside verification suites come out as failed checks."""
+"""Verification suites: failures inside them come out as failed checks,
+and the table suite re-derives rho and inverses by matrix products."""
 
 import contextlib
 import io
 import json
 
 from localzeta import cli, verify
-from localzeta.groups import IdentityError
+from localzeta.groups import Family, GroupTable, IdentityError
+from localzeta.rings import make_ring
 
 
 def _crash():
@@ -68,3 +70,26 @@ def test_pairlaw_failure_is_a_failed_check(monkeypatch):
     assert all(c["ok"] for c in pairlaw.values())
     assert all(c["ok"] for c in rep["checks"]
                if not c["name"].startswith("pairlaw-"))
+
+
+def test_tables_suite_rederives_rho_and_inverses():
+    rep = verify.run_suite("tables")
+    assert rep["ok"] is True
+    names = [c["name"] for c in rep["checks"]]
+    assert len(names) == 2 * len(verify.TABLE_CASES)
+    assert any("fqt" in n for n in names) and any("zq" in n for n in names)
+
+
+def test_table_product_checks_catch_broken_tables():
+    G = Family("chevalley:A1").table(make_ring("fqt", 2, 1, 2))
+    assert verify.table_product_checks(G) == (True, True)
+    rho = G.rho.copy()
+    rho[[3, 4], 1] = rho[[4, 3], 1]
+    inv = G.inv.copy()
+    inv[[5, 6]] = inv[[6, 5]]
+    for bad, want in [(rho, (False, True)), (inv, (True, False))]:
+        broken = GroupTable(
+            G.ring, G.mats, bad if bad is inv else G.inv,
+            bad if bad is rho else G.rho, G.generators, G.name, G.dim_scheme,
+        )
+        assert verify.table_product_checks(broken) == want
