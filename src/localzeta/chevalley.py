@@ -289,43 +289,6 @@ class ChevalleyGroup:
         return out
 
     # ------------------------------------------------------------------
-    # generator families
-
-    def x_generators(self, ring, roots=None):
-        if roots is None:
-            roots = self.rs.roots
-        gens = []
-        for g in roots:
-            for t in ring.additive_generators():
-                gens.append(self.x(ring, g, t))
-        return gens
-
-    def tau_generators(self, ring):
-        gens = []
-        for slot in range(self.rs.rank):
-            for u in ring.unit_generators():
-                gens.append(self.tau(ring, slot, u))
-        return gens
-
-    def group_generators(self, ring, include_torus=True, roots=None):
-        gens = self.x_generators(ring, roots)
-        if include_torus:
-            gens += self.tau_generators(ring)
-        return gens
-
-    def borel_generators(self, ring, include_torus=True):
-        return self.group_generators(
-            ring, include_torus, roots=self.rs.positive
-        )
-
-    def parabolic_generators(self, ring, subset, include_torus=True):
-        roots = self.rs.parabolic_roots(subset)
-        return self.group_generators(ring, include_torus, roots=roots)
-
-    def unipotent_generators(self, ring):
-        return self.x_generators(ring, roots=self.rs.positive)
-
-    # ------------------------------------------------------------------
 
     def big_cell(self, ring, neg_params, units, pos_params):
         """Product over the negative cell, the coweight torus, the positive

@@ -18,8 +18,32 @@ The index is the little-endian base-p digit string of the coefficient vector:
   index) has index sum_i idx(a_i) * q^i.
 * ``zn``: the residue itself.
 
-All arithmetic goes through precomputed numpy tables, which keeps matrix work
-over these rings vectorizable.
+Elementwise arithmetic goes through precomputed numpy tables (ADD, MUL,
+NEG, INV), which keeps matrix work over these rings vectorizable.
+
+``Ring.mat_mul`` takes one of two routes:
+
+* ``zq`` with f = 1 and ``zn``: one float64 BLAS product of the residues,
+  exact because inner dim * (n-1)^2 < 2^53 under the table cap, then an
+  integer remainder.
+* every other ring (``fqt``, and Galois rings ``zq`` with f > 1): Kronecker
+  substitution (``_Kronecker``).  An element sum c_ij t^i x^j (c_ij < P,
+  P = p for ``fqt`` and p^m for ``zq``; t-degree i < m for ``fqt``, i = 0
+  for ``zq``; x-degree j < f) becomes the integer with c_ij in its b-bit
+  field number i(2f-1) + j.  One integer matrix product then holds, in
+  field i(2f-1) + j, the coefficient of t^i x^j (j < 2f-1) of the product
+  before reduction modulo h and P.  Each such coefficient is a sum of at
+  most inner dim * T * f products of two digits below P (T = m for
+  ``fqt``, 1 for ``zq``), and b is the bit length of
+  inner dim * T * f * (P-1)^2, so no field reaches 2^b and none carries
+  into the next.  The product is float64 BLAS when the whole of it
+  stays below 2^53, else an int64 product, whose wrap mod 2^64 leaves the
+  low 64 bits, and so every field below them, exact.  Lookup tables of at
+  most 2^LUT_BITS entries, each reading a few whole fields, turn the
+  fields back into ring indices; they also reduce mod P and fold x-degrees >= f by the
+  fixed reduction modulo h.  When the kept fields need more than 64 bits,
+  the fields are split into blocks of L with (2L-1) b <= 64 and the block
+  products are summed; the common case is the same loop with one block.
 """
 
 from __future__ import annotations
@@ -29,6 +53,10 @@ import functools
 import numpy as np
 
 RING_TABLE_CAP = 4096  # largest ring size we will build tables for
+# widest group of product fields decoded by one lookup table: 4096 int32
+# entries stay in the first-level cache (2^16 entries were no faster on
+# fqt F2[t]/t^m and cost more peak memory)
+LUT_BITS = 12
 
 
 class RingError(ValueError):
@@ -140,30 +168,40 @@ class Ring:
             )
         self.zero = 0
         self.one = 1 if self.size > 1 else 0
+        self._coeffs = None
         self._build_tables()
         self._proj_tables = {}
+        self._kronecker = {}
 
     # ------------------------------------------------------------------
     # construction of the coefficient model and tables
 
     def _coeff_array(self):
-        """(size, width) array of coefficient vectors, index order."""
-        if self.kind == "zq":
-            pm = self.p**self.m
-            idx = np.arange(self.size, dtype=np.int64)
-            cols = []
-            for _ in range(self.f):
-                cols.append(idx % pm)
-                idx //= pm
-            return np.stack(cols, axis=1)
-        if self.kind == "fqt":
-            idx = np.arange(self.size, dtype=np.int64)
-            cols = []
-            for _ in range(self.m):
-                cols.append(idx % self.q)
-                idx //= self.q
-            return np.stack(cols, axis=1)
-        return np.arange(self.n, dtype=np.int64)[:, None]
+        """(size, width) read-only array of coefficient vectors, index
+        order; built on first use."""
+        if self._coeffs is None:
+            if self.kind == "zn":
+                C = np.arange(self.n, dtype=np.int64)[:, None]
+            else:
+                base, width = (self.p**self.m, self.f) if self.kind == "zq" \
+                    else (self.q, self.m)
+                C = _base_digits(self.size, base, width)
+            C.setflags(write=False)
+            self._coeffs = C
+        return self._coeffs
+
+    def _x_powers(self):
+        """(2f-1, f) array: row j holds x^j reduced modulo h, with
+        coefficients mod p^m for ``zq`` and mod p for ``fqt``."""
+        P = self.p**self.m if self.kind == "zq" else self.p
+        h = self.modulus
+        cur = [1] + [0] * (self.f - 1)
+        rows = []
+        for _ in range(2 * self.f - 1):
+            rows.append(cur)
+            top = cur[-1]
+            cur = [(c - top * hj) % P for c, hj in zip([0] + cur[:-1], h)]
+        return np.array(rows, dtype=np.int64)
 
     def _build_tables(self):
         size = self.size
@@ -174,76 +212,52 @@ class Ring:
             self.MUL = ((idx[:, None] * idx[None, :]) % mod).astype(np.int32)
             self.NEG = ((-idx) % mod).astype(np.int32)
             self._fast_mod = int(mod)
-        elif self.kind == "zq":
-            self._build_galois_tables()
-            self._fast_mod = None
         else:
-            self._build_fqt_tables()
+            self._build_poly_tables()
             self._fast_mod = None
         self._build_unit_tables()
 
-    def _build_galois_tables(self):
-        p, f, m = self.p, self.f, self.m
-        pm = p**m
-        C = self._coeff_array()  # (size, f) over Z/p^m
-        # rows reducing x^k (f <= k <= 2f-2) modulo h, coefficients in Z/p^m
-        h = self.modulus
-        red = {}
-        cur = [(-h[j]) % pm for j in range(f)]  # x^f
-        red[f] = list(cur)
-        for k in range(f + 1, 2 * f - 1):
-            nxt = [0] + cur[:-1]
-            carry = cur[-1]
-            if carry:
-                for j in range(f):
-                    nxt[j] = (nxt[j] + carry * red[f][j]) % pm
-            nxt = [v % pm for v in nxt[:f]]
-            red[k] = nxt
-            cur = nxt
-        size = self.size
-        add_idx = np.zeros((size, size), dtype=np.int32)
-        mul_idx = np.zeros((size, size), dtype=np.int32)
-        weights = (pm ** np.arange(f, dtype=np.int64))
-        s = (C[:, None, :] + C[None, :, :]) % pm
-        add_idx = (s * weights).sum(axis=2).astype(np.int32)
-        # full product, chunked over the first index
-        chunk = max(1, (1 << 22) // (size * (2 * f)))
-        for lo in range(0, size, chunk):
-            hi = min(size, lo + chunk)
-            conv = np.zeros((hi - lo, size, 2 * f - 1), dtype=np.int64)
-            for i in range(f):
-                for j in range(f):
-                    conv[:, :, i + j] += C[lo:hi, None, i] * C[None, :, j]
-            conv %= pm
-            out = conv[:, :, :f].copy()
-            for k in range(f, 2 * f - 1):
-                row = red[k]
-                for j in range(f):
-                    if row[j]:
-                        out[:, :, j] += conv[:, :, k] * row[j]
-            out %= pm
-            mul_idx[lo:hi] = (out * weights).sum(axis=2).astype(np.int32)
-        self.ADD = add_idx
-        self.MUL = mul_idx
-        negC = (-C) % pm
-        self.NEG = (negC * weights).sum(axis=1).astype(np.int32)
+    def _poly_digits(self):
+        """(P, T, D) for ``zq`` and ``fqt``: column i*f + j of the (size,
+        T*f) array D holds the coefficient, mod P, of t^i x^j (i < T, j < f)
+        of each element; P = p^m and T = 1 for ``zq``, P = p and T = m for
+        ``fqt``."""
+        if self.kind == "zq":
+            return self.p**self.m, 1, self._coeff_array()
+        return self.p, self.m, _base_digits(self.size, self.p,
+                                            self.m * self.f)
 
-    def _build_fqt_tables(self):
-        base = make_ring("zq", p=self.p, f=self.f, m=1)
-        self._base = base
-        m, q, size = self.m, self.q, self.size
-        C = self._coeff_array()  # (size, m) of base indices
-        weights = (q ** np.arange(m, dtype=np.int64))
-        self.ADD = (base.ADD[C[:, None, :], C[None, :, :]] * weights).sum(
-            axis=2
-        ).astype(np.int32)
-        self.NEG = (base.NEG[C] * weights).sum(axis=1).astype(np.int32)
-        out = np.zeros((size, size, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m - i):
-                term = base.MUL[C[:, None, i], C[None, :, j]]
-                out[:, :, i + j] = base.ADD[out[:, :, i + j], term]
-        self.MUL = (out * weights).sum(axis=2).astype(np.int32)
+    def _build_poly_tables(self):
+        """ADD, MUL and NEG of ``fqt`` and of Galois rings from the digits:
+        sums digit by digit, products truncated at t^T, folded modulo h
+        and reduced mod P; in pieces of rows, one digit plane at a time."""
+        P, T, D = self._poly_digits()
+        F, S, size = self.f, 2 * self.f - 1, self.size
+        red = self._x_powers()  # row k reduces x^k modulo h
+        weights = P ** np.arange(T * F, dtype=np.int64)
+        self.NEG = ((-D) % P * weights).sum(axis=1).astype(np.int32)
+        self.ADD = np.zeros((size, size), dtype=np.int32)
+        self.MUL = np.zeros((size, size), dtype=np.int32)
+        planes = np.ascontiguousarray(D.T, dtype=np.int32)
+        chunk = max(1, (1 << 22) // (size * T * S))
+        for lo in range(0, size, chunk):
+            a = planes[:, lo:lo + chunk, None]
+            add, mul = self.ADD[lo:lo + chunk], self.MUL[lo:lo + chunk]
+            for c in range(T * F):
+                add += (a[c] + planes[c]) % P * int(weights[c])
+            conv = np.zeros((T, S) + add.shape, dtype=np.int32)
+            for i1 in range(T):
+                for i2 in range(T - i1):
+                    for j1 in range(F):
+                        for j2 in range(F):
+                            conv[i1 + i2, j1 + j2] += \
+                                a[i1 * F + j1] * planes[i2 * F + j2]
+            conv %= P
+            for i in range(T):
+                for j in range(F):
+                    c = sum(conv[i, k] * int(red[k, j])
+                            for k in range(S) if red[k, j])
+                    mul += c % P * int(weights[i * F + j])
 
     def _build_unit_tables(self):
         size = self.size
@@ -501,6 +515,9 @@ class Ring:
         return (arr % self.p).astype(np.int32)
 
     def mat_mul(self, A, B):
+        """Batched product of index matrices, broadcast like np.matmul;
+        int32 result.  Z/n residues (``zn``, ``zq`` with f = 1) take one
+        float64 BLAS product; every other ring takes ``_Kronecker``."""
         A = np.asarray(A)
         B = np.asarray(B)
         if self._fast_mod is not None:
@@ -513,25 +530,11 @@ class Ring:
                 return (prod.astype(np.int64) % mod).astype(np.int32)
             prod = np.matmul(A.astype(np.int64), B.astype(np.int64))
             return (prod % mod).astype(np.int32)
-        batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-        d = A.shape[-2]
-        e = B.shape[-1]
         k = A.shape[-1]
-        A = np.broadcast_to(A, batch + A.shape[-2:])
-        B = np.broadcast_to(B, batch + B.shape[-2:])
-        nbatch = int(np.prod(batch)) if batch else 1
-        A2 = A.reshape((nbatch, d, k))
-        B2 = B.reshape((nbatch, k, e))
-        out = np.empty((nbatch, d, e), dtype=np.int32)
-        chunk = max(1, (1 << 24) // max(1, d * k * e))
-        for lo in range(0, nbatch, chunk):
-            hi = min(nbatch, lo + chunk)
-            P = self.MUL[A2[lo:hi, :, :, None], B2[lo:hi, None, :, :]]
-            acc = P[:, :, 0, :]
-            for j in range(1, k):
-                acc = self.ADD[acc, P[:, :, j, :]]
-            out[lo:hi] = acc
-        return out.reshape(batch + (d, e))
+        plan = self._kronecker.get(k)
+        if plan is None:
+            plan = self._kronecker[k] = _Kronecker(self, k)
+        return plan(A, B)
 
     def mat_add(self, A, B):
         return self.ADD[np.asarray(A), np.asarray(B)].astype(np.int32)
@@ -565,6 +568,121 @@ class Ring:
 
     def key(self):
         return (self.kind, self.p, self.f, self.m, self.n)
+
+
+def _base_digits(size, base, width):
+    """(size, width) little-endian base-`base` digits of range(size)."""
+    idx = np.arange(size, dtype=np.int64)
+    return np.stack([idx // base**j % base for j in range(width)], axis=1)
+
+
+class _Kronecker:
+    """Matrix products over a table ring with inner dimension k, by
+    Kronecker substitution (see the module docstring).
+
+    enc[u][a] is block u of the integer that encodes element a.  Product
+    fields are decoded by groups: (shift, mask, mod, lut, acc) reads the
+    group's whole fields at `shift`, reduces a single field wider than
+    LUT_BITS mod P first, and looks up the ring index of the group's
+    contribution.  Contributions that touch disjoint coefficients are
+    summed as integers in the same accumulator; accumulators meet through
+    the ring's ADD table.  For ``fqt`` with f = 1 every field has its own
+    coefficient, so there is one accumulator.
+    """
+
+    def __init__(self, ring, k):
+        P, T, digits = ring._poly_digits()
+        F = ring.f
+        S = 2 * F - 1  # fields per t-degree: x-degrees 0 .. 2f-2
+        n = T * S  # fields kept: t-degrees below T
+        b = (k * T * F * (P - 1) ** 2).bit_length()
+        L = n if n * b <= 64 else (64 // b + 1) // 2
+        nb = -(-n // L)
+        self.float = nb == 1 and (2 * T - 1) * S * b <= 53
+        self.shift = L * b
+        self.add = ring.ADD.ravel()
+        self.size = ring.size
+
+        enc = np.zeros((nb, ring.size), dtype=np.uint64)
+        for pos in range(n):
+            i, j = divmod(pos, S)
+            if j < F:
+                u, r = divmod(pos, L)
+                enc[u] += digits[:, i * F + j].astype(np.uint64) << b * r
+        self.enc = enc.astype(np.float64) if self.float else enc.view(np.int64)
+
+        red = ring._x_powers()
+        weights = P ** np.arange(T * F, dtype=np.int64)
+        wide = b > LUT_BITS  # then a group is one field, reduced mod P
+        per = max(1, LUT_BITS // b)
+        self.groups = [[] for _ in range(nb)]
+        supports = []  # coefficients touched, per accumulator
+        for w in range(nb):
+            hi = min(n, (w + 1) * L)
+            for g0 in range(w * L, hi, per):
+                fields = range(g0, min(hi, g0 + per))
+                vals = np.arange(P if wide else 1 << b * len(fields),
+                                 dtype=np.int64)
+                terms = {}  # coefficient -> [(field in group, multiplier)]
+                for r, pos in enumerate(fields):
+                    i, j = divmod(pos, S)
+                    for jj in np.flatnonzero(red[j]).tolist():
+                        terms.setdefault(i * F + jj, []).append(
+                            (r, int(red[j, jj])))
+                lut = np.zeros(vals.size, dtype=np.int64)
+                for col, pairs in terms.items():
+                    c = sum((vals if wide else vals >> b * r & (1 << b) - 1)
+                            * mult for r, mult in pairs)
+                    lut += c % P * int(weights[col])
+                support = set(terms)
+                for acc, cols in enumerate(supports):
+                    if not cols & support:
+                        cols |= support
+                        break
+                else:
+                    acc = len(supports)
+                    supports.append(support)
+                self.groups[w].append((
+                    b * (g0 - w * L), (1 << b * len(fields)) - 1,
+                    P if wide else None, lut.astype(np.int32), acc,
+                ))
+        self.naccs = len(supports)
+
+    def __call__(self, A, B):
+        Ae, Be = self.enc[:, A], self.enc[:, B]
+        accs = [None] * self.naccs
+        carry = None
+        last = len(self.groups) - 1
+        for w, groups in enumerate(self.groups):
+            prod = np.matmul(Ae[0], Be[w])
+            for u in range(1, w + 1):
+                prod += np.matmul(Ae[u], Be[w - u])
+            if w == last:
+                Ae = Be = None  # memory: the decode needs only the product
+            if self.float:
+                prod = prod.astype(np.int64)
+            prod = prod.view(np.uint64)
+            high = prod >> self.shift if w < last else None
+            if carry is not None:
+                prod += carry
+            carry = high
+            field = np.empty_like(prod)
+            for shift, mask, mod, lut, acc in groups:
+                np.right_shift(prod, shift, out=field)
+                field &= mask
+                if mod is not None:
+                    field %= mod
+                val = lut.take(field.view(np.int64))
+                if accs[acc] is None:
+                    accs[acc] = val
+                else:
+                    accs[acc] += val
+        out = accs[0]
+        for acc in accs[1:]:
+            out *= self.size
+            out += acc
+            out = self.add.take(out)
+        return out
 
 
 @functools.lru_cache(maxsize=None)

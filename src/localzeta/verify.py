@@ -188,24 +188,40 @@ TABLE_CASES = [
     ("chevalley:A1", "zq", 2, 2, 1),
     ("borel:A2", "zq", 2, 1, 2),
     ("chevalley:A1", "fqt", 2, 1, 3),
+    ("chevalley:A1", "fqt", 2, 2, 2),
     ("parabolic:B2:a1", "fqt", 2, 1, 1),
 ]
 
 
+def _gather_mat_mul(ring, A, B):
+    """Batched matrix product by the ring's scalar MUL and ADD tables.
+
+    It shares no code with Ring.mat_mul, whose products generate turned
+    into the rho and inv that table_product_checks re-derives.
+    """
+    acc = ring.MUL[A[..., :, 0, None], B[..., None, 0, :]]
+    for t in range(1, A.shape[-1]):
+        acc = ring.ADD[acc, ring.MUL[A[..., :, t, None], B[..., None, t, :]]]
+    return acc
+
+
 def table_product_checks(table):
     """(rho_ok, inv_ok): the table's rho and inverse map re-derived by
-    matrix products alone, with no key and no lookup.
+    matrix products alone (a MUL/ADD gather, not Ring.mat_mul), with no
+    key and no lookup.
 
     rho_ok: mats[rho[:, c]] equals mats * g_c entry by entry for every
     generator; inv_ok: mats[inv] * mats is the identity for every element.
     """
     ring, mats = table.ring, table.mats
     rho_ok = all(
-        np.array_equal(mats[table.rho[:, c]], ring.mat_mul(mats, g))
+        np.array_equal(mats[table.rho[:, c]], _gather_mat_mul(ring, mats, g))
         for c, (_, g) in enumerate(table.generators)
     )
     ident = ring.identity_mat(table.d)
-    inv_ok = bool((ring.mat_mul(mats[table.inv], mats) == ident).all())
+    inv_ok = bool(
+        (_gather_mat_mul(ring, mats[table.inv], mats) == ident).all()
+    )
     return rho_ok, inv_ok
 
 

@@ -15,6 +15,7 @@ from localzeta.chevalley import (
     ChevalleyGroup,
     chevalley_group,
 )
+from localzeta.groups import Family, _chevalley_generators
 from localzeta.rings import make_ring, parse_ring
 from localzeta.rootdata import SYSTEMS, root_system
 
@@ -215,17 +216,21 @@ def test_point_counts_and_haar_polynomial():
 
 
 def test_generator_family_sizes():
+    # one x generator per root and additive generator, one tau generator
+    # per simple slot and unit generator when the family has its torus
     ring = parse_ring("zq:p=2,f=1,m=2")
-    cg = chevalley_group("A2")
     nadd = len(ring.additive_generators())
     nunit = len(ring.unit_generators())
-    assert len(cg.unipotent_generators(ring)) == 3 * nadd
-    assert len(cg.borel_generators(ring)) == 3 * nadd + 2 * nunit
-    assert len(cg.group_generators(ring, include_torus=False)) == 6 * nadd
-    assert (
-        len(cg.parabolic_generators(ring, (0,)))
-        == 4 * nadd + 2 * nunit
-    )
+
+    def count(text, include_torus=True):
+        fam = Family(text, include_torus=include_torus)
+        return len(_chevalley_generators(fam.cg, ring, fam.roots,
+                                         fam.include_torus))
+
+    assert count("unipotent:A2") == 3 * nadd
+    assert count("borel:A2") == 3 * nadd + 2 * nunit
+    assert count("chevalley:A2", include_torus=False) == 6 * nadd
+    assert count("parabolic:A2:a1") == 4 * nadd + 2 * nunit
 
 
 def test_symbolic_identity_reports():

@@ -6,6 +6,8 @@ computed by hand from the definition and double-checked with a brute-force
 invertibility scan in this file, independent of the table construction.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from localzeta.rings import (
     NotAUnit,
     Ring,
     RingError,
+    _Kronecker,
     crt_split,
     euler_phi,
     find_modulus,
@@ -274,6 +277,45 @@ def test_matrix_multiplication_paths_agree():
         assert (fast == slow).all()
 
 
+def _gather_mat_mul(ring, A, B):
+    """The scalar MUL/ADD gather: the oracle for every mat_mul route."""
+    acc = ring.MUL[A[..., :, 0, None], B[..., None, 0, :]]
+    for t in range(1, A.shape[-1]):
+        acc = ring.ADD[acc, ring.MUL[A[..., :, t, None], B[..., None, t, :]]]
+    return acc
+
+
+def _int_mat_mul(ring, A, B):
+    """Matrix products in Python ints, with no ring table: each entry's
+    coefficients of t^i x^j are read off its index, multiplied out, and
+    reduced modulo t^m (fqt), h = find_modulus(p, f) and p (fqt) or p^m
+    (zq).  A and B share their batch shape."""
+    p, f = ring.p, ring.f
+    P, T = (p**ring.m, 1) if ring.kind == "zq" else (p, ring.m)
+    h = find_modulus(p, f)
+
+    def coeffs(a):
+        return [(i, j, int(a) // P ** (i * f + j) % P)
+                for i in range(T) for j in range(f)]
+
+    out = np.zeros(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
+    for idx in np.ndindex(out.shape):
+        acc = [[0] * (2 * f - 1) for _ in range(T)]
+        for k in range(A.shape[-1]):
+            for i1, j1, c1 in coeffs(A[idx[:-1] + (k,)]):
+                for i2, j2, c2 in coeffs(B[idx[:-2] + (k, idx[-1])]):
+                    if i1 + i2 < T:
+                        acc[i1 + i2][j1 + j2] += c1 * c2
+        for row in acc:  # x^k = -(h_0 + ... + h_(f-1) x^(f-1)) x^(k-f)
+            for k in range(2 * f - 2, f - 1, -1):
+                c, row[k] = row[k], 0
+                for t in range(f):
+                    row[k - f + t] -= c * h[t]
+        out[idx] = sum(acc[i][j] % P * P ** (i * f + j)
+                       for i in range(T) for j in range(f))
+    return out
+
+
 @pytest.mark.parametrize("lit", ["zq:p=2,f=1,m=11", "zq:p=3,f=1,m=6",
                                  "zn:n=2003"])
 def test_fast_mat_mul_near_its_largest_products(lit):
@@ -288,14 +330,90 @@ def test_fast_mat_mul_near_its_largest_products(lit):
         B = rng.integers(0, ring.size, size=(30, k, 5))
         B[:15] = ring.size - 1
         A, B = A.astype(np.int32), B.astype(np.int32)
-        acc = ring.MUL[A[:, :, 0, None], B[:, None, 0, :]]
-        for t in range(1, k):
-            acc = ring.ADD[acc, ring.MUL[A[:, :, t, None], B[:, None, t, :]]]
         got = ring.mat_mul(A, B)
         assert got.dtype == np.int32
-        assert (got == acc).all()
+        assert (got == _gather_mat_mul(ring, A, B)).all()
         exact = (A.astype(object) @ B.astype(object)) % ring.size
         assert (got == exact.astype(np.int64)).all()
+
+
+KRONECKER_RINGS = [
+    "fqt:p=2,f=1,m=1", "fqt:p=2,f=1,m=6", "fqt:p=2,f=1,m=12",
+    "fqt:p=3,f=1,m=7", "fqt:p=2,f=2,m=6", "fqt:p=3,f=2,m=3",
+    "zq:p=2,f=2,m=3", "zq:p=3,f=2,m=3", "zq:p=2,f=3,m=2",
+    "fqt:p=61,f=1,m=2",  # fields wider than LUT_BITS
+]
+INNER_DIMS = (2, 3, 8, 10, 14)
+
+
+def _route(plan):
+    if plan.float:
+        return "float64"
+    return "int64 wrap" if len(plan.groups) == 1 else "blocked"
+
+
+def test_kronecker_rings_reach_every_route():
+    routes = {_route(_Kronecker(parse_ring(lit), k))
+              for lit in KRONECKER_RINGS for k in INNER_DIMS}
+    assert routes == {"float64", "int64 wrap", "blocked"}
+
+
+@pytest.mark.parametrize("lit", KRONECKER_RINGS)
+def test_kronecker_mat_mul_matches_oracles(lit):
+    # entries at the top of the range (index size - 1 has every digit
+    # p - 1) and random ones, against the gather and Python ints
+    ring = parse_ring(lit)
+    assert ring._fast_mod is None
+    rng = np.random.default_rng(17)
+    for k in INNER_DIMS:
+        A = rng.integers(0, ring.size, size=(3, 3, k)).astype(np.int32)
+        B = rng.integers(0, ring.size, size=(3, k, 4)).astype(np.int32)
+        A[0] = B[0] = ring.size - 1
+        got = ring.mat_mul(A, B)
+        assert got.dtype == np.int32
+        assert (got == _gather_mat_mul(ring, A, B)).all()
+        assert (got == _int_mat_mul(ring, A, B)).all()
+
+
+@pytest.mark.parametrize("lit", ["fqt:p=2,f=1,m=6", "fqt:p=3,f=2,m=3",
+                                 "zq:p=2,f=2,m=3"])
+def test_kronecker_mat_mul_in_the_shape_generate_uses(lit):
+    # generate multiplies (1, r, d, d) frontier pieces by (g, 1, d, d)
+    # generators; the result is (g, r, d, d)
+    ring = parse_ring(lit)
+    rng = np.random.default_rng(19)
+    for d in (3, 10):
+        A = rng.integers(0, ring.size, size=(1, 40, d, d)).astype(np.int32)
+        B = rng.integers(0, ring.size, size=(5, 1, d, d)).astype(np.int32)
+        got = ring.mat_mul(A, B)
+        assert got.shape == (5, 40, d, d) and got.dtype == np.int32
+        assert (got == _gather_mat_mul(ring, A, B)).all()
+
+
+@pytest.mark.parametrize("d,batch", [(3, 1 << 16), (10, 1 << 13)])
+def test_kronecker_mat_mul_memory_is_linear_in_the_batch(d, batch):
+    # a few arrays of batch * d^2 words, and no batch * d^3 intermediate
+    ring = parse_ring("fqt:p=2,f=1,m=6")
+    rng = np.random.default_rng(23)
+    A = rng.integers(0, ring.size, size=(batch, d, d)).astype(np.int32)
+    B = rng.integers(0, ring.size, size=(batch, d, d)).astype(np.int32)
+    ring.mat_mul(A[:1], B[:1])  # lookup tables built before measuring
+    tracemalloc.start()
+    try:
+        ring.mat_mul(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * batch * d * d * 8
+
+
+def test_coefficient_array_is_built_once():
+    ring = Ring("fqt", p=3, f=2, m=2)
+    C = ring._coeff_array()
+    assert ring._coeff_array() is C and not C.flags.writeable
+    ring.element_str(5)
+    ring.project_table(1)
+    assert ring._coeff_array() is C
 
 
 def test_matrix_ops_table_ring():

@@ -7,7 +7,7 @@ import json
 
 from localzeta import cli, verify
 from localzeta.groups import Family, GroupTable, IdentityError
-from localzeta.rings import make_ring
+from localzeta.rings import Ring, make_ring
 
 
 def _crash():
@@ -93,3 +93,16 @@ def test_table_product_checks_catch_broken_tables():
             bad if bad is rho else G.rho, G.generators, G.name, G.dim_scheme,
         )
         assert verify.table_product_checks(broken) == want
+
+
+def test_table_product_checks_do_not_call_mat_mul(monkeypatch):
+    # the checks must not re-derive rho and inv with the code that built
+    # them; f > 1 over fqt is one of the cases
+    assert ("chevalley:A1", "fqt", 2, 2, 2) in verify.TABLE_CASES
+    G = Family("chevalley:A1").table(make_ring("fqt", 2, 2, 1))
+
+    def refuse(self, A, B):
+        raise AssertionError("Ring.mat_mul called")
+
+    monkeypatch.setattr(Ring, "mat_mul", refuse)
+    assert verify.table_product_checks(G) == (True, True)
