@@ -3,14 +3,24 @@
 From the zero counts N_n of an integer polynomial at each truncation
 level the measures mu(v(f) = n) are exact rationals, and their generating
 series in t = q^{-s} is the truncated integral of |f|^s over the
-d-dimensional unit polydisc.  The counts are exhaustive: every zero at
+d-dimensional unit polydisc.  The counts are exhaustive.  Every zero at
 level n + 1 lies over a zero at level n, because truncation is a ring
-homomorphism, so level_set_measures enumerates the q^d points of the fibre
-over each level-n zero and nothing else.  zero_count, the plain scan of
-the whole grid, is the oracle for those counts.  The budget applies to the
-ambient grid of every level and is checked before any evaluation.  The
-arithmetic stays in lookup tables, so the numbers are an independent
-check on any closed form.
+homomorphism, and for n >= 1 the stationary phase identity
+
+    f(y + pi^n t) = f(y) + pi^n grad f(y mod pi) . t   (mod pi^(n+1))
+
+splits the zeros by the formal gradient mod pi.  A smooth zero (gradient
+nonzero) has exactly q^(d-1) zero lifts, all smooth, so it is counted and
+never evaluated again.  A singular zero (gradient zero) has all q^d of its
+lifts as zeros, or none, and one evaluation decides which.  So
+level_set_measures scans the q^d points of level 1 once and then
+evaluates one point per singular zero of each level: the work is the sum
+of the singular zeros, not of N_n * q^d.  zero_count, the plain scan of
+the whole grid, is the oracle for those counts.  The budget applies to
+the points evaluated: the level-1 grid is checked before the scan, and a
+bound on all later evaluations before any lift.  The arithmetic stays in
+lookup tables, so the numbers are an independent check on any closed
+form.
 """
 
 from __future__ import annotations
@@ -159,6 +169,70 @@ def parse_poly(text) -> Poly:
     return Poly(root, text if isinstance(text, str) else str(text))
 
 
+_ZERO = ("const", 0)
+_ONE = ("const", 1)
+
+
+def _neg(a):
+    return _ZERO if a == _ZERO else ("neg", a)
+
+
+def _add(a, b):
+    if a == _ZERO:
+        return b
+    return a if b == _ZERO else ("add", a, b)
+
+
+def _sub(a, b):
+    if b == _ZERO:
+        return a
+    return _neg(b) if a == _ZERO else ("sub", a, b)
+
+
+def _mul(a, b):
+    if _ZERO in (a, b):
+        return _ZERO
+    if a == _ONE:
+        return b
+    return a if b == _ONE else ("mul", a, b)
+
+
+def _pow(base, n):
+    if n == 0:
+        return _ONE
+    return base if n == 1 else ("pow", base, n)
+
+
+def _derivative(ast, name):
+    """Formal partial derivative of ast in the variable name, as an AST.
+
+    pow with exponent n becomes n * base^(n-1) * base'.  The constants 0
+    and 1 are folded where they meet neg, add, sub, mul and pow, so the
+    partial in a variable that ast never mentions is ("const", 0).
+    """
+    op = ast[0]
+    if op == "const":
+        return _ZERO
+    if op == "var":
+        return _ONE if ast[1] == name else _ZERO
+    if op == "neg":
+        return _neg(_derivative(ast[1], name))
+    if op in ("add", "sub"):
+        join = _add if op == "add" else _sub
+        return join(_derivative(ast[1], name), _derivative(ast[2], name))
+    if op == "mul":
+        a, b = ast[1], ast[2]
+        return _add(_mul(_derivative(a, name), b),
+                    _mul(a, _derivative(b, name)))
+    if op == "pow":
+        base, n = ast[1], ast[2]
+        if n == 0:
+            return _ZERO
+        return _mul(_mul(("const", n), _pow(base, n - 1)),
+                    _derivative(base, name))
+    raise IgusaError(f"unknown node {op!r}")
+
+
 def _eval_chunk(ast, ring, coords, width):
     op = ast[0]
     if op == "const":
@@ -252,55 +326,107 @@ def _digit_strings(q, d, lo, hi):
     return np.arange(lo, hi, dtype=np.int64) // powers[:, None] % q
 
 
-def _lift_chunk(poly, ring: Ring, table, zeros, digits, keep):
-    """The zeros of f among the lifts of the rows of zeros by digits.
+def _lifts(table, zeros, q, d):
+    """The q^d lifts of the columns of zeros, in pieces of at most CHUNK.
 
-    Lift (row r, digit string s) has coordinate j equal to
-    table[zeros[r, j], digits[j, s]]; lifts are taken row-major.  Returns
-    the zeros found, one row each, as a (hits, d) array on ring; unless
-    keep, the rows have no columns and only their number is kept.
+    zeros is a (d, n) array on R_k and table the level-(k+1) lift table.
+    Lift (column r, digit string s) has coordinate j equal to
+    table[zeros[j, r], digits[j, s]]; each piece is a (d, width) array on
+    R_{k+1}, its lifts taken column by column.
     """
-    cols = [np.take(table[zeros[:, j]], digits[j], axis=1).ravel()
-            for j in range(len(poly.vars))]
-    width = len(zeros) * digits.shape[1]
-    vals = _eval_chunk(poly.ast, ring, dict(zip(poly.vars, cols)), width)
-    hits = np.flatnonzero(vals == ring.zero)
-    kept = cols if keep else []
-    found = np.empty((len(hits), len(kept)), dtype=table.dtype)
-    for j, col in enumerate(kept):
-        found[:, j] = col[hits]
-    return found
-
-
-def _lifted_zero_counts(poly, rings):
-    """N_k = #{x in R_k^d : f(x) = 0} for the d variables f mentions.
-
-    rings[k - 1] is the level-k ring.  Every level-(k+1) zero lies over a
-    level-k zero, so only the q^d lifts of each level-k zero are
-    evaluated, in pieces of at most CHUNK lifts.  The lifting runs depth
-    first: the zeros a piece finds go straight on to the next level, so
-    at most about one piece per level is held, however many zeros there
-    are.
-    """
-    q, d = rings[0].q, len(poly.vars)
     fibre = q**d
     rows = max(1, CHUNK // fibre)  # zeros per piece
     width = min(fibre, CHUNK)  # digit strings per piece
-    tables = [_lift_table(ring, k) for k, ring in enumerate(rings)]
-    counts = [0] * len(rings)
+    for lo in range(0, fibre, width):
+        digits = _digit_strings(q, d, lo, min(fibre, lo + width))
+        for r in range(0, zeros.shape[1], rows):
+            block = zeros[:, r:r + rows]
+            out = np.empty((d, block.shape[1] * digits.shape[1]),
+                           dtype=table.dtype)
+            for j in range(d):
+                out[j] = np.take(table[block[j]], digits[j], axis=1).ravel()
+            yield out
+
+
+def _is_zero(ast, ring: Ring, names, points):
+    """Boolean mask: f = 0 at each column of the (d, n) array points."""
+    coords = dict(zip(names, points))
+    return _eval_chunk(ast, ring, coords, points.shape[1]) == ring.zero
+
+
+def _level_one_zeros(poly, ring: Ring):
+    """(smooth, singular): the zeros of f on the residue grid F_q^d.
+
+    ring is at level 1.  smooth is the number of zeros where the formal
+    gradient of f is nonzero; singular is a (d, s) array of the zeros
+    where it vanishes.  The grid is the set of lifts of the level-0 point,
+    scanned in pieces of at most CHUNK points.
+    """
+    names = poly.vars
+    partials = [_derivative(poly.ast, name) for name in names]
+    table = _lift_table(ring, 0)
+    origin = np.zeros((len(names), 1), dtype=table.dtype)
+    smooth = 0
+    singular = [origin[:, :0]]
+    for grid in _lifts(table, origin, ring.q, len(names)):
+        zeros = grid[:, _is_zero(poly.ast, ring, names, grid)]
+        flat = np.ones(zeros.shape[1], dtype=bool)
+        for partial in partials:
+            flat &= _is_zero(partial, ring, names, zeros)
+        smooth += int(np.count_nonzero(~flat))
+        singular.append(zeros[:, flat])
+    return smooth, np.concatenate(singular, axis=1)
+
+
+def _stationary_zero_counts(poly, rings):
+    """N_k = #{x in R_k^d : f(x) = 0} for the d variables f mentions.
+
+    rings[k - 1] is the level-k ring.  For k >= 1, a level-k zero x with
+    lift y and any t in R^d satisfy
+
+        f(y + pi^k t) = f(y) + pi^k grad f(x mod pi) . t   (mod pi^(k+1)),
+
+so the zeros fall in two kinds, fixed by their image on level 1.  A
+    smooth zero (gradient nonzero mod pi) has exactly q^(d-1) zero lifts,
+    all smooth again: its subtree is counted without evaluation.  A
+    singular zero (gradient zero mod pi) has all q^d of its lifts as
+    zeros, singular again, or none: f at the lift table[x, 0] decides
+    which.  Only singular zeros are lifted, depth first in pieces of at
+    most CHUNK; the deepest level keeps only their number.
+
+    The budget caps the points evaluated: q^d for the level-1 scan,
+    checked before it, and q^d + s_1 * sum_{j=0}^{m-2} q^(jd) in all,
+    with s_1 the singular level-1 zeros, checked before any lift.
+    """
+    q, d, m = rings[0].q, len(poly.vars), len(rings)
+    fibre = q**d
+    if fibre > GRID_CAP:
+        raise TooLarge(f"grid of {fibre} points exceeds budget {GRID_CAP}")
+    tables = {k: _lift_table(rings[k], k) for k in range(1, m)}
+    smooth, singular = _level_one_zeros(poly, rings[0])
+    bound = fibre + singular.shape[1] * sum(fibre**j for j in range(m - 1))
+    if bound > GRID_CAP:
+        raise TooLarge(
+            f"lifting evaluates up to {bound} points, over budget {GRID_CAP}"
+        )
+    # without variables there are no smooth zeros, so q^(d-1) never arises
+    counts = [smooth * q ** (k * max(d - 1, 0)) for k in range(m)]
+    counts[0] += singular.shape[1]
 
     def lift(k, zeros):
-        deeper = k + 1 < len(rings)
-        for lo in range(0, fibre, width):
-            digits = _digit_strings(q, d, lo, min(fibre, lo + width))
-            for r in range(0, len(zeros), rows):
-                found = _lift_chunk(poly, rings[k], tables[k],
-                                    zeros[r:r + rows], digits, deeper)
-                counts[k] += len(found)
-                if deeper and len(found):
-                    lift(k + 1, found)
+        # zeros: singular zeros of level k; their lifts live on rings[k]
+        ring, table = rings[k], tables[k]
+        for r in range(0, zeros.shape[1], CHUNK):
+            piece = zeros[:, r:r + CHUNK]
+            passed = piece[:, _is_zero(poly.ast, ring, poly.vars,
+                                       table[piece, 0])]
+            counts[k] += passed.shape[1] * fibre
+            if k + 1 < m:
+                for lifts in _lifts(table, passed, q, d):
+                    lift(k + 1, lifts)
 
-    lift(0, np.zeros((1, d), dtype=np.int32))
+    if m > 1:
+        lift(1, singular)
     return counts
 
 
@@ -309,10 +435,11 @@ def level_set_measures(poly, ring: Ring, arity=None):
 
     Uses mu(v >= n) = q^{-nd} N_n with N_n the zero count at level n, so
     the measures and the tail q^{-md} N_m partition 1 exactly.  The N_n
-    come from lifting the level-(n-1) zeros through the fibres of the
-    projection; zero_count is the brute-force oracle for them.  The
-    budget is checked on the ambient grid of every level before any
-    evaluation.
+    come from the stationary-phase count, which lifts only the singular
+    zeros through the fibres of the projection; zero_count is the
+    brute-force oracle for them.  Only the variables f mentions are
+    evaluated, and the budget caps the points evaluated, not the ambient
+    grid.
     """
     poly = parse_poly(poly)
     if ring.VAL is None:
@@ -326,13 +453,8 @@ def level_set_measures(poly, ring: Ring, arity=None):
     d = arity
     q = ring.q
     m = ring.m
-    for k in range(1, m + 1):
-        if q ** (k * d) > GRID_CAP:
-            raise TooLarge(
-                f"grid of {q ** (k * d)} points exceeds budget {GRID_CAP}"
-            )
     rings = [ring.subring_level(k) for k in range(1, m + 1)]
-    lifted = _lifted_zero_counts(poly, rings)
+    lifted = _stationary_zero_counts(poly, rings)
     unused = d - len(poly.vars)
     counts = [1]  # N_0: the empty congruence
     counts += [n * r.size**unused for n, r in zip(lifted, rings)]

@@ -21,12 +21,7 @@ from .chevalley import (
     verify_torus_conjugation,
 )
 from .groups import Family, IdentityError
-from .igusa import (
-    igusa_truncation,
-    level_set_measures,
-    parse_poly,
-    zero_count,
-)
+from .igusa import igusa_truncation, level_set_measures, zero_count
 from .presburger import (
     Divergent,
     LinForm,
@@ -48,6 +43,7 @@ from .zeta import (
     heisenberg_cc_form,
     heisenberg_cc_variant_form,
     hecke_zeta,
+    igusa_determinant_form,
     igusa_two_by_two_form,
     prop62_consistency,
     prop73_consistency,
@@ -73,18 +69,24 @@ def _suite(name, checks):
 
 
 def suite_igusa():
-    """Determinant integral on 2x2 matrices vs its closed form, and the
-    lifted zero counts vs the brute-force scan on small rings."""
+    """Determinant integrals on 2x2 and 3x3 matrices vs their closed
+    forms, and the lifted zero counts vs the brute-force scan on small
+    rings."""
     checks = []
-    poly = parse_poly("a*b - c*d")
-    for q, M in ((2, 4), (3, 3)):
-        ring = make_ring("zq", q, 1, M)
+    det3 = "a*e*i+b*f*g+c*d*h-c*e*g-b*d*i-a*f*h"
+    for name, poly, ring, form in (
+        ("igusa-det-q2-M4", "a*b - c*d", make_ring("zq", 2, 1, 4),
+         igusa_two_by_two_form()),
+        ("igusa-det-q3-M3", "a*b - c*d", make_ring("zq", 3, 1, 3),
+         igusa_two_by_two_form()),
+        ("igusa-det3-q2-M3", det3, make_ring("fqt", 2, 1, 3),
+         igusa_determinant_form(3)),
+    ):
         series, tail = igusa_truncation(poly, ring)
-        want = expand(igusa_two_by_two_form(), q, M)
         total = sum(series.coeffs) + tail
         checks.append(_check(
-            f"igusa-det-q{q}-M{M}",
-            series == want and total == 1,
+            name,
+            series == expand(form, ring.q, ring.m) and total == 1,
             coefficients=series.coeffs,
             tail=tail,
         ))

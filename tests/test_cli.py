@@ -21,6 +21,7 @@ def run_cli(args, env_extra=None):
     )
 
 
+DET3 = "a*e*i+b*f*g+c*d*h-c*e*g-b*d*i-a*f*h"
 CC_ARGS = ["cc", "--group", "heisenberg", "--ring", "zq:p=2,f=1,m=3",
            "--levels", "3"]
 
@@ -106,8 +107,18 @@ def test_exit_codes():
     assert run_cli(["verify", "--suite", "nosuch"]).returncode == 2
     assert run_cli(["presburger", "--where", "n <= 5",
                     "--sum", "q^(-n*s)"]).returncode == 3
-    assert run_cli(["igusa", "--poly", "a*b", "--arity", "3",
-                    "--ring", "zq:p=2,f=1,m=12"]).returncode == 3
+    # the 3x3 determinant over F_2[t]/t^5 has 50 singular zeros over F_2,
+    # whose lifting would evaluate about 6.7e9 points
+    assert run_cli(["igusa", "--poly", DET3,
+                    "--ring", "fqt:p=2,f=1,m=5"]).returncode == 3
+
+
+def test_igusa_three_by_three_at_level_three():
+    proc = run_cli(["igusa", "--poly", DET3, "--ring", "fqt:p=2,f=1,m=3"])
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["coefficients"] == ["21/64", "147/512", "735/4096"]
+    assert report["tail"] == "841/4096"
 
 
 def test_csv_projection():

@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from localzeta import igusa
@@ -214,13 +215,121 @@ def test_lifting_memory_does_not_grow_with_zeros(monkeypatch):
 
 
 def test_budget_checked_before_any_level(monkeypatch):
-    calls = []
-    monkeypatch.setattr(igusa, "_eval_chunk", lambda *a: calls.append(a))
-    # level 9 is the first whose ambient grid 2^27 exceeds the budget
+    levels = []
+    eval_chunk = igusa._eval_chunk
+
+    def spy(ast, ring, coords, width):
+        levels.append(ring.m)
+        return eval_chunk(ast, ring, coords, width)
+
+    monkeypatch.setattr(igusa, "_eval_chunk", spy)
+    # a*b over F_2 has 4 grid points and one singular zero, (0, 0); up to
+    # level 9 the lifting evaluates at most 4 + (4^8 - 1)/3 = 21849 points
+    monkeypatch.setattr(igusa, "GRID_CAP", 21848)
     top = make_ring("zq", p=2, f=1, m=9)
-    with pytest.raises(TooLarge, match="grid of 134217728 points"):
+    with pytest.raises(TooLarge, match="up to 21849 points"):
         level_set_measures("a*b", top, 3)
-    assert not calls
+    assert set(levels) == {1}  # the level-1 scan ran, no lift did
+    levels.clear()
+    monkeypatch.setattr(igusa, "GRID_CAP", 3)
+    with pytest.raises(TooLarge, match="grid of 4 points"):
+        level_set_measures("a*b", top, 3)
+    assert not levels
+
+
+@pytest.mark.parametrize(
+    "poly,ring,arity", LIFT_CASES + [("x - x", "zq:p=2,f=1,m=5", None)])
+def test_budget_accepts_every_ambient_grid_within_it(monkeypatch, poly,
+                                                     ring, arity):
+    # the ambient-grid budget accepted exactly q^(m * arity) <= GRID_CAP;
+    # the bound on evaluated points never exceeds that grid, and x - x
+    # (q^d = 2, every zero singular) meets it with equality
+    top = parse_ring(ring)
+    want = _scan_counts(poly, top, arity)
+    if arity is None:
+        arity = len(parse_poly(poly).vars)
+    monkeypatch.setattr(igusa, "GRID_CAP", top.q ** (top.m * arity))
+    assert level_set_measures(poly, top, arity)["zero_counts"] == want
+
+
+@pytest.mark.parametrize("poly", ["0", "2", "9"])
+def test_counts_without_variables(poly):
+    # no variables: every zero is singular and the counts stay integers
+    top = make_ring("zq", p=3, f=1, m=3)
+    for arity in (None, 2):
+        counts = level_set_measures(poly, top, arity)["zero_counts"]
+        assert counts == _scan_counts(poly, top, arity or 0)
+        assert all(type(n) is int for n in counts)
+
+
+def test_derivative_by_hand():
+    x, y = ("var", "x"), ("var", "y")
+
+    def d(text, name):
+        return igusa._derivative(parse_poly(text).ast, name)
+
+    assert d("x^3", "x") == ("mul", ("const", 3), ("pow", x, 2))
+    assert d("-x^2", "x") == ("neg", ("mul", ("const", 2), x))
+    assert d("(x + 1)^2", "x") == (
+        "mul", ("const", 2), ("add", x, ("const", 1)))
+    assert d("(x*y)^2", "x") == (
+        "mul", ("mul", ("const", 2), ("mul", x, y)), y)
+    assert d("x^1", "x") == ("const", 1)
+    assert d("x^0", "x") == ("const", 0)
+    assert d("x*y", "x") == y
+    assert d("x - y", "y") == ("neg", ("const", 1))
+    assert d("5", "x") == ("const", 0)
+    assert d("x^2 + 7", "y") == ("const", 0)
+
+
+def test_derivative_of_square_vanishes_mod_two():
+    # d(x^2)/dx = 2x vanishes mod 2, though not on Z/8
+    dx = igusa.Poly(igusa._derivative(parse_poly("x^2").ast, "x"), "2*x")
+    assert zero_count(dx, make_ring("zq", p=2, f=1, m=1), 1) == 2
+    assert zero_count(dx, make_ring("fqt", p=2, f=1, m=3), 1) == 8
+    assert zero_count(dx, make_ring("zq", p=2, f=1, m=3), 1) == 2
+    # so the one zero of x^2 over F_2 is singular, and the zero (0, 0) of
+    # x^2 + y is smooth
+    f2 = make_ring("zq", p=2, f=1, m=1)
+    smooth, singular = igusa._level_one_zeros(parse_poly("x^2"), f2)
+    assert (smooth, singular.tolist()) == (0, [[0]])
+    smooth, singular = igusa._level_one_zeros(parse_poly("x^2 + y"), f2)
+    assert (smooth, singular.shape) == (2, (2, 0))
+
+
+SPLIT_CASES = [
+    (DET, "zq:p=2,f=1,m=2"),
+    (DET, "fqt:p=3,f=1,m=2"),
+    (DET, "zq:p=2,f=2,m=2"),
+    ("x^2 - 2*y^2", "zq:p=2,f=2,m=2"),
+    ("x^3 - y^2", "fqt:p=2,f=1,m=2"),
+    ("x^3 - y^2", "zq:p=3,f=1,m=2"),
+    ("x*y - z^2", "zq:p=3,f=1,m=2"),
+    ("(x + y)^3 - x*y + 1", "fqt:p=3,f=1,m=2"),
+    ("x^2 + y^2 + 1", "zq:p=5,f=1,m=2"),
+    ("x^4 + 2*x^2*y", "zq:p=2,f=1,m=2"),
+]
+
+
+@pytest.mark.parametrize("poly,ring", SPLIT_CASES)
+def test_singular_zeros_have_all_or_no_zero_lifts(poly, ring):
+    level2 = parse_ring(ring)
+    level1 = level2.subring_level(1)
+    f = parse_poly(poly)
+    q, d, size = level2.q, len(f.vars), level2.size
+    # brute force over the level-2 grid: the zero lifts of each level-1 point
+    idx = np.arange(size**d)
+    cols = [(idx // size**j % size).astype(np.int32) for j in range(d)]
+    vals = igusa._eval_chunk(f.ast, level2, dict(zip(f.vars, cols)), len(idx))
+    proj = level2.project_table(1)
+    below = sum(proj[c].astype(np.int64) * q**j for j, c in enumerate(cols))
+    zero1 = np.bincount(below[proj[vals] == 0], minlength=q**d) > 0
+    lifts = np.bincount(below[vals == level2.zero], minlength=q**d)
+    all_or_none = (lifts == 0) | (lifts == q**d)
+    smooth, singular = igusa._level_one_zeros(f, level1)
+    assert smooth == int((zero1 & ~all_or_none).sum())
+    flat = sum(singular[j].astype(np.int64) * q**j for j in range(d))
+    assert sorted(flat) == list(np.flatnonzero(zero1 & all_or_none))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -238,3 +347,20 @@ def test_determinant_form_three_by_three(kind):
     assert series == expand(igusa_determinant_form(3), 2, 2)
     assert series.coeffs == [Fraction(21, 64), Fraction(147, 512)]
     assert tail == Fraction(100864, 2**18)
+
+
+DET3_COUNTS = [
+    (2, 4, [344, 100864, 27557888, 7283408896]),
+    (3, 3, [8451, 59895369, 402931657467]),
+]
+
+
+@pytest.mark.parametrize("kind", ["zq", "fqt"])
+@pytest.mark.parametrize("q,M,counts", DET3_COUNTS)
+def test_determinant_form_three_by_three_deeper(kind, q, M, counts):
+    rep = level_set_measures(DET3, make_ring(kind, p=q, f=1, m=M))
+    assert rep["zero_counts"] == counts
+    assert rep["measures"] == expand(igusa_determinant_form(3), q, M).coeffs
+    if q == 2:
+        assert rep["measures"] == [Fraction(21, 64), Fraction(147, 512),
+                                   Fraction(735, 4096), Fraction(3255, 32768)]

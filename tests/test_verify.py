@@ -106,3 +106,15 @@ def test_table_product_checks_do_not_call_mat_mul(monkeypatch):
 
     monkeypatch.setattr(Ring, "mat_mul", refuse)
     assert verify.table_product_checks(G) == (True, True)
+
+
+def test_igusa_suite_checks_the_three_by_three_determinant(monkeypatch):
+    rep = verify.suite_igusa()
+    assert rep["ok"] is True
+    assert "igusa-det3-q2-M3" in [c["name"] for c in rep["checks"]]
+    # a wrong closed form fails the check
+    monkeypatch.setattr(verify, "igusa_determinant_form",
+                        lambda n: verify.igusa_two_by_two_form())
+    rep = verify.suite_igusa()
+    assert [c["name"] for c in rep["checks"] if not c["ok"]] == [
+        "igusa-det3-q2-M3"]
