@@ -16,14 +16,17 @@ with more than four free variables.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .laurent import Laurent, exact
-from .zeta import BivariateRational, ZetaSeries
+from .zeta import BivariateRational, ZetaSeries, _factor_poly
 
 VAR_BUDGET = 4
 MODULUS_BUDGET = 64
@@ -59,6 +62,11 @@ class LinForm:
     integer-valued on their cells (floors of bounds along fixed residues).
     Coefficients and the constant are in the ``laurent.exact`` normal form:
     ints when integral, Fractions otherwise.
+
+    Forms are immutable, so a result may share its coefficient dict with
+    an operand.  The operations build their results through ``_raw``,
+    which skips the normalisation of ``__init__``; only the sums and
+    products they form pass through ``exact``.
     """
 
     __slots__ = ("coeffs", "const")
@@ -72,6 +80,15 @@ class LinForm:
         self.const = exact(const)
 
     @classmethod
+    def _raw(cls, coeffs, const):
+        """A form over a dict of nonzero normal-form coefficients and a
+        normal-form constant, taken as they are."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        out.const = const
+        return out
+
+    @classmethod
     def of(cls, var):
         return cls({var: 1})
 
@@ -79,31 +96,44 @@ class LinForm:
     def constant(cls, c):
         return cls({}, c)
 
-    def __add__(self, other):
+    def _combined(self, other, sign):
+        """self + sign * other for a form or a number, sign = +-1."""
         if isinstance(other, (int, Fraction)):
-            return LinForm(self.coeffs, self.const + other)
+            return LinForm._raw(self.coeffs, exact(self.const + sign * other))
         out = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            out[v] = out.get(v, 0) + c
-        return LinForm(out, self.const + other.const)
+            s = exact(out.get(v, 0) + sign * c)
+            if s:
+                out[v] = s
+            else:
+                del out[v]
+        return LinForm._raw(out, exact(self.const + sign * other.const))
+
+    def __add__(self, other):
+        return self._combined(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LinForm(self.coeffs, self.const - other)
-        return self + other.scale(-1)
+        return self._combined(other, -1)
 
     def scale(self, k):
         k = exact(k)
-        return LinForm(
-            {v: c * k for v, c in self.coeffs.items()}, self.const * k
+        if k == 1:
+            return self
+        if not k:
+            return LinForm._raw({}, 0)
+        return LinForm._raw(
+            {v: exact(c * k) for v, c in self.coeffs.items()},
+            exact(self.const * k),
         )
 
     def coeff(self, var):
         return self.coeffs.get(var, 0)
 
     def drop(self, var):
+        if var not in self.coeffs:
+            return self
         rest = {v: c for v, c in self.coeffs.items() if v != var}
-        return LinForm(rest, self.const)
+        return LinForm._raw(rest, self.const)
 
     def substitute(self, var, form: "LinForm"):
         c = self.coeff(var)
@@ -447,35 +477,7 @@ def parse_weight(text):
 
 
 # ----------------------------------------------------------------------
-# evaluation and simplification
-
-
-def eval_formula(ast, env):
-    """Ground truth for quantifier-free formulas at an integer point."""
-    op = ast[0]
-    if op == "le":
-        return ast[1].evaluate(env) <= 0
-    if op == "cong":
-        val = ast[1].evaluate(env)
-        if val.denominator != 1:
-            raise PresburgerError("congruence on a non-integer value")
-        return val.numerator % ast[2] == 0
-    if op == "ncong":
-        val = ast[1].evaluate(env)
-        if val.denominator != 1:
-            raise PresburgerError("congruence on a non-integer value")
-        return val.numerator % ast[2] != 0
-    if op == "true":
-        return True
-    if op == "false":
-        return False
-    if op == "not":
-        return not eval_formula(ast[1], env)
-    if op == "and":
-        return eval_formula(ast[1], env) and eval_formula(ast[2], env)
-    if op == "or":
-        return eval_formula(ast[1], env) or eval_formula(ast[2], env)
-    raise PresburgerError(f"cannot evaluate {op!r} without a range")
+# simplification
 
 
 def _ground_literal(ast):
@@ -902,6 +904,7 @@ def _stirling2(k, j):
     return j * _stirling2(k - 1, j) + _stirling2(k - 1, j - 1)
 
 
+@functools.lru_cache(maxsize=None)
 def _geometric_moment(k, bx, by):
     """Sum over v >= 0 of v^k (X^bx Y^by)^v as a BivariateRational."""
     total = None
@@ -1244,6 +1247,16 @@ def sum_rational(spec: SummationSpec) -> SumResult:
     then s-weighted.  Raises Divergent/VariableBudget/ModulusBudget; never
     returns a silently wrong value.
     """
+    parts, sigma0, ncells = _ground_terms(spec)
+    return SumResult(_combine(parts), sigma0, ncells)
+
+
+def _ground_terms(spec: SummationSpec):
+    """Every variable eliminated: (parts, sigma0, cells).
+
+    The sum is that of pref * m * X^ex Y^ey over the parts
+    (pref, m, ex, ey), with pref a BivariateRational and m nonzero.
+    """
     qf = (
         spec.formula
         if spec.formula.is_quantifier_free()
@@ -1271,7 +1284,7 @@ def sum_rational(spec: SummationSpec) -> SumResult:
         for term in terms:
             nxt.extend(_eliminate_variable(term, z, ctx))
         terms = nxt
-    total = BivariateRational(Laurent.const(0, 2))
+    parts = []
     for term in terms:
         alive, lits = _check_ground_lits(term.lits)
         if not alive:
@@ -1286,10 +1299,43 @@ def sum_rational(spec: SummationSpec) -> SumResult:
             raise PresburgerError("unresolved weight exponents")
         if cx.const.denominator != 1 or cy.const.denominator != 1:
             raise PresburgerError("non-integer ground exponent")
-        mono = Laurent.monomial(m, (cx.const.numerator, cy.const.numerator))
-        total = total + term.pref * mono
+        parts.append((term.pref, m, cx.const.numerator, cy.const.numerator))
     sigma0 = max(ctx["sigma"]) if ctx["sigma"] else None
-    return SumResult(total, sigma0, len(cell_list))
+    return parts, sigma0, len(cell_list)
+
+
+def _combine(parts):
+    """The sum of the parts of ``_ground_terms``, one combine per
+    denominator.
+
+    The parts are bucketed by the denominator (factors, const) of their
+    prefactor, and each bucket's numerators are summed as plain Laurent
+    terms.  Each bucket is then lifted once to the union of the factor
+    multiplicities and to the lcm of the constants.  That union is the
+    one a left fold of ``BivariateRational.__add__`` over the parts
+    reaches, and the normal form is unique for a fixed factor tuple, so
+    the result equals the fold's byte for byte.
+    """
+    buckets = {}
+    for pref, m, ex, ey in parts:
+        acc = buckets.setdefault((pref.factors, pref.const), {})
+        for (a, b), c in pref.numerator.terms.items():
+            key = (a + ex, b + ey)
+            acc[key] = acc.get(key, 0) + c * m
+    union = {}
+    for factors, _ in buckets:
+        for key, mult in factors:
+            union[key] = max(union.get(key, 0), mult)
+    const = math.lcm(*(c for _, c in buckets)) if buckets else 1
+    total = Laurent(2)
+    for (factors, c), acc in buckets.items():
+        num = Laurent(2, acc) * (const // c)
+        have = dict(factors)
+        for key, mult in union.items():
+            for _ in range(mult - have.get(key, 0)):
+                num = num * _factor_poly(*key)
+        total = total + num
+    return BivariateRational(total, union, const)
 
 
 def _assert_moduli(ast):
@@ -1307,6 +1353,125 @@ def _assert_moduli(ast):
 # ----------------------------------------------------------------------
 # brute-force oracles
 
+RANGED_CELLS = 1 << 18
+"""The most grid cells that one ranged evaluation holds in an array."""
+
+
+def _literal_int(c):
+    """A literal's coefficient as an int; a ranged literal must be integral."""
+    if c.denominator != 1:
+        raise PresburgerError(f"non-integer coefficient {c} in a ranged literal")
+    return int(c)
+
+
+def _ranged_values(form, env):
+    """The int64 values of an integral linear form on an open grid."""
+    total = np.int64(_literal_int(form.const))
+    for v, c in form.coeffs.items():
+        total = total + _literal_int(c) * env[v]
+    return total
+
+
+def _eval_ranged(ast, env, witnesses, qdepth=0):
+    """Truth values of a formula on an open numpy grid.
+
+    ``env`` maps every free variable to an int64 array; the arrays
+    broadcast against each other.  The quantifier at nesting depth d
+    ranges over [-w, w] with w = witnesses[min(d, len(witnesses) - 1)].
+    Its witnesses are taken in slices, so no array grows past
+    ``RANGED_CELLS`` cells when the grid of ``env`` does not.
+    """
+    op = ast[0]
+    if op in ("le", "cong", "ncong"):
+        total = _ranged_values(ast[1], env)
+        if op == "le":
+            return total <= 0
+        hit = total % ast[2] == 0
+        return hit if op == "cong" else ~hit
+    if op == "true":
+        return np.bool_(True)
+    if op == "false":
+        return np.bool_(False)
+    if op == "not":
+        return ~_eval_ranged(ast[1], env, witnesses, qdepth)
+    if op in ("and", "or"):
+        a = _eval_ranged(ast[1], env, witnesses, qdepth)
+        b = _eval_ranged(ast[2], env, witnesses, qdepth)
+        return (a & b) if op == "and" else (a | b)
+    if op not in ("exists", "forall"):
+        raise PresburgerError(f"unknown node {op!r}")
+    w = witnesses[min(qdepth, len(witnesses) - 1)]
+    # the witness axis is the last one of every array
+    inner = {v: a[..., None] for v, a in env.items()}
+    cells = math.prod(np.broadcast_shapes(*(a.shape for a in env.values())))
+    step = max(1, RANGED_CELLS // cells)
+    out = np.bool_(op == "forall")
+    for lo in range(-w, w + 1, step):
+        inner[ast[1]] = np.arange(lo, min(lo + step, w + 1), dtype=np.int64)
+        got = np.asarray(_eval_ranged(ast[2], inner, witnesses, qdepth + 1))
+        if op == "exists":
+            out = out | (got.any(axis=-1) if got.ndim else got)
+        else:
+            out = out & (got.all(axis=-1) if got.ndim else got)
+    return out
+
+
+def _grid_blocks(free, box):
+    """Open grids that cover [-box, box]^free in lexicographic order.
+
+    A block holds at most ``RANGED_CELLS`` cells: the trailing variables
+    that fit are taken whole, the next one in slices and the leading ones
+    one value at a time.  Yields (env, block shape).
+    """
+    n = len(free)
+    axis = np.arange(-box, box + 1, dtype=np.int64)
+    whole = 0  # trailing variables a block takes whole
+    while whole < n and axis.size ** (whole + 1) <= RANGED_CELLS:
+        whole += 1
+    if whole == n:
+        blocks = [[axis] * n]
+    else:
+        step = RANGED_CELLS // axis.size ** whole
+        sliced = [axis[i:i + step] for i in range(0, axis.size, step)]
+        heads = itertools.product(axis[:, None], repeat=n - whole - 1)
+        blocks = (
+            [*head, part] + [axis] * whole for head in heads for part in sliced
+        )
+    for parts in blocks:
+        env = {
+            v: p.reshape([-1 if j == i else 1 for j in range(n)])
+            for i, (v, p) in enumerate(zip(free, parts))
+        }
+        yield env, tuple(p.size for p in parts)
+
+
+def _numerator_form(form):
+    """(d, d * form) with d the least positive integer that makes every
+    coefficient of d * form integral."""
+    d = _int_lcm(c.denominator for c in [form.const, *form.coeffs.values()])
+    return d, form.scale(d)
+
+
+def _check_int64(forms, box):
+    """Refuse forms whose values on [-box, box] could overflow int64."""
+    for form in forms:
+        bound = abs(form.const) + box * sum(abs(c) for c in form.coeffs.values())
+        if bound >= 2**62:
+            raise PresburgerError(
+                f"values of {form} on the box exceed the int64 range"
+            )
+
+
+def _literal_forms(ast):
+    op = ast[0]
+    if op in ("le", "cong", "ncong"):
+        yield ast[1]
+    elif op in ("not", "and", "or"):
+        for child in ast[1:]:
+            yield from _literal_forms(child)
+    elif op in ("exists", "forall"):
+        yield from _literal_forms(ast[2])
+
 
 def _integral(value, what):
     """The int value of an exact number that must be an integer."""
@@ -1322,25 +1487,37 @@ def solution_counts(spec: SummationSpec, box, M=None):
     q^(s*A + B) with level = -A and e = B, both integers.  With M given,
     only levels below M are kept.  This one enumeration is the ground
     truth behind every brute-force sum and series.
+
+    The formula is evaluated as written, with no quantifier elimination:
+    every quantified variable ranges over [-box, box] as well, so the box
+    must hold a witness for each solution (and, under ``forall``, a
+    counterexample for each non-solution).  The grid is evaluated with
+    numpy in blocks of at most ``RANGED_CELLS`` cells.
     """
-    qf = (
-        spec.formula
-        if spec.formula.is_quantifier_free()
-        else eliminate_quantifiers(spec.formula)
-    )
-    ast = simplify(nnf(qf.ast))
+    ast = spec.formula.ast
     free = sorted(free_vars(ast) | spec.A.vars() | spec.B.vars())
-    counts = {}
-    for point in itertools.product(range(-box, box + 1), repeat=len(free)):
-        env = dict(zip(free, point))
-        if not eval_formula(ast, env):
-            continue
-        level = _integral(-spec.A.evaluate(env), "Y-degree")
-        if M is not None and level >= M:
-            continue
-        key = (level, _integral(spec.B.evaluate(env), "X-degree"))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    dy, level_form = _numerator_form(spec.A.scale(-1))
+    dx, e_form = _numerator_form(spec.B)
+    _check_int64([level_form, e_form, *_literal_forms(ast)], box)
+    counts = collections.Counter()
+    for env, shape in _grid_blocks(free, box):
+        hit = np.broadcast_to(_eval_ranged(ast, env, [box]), shape)
+        ny = np.broadcast_to(_ranged_values(level_form, env), shape)[hit]
+        nx = np.broadcast_to(_ranged_values(e_form, env), shape)[hit]
+        level, ry = np.divmod(ny, dy)
+        e, rx = np.divmod(nx, dx)
+        kept = level < M if M is not None else np.ones(level.shape, bool)
+        bad = (ry != 0) | (kept & (rx != 0))
+        if bad.any():
+            # the first offending solution in lexicographic order
+            i = int(np.argmax(bad))
+            what, value = (
+                ("Y-degree", Fraction(int(ny[i]), dy)) if ry[i]
+                else ("X-degree", Fraction(int(nx[i]), dx))
+            )
+            raise PresburgerError(f"non-integer {what} {value} at a solution")
+        counts.update(zip(level[kept].tolist(), e[kept].tolist()))
+    return dict(counts)
 
 
 def series_from_counts(counts, q, M) -> ZetaSeries:

@@ -27,6 +27,7 @@ from .presburger import (
     LinForm,
     PresburgerFormula,
     SummationSpec,
+    _eval_ranged,
     eliminate_quantifiers,
     free_vars,
     nnf,
@@ -354,39 +355,6 @@ def suite_steinberg():
 # presburger corpus
 
 
-def _eval_ranged(ast, env, witnesses, qdepth=0):
-    op = ast[0]
-    if op in ("le", "cong", "ncong"):
-        total = np.zeros((), dtype=np.int64) + int(ast[1].const)
-        for v, c in ast[1].coeffs.items():
-            total = total + int(c) * env[v]
-        if op == "le":
-            return total <= 0
-        hit = total % ast[2] == 0
-        return hit if op == "cong" else ~hit
-    if op == "true":
-        return np.bool_(True)
-    if op == "false":
-        return np.bool_(False)
-    if op == "not":
-        return ~_eval_ranged(ast[1], env, witnesses, qdepth)
-    if op in ("and", "or"):
-        a = _eval_ranged(ast[1], env, witnesses, qdepth)
-        b = _eval_ranged(ast[2], env, witnesses, qdepth)
-        return (a & b) if op == "and" else (a | b)
-    w = witnesses[min(qdepth, len(witnesses) - 1)]
-    rng = np.arange(-w, w + 1, dtype=np.int64)
-    inner = {
-        v: (a[..., None] if isinstance(a, np.ndarray) else a)
-        for v, a in env.items()
-    }
-    inner[ast[1]] = rng
-    got = np.asarray(_eval_ranged(ast[2], inner, witnesses, qdepth + 1))
-    if got.ndim == 0:
-        got = np.broadcast_to(got, rng.shape)
-    return got.any(axis=-1) if op == "exists" else got.all(axis=-1)
-
-
 def _random_tree(rng, variables, depth, small):
     roll = rng.random()
     if depth <= 0 or roll < 0.4:
@@ -532,6 +500,9 @@ def suite_presburger():
         ("even-levels",
          SummationSpec("n >= 0 and n = 0 mod 2", "q^(-n*s)"), 20),
         ("staircase", staircase, 20),
+        # checked against an oracle that runs no quantifier elimination
+        ("odd-levels",
+         SummationSpec("exists k (n = 2*k + 1) and n >= 0", "q^(-n*s)"), 20),
     ]
     for name, spec, box in examples:
         res = sum_rational(spec)

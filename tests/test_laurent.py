@@ -135,23 +135,40 @@ def test_linform_arithmetic_matches_fractions():
         k = rng.randint(1, 7)
         var = rng.choice(VARS)
         env = dict(zip(VARS, _point(rng, len(VARS))))
+        # results may share coefficient dicts with their operands, so no
+        # operation may change an operand
+        before = [(dict(h.coeffs), h.const) for h in (f, g)]
         # a ground form evaluates to its int constant; the reference
         # arithmetic must stay in Fractions
         fv, gv = Fraction(f.evaluate(env)), Fraction(g.evaluate(env))
+        present = f + LinForm({var: 1})  # holds var unless it cancels
+        pv = fv + env[var]
         cases = [
             (f + g, fv + gv),
             (f - g, fv - gv),
+            (f - f, 0),
             (f + Fraction(1, k), fv + Fraction(1, k)),
             (f - k, fv - k),
             (f.scale(Fraction(1, k)), fv / k),
             (f.scale(-k), -k * fv),
+            (f.scale(1), fv),
+            (f.scale(0), 0),
             (f.drop(var), fv - f.coeff(var) * env[var]),
+            (f.drop("absent"), fv),
+            (present.drop(var), pv - present.coeff(var) * env[var]),
             (f.substitute(var, g), fv + f.coeff(var) * (gv - env[var])),
+            (f.substitute("absent", g), fv),
+            (present.substitute(var, g),
+             pv + present.coeff(var) * (gv - env[var])),
+            (present.substitute(var, f.scale(Fraction(1, k))),
+             pv + present.coeff(var) * (fv / k - env[var])),
         ]
         for got, want in cases:
             _assert_normal(list(got.coeffs.values()) + [got.const])
             _assert_normal([got.coeff(var)])
+            assert 0 not in got.coeffs.values()
             assert got.evaluate(env) == want
+        assert [(h.coeffs, h.const) for h in (f, g)] == before
 
 
 def test_poly_arithmetic_matches_fractions():

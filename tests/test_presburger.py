@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,6 @@ from localzeta.presburger import (
     brute_force_sum,
     cells,
     eliminate_quantifiers,
-    eval_formula,
     free_vars,
     nnf,
     parse,
@@ -33,6 +33,63 @@ from localzeta.presburger import (
 from localzeta.zeta import BivariateRational, expand
 
 SEED = 20260814
+
+
+# ----------------------------------------------------------------------
+# scalar oracle
+
+
+def eval_formula(ast, env, box=None):
+    """Truth value at one integer point.  Each quantifier ranges over
+    [-box, box] by an explicit witness loop; with no box a quantifier is
+    an error."""
+    op = ast[0]
+    if op == "le":
+        return ast[1].evaluate(env) <= 0
+    if op in ("cong", "ncong"):
+        val = ast[1].evaluate(env)
+        if val.denominator != 1:
+            raise PresburgerError("congruence on a non-integer value")
+        return (val.numerator % ast[2] == 0) == (op == "cong")
+    if op == "true":
+        return True
+    if op == "false":
+        return False
+    if op == "not":
+        return not eval_formula(ast[1], env, box)
+    if op == "and":
+        return eval_formula(ast[1], env, box) and eval_formula(ast[2], env, box)
+    if op == "or":
+        return eval_formula(ast[1], env, box) or eval_formula(ast[2], env, box)
+    if box is None:
+        raise PresburgerError(f"cannot evaluate {op!r} without a range")
+    hits = (
+        eval_formula(ast[2], {**env, ast[1]: k}, box)
+        for k in range(-box, box + 1)
+    )
+    return any(hits) if op == "exists" else all(hits)
+
+
+def _degree(value, what):
+    if value.denominator != 1:
+        raise PresburgerError(f"non-integer {what} {value} at a solution")
+    return int(value)
+
+
+def scalar_counts(spec, box, M=None):
+    """``solution_counts`` point by point, in lexicographic order."""
+    free = sorted(free_vars(spec.formula.ast) | spec.A.vars() | spec.B.vars())
+    counts = {}
+    for point in itertools.product(range(-box, box + 1), repeat=len(free)):
+        env = dict(zip(free, point))
+        if not eval_formula(spec.formula.ast, env, box):
+            continue
+        level = _degree(Fraction(-spec.A.evaluate(env)), "Y-degree")
+        if M is not None and level >= M:
+            continue
+        key = (level, _degree(Fraction(spec.B.evaluate(env)), "X-degree"))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -176,46 +233,7 @@ def test_qe_three_quantifiers_alternation():
 # exact closed-form tests above.
 
 
-def _eval_ranged(ast, env, witnesses, qdepth=0):
-    """Vectorized semantics; the quantifier at nesting depth d ranges
-    over [-witnesses[d], witnesses[d]]."""
-    op = ast[0]
-    if op == "le":
-        total = np.zeros((), dtype=np.int64) + int(ast[1].const)
-        for v, c in ast[1].coeffs.items():
-            assert c.denominator == 1
-            total = total + int(c) * env[v]
-        return total <= 0
-    if op in ("cong", "ncong"):
-        total = np.zeros((), dtype=np.int64) + int(ast[1].const)
-        for v, c in ast[1].coeffs.items():
-            assert c.denominator == 1
-            total = total + int(c) * env[v]
-        hit = total % ast[2] == 0
-        return hit if op == "cong" else ~hit
-    if op == "true":
-        return np.bool_(True)
-    if op == "false":
-        return np.bool_(False)
-    if op == "not":
-        return ~_eval_ranged(ast[1], env, witnesses, qdepth)
-    if op in ("and", "or"):
-        a = _eval_ranged(ast[1], env, witnesses, qdepth)
-        b = _eval_ranged(ast[2], env, witnesses, qdepth)
-        return (a & b) if op == "and" else (a | b)
-    if op in ("exists", "forall"):
-        w = witnesses[min(qdepth, len(witnesses) - 1)]
-        rng = np.arange(-w, w + 1, dtype=np.int64)
-        inner = {
-            v: (a[..., None] if isinstance(a, np.ndarray) else a)
-            for v, a in env.items()
-        }
-        inner[ast[1]] = rng
-        got = np.asarray(_eval_ranged(ast[2], inner, witnesses, qdepth + 1))
-        if got.ndim == 0:  # body ground: pad the witness axis
-            got = np.broadcast_to(got, rng.shape)
-        return got.any(axis=-1) if op == "exists" else got.all(axis=-1)
-    raise AssertionError(op)
+_eval_ranged = presburger._eval_ranged
 
 
 def _random_tree(rng, variables, depth, small):
@@ -437,6 +455,42 @@ def test_sum_rational_golden_repr(formula, weight, digest, sigma0):
     assert all(type(c) is int for c in res.rational.numerator.terms.values())
 
 
+def _left_fold(spec):
+    """The parts of the engine added one at a time, as before the
+    one-combine-per-denominator sum."""
+    parts, _, _ = presburger._ground_terms(spec)
+    total = BivariateRational(Laurent.const(0, 2))
+    for pref, m, ex, ey in parts:
+        total = total + pref * Laurent.monomial(m, (ex, ey))
+    return total
+
+
+def _fold_corpus():
+    heavy = [
+        (f"0 <= a and a <= {c1}*n and 0 <= b and b <= {c2}*n"
+         f" and a + {min(slot + 1, mod - 1)}*b = {mod - 1} mod {mod}",
+         f"q^(-n*s - {w1}*a - {w2}*b)")
+        for mod in (2, 3, 4, 5)
+        for slot, ((c1, c2), (w1, w2)) in enumerate((
+            ((2, 3), (1, 2)), ((3, 1), (2, 1)), ((3, 3), (1, 3))
+        ))
+    ]
+    quantified = [(formula, "q^(-n*s - l)") for formula, _ in EXISTS_SPECS]
+    light = [(text, weight) for text, weight, _ in _corpus_specs(20)]
+    return heavy + quantified + light + [
+        ("0 <= a and a <= b and b <= n", "q^(-n*s)"),
+        ("n >= 0 and n <= -1", "q^(-n*s)"),
+        ("0 - n <= l and l <= n", "q^(-n*s + l)"),
+    ]
+
+
+def test_sum_rational_equals_the_left_fold():
+    for formula, weight in _fold_corpus():
+        spec = SummationSpec(formula, weight)
+        got = sum_rational(spec).rational
+        assert repr(got) == repr(_left_fold(spec)), (formula, weight)
+
+
 # ----------------------------------------------------------------------
 # runtime invariants raise PresburgerError
 
@@ -499,6 +553,145 @@ def test_solution_counts_buckets_levels():
         (0, 0): 1, (1, 0): 1, (1, -1): 1, (2, 0): 1, (2, -1): 1, (2, -2): 1,
     }
     assert sum(solution_counts(spec, 5).values()) == 21
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except PresburgerError as e:
+        return "error", str(e)
+
+
+def _random_weight(rng, names):
+    A = LinForm({v: -rng.randint(0, 2) for v in names})
+    B = LinForm({v: rng.randint(-2, 2) for v in names}, rng.randint(-1, 1))
+    return A, B
+
+
+@pytest.mark.parametrize("nvars,box", [(1, 6), (2, 4), (3, 3), (4, 2)])
+def test_solution_counts_match_scalar_quantifier_free(nvars, box):
+    rng = random.Random(SEED + 10 * nvars)
+    names = ["a", "b", "c", "n"][:nvars]
+    for i in range(30):
+        ast = _random_tree(rng, names, 3, False)
+        free = sorted(free_vars(ast))
+        spec = SummationSpec(
+            PresburgerFormula(ast, "random"), _random_weight(rng, free)
+        )
+        M = None if i % 2 else rng.randint(0, 3)
+        assert solution_counts(spec, box, M) == scalar_counts(spec, box, M)
+
+
+# the three quantified shapes of the summation benchmark, then a forall
+# and a nested alternation
+EXISTS_SPECS = [
+    (f"exists k (n = {m}*k + {r}) and 0 <= l and l <= n", M - 1)
+    for m, r, M in ((2, 1, 5), (3, 2, 4))
+] + [
+    (f"exists k (l = {m}*k and 0 <= k and k <= n) and n >= 0", m * (M - 1))
+    for m, M in ((2, 5), (3, 4))
+] + [
+    (f"exists k (0 <= k and k <= n and l = {m}*k + {r}) and n >= 0",
+     m * (M - 1) + r)
+    for m, r, M in ((2, 1, 5), (3, 2, 4))
+] + [
+    ("forall k (k <= l or k >= n) and 0 <= l and l <= n", 4),
+    ("exists k (0 <= k and k <= n and forall j (j <= k or j > l))"
+     " and l >= 0 and n >= 0", 3),
+]
+
+
+@pytest.mark.parametrize("formula,box", EXISTS_SPECS)
+def test_solution_counts_match_scalar_quantified(formula, box):
+    spec = SummationSpec(formula, "q^(-n*s - l)")
+    want = scalar_counts(spec, box)
+    assert want and solution_counts(spec, box) == want
+    assert solution_counts(spec, box, 3) == scalar_counts(spec, box, 3)
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("formula,weight,M", [
+    # (m, n) = (0, 1) is the first solution, with level 1/2
+    ("0 <= m and m <= 1 and 0 <= n and n <= 1",
+     (LinForm({"n": -HALF}), LinForm({"m": HALF})), None),
+    # (1, 0) comes first, with exponent 1/2
+    ("1 <= m and m <= 2 and 0 <= n and n <= 1",
+     (LinForm({"n": -HALF}), LinForm({"m": HALF})), None),
+    # M = 0 keeps no level, so only a bad level raises
+    ("1 <= m and m <= 2 and 0 <= n and n <= 1",
+     (LinForm({"n": -HALF}), LinForm({"m": HALF})), 0),
+    ("1 <= m and m <= 2 and n = 0",
+     (LinForm({"n": -HALF}), LinForm({"m": HALF})), 0),
+    # m = 2 is the first solution with exponent 1/2
+    ("exists k (m = 2*k) and 0 <= m and m <= 4 and n = m",
+     (LinForm({"n": -1}), LinForm({"m": Fraction(1, 4)})), None),
+])
+def test_solution_counts_degree_errors_match_scalar(formula, weight, M):
+    spec = SummationSpec(formula, weight)
+    got = _outcome(solution_counts, spec, 3, M)
+    assert got == _outcome(scalar_counts, spec, 3, M)
+    if M is None:
+        assert got[0] == "error" and "non-integer" in got[1]
+
+
+def test_solution_counts_never_eliminates_quantifiers(monkeypatch):
+    # the oracle must stay independent of the Cooper elimination that
+    # sum_rational runs
+    spec = SummationSpec("exists k (n = 2*k + 1) and n >= 0", "q^(-n*s)")
+    res = sum_rational(spec)
+
+    def refuse(formula):
+        raise AssertionError("eliminate_quantifiers called")
+
+    monkeypatch.setattr(presburger, "eliminate_quantifiers", refuse)
+    assert solution_counts(spec, 12) == scalar_counts(spec, 12)
+    assert brute_force_series(spec, 3, 8, 12) == expand(res.rational, 3, 8)
+    assert brute_force_sum(spec, 2, 1, 12) == sum(
+        Fraction(2) ** -n for n in range(1, 13, 2)
+    )
+
+
+def test_ranged_evaluation_refuses_rational_coefficients():
+    grid = {"x": np.arange(-3, 4, dtype=np.int64)}
+    for ast in (
+        ("le", LinForm({"x": HALF})),
+        ("cong", LinForm({"x": 1}, HALF), 2),
+        ("exists", "k", ("le", LinForm({"x": 1, "k": Fraction(3, 2)}))),
+    ):
+        with pytest.raises(PresburgerError, match="non-integer coefficient"):
+            _eval_ranged(ast, grid, [3])
+        spec = SummationSpec(PresburgerFormula(ast), (LinForm(), LinForm()))
+        with pytest.raises(PresburgerError, match="non-integer coefficient"):
+            solution_counts(spec, 3)
+
+
+def test_solution_counts_bounds_the_cells_it_holds():
+    # 161^3 cells: one int64 array over the whole grid would be 33 MB
+    box = 80
+    spec = SummationSpec(
+        "0 <= a and a <= n and 0 <= b and b <= n", "q^(-n*s - a - b)"
+    )
+    tracemalloc.start()
+    try:
+        counts = solution_counts(spec, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == sum(k * k for k in range(1, box + 2))
+    assert peak < 16 * 2**20
+    # the witness axis is sliced too: 161^2 free cells times 161 witnesses
+    spec = SummationSpec("exists k (n + l = 2*k + 1)", "q^(-n*s)")
+    tracemalloc.start()
+    try:
+        counts = solution_counts(spec, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every odd n + l has its witness k = (n + l - 1)/2 in the box
+    assert sum(counts.values()) == (161 * 161 - 1) // 2
+    assert peak < 16 * 2**20
 
 
 def test_brute_force_geometric_partial():
