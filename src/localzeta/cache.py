@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .groups import ENUM_CAP, Family, GroupTable
+from .groups import ENUM_CAP, Family, GroupTable, TooLarge
 
 FORMAT_VERSION = 2
 
@@ -162,11 +162,17 @@ def table_for(family, ring, cap=ENUM_CAP) -> GroupTable:
     """Enumerate (or fetch) the table of a family over a ring."""
     fam = as_family(family)
     key = (fam.text, fam.include_torus, ring.key())
-    if key in _memo:
-        return _memo[key]
-    table = _load_disk(fam, ring)
+    table = _memo.get(key)
     if table is None:
-        table = fam.table(ring, cap=cap)
-        _store_disk(fam, ring, table)
-    _memo[key] = table
+        table = _load_disk(fam, ring)
+        if table is None:
+            table = fam.table(ring, cap=cap)
+            _store_disk(fam, ring, table)
+        _memo[key] = table
+    # a table stored under a larger cap must not slip past this one
+    if table.size > cap:
+        raise TooLarge(
+            f"group {table.name} exceeded cap: its stored table has "
+            f"{table.size} elements"
+        )
     return table

@@ -721,21 +721,24 @@ class Family:
         return f"Family({self.text})"
 
 
-def parabolic_depth(x_idx, table, sub_tables):
-    """lambda_S(x): largest k <= m with the level-k projection in P_S.
+def parabolic_depths(table, sub_tables):
+    """lambda_S of every element: lam[i] is the largest k <= m with the
+    level-k projection of element i in P_S.
 
     sub_tables maps level k -> enumerated P_S table over the level-k ring.
     Depth 0 means not even the residue image lies in P_S.
     """
     ring = table.ring
-    depth = 0
+    lam = np.zeros(table.size, dtype=np.int64)
+    alive = np.ones(table.size, dtype=bool)
     for k in range(1, ring.m + 1):
-        proj = ring.mat_project(table.mats[x_idx], k)
-        if sub_tables[k].contains(proj):
-            depth = k
-        else:
+        rows = np.flatnonzero(alive)
+        proj = ring.mat_project(table.mats[rows], k)
+        alive[rows] = sub_tables[k].contains_batch(proj)
+        lam[alive] = k
+        if not alive.any():
             break
-    return depth
+    return lam
 
 
 def parabolic_depth_coset(x_idx, table, sub_m):

@@ -528,16 +528,23 @@ def simplify(ast):
     raise PresburgerError(f"unknown node {op!r}")
 
 
+def _negate_literal(lit):
+    op = lit[0]
+    if op == "le":
+        # not (t <= 0) is 1 - t <= 0
+        return ("le", lit[1].scale(-1) + 1)
+    if op == "cong":
+        return ("ncong", lit[1], lit[2])
+    if op == "ncong":
+        return ("cong", lit[1], lit[2])
+    raise PresburgerError(f"not a literal: {op!r}")
+
+
 def nnf(ast, neg=False):
     """Negation normal form; all negations are folded into literals."""
     op = ast[0]
-    if op == "le":
-        # not (t <= 0) is 1 - t <= 0
-        return ("le", ast[1].scale(-1) + 1) if neg else ast
-    if op == "cong":
-        return ("ncong", ast[1], ast[2]) if neg else ast
-    if op == "ncong":
-        return ("cong", ast[1], ast[2]) if neg else ast
+    if op in ("le", "cong", "ncong"):
+        return _negate_literal(ast) if neg else ast
     if op == "true":
         return ("false",) if neg else ast
     if op == "false":
@@ -557,115 +564,64 @@ def nnf(ast, neg=False):
     raise PresburgerError(f"unknown node {op!r}")
 
 
-def _subst(ast, var, form):
+def _map_literals(ast, fn):
+    """The quantifier-free NNF formula with each literal replaced by
+    fn(literal)."""
     op = ast[0]
-    if op == "le":
-        return ("le", ast[1].substitute(var, form))
-    if op in ("cong", "ncong"):
-        return (op, ast[1].substitute(var, form), ast[2])
+    if op in ("le", "cong", "ncong"):
+        return fn(ast)
     if op in ("true", "false"):
         return ast
     if op in ("and", "or"):
-        return (op, _subst(ast[1], var, form), _subst(ast[2], var, form))
-    raise PresburgerError("substitution needs a quantifier-free NNF")
+        return (op, _map_literals(ast[1], fn), _map_literals(ast[2], fn))
+    raise PresburgerError(
+        f"{op!r} node in a formula that must be quantifier-free NNF"
+    )
+
+
+def _literals(ast):
+    """Every literal of a formula, left to right."""
+    op = ast[0]
+    if op in ("le", "cong", "ncong"):
+        yield ast
+    elif op in ("not", "and", "or"):
+        for child in ast[1:]:
+            yield from _literals(child)
+    elif op in ("exists", "forall"):
+        yield from _literals(ast[2])
+
+
+def _subst(lit, var, form):
+    return (lit[0], lit[1].substitute(var, form), *lit[2:])
 
 
 # ----------------------------------------------------------------------
 # Cooper quantifier elimination
 
 
-def _scale_for(ast, var, lam):
-    """Rewrite literals so the variable's coefficient is exactly +-1,
+def _scale_for(lit, var, lam):
+    """Rewrite a literal so the variable's coefficient is exactly +-1,
     under the change of variable var' = lam * var."""
-    op = ast[0]
-    if op == "le":
-        c = ast[1].coeff(var)
-        if not c:
-            return ast
-        k = Fraction(lam, abs(c.numerator))
-        scaled = ast[1].scale(k)  # positive scaling keeps <= direction
-        return ("le", scaled.drop(var) + LinForm.of(var).scale(
-            1 if c > 0 else -1
-        ))
-    if op in ("cong", "ncong"):
-        c = ast[1].coeff(var)
-        if not c:
-            return ast
-        k = lam // abs(c.numerator)
-        scaled = ast[1].scale(k)
-        return (
-            op,
-            scaled.drop(var) + LinForm.of(var).scale(1 if c > 0 else -1),
-            ast[2] * k,
-        )
-    if op in ("true", "false"):
-        return ast
-    if op in ("and", "or"):
-        return (op, _scale_for(ast[1], var, lam), _scale_for(ast[2], var, lam))
-    raise PresburgerError("Cooper needs quantifier-free NNF input")
+    c = lit[1].coeff(var)
+    if not c:
+        return lit
+    unit = LinForm.of(var).scale(1 if c > 0 else -1)
+    if lit[0] == "le":
+        # positive scaling keeps the <= direction
+        scaled = lit[1].scale(Fraction(lam, abs(c.numerator)))
+        return ("le", scaled.drop(var) + unit)
+    k = lam // abs(c.numerator)
+    return (lit[0], lit[1].scale(k).drop(var) + unit, lit[2] * k)
 
 
-def _minus_infinity(ast, var):
-    """Limit of the formula as var -> -inf: lower bounds go false, upper
+def _minus_infinity(lit, var):
+    """Limit of a literal as var -> -inf: lower bounds go false, upper
     bounds go true, congruences survive."""
-    op = ast[0]
-    if op == "le":
-        c = ast[1].coeff(var)
-        if not c:
-            return ast
-        # c > 0 is an upper bound var + t <= 0, satisfied at -inf
-        return ("true",) if c > 0 else ("false",)
-    if op in ("cong", "ncong", "true", "false"):
-        return ast
-    if op in ("and", "or"):
-        return (op, _minus_infinity(ast[1], var),
-                _minus_infinity(ast[2], var))
-    raise PresburgerError("Cooper needs quantifier-free NNF input")
-
-
-def _collect_coeffs(ast, var, lcms, moduli, lowers):
-    op = ast[0]
-    if op == "le":
-        c = ast[1].coeff(var)
-        if c:
-            if c.denominator != 1:
-                raise PresburgerError("rational coefficient in QE input")
-            lcms.append(abs(c.numerator))
-            if c < 0:
-                # -var' + t <= 0, i.e. t <= var': lower bound term t
-                lowers.append(True)
-    elif op in ("cong", "ncong"):
-        c = ast[1].coeff(var)
-        if c:
-            if c.denominator != 1:
-                raise PresburgerError("rational coefficient in QE input")
-            lcms.append(abs(c.numerator))
-            moduli.append(ast[2] * 1)
-    elif op in ("and", "or"):
-        _collect_coeffs(ast[1], var, lcms, moduli, lowers)
-        _collect_coeffs(ast[2], var, lcms, moduli, lowers)
-
-
-def _lower_terms(ast, var, out):
-    op = ast[0]
-    if op == "le":
-        c = ast[1].coeff(var)
-        if c and c < 0:
-            # -var + t <= 0: bound term is t, shifted to strict form t - 1
-            out[(ast[1].drop(var) - 1).key()] = ast[1].drop(var) - 1
-    elif op in ("and", "or"):
-        _lower_terms(ast[1], var, out)
-        _lower_terms(ast[2], var, out)
-
-
-def _scaled_moduli(ast, var, out):
-    op = ast[0]
-    if op in ("cong", "ncong"):
-        if ast[1].coeff(var):
-            out.append(ast[2])
-    elif op in ("and", "or"):
-        _scaled_moduli(ast[1], var, out)
-        _scaled_moduli(ast[2], var, out)
+    c = lit[1].coeff(var)
+    if lit[0] != "le" or not c:
+        return lit
+    # c > 0 is an upper bound var + t <= 0, satisfied at -inf
+    return ("true",) if c > 0 else ("false",)
 
 
 def _cooper(var, ast):
@@ -673,25 +629,33 @@ def _cooper(var, ast):
     ast = simplify(ast)
     if var not in free_vars(ast):
         return ast
-    lcms, moduli, lowers = [], [], []
-    _collect_coeffs(ast, var, lcms, moduli, lowers)
-    lam = math.lcm(*lcms) if lcms else 1
-    scaled = _scale_for(ast, var, lam)
+    coeffs = [c for lit in _literals(ast) if (c := lit[1].coeff(var))]
+    if any(c.denominator != 1 for c in coeffs):
+        raise PresburgerError("rational coefficient in QE input")
+    lam = math.lcm(*(abs(c.numerator) for c in coeffs))
+    scaled = _map_literals(ast, lambda lit: _scale_for(lit, var, lam))
     if lam > 1:
         scaled = ("and", scaled, ("cong", LinForm.of(var), lam))
-    mods = []
-    _scaled_moduli(scaled, var, mods)
-    D = math.lcm(*mods) if mods else 1
+    D = 1
     bterms = {}
-    _lower_terms(scaled, var, bterms)
+    for lit in _literals(scaled):
+        c = lit[1].coeff(var)
+        if c and lit[0] != "le":
+            D = math.lcm(D, lit[2])
+        elif c < 0:
+            # -var + t <= 0: bound term is t, shifted to strict form t - 1
+            b = lit[1].drop(var) - 1
+            bterms[b.key()] = b
+    limit = _map_literals(scaled, lambda lit: _minus_infinity(lit, var))
+
+    def at(ast, form):
+        return simplify(_map_literals(ast, lambda lit: _subst(lit, var, form)))
+
     pieces = []
     for j in range(1, D + 1):
-        limit = _subst(
-            _minus_infinity(scaled, var), var, LinForm.constant(j)
-        )
-        pieces.append(simplify(limit))
+        pieces.append(at(limit, LinForm.constant(j)))
         for b in bterms.values():
-            pieces.append(simplify(_subst(scaled, var, b + j)))
+            pieces.append(at(scaled, b + j))
     out = ("false",)
     for piece in pieces:
         if piece[0] == "true":
@@ -728,17 +692,6 @@ def eliminate_quantifiers(formula) -> PresburgerFormula:
 # disjoint cells
 
 
-def _negate_literal(lit):
-    op = lit[0]
-    if op == "le":
-        return ("le", lit[1].scale(-1) + 1)
-    if op == "cong":
-        return ("ncong", lit[1], lit[2])
-    if op == "ncong":
-        return ("cong", lit[1], lit[2])
-    raise PresburgerError(f"not a literal: {op!r}")
-
-
 def cells(ast):
     """Disjoint conjunctions of literals covering exactly the formula."""
     op = ast[0]
@@ -752,37 +705,17 @@ def cells(ast):
             return [[]] if g[0] == "true" else []
         return [[ast]]
     if op == "not":
-        return cocells(ast[1])
+        return cells(nnf(ast[1], neg=True))
     if op == "and":
         return [a + b for a in cells(ast[1]) for b in cells(ast[2])]
     if op == "or":
         first = cells(ast[1])
-        rest = [a + b for a in cocells(ast[1]) for b in cells(ast[2])]
+        rest = [
+            a + b
+            for a in cells(nnf(ast[1], neg=True))
+            for b in cells(ast[2])
+        ]
         return first + rest
-    raise PresburgerError("cells need a quantifier-free formula")
-
-
-def cocells(ast):
-    """Disjoint cells of the complement."""
-    op = ast[0]
-    if op == "true":
-        return []
-    if op == "false":
-        return [[]]
-    if op in ("le", "cong", "ncong"):
-        neg = _negate_literal(ast)
-        g = _ground_literal(neg)
-        if g is not None:
-            return [[]] if g[0] == "true" else []
-        return [[neg]]
-    if op == "not":
-        return cells(ast[1])
-    if op == "and":
-        first = cocells(ast[1])
-        rest = [a + b for a in cells(ast[1]) for b in cocells(ast[2])]
-        return first + rest
-    if op == "or":
-        return [a + b for a in cocells(ast[1]) for b in cocells(ast[2])]
     raise PresburgerError("cells need a quantifier-free formula")
 
 
@@ -846,15 +779,7 @@ class Poly:
     def substitute(self, var, L: LinForm):
         repl = Poly.from_linform(L)
         out = Poly()
-        for mono, c in self.terms.items():
-            k = 0
-            rest = []
-            for v, e in mono:
-                if v == var:
-                    k = e
-                else:
-                    rest.append((v, e))
-            piece = Poly({tuple(rest): c})
+        for k, piece in self.split(var).items():
             out = out + piece * (repl**k if k else Poly.const(1))
         return out
 
@@ -987,13 +912,6 @@ def _check_ground_lits(lits):
     return True, out
 
 
-def _int_lcm(values):
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 def _residue_branches(term, z):
     """Substitute z = M0*u + r; returns (M0, list of (r, new Term))
     with congruences on z resolved into constraints on the rest."""
@@ -1006,7 +924,7 @@ def _residue_branches(term, z):
             denoms.append(c.denominator)
         else:
             denoms.append(c.denominator * lit[2])
-    M0 = _int_lcm(denoms)
+    M0 = math.lcm(*denoms)
     if M0 > MODULUS_BUDGET:
         raise ModulusBudget(
             f"residue modulus {M0} for {z} exceeds {MODULUS_BUDGET}"
@@ -1263,12 +1181,20 @@ def _ground_terms(spec: SummationSpec):
         else eliminate_quantifiers(spec.formula)
     )
     ast = simplify(nnf(qf.ast))
-    free = sorted(free_vars(ast) | spec.A.vars() | spec.B.vars())
+    # every variable the formula names is summed over Z, also one that
+    # simplification removed from every literal
+    free = sorted(
+        free_vars(spec.formula.ast) | spec.A.vars() | spec.B.vars()
+    )
     if len(free) > VAR_BUDGET:
         raise VariableBudget(
             f"{len(free)} free variables exceed budget {VAR_BUDGET}"
         )
-    _assert_moduli(ast)
+    for lit in _literals(ast):
+        if lit[0] != "le" and lit[2] > MODULUS_BUDGET:
+            raise ModulusBudget(
+                f"modulus {lit[2]} exceeds budget {MODULUS_BUDGET}"
+            )
     order = _variable_order(free, spec.A, spec.B)
     ctx = {"sigma": []}
     cell_list = cells(ast)
@@ -1336,18 +1262,6 @@ def _combine(parts):
                 num = num * _factor_poly(*key)
         total = total + num
     return BivariateRational(total, union, const)
-
-
-def _assert_moduli(ast):
-    op = ast[0]
-    if op in ("cong", "ncong"):
-        if ast[2] > MODULUS_BUDGET:
-            raise ModulusBudget(
-                f"modulus {ast[2]} exceeds budget {MODULUS_BUDGET}"
-            )
-    elif op in ("and", "or", "not"):
-        for child in ast[1:]:
-            _assert_moduli(child)
 
 
 # ----------------------------------------------------------------------
@@ -1448,7 +1362,7 @@ def _grid_blocks(free, box):
 def _numerator_form(form):
     """(d, d * form) with d the least positive integer that makes every
     coefficient of d * form integral."""
-    d = _int_lcm(c.denominator for c in [form.const, *form.coeffs.values()])
+    d = math.lcm(*(c.denominator for c in [form.const, *form.coeffs.values()]))
     return d, form.scale(d)
 
 
@@ -1460,17 +1374,6 @@ def _check_int64(forms, box):
             raise PresburgerError(
                 f"values of {form} on the box exceed the int64 range"
             )
-
-
-def _literal_forms(ast):
-    op = ast[0]
-    if op in ("le", "cong", "ncong"):
-        yield ast[1]
-    elif op in ("not", "and", "or"):
-        for child in ast[1:]:
-            yield from _literal_forms(child)
-    elif op in ("exists", "forall"):
-        yield from _literal_forms(ast[2])
 
 
 def _integral(value, what):
@@ -1498,7 +1401,8 @@ def solution_counts(spec: SummationSpec, box, M=None):
     free = sorted(free_vars(ast) | spec.A.vars() | spec.B.vars())
     dy, level_form = _numerator_form(spec.A.scale(-1))
     dx, e_form = _numerator_form(spec.B)
-    _check_int64([level_form, e_form, *_literal_forms(ast)], box)
+    forms = [lit[1] for lit in _literals(ast)]
+    _check_int64([level_form, e_form, *forms], box)
     counts = collections.Counter()
     for env, shape in _grid_blocks(free, box):
         hit = np.broadcast_to(_eval_ranged(ast, env, [box]), shape)

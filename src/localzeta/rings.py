@@ -521,15 +521,12 @@ class Ring:
         A = np.asarray(A)
         B = np.asarray(B)
         if self._fast_mod is not None:
-            mod = self._fast_mod
-            # inner dim * (mod-1)^2 < 2^53 always holds under the table cap,
-            # so float64 matmul (BLAS) is exact here, and the integer
-            # remainder of the exact product is much cheaper than fmod
-            if A.shape[-1] * (mod - 1) ** 2 < 2**53:
-                prod = np.matmul(A.astype(np.float64), B.astype(np.float64))
-                return (prod.astype(np.int64) % mod).astype(np.int32)
-            prod = np.matmul(A.astype(np.int64), B.astype(np.int64))
-            return (prod % mod).astype(np.int32)
+            # RING_TABLE_CAP bounds mod by 4096, so inner dim * (mod-1)^2
+            # < 2^53 for every inner dim below 5.3e8: float64 matmul (BLAS)
+            # is exact here, and the integer remainder of the exact product
+            # is much cheaper than fmod
+            prod = np.matmul(A.astype(np.float64), B.astype(np.float64))
+            return (prod.astype(np.int64) % self._fast_mod).astype(np.int32)
         k = A.shape[-1]
         plan = self._kronecker.get(k)
         if plan is None:

@@ -24,7 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from .cache import as_family, table_for
-from .groups import ENUM_CAP, PAIR_SCAN_CAP, Family, IdentityError, TooLarge
+from .groups import (
+    ENUM_CAP,
+    PAIR_SCAN_CAP,
+    Family,
+    IdentityError,
+    TooLarge,
+    parabolic_depths,
+)
 from .laurent import Laurent, exact
 from .rings import crt_split, make_ring
 
@@ -436,21 +443,6 @@ def prop62_consistency(
     }
 
 
-def _lambda_vector(table, sub_tables):
-    """lam[i] = largest k with the level-k projection inside the subgroup."""
-    ring = table.ring
-    lam = np.zeros(table.size, dtype=np.int64)
-    alive = np.ones(table.size, dtype=bool)
-    for k in range(1, ring.m + 1):
-        rows = np.flatnonzero(alive)
-        proj = ring.mat_project(table.mats[rows], k)
-        alive[rows] = sub_tables[k].contains_batch(proj)
-        lam[alive] = k
-        if not alive.any():
-            break
-    return lam
-
-
 def prop73_consistency(
     system, s1, s2, kind, p, f, M, cap=ENUM_CAP, pair_cap=PAIR_SCAN_CAP
 ):
@@ -503,8 +495,8 @@ def prop73_consistency(
         raise TooLarge(
             f"pair scan over {top.size} elements exceeds cap {pair_cap}"
         )
-    lam1 = _lambda_vector(top, subs1)
-    lam2 = _lambda_vector(top, subs2)
+    lam1 = parabolic_depths(top, subs1)
+    lam2 = parabolic_depths(top, subs2)
     mtop = rings[-1].m
     hist = np.zeros(mtop + 1, dtype=np.int64)
     inv_mats = top.mats[top.inv]

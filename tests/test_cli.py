@@ -100,6 +100,39 @@ def test_cache_version_bump_ignores_old_entries(tmp_path, monkeypatch):
     cache.clear_memo()
 
 
+def test_cache_hits_respect_the_cap(tmp_path, monkeypatch):
+    from localzeta.groups import TooLarge
+    from localzeta.rings import make_ring
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the table should come from the cache")
+
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    ring = make_ring("zq", 2, 1, 2)
+    cache.clear_memo()
+    try:
+        assert cache.table_for("heisenberg", ring).size == 64
+        load = cache._load_disk
+        monkeypatch.setattr(cache.Family, "table", unreachable)
+        monkeypatch.setattr(cache, "_load_disk", unreachable)
+        with pytest.raises(TooLarge):  # memo hit
+            cache.table_for("heisenberg", ring, cap=63)
+        monkeypatch.setattr(cache, "_load_disk", load)
+        cache.clear_memo()
+        with pytest.raises(TooLarge):  # disk hit
+            cache.table_for("heisenberg", ring, cap=63)
+        assert cache.table_for("heisenberg", ring, cap=64).size == 64
+    finally:
+        cache.clear_memo()
+
+
+def test_warm_cache_keeps_the_cap_exit_code(tmp_path):
+    env = {"ZETA_CACHE_DIR": str(tmp_path)}
+    assert run_cli(CC_ARGS, env).returncode == 0
+    assert list(tmp_path.glob("table-*.npz"))
+    assert run_cli(CC_ARGS + ["--cap", "10"], env).returncode == 3
+
+
 def test_exit_codes():
     assert run_cli(["cc", "--group", "heisenberg",
                     "--ring", "zn:n=6"]).returncode == 2

@@ -22,8 +22,8 @@ from localzeta.groups import (
     IdentityError,
     TooLarge,
     generate,
-    parabolic_depth,
     parabolic_depth_coset,
+    parabolic_depths,
 )
 from localzeta.rings import parse_ring
 
@@ -243,23 +243,23 @@ def test_parabolic_depth_a1_z4():
         2: table("borel:A1", lit),
     }
     B2 = subs[2]
+    lam = parabolic_depths(G, subs)
+    assert lam.shape == (G.size,)
     # x in P_S at full level -> depth m
     for y in range(0, B2.size, 3):
         gi = G.lookup(B2.mats[y])
-        assert parabolic_depth(gi, G, subs) == 2
+        assert lam[gi] == 2
     # the promised example: x_{-a}(2) has depth exactly 1
     cg = Family("chevalley:A1").cg
     neg = cg.rs.negative(cg.rs.positive[0])
     x = cg.x(G.ring, neg, 2)
-    assert parabolic_depth(G.lookup(x), G, subs) == 1
+    assert lam[G.lookup(x)] == 1
     # residue image outside the parabolic -> depth 0
     x0 = cg.x(G.ring, neg, 1)
-    assert parabolic_depth(G.lookup(x0), G, subs) == 0
+    assert lam[G.lookup(x0)] == 0
     # coset-representative formula agrees everywhere
     for gi in range(G.size):
-        a = parabolic_depth(gi, G, subs)
-        b = parabolic_depth_coset(gi, G, B2)
-        assert a == b
+        assert lam[gi] == parabolic_depth_coset(gi, G, B2)
 
 
 def test_projection_between_levels():

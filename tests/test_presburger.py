@@ -300,6 +300,45 @@ def test_qe_random_corpus_agrees_on_boxes():
     assert total >= 200
 
 
+# repr of the eliminated formula and the number of its cells, recorded
+# before QE and cells shared one literal traversal; a full repr where it
+# is short, else its sha256
+QE_GOLDEN = [
+    ("exists k (n = 2*k + 1) and n >= 0",
+     "('and', ('cong', 1*n + -1, 2), ('le', -1*n + 0))", 1),
+    ("exists k (l = 3*k and 0 <= k and k <= n) and n >= 0",
+     "2aecbaa129d3b00ee262ba2bac515ad16cbef797436cf3467738c78f6e1147ed", 4),
+    ("exists k (2*k <= n and n <= 2*k + 1 and k != 1 mod 2)",
+     "('or', ('and', ('ncong', 1*n + -3, 4), ('cong', 1*n + -1, 2)),"
+     " ('and', ('ncong', 1*n + -2, 4), ('cong', 1*n + 0, 2)))", 3),
+    ("forall k (k <= 0 or n + k >= 3) and n <= 5",
+     "('and', ('le', -1*n + 2), ('le', 1*n + -5))", 1),
+    ("not exists k (3*k = n) and n >= 0",
+     "('and', ('ncong', 1*n + 0, 3), ('le', -1*n + 0))", 1),
+    ("exists a (exists b (x = 2*a + 3*b and a >= 0 and b >= 0))",
+     "e325a07d640fa173ce4c7143ec6c9e163e15a19c6332965de11206fb2055292f", 191),
+    ("forall a (exists b (a + b = x mod 3 or a <= x))", "('true',)", 1),
+]
+
+
+@pytest.mark.parametrize("formula,golden,ncells", QE_GOLDEN)
+def test_qe_and_cells_golden(formula, golden, ncells):
+    qf = eliminate_quantifiers(formula)
+    got = repr(qf.ast)
+    if not golden.startswith("("):
+        got = hashlib.sha256(got.encode()).hexdigest()
+    assert got == golden
+    assert len(cells(simplify(nnf(qf.ast)))) == ncells
+
+
+def test_map_literals_needs_quantifier_free_nnf():
+    lit = ("le", LinForm({"x": 1}, -1))
+    for ast in [("not", lit), ("exists", "x", lit),
+                ("and", lit, ("forall", "y", lit))]:
+        with pytest.raises(PresburgerError):
+            presburger._map_literals(ast, lambda l: l)
+
+
 # ----------------------------------------------------------------------
 # disjoint cells
 
@@ -395,6 +434,11 @@ def test_sum_errors():
         sum_rational(SummationSpec("n <= 5", "q^(-n*s)"))
     with pytest.raises(Divergent):
         sum_rational(SummationSpec("n >= 0", "q^(0*n)"))
+    with pytest.raises(Divergent):
+        # x is summed over Z although simplification drops its literal
+        sum_rational(
+            SummationSpec("n >= 0 and (x <= 0 or 0 <= 0)", "q^(-n*s)")
+        )
     with pytest.raises(VariableBudget):
         sum_rational(SummationSpec(
             "a >= 0 and b >= 0 and c >= 0 and d >= 0 and e >= 0"
