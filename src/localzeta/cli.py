@@ -27,6 +27,7 @@ from . import zeta as zt
 from .groups import ENUM_CAP, IdentityError, TooLarge
 from .igusa import igusa_truncation, parse_poly
 from .presburger import (
+    CellBudget,
     Divergent,
     ModulusBudget,
     SummationSpec,
@@ -292,7 +293,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.fn(args)
-    except (TooLarge, Divergent, VariableBudget, ModulusBudget) as exc:
+    except (TooLarge, Divergent, VariableBudget, ModulusBudget,
+            CellBudget) as exc:
         sys.stderr.write(f"budget error: {exc}\n")
         return 3
     except IdentityError as exc:

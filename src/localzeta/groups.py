@@ -1,14 +1,15 @@
 """Exhaustive enumeration of matrix groups over finite rings.
 
 A GroupTable is a fully enumerated finite group of d x d matrices over one
-of the rings from :mod:`localzeta.rings`, with tracked inverses and the
-right-regular table ``rho`` of every product x * g that the enumeration
-formed.  Matrices are found by packed integer keys: the entries of a
-matrix, bit-packed into uint64 words and folded into one uint64 when there
-are several words, are looked up in the table's sorted key array, and
-every hit is confirmed entry by entry.  On top of the table sit the
-counting routines used by the zeta layer; their group actions are integer
-gathers on ``rho`` and the inverse map, with no matrix product:
+of the rings from :mod:`localzeta.rings`, with the right-regular table
+``rho`` of every product x * g that the enumeration formed, and the
+inverse map that gathers on ``rho`` give.  Matrices are found by packed
+integer keys: the entries of a matrix, bit-packed into uint64 words and
+folded into one uint64 when there are several words, are looked up in the
+table's sorted key array, and every hit is confirmed entry by entry.  On
+top of the table sit the counting routines used by the zeta layer; their
+group actions are integer gathers on ``rho`` and the inverse map, with no
+matrix product:
 
 * conjugacy classes by orbit partition under generator conjugation,
   cross-checkable against the commuting-pair count (class count times group
@@ -157,16 +158,6 @@ class _KeyRuns:
         return run
 
 
-def _find(mats, skeys, sidx, keys, queries):
-    """(index, found) of every query matrix with the given keys, in a
-    table with these mats and sorted keys; the index is meaningful only
-    where found, and found means equal entry by entry."""
-    pos, hit = _sorted_lookup(skeys, keys)
-    idx = sidx[pos].astype(np.int64)
-    hit &= (mats[idx] == queries).all(axis=(1, 2))
-    return idx, hit
-
-
 def inverse_perm(perm):
     """The inverse of a permutation given as an index array."""
     out = np.empty_like(perm)
@@ -181,7 +172,8 @@ class GroupTable:
     every action the counting layer needs is a gather on ``rho`` and
     ``inv``: right multiplication by ``g^-1`` is the inverse permutation of
     ``rho[:, c]``, left multiplication is ``inv[rho_g^-1[inv[x]]]``, and
-    conjugation composes the two.
+    conjugation composes the two.  ``inv`` itself comes from ``rho`` and
+    the enumeration's search tree (``_inverses``).
     """
 
     def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
@@ -215,10 +207,14 @@ class GroupTable:
         return self._sorted
 
     def _locate(self, mats):
-        """(index, found) for every matrix of an (n, d, d) stack."""
+        """(index, found) for every matrix of an (n, d, d) stack; found
+        means equal entry by entry, and only then is the index meaningful."""
         mats = np.asarray(mats)
         skeys, sidx = self._sorted_keys()
-        return _find(self.mats, skeys, sidx, self._pack(mats), mats)
+        pos, hit = _sorted_lookup(skeys, self._pack(mats))
+        idx = sidx[pos].astype(np.int64)
+        hit &= (self.mats[idx] == mats).all(axis=(1, 2))
+        return idx, hit
 
     def lookup_batch(self, mats):
         idx, found = self._locate(mats)
@@ -465,19 +461,6 @@ class GroupTable:
 # enumeration
 
 
-def _matrix_order_inverse(ring, mat, cap=200_000):
-    ident = ring.identity_mat(mat.shape[0])
-    prev = mat
-    for _ in range(cap):
-        if (prev == ident).all():
-            return ident.copy()
-        nxt = ring.mat_mul(prev, mat)
-        if (nxt == ident).all():
-            return prev
-        prev = nxt
-    raise GroupsError("generator has no finite order under cap (not a unit?)")
-
-
 def _canonical_generators(generators):
     """(provenance, int32 matrix) pairs sorted by encode_mat, each matrix
     once, with the provenance it first came with."""
@@ -512,6 +495,28 @@ def _pieces(ngens, width, per):
                 yield c, c + 1, r0, min(width, r0 + per)
 
 
+def _inverses(rho, parent, letter, layers):
+    """Every element's inverse index, by gathers on rho along the BFS
+    tree, a Schreier vector: x = parent[x] g_letter[x] for x > 0, and the
+    identity 0 is alone in the first of the (lo, hi) layers.  g_c^-1 y
+    starts from the x with rho[x, c] = 0 and follows the tree, as
+    (g_c^-1 parent(y)) g_letter(y); then x^-1 = g^-1 parent(x)^-1."""
+    left = np.empty(rho.shape[::-1], rho.dtype)  # left[c, y] = g_c^-1 y
+    for c, row in enumerate(left):
+        to_one = np.flatnonzero(rho[:, c] == 0)
+        if not to_one.size:
+            raise GroupsError(f"generator {c} never reaches the identity")
+        row[0] = to_one[0]
+        for lo, hi in layers[1:]:
+            row[lo:hi] = rho[row[parent[lo:hi]], letter[lo:hi]]
+    inv = np.zeros(rho.shape[0], dtype=np.int64)
+    for lo, hi in layers[1:]:
+        inv[lo:hi] = left[letter[lo:hi], inv[parent[lo:hi]]]
+    if not (inv[inv] == np.arange(inv.size)).all():
+        raise IdentityError("the derived inverse map is not an involution")
+    return inv
+
+
 def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
     """Breadth-first closure of the generator list.
 
@@ -521,27 +526,26 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
     in pieces of at most PIECE multiply-adds, and looks their keys up in the
     sorted keys of the elements found so far; new elements are numbered in
     the order they first occur, so two runs produce identical tables.
-    Every product is kept as the right-regular table rho.  Every product is
-    also compared entry by entry with the element it was numbered as, so a
-    key collision raises IdentityError and never merges two matrices.
+    Every product is kept as the right-regular table rho, and is compared
+    entry by entry with the element it was numbered as, so a key collision
+    raises IdentityError and never merges two matrices.  These N * ngens
+    products are the only matrix products; inverses are gathers on rho.
     Raises TooLarge in the piece that finds the (cap + 1)-th element.
     """
     gens = _canonical_generators(generators)
     ngens = len(gens)
     d = gens[0][1].shape[0] if gens else 1
     gen_mats = np.array([g for _, g in gens], dtype=np.int32)
-    gen_invs = np.array(
-        [_matrix_order_inverse(ring, g) for _, g in gens], dtype=np.int32
-    )
     pack = _Packing(ring, d)
 
-    # the first `size` rows of mats and invs are the elements found so far
-    # and their inverse matrices; runs holds their keys
-    mats = invs = ring.identity_mat(d)[None]
+    # the first `size` rows of mats are the elements found so far, runs
+    # holds their keys, and element x > 0 is parent[x] * gen_mats[letter[x]]
+    mats = ring.identity_mat(d)[None]
     runs = _KeyRuns(pack(mats), np.zeros(1, dtype=np.int32))
+    parent, letter = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
     size, lo = 1, 0
     per = max(1, PIECE // d**3)
-    rho = []
+    rho, layers = [], []
     while lo < size:
         # the frontier is lo..size-1, the elements the last layer found
         width = size - lo
@@ -564,13 +568,10 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
                 raise TooLarge(f"group {name} exceeded cap: reached {cap + 1}")
             uid[fresh] = np.arange(size, size + fresh.size)
             col, row = np.divmod(first[fresh], r1 - r0)
+            parent.append(lo + r0 + row)
+            letter.append(c0 + col)
             mats = _room(mats, size, size + fresh.size)
-            invs = _room(invs, size, size + fresh.size)
             mats[size:size + fresh.size] = prod[first[fresh]]
-            # (x g)^-1 = g^-1 x^-1
-            invs[size:size + fresh.size] = ring.mat_mul(
-                gen_invs[c0 + col], invs[lo + r0 + row]
-            )
             size += fresh.size
             ids = np.empty(keys.shape[0], dtype=np.int64)
             ids[order] = uid[np.cumsum(head) - 1]
@@ -579,18 +580,17 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
             block[c0:c1, r0:r1] = ids.reshape(c1 - c0, r1 - r0)
             runs.add(ukeys[new], uid[new].astype(np.int32))
         rho.append(block.T)
+        layers.append((lo, lo + width))
         lo += width
     if mats.shape[0] > size:
         mats = mats[:size].copy()
-    invs = invs[:size]
-    skeys, sidx = runs.merged()
-    inv_idx, found = _find(mats, skeys, sidx, pack(invs), invs)
-    if not found.all():
-        raise IdentityError(f"an inverse is missing from {name}")
+    rho = np.concatenate(rho)
+    inv = _inverses(rho, np.concatenate(parent), np.concatenate(letter),
+                    layers)
     return GroupTable(
-        ring, mats, inv_idx, np.concatenate(rho), gens, name,
+        ring, mats, inv, rho, gens, name,
         dim_scheme if dim_scheme is not None else d,
-        sorted_keys=(skeys, sidx),
+        sorted_keys=runs.merged(),
     )
 
 

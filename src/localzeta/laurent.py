@@ -74,16 +74,6 @@ class Laurent:
     def is_zero(self):
         return not self.terms
 
-    def is_const(self):
-        return all(all(x == 0 for x in e) for e in self.terms)
-
-    def const_value(self):
-        if not self.terms:
-            return 0
-        if not self.is_const():
-            raise ValueError("not a constant")
-        return next(iter(self.terms.values()))
-
     # ------------------------------------------------------------------
 
     def _check(self, other):

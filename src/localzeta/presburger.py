@@ -30,6 +30,7 @@ from .zeta import BivariateRational, ZetaSeries, _factor_poly
 
 VAR_BUDGET = 4
 MODULUS_BUDGET = 64
+CELL_BUDGET = 4096  # the most cells of any test, verify or bench spec: 191
 
 RESERVED = {"and", "or", "not", "exists", "forall", "mod", "q", "s"}
 
@@ -47,6 +48,10 @@ class VariableBudget(PresburgerError):
 
 
 class ModulusBudget(PresburgerError):
+    pass
+
+
+class CellBudget(PresburgerError):
     pass
 
 
@@ -692,6 +697,27 @@ def eliminate_quantifiers(formula) -> PresburgerFormula:
 # disjoint cells
 
 
+def _cell_counts(ast):
+    """(len(cells(ast)), len(cells(not ast))), without building a cell."""
+    op = ast[0]
+    if op in ("le", "cong", "ncong"):
+        ground = _ground_literal(ast)
+        if ground is None:
+            return 1, 1
+        op = ground[0]
+    if op in ("true", "false"):
+        return (1, 0) if op == "true" else (0, 1)
+    if op == "not":
+        return _cell_counts(ast[1])[::-1]
+    if op in ("and", "or"):
+        a, not_a = _cell_counts(ast[1])
+        b, not_b = _cell_counts(ast[2])
+        if op == "and":
+            return a * b, not_a + a * not_b
+        return a + not_a * b, not_a * not_b
+    raise PresburgerError("cells need a quantifier-free formula")
+
+
 def cells(ast):
     """Disjoint conjunctions of literals covering exactly the formula."""
     op = ast[0]
@@ -1195,6 +1221,10 @@ def _ground_terms(spec: SummationSpec):
             raise ModulusBudget(
                 f"modulus {lit[2]} exceeds budget {MODULUS_BUDGET}"
             )
+    # the count bounds every list that cells builds of a simplified formula
+    ncells = _cell_counts(ast)[0]
+    if ncells > CELL_BUDGET:
+        raise CellBudget(f"{ncells} cells exceed budget {CELL_BUDGET}")
     order = _variable_order(free, spec.A, spec.B)
     ctx = {"sigma": []}
     cell_list = cells(ast)

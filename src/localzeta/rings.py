@@ -49,6 +49,7 @@ NEG, INV), which keeps matrix work over these rings vectorizable.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -65,17 +66,6 @@ class RingError(ValueError):
 
 class NotAUnit(RingError):
     pass
-
-
-def _poly_mul_mod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _poly_rem_mod_p(a, b, p):
@@ -128,15 +118,22 @@ def find_modulus(p: int, f: int) -> tuple:
     raise RingError(f"no irreducible modulus of degree {f} over F_{p}")
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
+def _factor(n):
+    """[(p, e), ...] with n = prod p^e, ascending primes, by trial
+    division; [] for n < 2."""
+    out = []
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
         d += 1
-    return True
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 class Ring:
@@ -145,7 +142,7 @@ class Ring:
     def __init__(self, kind, p=None, f=None, m=None, n=None):
         self.kind = kind
         if kind in ("zq", "fqt"):
-            if not (_is_prime(p) and f >= 1 and m >= 1):
+            if _factor(p) != [(p, 1)] or f < 1 or m < 1:
                 raise RingError(f"bad parameters p={p}, f={f}, m={m}")
             self.p, self.f, self.m = p, f, m
             self.q = p**f
@@ -311,9 +308,6 @@ class Ring:
 
     def add(self, a, b):
         return int(self.ADD[a, b])
-
-    def sub(self, a, b):
-        return int(self.ADD[a, self.NEG[b]])
 
     def neg(self, a):
         return int(self.NEG[a])
@@ -540,9 +534,6 @@ class Ring:
         B = np.asarray(B)
         return self.ADD[np.asarray(A), self.NEG[B]].astype(np.int32)
 
-    def mat_neg(self, A):
-        return self.NEG[np.asarray(A)].astype(np.int32)
-
     def mat_project(self, A, k):
         return self.project_table(k)[np.asarray(A)].astype(np.int32)
 
@@ -717,25 +708,8 @@ def parse_ring(text: str) -> Ring:
 
 def crt_split(n):
     """Coprime factorization n = prod p^e, ascending primes."""
-    parts = []
-    rem = n
-    d = 2
-    while d * d <= rem:
-        if rem % d == 0:
-            pe = 1
-            while rem % d == 0:
-                pe *= d
-                rem //= d
-            parts.append(pe)
-        d += 1
-    if rem > 1:
-        parts.append(rem)
-    return parts
+    return [p**e for p, e in _factor(n)]
 
 
 def euler_phi(n):
-    out = n
-    for pe in crt_split(n):
-        p = min(p for p in range(2, pe + 1) if pe % p == 0)
-        out = out // pe * (pe - pe // p)
-    return out
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factor(n))

@@ -9,7 +9,7 @@ import pytest
 from localzeta import cache, cli
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("ZETA_CACHE_DIR", None)
     if env_extra:
@@ -18,6 +18,7 @@ def run_cli(args, env_extra=None):
         [sys.executable, "-m", "localzeta.cli", *args],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -144,6 +145,15 @@ def test_exit_codes():
     # whose lifting would evaluate about 6.7e9 points
     assert run_cli(["igusa", "--poly", DET3,
                     "--ring", "fqt:p=2,f=1,m=5"]).returncode == 3
+    # quantifier elimination turns this formula into about 3.7e63 cells,
+    # which the cell budget refuses before building any of them
+    proc = run_cli(["presburger", "--sum", "q^(-x*s)", "--where",
+                    "exists k ((2*k + x >= 8 and k + 7 != 2*x mod 4)"
+                    " or not 2*x + 4 <= 0 or (2*x - 4 <= k and 2*x + 4 <= 2*k"
+                    " and (4 - 2*x != k mod 3 or 2*k + 2*x + 8 <= 0)))"],
+                   timeout=30)
+    assert proc.returncode == 3
+    assert b"cells exceed budget 4096" in proc.stderr
 
 
 def test_igusa_three_by_three_at_level_three():

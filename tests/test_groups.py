@@ -10,11 +10,12 @@ plain Burnside on the enumerated tables).
 import contextlib
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
 
-from localzeta import cache, cli, groups
+from localzeta import cache, cli, groups, rings
 from localzeta.groups import (
     Family,
     GroupsError,
@@ -61,11 +62,47 @@ def test_lemma61_scaling_a1():
 
 def test_inverses_are_correct():
     for fam, lit in [("chevalley:A1", "zq:p=3,f=1,m=2"),
-                     ("heisenberg", "zq:p=2,f=1,m=2")]:
+                     ("heisenberg", "zq:p=2,f=1,m=2"),
+                     ("chevalley:A1", "fqt:p=2,f=2,m=1"),
+                     ("chevalley:A1", "zq:p=2,f=2,m=2"),
+                     ("heisenberg", "zn:n=6"),
+                     ("parabolic:B2:a1", "fqt:p=2,f=1,m=1"),
+                     ("torus:A2", "zq:p=3,f=1,m=2")]:
         G = table(fam, lit)
         prod = G.ring.mat_mul(G.mats, G.mats[G.inv])
         ident = G.ring.identity_mat(G.d)
         assert (prod == ident[None]).all()
+
+
+def test_generate_forms_only_the_frontier_products(monkeypatch):
+    # one product x * g per element and generator; the inverses are
+    # gathers on rho, not matrix products
+    real, formed = rings.Ring.mat_mul, []
+
+    def counting(self, A, B):
+        out = real(self, A, B)
+        formed.append(math.prod(out.shape[:-2]))
+        return out
+
+    monkeypatch.setattr(rings.Ring, "mat_mul", counting)
+    for fam, lit in [("chevalley:A1", "zq:p=3,f=1,m=2"),
+                     ("parabolic:B2:a1", "fqt:p=2,f=1,m=2")]:
+        formed.clear()
+        G = table(fam, lit)
+        assert sum(formed) == G.size * len(G.generators)
+
+
+def test_inverses_reject_a_table_that_is_no_group():
+    # x -> x g never reaches the identity: g is not a unit
+    with pytest.raises(GroupsError, match="never reaches the identity"):
+        groups._inverses(np.array([[1], [1]], dtype=np.int32),
+                         np.zeros(2, np.int64), np.zeros(2, np.int64),
+                         [(0, 1), (1, 2)])
+    # both columns reach the identity, but neither is a permutation
+    rho = np.array([[0, 1], [2, 0], [0, 0]], dtype=np.int32)
+    with pytest.raises(IdentityError, match="not an involution"):
+        groups._inverses(rho, np.array([0, 0, 1]), np.array([0, 1, 0]),
+                         [(0, 1), (1, 2), (2, 3)])
 
 
 def test_heisenberg_orders_and_classes():

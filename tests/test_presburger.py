@@ -10,6 +10,7 @@ import pytest
 from localzeta import presburger
 from localzeta.laurent import Laurent
 from localzeta.presburger import (
+    CellBudget,
     Divergent,
     LinForm,
     Poly,
@@ -328,7 +329,9 @@ def test_qe_and_cells_golden(formula, golden, ncells):
     if not golden.startswith("("):
         got = hashlib.sha256(got.encode()).hexdigest()
     assert got == golden
-    assert len(cells(simplify(nnf(qf.ast)))) == ncells
+    ast = simplify(nnf(qf.ast))
+    assert len(cells(ast)) == ncells
+    assert presburger._cell_counts(ast)[0] == ncells
 
 
 def test_map_literals_needs_quantifier_free_nnf():
@@ -358,6 +361,8 @@ def test_cells_partition_solution_set():
             count += hit
         # disjoint and covering: multiplicity equals the indicator
         assert np.array_equal(count, want.astype(np.int64))
+        assert presburger._cell_counts(ast) == (
+            len(cells(ast)), len(cells(nnf(ast, neg=True))))
 
 
 # ----------------------------------------------------------------------
@@ -447,6 +452,11 @@ def test_sum_errors():
         ))
     with pytest.raises(ModulusBudget):
         sum_rational(SummationSpec("n >= 0 and n = 0 mod 128", "q^(-n*s)"))
+    with pytest.raises(CellBudget):
+        # 13 independent disjunctions: 2^13 cells
+        sum_rational(SummationSpec(
+            " and ".join(f"(n >= {k} or n <= -{k})" for k in range(1, 14)),
+            "q^(-n*s)"))
     with pytest.raises(PresburgerError):
         SummationSpec("0 <= 0", "q^(-n*s)")  # n is not free
 
