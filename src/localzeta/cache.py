@@ -35,6 +35,10 @@ def clear_memo():
     _memo.clear()
 
 
+def _memo_key(fam: Family, ring):
+    return (fam.text, fam.include_torus, ring.key())
+
+
 def _disk_key(fam: Family, ring) -> str:
     payload = json.dumps(
         [
@@ -159,14 +163,22 @@ def _store_disk(fam: Family, ring, table: GroupTable):
 
 
 def table_for(family, ring, cap=ENUM_CAP) -> GroupTable:
-    """Enumerate (or fetch) the table of a family over a ring."""
+    """Enumerate (or fetch) the table of a family over a ring.
+
+    An enumeration at level m >= 2 of ``zq`` or ``fqt`` runs over the
+    level-(m-1) table when the memo holds it, as it does when the levels
+    are fetched in order; a memo or disk hit enumerates nothing."""
     fam = as_family(family)
-    key = (fam.text, fam.include_torus, ring.key())
+    key = _memo_key(fam, ring)
     table = _memo.get(key)
     if table is None:
         table = _load_disk(fam, ring)
         if table is None:
-            table = fam.table(ring, cap=cap)
+            lower = None
+            if fam.has_tower(ring):
+                below = ring.subring_level(ring.m - 1)
+                lower = _memo.get(_memo_key(fam, below))
+            table = fam.table(ring, cap=cap, lower=lower)
             _store_disk(fam, ring, table)
         _memo[key] = table
     # a table stored under a larger cap must not slip past this one

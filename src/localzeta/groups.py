@@ -3,13 +3,26 @@
 A GroupTable is a fully enumerated finite group of d x d matrices over one
 of the rings from :mod:`localzeta.rings`, with the right-regular table
 ``rho`` of every product x * g that the enumeration formed, and the
-inverse map that gathers on ``rho`` give.  Matrices are found by packed
-integer keys: the entries of a matrix, bit-packed into uint64 words and
-folded into one uint64 when there are several words, are looked up in the
-table's sorted key array, and every hit is confirmed entry by entry.  On
-top of the table sit the counting routines used by the zeta layer; their
-group actions are integer gathers on ``rho`` and the inverse map, with no
-matrix product:
+inverse map that gathers on ``rho`` give.
+
+The enumeration files each product under the id of its element by one of
+two routes.  Over ``zq`` and ``fqt`` at level m >= 2, given the level-(m-1)
+table, an element x over the lower element i has the dense id
+i |V| + its top pi-adic digits at the pivots of V s_r (congruence-kernel
+coordinates, ``_KernelIndex``): G(R_m) -> G(R_{m-1}) is onto with kernel
+I + pi^(m-1) V, |V| = q^dim_scheme, and s_r is the residue of i.  Level-1
+tables and ``zn`` have no such tower and keep packed integer keys
+(``_KeyIndex``): the entries of a matrix, bit-packed into uint64 words
+and folded into one uint64 when there are several words, are looked up
+in sorted keys.  ``lookup_batch`` and ``contains_batch`` search a table's
+sorted keys, built on first use, for either route.  Every product is
+confirmed entry by entry against the element it is filed as, and the
+kernel elements are checked to lie on I + pi^(m-1) V, so a wrong V or a
+key collision raises IdentityError instead of mis-filing an element.
+
+On top of the table sit the counting routines used by the zeta layer;
+their group actions are integer gathers on ``rho`` and the inverse map,
+with no matrix product:
 
 * conjugacy classes by orbit partition under generator conjugation,
   cross-checkable against the commuting-pair count (class count times group
@@ -119,45 +132,6 @@ def _merge(run, into):
     return np.insert(into[0], at, run[0]), np.insert(into[1], at, run[1])
 
 
-class _KeyRuns:
-    """Distinct keys with their element indices, as sorted runs.
-
-    The last two runs are merged while the older is at most twice the
-    newer, so each run is more than twice the next, there are at most
-    log2(N) + 1 runs, and a key's run grows 1.5-fold at each merge it
-    takes part in.
-    """
-
-    def __init__(self, keys, idx):
-        self.runs = [(keys, idx)]
-
-    def add(self, keys, idx):
-        """Add sorted keys, none of them present yet."""
-        if not keys.size:
-            return
-        self.runs.append((keys, idx))
-        while (len(self.runs) > 1
-               and self.runs[-2][0].size <= 2 * self.runs[-1][0].size):
-            self.runs.append(_merge(self.runs.pop(), self.runs.pop()))
-
-    def find(self, keys):
-        """(index, hit) of every key; the index is meaningful on a hit."""
-        idx = np.zeros(keys.shape[0], dtype=np.int64)
-        hit = np.zeros(keys.shape[0], dtype=bool)
-        for run_keys, run_idx in self.runs:
-            pos, here = _sorted_lookup(run_keys, keys)
-            idx[here] = run_idx[pos[here]]
-            hit |= here
-        return idx, hit
-
-    def merged(self):
-        """Every key in one sorted run: (keys, indices)."""
-        run = self.runs[-1]
-        for other in self.runs[-2::-1]:
-            run = _merge(run, other)
-        return run
-
-
 def inverse_perm(perm):
     """The inverse of a permutation given as an index array."""
     out = np.empty_like(perm)
@@ -176,8 +150,7 @@ class GroupTable:
     the enumeration's search tree (``_inverses``).
     """
 
-    def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
-                 sorted_keys=None):
+    def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme):
         self.ring = ring
         self.mats = mats  # (N, d, d) int32
         self.inv = inv  # (N,) int64 index of inverse
@@ -188,7 +161,7 @@ class GroupTable:
         self.d = mats.shape[1]
         self._pack = _Packing(ring, self.d)
         # (sorted keys, their element indices), built on first use
-        self._sorted = sorted_keys
+        self._sorted = None
         self._labels = None
 
     @property
@@ -321,9 +294,6 @@ class GroupTable:
     def class_count(self):
         return int(self.conjugation_labels().max()) + 1
 
-    def class_sizes(self):
-        return sorted(np.bincount(self.conjugation_labels()).tolist())
-
     def commuting_pairs(self, cap=PAIR_SCAN_CAP):
         """#{(x,y) : xy = yx} by direct scan (independent of orbits)."""
         n = self.size
@@ -437,19 +407,6 @@ class GroupTable:
         # cumulative from the top: entries with w == k count for all k' <= k
         return np.cumsum(hist[::-1])[::-1]
 
-    # ------------------------------------------------------------------
-
-    def project_onto(self, lower: "GroupTable"):
-        """Index map from this table onto the lower-level table.
-
-        Raises if any projected element is missing (the reduction maps of
-        generated groups are expected to be surjective; missing targets
-        mean the tables were built incompatibly).
-        """
-        k = lower.ring.m
-        proj = self.ring.mat_project(self.mats, k)
-        return lower.lookup_batch(proj)
-
     def __repr__(self):
         return (
             f"GroupTable({self.name}, |G|={self.size}, d={self.d}, "
@@ -517,31 +474,264 @@ def _inverses(rho, parent, letter, layers):
     return inv
 
 
-def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
+class _KeyIndex:
+    """Element ids by packed keys, the route of level-1 tables, of ``zn``
+    and of a level enumerated without its lower table.
+
+    The keys of the elements found so far are kept as sorted runs of
+    (keys, ids).  The last two runs are merged while the older is at most
+    twice the newer, so each run is more than twice the next, there are at
+    most log2(N) + 1 runs, and a key's run grows 1.5-fold at each merge it
+    takes part in.  Each piece's keys are sorted and looked up in every
+    run; new keys are numbered in the order they first occur.
+    """
+
+    def __init__(self, ring, d):
+        self.pack = _Packing(ring, d)
+        self.runs = [(self.pack(ring.identity_mat(d)[None]),
+                      np.zeros(1, dtype=np.int32))]
+
+    def file(self, prod, rows, c0, c1, size):
+        """(ids, fresh): the element id of every product, new elements
+        numbered from size, and the positions of the new elements' first
+        occurrences, ascending."""
+        keys = self.pack(prod)
+        # the distinct keys, ascending, each with its first occurrence
+        order = np.argsort(keys, kind="stable")
+        ks = keys[order]
+        head = np.ones(ks.shape[0], dtype=bool)
+        np.not_equal(ks[1:], ks[:-1], out=head[1:])
+        ukeys, first = ks[head], order[head]
+        uid = np.zeros(ukeys.shape[0], dtype=np.int64)
+        old = np.zeros(ukeys.shape[0], dtype=bool)
+        for run_keys, run_ids in self.runs:
+            pos, here = _sorted_lookup(run_keys, ukeys)
+            uid[here] = run_ids[pos[here]]
+            old |= here
+        new = np.flatnonzero(~old)
+        fresh = new[np.argsort(first[new])]
+        uid[fresh] = np.arange(size, size + fresh.size)
+        if new.size:
+            self.runs.append((ukeys[new], uid[new].astype(np.int32)))
+            while (len(self.runs) > 1
+                   and self.runs[-2][0].size <= 2 * self.runs[-1][0].size):
+                self.runs.append(_merge(self.runs.pop(), self.runs.pop()))
+        ids = np.empty(keys.shape[0], dtype=np.int64)
+        ids[order] = uid[np.cumsum(head) - 1]
+        return ids, first[fresh]
+
+
+def _echelon(rows, p):
+    """Reduced row echelon forms modulo p of an (R, n, L) stack.
+
+    Returns (rank, pivots, forms): rank (R,), pivots (R, n) whose first
+    rank entries are the pivot columns, ascending, and forms (R, n, L)
+    whose first rank rows are the reduced basis."""
+    A = np.asarray(rows, dtype=np.int64) % p
+    R, n, L = A.shape
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], np.int64)
+    rank = np.zeros(R, dtype=np.int64)
+    piv = np.zeros((R, n), dtype=np.int64)
+    below = np.arange(n)
+    for col in range(L):
+        cand = (A[:, :, col] != 0) & (below >= rank[:, None])
+        hit = np.flatnonzero(cand.any(axis=1))
+        if not hit.size:
+            continue
+        src, dst = cand[hit].argmax(axis=1), rank[hit]
+        row = A[hit, src] * inv[A[hit, src, col]][:, None] % p
+        A[hit, src] = A[hit, dst]
+        A[hit] = (A[hit] - A[hit, :, col][:, :, None] * row[:, None]) % p
+        A[hit, dst] = row
+        piv[hit, dst] = col
+        rank[hit] += 1
+    return rank, piv, A
+
+
+def _kernel_basis(ring, kernel):
+    """(basis, pivots): the reduced echelon F_p-basis, as (n, d*d*f) digit
+    rows, of V, the span of the top digits D(k) = X over the kernel
+    generators k = I + pi^(m-1) X (D(I) = 0 at level m >= 2), and its
+    pivot columns."""
+    rows = ring.top_digits()[np.asarray(kernel)].reshape(len(kernel), -1)
+    rank, piv, forms = _echelon(rows[None], ring.p)
+    return forms[0, :rank[0]], piv[0, :rank[0]]
+
+
+def _residues(lower):
+    """(res, mats): res[i] numbers the residue class mod pi of the lower
+    element i, and mats[r] is the residue matrix of class r."""
+    res = lower.ring.mat_project(lower.mats, 1).astype(np.uint16)
+    flat = np.ascontiguousarray(res.reshape(lower.size, -1))
+    keys = flat.view(np.dtype((np.void, flat.shape[1] * 2))).ravel()
+    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    return cls.astype(np.int32), res[first].astype(np.int32)
+
+
+def _coordinate_pivots(ring, basis, residues):
+    """(R, k): the pivot columns of the reduced echelon basis of V s over
+    F_p for every residue matrix s, vectorised over the residues."""
+    p, f = ring.p, ring.f
+    n, d = basis.shape[0], residues.shape[1]
+    one = ring.subring_level(1)
+    # a digit row is a matrix over F_q = the level-1 ring, digit j on x^j;
+    # X s by the ring's MUL and ADD tables, one inner index at a time
+    X = (basis.reshape(n, d, d, f) * p ** np.arange(f)).sum(axis=-1)
+    prods = np.zeros((len(residues), n, d, d), dtype=np.int64)
+    for c in range(d):
+        prods = one.ADD[prods, one.MUL[X[None, :, :, c, None],
+                                       residues[:, None, None, c]]]
+    rank, piv, _ = _echelon(
+        one.top_digits()[prods].reshape(len(residues), n, -1), p)
+    if (rank != n).any():
+        raise IdentityError("a residue matrix is singular")
+    return piv
+
+
+class _KernelIndex:
+    """Element ids by congruence-kernel coordinates, the route of a level
+    m >= 2 table over ``lower``, the level-(m-1) table of the same family.
+
+    An element x over the lower element i is k s_i, with s_i any element
+    over i and k = I + pi^(m-1) X in the kernel, X in V.  So D(x) - D(s_i)
+    = X s_r, with D the top pi-adic digits and s_r the residue of i: D(x)
+    runs through the coset D(s_i) + V s_r, on which its digits at the
+    pivots of the reduced echelon basis of V s_r are coordinates.  The id
+    of x is read from a dense array of |G_{m-1}| |V| slots at i |V| + those
+    digits (base p), and i itself is a gather: the lower index of y is
+    proj[y], and that of y g is maps[g][proj[y]].
+
+    The elements over the lower identity are the kernel, and x s_i^-1 is
+    one of them, so checking that each of them lies on I + pi^(m-1) V
+    checks every coset: one off V raises IdentityError.  Every product is
+    compared entry by entry with the element filed at its slot, so a wrong
+    V raises and never mis-files.
+    """
+
+    def __init__(self, ring, gen_mats, lower, kernel, name):
+        d = gen_mats.shape[1]
+        low = ring.subring_level(ring.m - 1)
+        if lower.ring is not low or lower.d != d:
+            raise GroupsError(f"{lower.name} is not a level-{low.m} table "
+                              f"for {name}")
+        p, f = ring.p, ring.f
+        self.p, self.name = p, name
+        self.top = ring.top_digits()
+        self.basis, self.kpiv = _kernel_basis(ring, kernel)
+        k = self.basis.shape[0]
+        self.nV = p**k
+        self.res, residues = _residues(lower)
+        piv = _coordinate_pivots(ring, self.basis, residues)
+        # the slot digits are table[off + entry]: table holds digit j of
+        # every ring element times p^c in block c f + j, and off[r, c]
+        # starts the block of the c-th pivot of residue r
+        pent, pdig = np.divmod(piv, f)
+        self.pent = pent.astype(np.int32)
+        self.off = ((np.arange(k) * f + pdig) * ring.size).astype(np.int32)
+        self.table = (self.top.T * p ** np.arange(k)[:, None, None]).ravel()
+        # when every residue has the same pivots, products need no residue
+        self.static = bool((piv == piv[0]).all())
+        # the map i -> proj(i g) of each generator g on the lower table
+        cols = {encode_mat(g): c for c, (_, g) in enumerate(lower.generators)}
+        ident = encode_mat(low.identity_mat(d))
+        per = max(1, PIECE // d**3)  # the most products of one piece
+        self.rows = np.arange(0, per * d * d, d * d, dtype=np.int32)
+        self.maps = []
+        for g in gen_mats:
+            gp = ring.mat_project(g, low.m)
+            key = encode_mat(gp)
+            if key == ident:
+                self.maps.append(None)
+            elif key in cols:
+                self.maps.append(np.ascontiguousarray(lower.rho[:, cols[key]]))
+            else:
+                self.maps.append(np.concatenate([
+                    lower.lookup_batch(low.mat_mul(lower.mats[r:r + per], gp))
+                    for r in range(0, lower.size, per)
+                ]).astype(np.int32))
+        slots = lower.size * self.nV
+        # where[slot] is the element id there, -1 while empty; the identity
+        # is element 0, over the lower identity 0
+        self.where = np.full(slots, -1, dtype=np.int32)
+        self.proj = np.zeros(slots, dtype=np.int32)  # lower index per id
+        self.where[self._slots(ring.identity_mat(d).reshape(1, -1),
+                               np.zeros(1, np.int32))] = 0
+
+    def _slots(self, flat, i):
+        """i |V| + the digits of each row at the pivots of its residue."""
+        if self.static:
+            pent, off = self.pent[0], self.off[0]
+        else:
+            r = self.res[i]
+            pent, off = self.pent[r], self.off[r]
+        ent = flat.take(self.rows[:flat.shape[0], None] + pent)
+        return np.multiply(i, self.nV, dtype=np.int64) \
+            + self.table.take(ent + off).sum(axis=1)
+
+    def file(self, prod, rows, c0, c1, size):
+        """(ids, fresh), as ``_KeyIndex.file``."""
+        flat = prod.reshape(prod.shape[0], -1)
+        py = self.proj[rows]
+        i = np.concatenate([py if g is None else g[py]
+                            for g in self.maps[c0:c1]])
+        slot = self._slots(flat, i)
+        ids = self.where[slot]
+        new = np.flatnonzero(ids < 0)
+        if not new.size:
+            return ids, new
+        # first occurrences by a reverse-order scatter of -2 - position
+        at = slot[new]
+        self.where[at[::-1]] = -2 - new[::-1]
+        fresh = new[self.where[at] == -2 - new]
+        self.where[slot[fresh]] = np.arange(size, size + fresh.size)
+        ids[new] = self.where[at]
+        self.proj[size:size + fresh.size] = i[fresh]
+        kernel = fresh[i[fresh] == 0]
+        if kernel.size:
+            self._check_kernel(flat[kernel])
+        return ids, fresh
+
+    def _check_kernel(self, flat):
+        """IdentityError unless D(x) of every new kernel element x lies in
+        V."""
+        v = self.top[flat].reshape(len(flat), -1)
+        if (v[:, self.kpiv] @ self.basis % self.p != v).any():
+            raise IdentityError(
+                f"an element of {self.name} lies off its kernel coordinates")
+
+
+def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
+             lower=None, kernel=None):
     """Breadth-first closure of the generator list.
 
     generators: list of (provenance, matrix).  Generators are deduplicated
     and sorted by canonical encoding.  Each layer forms its products x * g
     generator-major (the whole frontier times g_0, then times g_1, ...),
-    in pieces of at most PIECE multiply-adds, and looks their keys up in the
-    sorted keys of the elements found so far; new elements are numbered in
-    the order they first occur, so two runs produce identical tables.
-    Every product is kept as the right-regular table rho, and is compared
-    entry by entry with the element it was numbered as, so a key collision
-    raises IdentityError and never merges two matrices.  These N * ngens
-    products are the only matrix products; inverses are gathers on rho.
+    in pieces of at most PIECE multiply-adds, and gives each product the id
+    of its element; new elements are numbered in the order they first
+    occur, so two runs produce identical tables.  Ids come from
+    congruence-kernel coordinates (``_KernelIndex``) when ``lower``, the
+    level-(m-1) table, and ``kernel``, generators of the kernel of
+    G(R_m) -> G(R_{m-1}), are given, and from packed keys (``_KeyIndex``)
+    otherwise; both give the same table.  Every product is kept as the
+    right-regular table rho, and is compared entry by entry with the
+    element it was numbered as, so a key collision raises IdentityError and
+    never merges two matrices.  These N * ngens products are the only
+    matrix products of the enumeration; inverses are gathers on rho.
     Raises TooLarge in the piece that finds the (cap + 1)-th element.
     """
     gens = _canonical_generators(generators)
     ngens = len(gens)
     d = gens[0][1].shape[0] if gens else 1
     gen_mats = np.array([g for _, g in gens], dtype=np.int32)
-    pack = _Packing(ring, d)
+    if lower is None:
+        index = _KeyIndex(ring, d)
+    else:
+        index = _KernelIndex(ring, gen_mats, lower, kernel, name)
 
-    # the first `size` rows of mats are the elements found so far, runs
-    # holds their keys, and element x > 0 is parent[x] * gen_mats[letter[x]]
+    # the first `size` rows of mats are the elements found so far, and
+    # element x > 0 is parent[x] * gen_mats[letter[x]]
     mats = ring.identity_mat(d)[None]
-    runs = _KeyRuns(pack(mats), np.zeros(1, dtype=np.int32))
     parent, letter = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
     size, lo = 1, 0
     per = max(1, PIECE // d**3)
@@ -554,31 +744,19 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
             prod = ring.mat_mul(
                 mats[None, lo + r0:lo + r1], gen_mats[c0:c1, None]
             ).reshape(-1, d, d)
-            keys = pack(prod)
-            # the distinct keys, ascending, each with its first occurrence
-            order = np.argsort(keys, kind="stable")
-            ks = keys[order]
-            head = np.ones(ks.shape[0], dtype=bool)
-            np.not_equal(ks[1:], ks[:-1], out=head[1:])
-            ukeys, first = ks[head], order[head]
-            uid, old = runs.find(ukeys)
-            new = np.flatnonzero(~old)
-            fresh = new[np.argsort(first[new])]
+            ids, fresh = index.file(prod, slice(lo + r0, lo + r1), c0, c1,
+                                    size)
             if size + fresh.size > cap:
                 raise TooLarge(f"group {name} exceeded cap: reached {cap + 1}")
-            uid[fresh] = np.arange(size, size + fresh.size)
-            col, row = np.divmod(first[fresh], r1 - r0)
+            col, row = np.divmod(fresh, r1 - r0)
             parent.append(lo + r0 + row)
             letter.append(c0 + col)
             mats = _room(mats, size, size + fresh.size)
-            mats[size:size + fresh.size] = prod[first[fresh]]
+            mats[size:size + fresh.size] = prod[fresh]
             size += fresh.size
-            ids = np.empty(keys.shape[0], dtype=np.int64)
-            ids[order] = uid[np.cumsum(head) - 1]
             if not (mats[ids] == prod).all():
                 raise IdentityError(f"two matrices of {name} share a key")
             block[c0:c1, r0:r1] = ids.reshape(c1 - c0, r1 - r0)
-            runs.add(ukeys[new], uid[new].astype(np.int32))
         rho.append(block.T)
         layers.append((lo, lo + width))
         lo += width
@@ -590,7 +768,6 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
     return GroupTable(
         ring, mats, inv, rho, gens, name,
         dim_scheme if dim_scheme is not None else d,
-        sorted_keys=runs.merged(),
     )
 
 
@@ -598,9 +775,11 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None):
 # families
 
 
-def _heisenberg_generators(ring):
+def _heisenberg_generators(ring, scalars=None):
+    """e12(t), e23(t), e13(t) for t in scalars, by default the ring's
+    additive generators."""
     gens = []
-    for g in ring.additive_generators():
+    for g in ring.additive_generators() if scalars is None else scalars:
         for pos, tag in (((0, 1), "e12"), ((1, 2), "e23"), ((0, 2), "e13")):
             mat = ring.identity_mat(3)
             mat[pos] = g
@@ -608,23 +787,28 @@ def _heisenberg_generators(ring):
     return gens
 
 
-def _chevalley_generators(cg, ring, roots, include_torus):
+def _chevalley_generators(cg, ring, roots, include_torus, scalars=None,
+                          units=None):
+    """x_v(t) for the roots v and t in scalars, then, with the torus,
+    tau_b(u) for the simple roots b and u in units; by default the ring's
+    additive and unit generators."""
     rs = cg.rs
     gens = []
     for v in roots:
-        for t in ring.additive_generators():
+        for t in ring.additive_generators() if scalars is None else scalars:
             gens.append(
                 (("x", rs.root_name(v), ring.element_str(t)),
                  cg.x(ring, v, t))
             )
-    if include_torus:
-        for slot in range(rs.rank):
-            for u in ring.unit_generators():
-                gens.append(
-                    (("tau", rs.root_name(rs.simple[slot]),
-                      ring.element_str(u)),
-                     cg.tau(ring, slot, u))
-                )
+    if not include_torus:
+        return gens
+    for slot in range(rs.rank):
+        for u in ring.unit_generators() if units is None else units:
+            gens.append(
+                (("tau", rs.root_name(rs.simple[slot]),
+                  ring.element_str(u)),
+                 cg.tau(ring, slot, u))
+            )
     return gens
 
 
@@ -693,24 +877,51 @@ class Family:
                 * ring.q ** ((ring.m - 1) * self.dim_scheme)
         return None
 
-    def table(self, ring, cap=ENUM_CAP) -> GroupTable:
-        """Enumerate the group over ring; TooLarge before any enumeration
-        when its order law predicts more than cap elements."""
+    def has_tower(self, ring):
+        """Whether the table over ring is enumerated over the level-(m-1)
+        table: over ``zq`` and ``fqt`` at level m >= 2, where the kernel
+        of G(R_m) -> G(R_{m-1}) is I + pi^(m-1) V with |V| = q^dim_scheme.
+        Not for Chevalley groups without their torus, whose root elements
+        alone need not span the kernel."""
+        return ring.kind != "zn" and ring.m >= 2 \
+            and (self.kind != "chevalley" or self.include_torus)
+
+    def _generators(self, ring, scalars=None, units=None):
+        if self.kind == "heisenberg":
+            return _heisenberg_generators(ring, scalars)
+        return _chevalley_generators(self.cg, ring, self.roots,
+                                     self.include_torus, scalars, units)
+
+    def kernel_generators(self, ring):
+        """x_v(pi^(m-1) u) and tau_b(1 + pi^(m-1) u) (e_ij(pi^(m-1) u) for
+        Heisenberg), u over the F_p-basis of F_q: matrices I + pi^(m-1) X
+        whose X span V."""
+        scalars = ring.kernel_scalars()
+        units = [ring.add(ring.one, t) for t in scalars]
+        return [g for _, g in self._generators(ring, scalars, units)]
+
+    def table(self, ring, cap=ENUM_CAP, lower=None) -> GroupTable:
+        """Enumerate the group over ring, over the level-(m-1) table lower
+        if one is given (see has_tower); TooLarge before any product when
+        the order law, |lower| q^dim_scheme with a lower table, predicts
+        more than cap elements."""
         name = f"{self.text}/{ring.literal}"
-        order = self.predicted_order(ring)
+        kernel = None
+        if lower is None:
+            order = self.predicted_order(ring)
+        elif not self.has_tower(ring):
+            raise GroupsError(f"{name} is not enumerated over a lower level")
+        else:
+            order = lower.size * ring.q ** self.dim_scheme
+            kernel = self.kernel_generators(ring)
         if order is not None and order > cap:
             raise TooLarge(
                 f"group {name} exceeded cap: its order law gives {order} "
                 f"elements, so enumeration would reach {cap + 1}"
             )
-        if self.kind == "heisenberg":
-            gens = _heisenberg_generators(ring)
-        else:
-            gens = _chevalley_generators(
-                self.cg, ring, self.roots, self.include_torus
-            )
-        return generate(ring, gens, cap=cap, name=name,
-                        dim_scheme=self.dim_scheme)
+        return generate(ring, self._generators(ring), cap=cap, name=name,
+                        dim_scheme=self.dim_scheme, lower=lower,
+                        kernel=kernel)
 
     def struct_hash(self):
         if self.kind == "heisenberg":

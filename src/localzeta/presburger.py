@@ -629,8 +629,9 @@ def _minus_infinity(lit, var):
     return ("true",) if c > 0 else ("false",)
 
 
-def _cooper(var, ast):
-    """Eliminate exists var from a quantifier-free NNF formula."""
+def _cooper(var, ast, limit=None):
+    """Eliminate exists var from a quantifier-free NNF formula; CellBudget
+    when that would substitute into more than limit pieces."""
     ast = simplify(ast)
     if var not in free_vars(ast):
         return ast
@@ -651,14 +652,18 @@ def _cooper(var, ast):
             # -var + t <= 0: bound term is t, shifted to strict form t - 1
             b = lit[1].drop(var) - 1
             bterms[b.key()] = b
-    limit = _map_literals(scaled, lambda lit: _minus_infinity(lit, var))
+    if limit is not None and D * (len(bterms) + 1) > limit:
+        raise CellBudget(f"eliminating {var} substitutes into "
+                         f"{D * (len(bterms) + 1)} pieces, over {limit}")
+    at_minus_inf = _map_literals(
+        scaled, lambda lit: _minus_infinity(lit, var))
 
     def at(ast, form):
         return simplify(_map_literals(ast, lambda lit: _subst(lit, var, form)))
 
     pieces = []
     for j in range(1, D + 1):
-        pieces.append(at(limit, LinForm.constant(j)))
+        pieces.append(at(at_minus_inf, LinForm.constant(j)))
         for b in bterms.values():
             pieces.append(at(scaled, b + j))
     out = ("false",)
@@ -1069,6 +1074,57 @@ def _tight_branches(forms, sense):
         yield tight, lits
 
 
+def _integral_le(lit):
+    """An le-literal as an equivalent one with integer coefficients and
+    constant: scaled by the coefficients' denominators, then, as the
+    variable part is an integer at every integer point, the constant
+    rounded up.  Other literals are returned as they are."""
+    if lit[0] != "le":
+        return lit
+    form = lit[1]
+    form = form.scale(math.lcm(*(form.coeff(v).denominator
+                                 for v in form.vars())))
+    return ("le", form + (math.ceil(form.const) - form.const))
+
+
+def _disjuncts(ast):
+    """The operands of a formula's top-level disjunctions."""
+    if ast[0] == "or":
+        return _disjuncts(ast[1]) + _disjuncts(ast[2])
+    return [ast]
+
+
+def _satisfiable(lits):
+    """Whether a conjunction of literals has an integer solution: True,
+    False, or None when undecided.
+
+    Cooper elimination of one variable at a time, depth first over the
+    conjunctions each elimination yields, within CELL_BUDGET substituted
+    pieces in all (at most sqrt(CELL_BUDGET) eliminations of at most as
+    many pieces each).  A congruence with a rational coefficient, or a
+    system past that budget, leaves it undecided."""
+    per = math.isqrt(CELL_BUDGET)
+    todo = [[_integral_le(lit) for lit in lits]]
+    for _ in range(per):
+        if not todo:
+            return False
+        alive, conj = _check_ground_lits(todo.pop())
+        if not alive:
+            continue
+        if not conj:
+            return True
+        ast = conj[0]
+        for lit in conj[1:]:
+            ast = ("and", ast, lit)
+        try:
+            ast = _cooper(min(free_vars(ast)), ast, limit=per)
+        except PresburgerError:
+            return None
+        todo += [list(_literals(d)) for d in _disjuncts(ast)
+                 if d[0] != "false"]
+    return None if todo else False
+
+
 def _sum_progression(term, z, lower, upper, ctx):
     """Integrate variable z over its (possibly one-sided) range."""
     bxf = term.xexp.coeff(z)
@@ -1085,7 +1141,9 @@ def _sum_progression(term, z, lower, upper, ctx):
         return dy > 0 or (dy == 0 and dx < 0)
 
     if lower is None and upper is None:
-        raise Divergent(f"variable {z} is unbounded in both directions")
+        if _satisfiable(term.lits) is not False:
+            raise Divergent(f"variable {z} is unbounded in both directions")
+        return
 
     if lower is not None and upper is not None:
         H = upper - lower
@@ -1134,10 +1192,12 @@ def _sum_progression(term, z, lower, upper, ctx):
         base, dx, dy = upper, -bx, -by
         sub = base - LinForm.of(z)
     if not contracting(dx, dy):
-        raise Divergent(
-            f"ray {z} -> {'+' if lower is not None else '-'}infinity has "
-            f"non-contracting weight X^{dx} Y^{dy}"
-        )
+        if _satisfiable(term.lits) is not False:
+            raise Divergent(
+                f"ray {z} -> {'+' if lower is not None else '-'}infinity "
+                f"has non-contracting weight X^{dx} Y^{dy}"
+            )
+        return
     if dy > 0:
         ctx["sigma"].append(dx // dy + 1)
     mult = term.mult.substitute(z, sub)

@@ -49,7 +49,6 @@ NEG, INV), which keeps matrix work over these rings vectorizable.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -449,8 +448,22 @@ class Ring:
         self._proj_tables[k] = tab
         return tab
 
-    def project(self, a, k):
-        return int(self.project_table(k)[a])
+    def top_digits(self):
+        """(size, f) array: the F_p digits of each element's coefficient
+        of pi^(m-1), in the digit order of the level-1 ring, so that
+        adding pi^(m-1) u adds the digits of u modulo p."""
+        C = self._coeff_array()
+        if self.kind == "zq":
+            return C // self.p ** (self.m - 1)
+        return _base_digits(self.q, self.p, self.f)[C[:, self.m - 1]]
+
+    def kernel_scalars(self):
+        """pi^(m-1) u for u running through the F_p-basis x^j of the
+        residue field: the F_p-basis of the ideal pi^(m-1) R."""
+        step = self.p**self.m if self.kind == "zq" else self.p
+        low = self.p ** (self.m - 1) if self.kind == "zq" \
+            else self.q ** (self.m - 1)
+        return [low * step**j for j in range(self.f)]
 
     # ------------------------------------------------------------------
     # generator selection (deterministic)
@@ -709,7 +722,3 @@ def parse_ring(text: str) -> Ring:
 def crt_split(n):
     """Coprime factorization n = prod p^e, ascending primes."""
     return [p**e for p, e in _factor(n)]
-
-
-def euler_phi(n):
-    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factor(n))

@@ -174,12 +174,6 @@ class RootSystem:
             else:
                 return k
 
-    def cartan_matrix(self):
-        """Matrix with entry [i][j] = pairing(a_i, a_j)."""
-        return [
-            [self.pairing(b, a) for a in self.simple] for b in self.simple
-        ]
-
     @property
     def dim_adjoint(self):
         return self.rank + len(self.roots)
@@ -278,28 +272,6 @@ class RootSystem:
             if all(x == 0 or i in keep for i, x in enumerate(c)):
                 out.append(self.negative(v))
         return out
-
-    def weyl_order(self):
-        """Order of the Weyl group, by orbit enumeration on root indices."""
-        n = len(self.roots)
-        gens = []
-        for a in self.simple:
-            gens.append(
-                tuple(self.index(self.reflect(v, a)) for v in self.roots)
-            )
-        ident = tuple(range(n))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    wg = tuple(w[g[i]] for i in range(n))
-                    if wg not in seen:
-                        seen.add(wg)
-                        nxt.append(wg)
-            frontier = nxt
-        return len(seen)
 
     def __repr__(self):
         return f"RootSystem({self.name}, rank={self.rank}, npos={self.npos})"

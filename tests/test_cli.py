@@ -141,6 +141,9 @@ def test_exit_codes():
     assert run_cli(["verify", "--suite", "nosuch"]).returncode == 2
     assert run_cli(["presburger", "--where", "n <= 5",
                     "--sum", "q^(-n*s)"]).returncode == 3
+    # an empty set with an unbounded variable sums to 0
+    assert run_cli(["presburger", "--where", "n >= 0 and n <= -1 and x <= 0",
+                    "--sum", "q^(-n*s)"]).returncode == 0
     # the 3x3 determinant over F_2[t]/t^5 has 50 singular zeros over F_2,
     # whose lifting would evaluate about 6.7e9 points
     assert run_cli(["igusa", "--poly", DET3,

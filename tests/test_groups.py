@@ -10,6 +10,7 @@ plain Burnside on the enumerated tables).
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -218,6 +219,10 @@ def test_subgroup_orders():
     assert U.size == 8
 
 
+def class_sizes(G):
+    return sorted(np.bincount(G.conjugation_labels()).tolist())
+
+
 def test_unipotent_a2_matches_heisenberg_counts():
     # deliberate redundancy: the Chevalley-built unipotent radical of A2
     # and the direct 3x3 unitriangular family must agree in counting data
@@ -226,7 +231,7 @@ def test_unipotent_a2_matches_heisenberg_counts():
         H = table("heisenberg", lit)
         assert U.size == H.size
         assert U.class_count() == H.class_count()
-        assert U.class_sizes() == H.class_sizes()
+        assert class_sizes(U) == class_sizes(H)
 
 
 def test_commutator_depth_definitions_agree_z9():
@@ -303,7 +308,7 @@ def test_projection_between_levels():
     fam = Family("chevalley:A1")
     G2 = fam.table(parse_ring("zq:p=3,f=1,m=2"))
     G1 = fam.table(parse_ring("zq:p=3,f=1,m=1"))
-    proj = G2.project_onto(G1)
+    proj = G1.lookup_batch(G2.ring.mat_project(G2.mats, 1))
     # surjective with equal fibers
     counts = np.bincount(proj, minlength=G1.size)
     assert (counts == G2.size // G1.size).all()
@@ -696,3 +701,229 @@ def test_cap_below_the_order_law_fails_before_enumerating(
     assert f"order law gives {order} elements" in err.getvalue()
     assert out.getvalue() == ""
     assert len(rings) == ring.m - 1 and lit not in rings
+
+
+# ----------------------------------------------------------------------
+# congruence-kernel coordinates: a level-m table enumerated over the
+# level-(m-1) table, against an independent breadth-first search
+
+
+def oracle_table(ring, generators):
+    """(mats, inv, rho) by a breadth-first search over a dict keyed by
+    encode_mat bytes: each layer times g_0, then g_1, ..., new elements in
+    the order they occur; x^-1 = g^-1 parent(x)^-1 along the search tree."""
+    def encode_mat(mat):  # the canonical key that orders the generators
+        return np.ascontiguousarray(mat, dtype="<u2").tobytes()
+
+    gens = sorted({encode_mat(g): g for _, g in generators}.items())
+    ident = ring.identity_mat(gens[0][1].shape[0])
+    mats, rows, inv_mats = [ident], [], [ident]
+    index = {encode_mat(ident): 0}
+    gen_inv = [_inverse_by_powers(ring, g) for _, g in gens]
+    layer = [0]
+    while layer:
+        rows += [[0] * len(gens) for _ in layer]
+        found = []
+        for c, (_, g) in enumerate(gens):
+            prods = ring.mat_mul(np.stack([mats[x] for x in layer]), g)
+            for x, y in zip(layer, prods):
+                key = encode_mat(y)
+                if key not in index:
+                    index[key] = len(mats)
+                    mats.append(y)
+                    inv_mats.append(ring.mat_mul(gen_inv[c], inv_mats[x]))
+                    found.append(index[key])
+                rows[x][c] = index[key]
+        layer = found
+    inv = [index[encode_mat(m)] for m in inv_mats]
+    return np.array(mats), np.array(inv), np.array(rows)
+
+
+def tower(family, lit):
+    """The tables of a family at levels 1..m, each level m >= 2
+    enumerated over the one below."""
+    fam, ring = Family(family), parse_ring(lit)
+    tables = [fam.table(ring.subring_level(1))]
+    for m in range(2, ring.m + 1):
+        tables.append(fam.table(ring.subring_level(m), lower=tables[-1]))
+    return tables
+
+
+# every family kind on both ring kinds, at p = 2 and 3, f = 1 and 2, and
+# levels 2 and 3
+KERNEL_CASES = [
+    ("heisenberg", "zq:p=3,f=1,m=2"),
+    ("heisenberg", "fqt:p=2,f=1,m=3"),
+    ("heisenberg", "fqt:p=2,f=2,m=2"),
+    ("chevalley:A1", "zq:p=2,f=1,m=3"),
+    ("chevalley:A1", "zq:p=2,f=2,m=2"),
+    ("chevalley:A1", "fqt:p=3,f=1,m=2"),
+    ("unipotent:A2", "zq:p=3,f=1,m=2"),
+    ("unipotent:A2", "fqt:p=2,f=1,m=3"),
+    ("borel:A2", "zq:p=2,f=1,m=2"),
+    ("borel:A2", "fqt:p=2,f=1,m=2"),
+    ("torus:A2", "zq:p=3,f=1,m=3"),
+    ("torus:A2", "fqt:p=2,f=2,m=2"),
+    ("parabolic:A1:-", "zq:p=3,f=2,m=2"),
+    ("parabolic:A1:-", "fqt:p=3,f=1,m=3"),
+    ("parabolic:B2:a1", "fqt:p=2,f=1,m=2"),
+    ("parabolic:B2:a2", "zq:p=2,f=1,m=2"),
+    ("rootset:A2:a1,a1+a2", "zq:p=3,f=1,m=2"),
+    ("rootset:A2:a1,-a1", "fqt:p=2,f=1,m=3"),
+]
+
+
+@pytest.mark.parametrize("family,lit", KERNEL_CASES)
+def test_kernel_route_matches_the_oracle_search(family, lit):
+    fam = Family(family)
+    for G in tower(family, lit)[1:]:
+        mats, inv, rho = oracle_table(G.ring, fam._generators(G.ring))
+        assert (G.mats == mats).all() and (G.inv == inv).all()
+        assert (G.rho == rho).all()
+        keyed = fam.table(G.ring)  # the packed-key route
+        for a, b in ((G.mats, keyed.mats), (G.inv, keyed.inv),
+                     (G.rho, keyed.rho)):
+            assert a.dtype == b.dtype and (a == b).all()
+
+
+@pytest.mark.parametrize("family,lit", KERNEL_CASES)
+def test_kernel_span_is_the_enumerated_kernel(family, lit):
+    # V has F_p-rank f dim_scheme, and the top digits of the enumerated
+    # kernel of G(R_m) -> G(R_{m-1}) are exactly its span
+    fam, ring = Family(family), parse_ring(lit)
+    basis, _ = groups._kernel_basis(ring, fam.kernel_generators(ring))
+    assert basis.shape[0] == ring.f * fam.dim_scheme
+    p = ring.p
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(basis))))
+    span = {tuple(v) for v in (coeffs @ basis % p).tolist()}
+    assert len(span) == ring.q ** fam.dim_scheme
+    G = fam.table(ring)
+    ident = ring.identity_mat(G.d)
+    low = ring.mat_project(G.mats, ring.m - 1)
+    kern = G.mats[(low == ring.mat_project(ident, ring.m - 1)).all(axis=(1, 2))]
+    digits = ring.top_digits()
+    top = (digits[kern] - digits[ident]).reshape(len(kern), -1) % p
+    assert {tuple(v) for v in top.tolist()} == span
+
+
+@pytest.mark.parametrize("family", ["chevalley:B2", "chevalley:A2"])
+def test_kernel_rank_of_the_large_groups(family):
+    fam = Family(family)
+    for lit in ("zq:p=2,f=1,m=2", "fqt:p=3,f=1,m=3", "zq:p=2,f=2,m=2"):
+        ring = parse_ring(lit)
+        basis, _ = groups._kernel_basis(ring, fam.kernel_generators(ring))
+        assert basis.shape[0] == ring.f * fam.dim_scheme
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("chevalley:A1", "fqt:p=2,f=1,m=4"),
+    ("chevalley:A1", "zq:p=2,f=2,m=2"),
+    ("heisenberg", "zq:p=3,f=1,m=3"),
+    ("borel:A2", "zq:p=2,f=1,m=2"),
+])
+def test_kernel_route_keeps_the_golden_tables(family, lit):
+    G = tower(family, lit)[-1]
+    got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
+    assert got == GOLDEN_TABLES[family, lit]
+
+
+def test_a_smaller_kernel_span_raises(monkeypatch):
+    lower, _ = tower("chevalley:A1", "fqt:p=2,f=1,m=2")
+    real = groups._kernel_basis
+
+    def dropped(ring, kernel):
+        basis, piv = real(ring, kernel)
+        return basis[:-1], piv[:-1]
+
+    monkeypatch.setattr(groups, "_kernel_basis", dropped)
+    with pytest.raises(IdentityError):
+        Family("chevalley:A1").table(parse_ring("fqt:p=2,f=1,m=2"),
+                                     lower=lower)
+
+
+def test_an_element_off_the_kernel_span_raises():
+    # I + 3 (E12 + E33) lies over the identity of Z/3, but its top digits
+    # leave the strictly upper triangular V of the Heisenberg group
+    ring = parse_ring("zq:p=3,f=1,m=2")
+    fam = Family("heisenberg")
+    lower = fam.table(ring.subring_level(1))
+    odd = ring.identity_mat(3)
+    odd[0, 1], odd[2, 2] = 3, 4
+    gens = fam._generators(ring) + [(("odd",), odd)]
+    with pytest.raises(IdentityError, match="off its kernel coordinates"):
+        generate(ring, gens, lower=lower, name="odd",
+                 kernel=fam.kernel_generators(ring))
+
+
+def test_lower_table_must_be_the_level_below():
+    fam = Family("heisenberg")
+    ring = parse_ring("zq:p=2,f=1,m=3")
+    with pytest.raises(GroupsError, match="not a level-2 table"):
+        fam.table(ring, lower=fam.table(ring.subring_level(1)))
+    with pytest.raises(GroupsError, match="not enumerated over"):
+        Family("chevalley:A1", include_torus=False).table(
+            ring, lower=fam.table(ring.subring_level(2)))
+
+
+def test_cache_hits_enumerate_no_level(tmp_path, monkeypatch):
+    real, calls = groups.generate, []
+
+    def recording(ring, *args, **kwargs):
+        calls.append((ring.literal, kwargs.get("lower") is not None))
+        return real(ring, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "generate", recording)
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    cache.clear_memo()
+    try:
+        for m in (1, 2, 3):
+            cache.table_for("chevalley:A1", parse_ring(f"fqt:p=2,f=1,m={m}"))
+        # levels fetched in order run over the memoised level below
+        assert [lower for _, lower in calls] == [False, True, True]
+        calls.clear()
+        top = parse_ring("fqt:p=2,f=1,m=3")
+        cache.table_for("chevalley:A1", top)  # memo hit
+        cache.clear_memo()
+        cache.table_for("chevalley:A1", top)  # disk hit, memo empty
+        assert calls == []
+    finally:
+        cache.clear_memo()
+
+
+def test_order_law_refuses_before_any_top_level_product(monkeypatch):
+    # |B(Z/8)| = 8 * 2^(2*5) = 8192 > 1000 >= |B(Z/4)| = 256
+    real, rings_used = rings.Ring.mat_mul, []
+
+    def recording(self, A, B):
+        rings_used.append(self.literal)
+        return real(self, A, B)
+
+    monkeypatch.setattr(rings.Ring, "mat_mul", recording)
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    cache.clear_memo()
+    try:
+        for m in (1, 2):
+            cache.table_for("borel:A2", parse_ring(f"zq:p=2,f=1,m={m}"),
+                            cap=1000)
+        with pytest.raises(TooLarge, match="exceeded cap: its order law "
+                           "gives 8192 elements"):
+            cache.table_for("borel:A2", parse_ring("zq:p=2,f=1,m=3"),
+                            cap=1000)
+    finally:
+        cache.clear_memo()
+    assert "zq:p=2,f=1,m=2" in rings_used
+    assert "zq:p=2,f=1,m=3" not in rings_used
+
+
+@pytest.mark.parametrize("family,kind,levels", [
+    ("borel:A2", "zq", 3),
+    ("borel:A2", "fqt", 3),
+    ("parabolic:B2:a1", "zq", 2),
+    ("parabolic:B2:a1", "fqt", 2),
+])
+def test_parabolic_order_law(family, kind, levels):
+    # |P(R_m)| = |P(F_q)| q^((m-1) dim P), over both ring kinds
+    fam = Family(family)
+    tables = tower(family, f"{kind}:p=2,f=1,m={levels}")
+    for m, P in enumerate(tables, start=1):
+        assert P.size == tables[0].size * 2 ** ((m - 1) * fam.dim_scheme)

@@ -27,6 +27,7 @@ from localzeta.presburger import (
     nnf,
     parse,
     parse_weight,
+    series_from_counts,
     simplify,
     solution_counts,
     sum_rational,
@@ -428,6 +429,56 @@ def test_sum_finite_support():
 def test_sum_empty_set_is_zero():
     res = sum_rational(SummationSpec("n >= 0 and n <= -1", "q^(-n*s)"))
     assert res.rational.is_zero()
+
+
+@pytest.mark.parametrize("where", [
+    "n >= 0 and n <= -1 and x <= 0",
+    "x >= 0 and n >= 0 and n = 1 mod 2 and n = 0 mod 2",
+    # two lower bounds on x: the tight-bound literal has coefficient 1/2
+    "2*x >= n and x >= 0 and n >= 0 and n <= -1",
+])
+def test_empty_cell_with_an_unbounded_variable_sums_to_zero(where):
+    # x runs along a non-contracting ray, but no n satisfies the rest of
+    # the cell, so the set is empty and the sum is 0, not Divergent
+    spec = SummationSpec(where, "q^(-n*s)")
+    assert solution_counts(spec, 6) == {}
+    res = sum_rational(spec)
+    assert res.rational.is_zero()
+    assert expand(res.rational, 3, 4).coeffs \
+        == series_from_counts(solution_counts(spec, 6, 4), 3, 4).coeffs
+
+
+def test_satisfiable_matches_a_search_over_a_box():
+    # conjunctions inside the box -3 <= x, y <= 3, with rational
+    # coefficients on the inequalities, against every point of the box;
+    # a system past the budget may stay undecided (None), never wrong
+    rng = random.Random(11)
+    box = range(-3, 4)
+    decided = 0
+    for _ in range(300):
+        lits = [("le", LinForm({v: sign}, -3))
+                for v in "xy" for sign in (1, -1)]
+        for _ in range(rng.randint(1, 3)):
+            coeffs = {v: Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                      for v in "xy"}
+            if rng.random() < 0.3:
+                lits.append(("cong", LinForm(
+                    {v: c.numerator for v, c in coeffs.items()},
+                    rng.randint(-3, 3)), rng.choice([2, 3])))
+            else:
+                lits.append(("le", LinForm(coeffs,
+                                           Fraction(rng.randint(-6, 6), 2))))
+
+        def holds(lit, env):
+            value = lit[1].evaluate(env)
+            return value <= 0 if lit[0] == "le" else value % lit[2] == 0
+
+        want = any(all(holds(lit, {"x": x, "y": y}) for lit in lits)
+                   for x in box for y in box)
+        got = presburger._satisfiable(lits)
+        assert got in (want, None)
+        decided += got is not None
+    assert decided >= 150  # at least half are decided
 
 
 def test_sum_errors():

@@ -26,19 +26,43 @@ CARTAN = {
 }
 
 
+def weyl_order(rs):
+    """Order of the Weyl group, by orbit enumeration on root indices."""
+    n = len(rs.roots)
+    gens = [tuple(rs.index(rs.reflect(v, a)) for v in rs.roots)
+            for a in rs.simple]
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = tuple(w[g[i]] for i in range(n))
+                if wg not in seen:
+                    seen.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+    return len(seen)
+
+
+def cartan_matrix(rs):
+    """Entry [i][j] = pairing(a_i, a_j)."""
+    return [[rs.pairing(b, a) for a in rs.simple] for b in rs.simple]
+
+
 def test_root_counts_and_weyl_orders():
     for name, (nroots, worder, hheight) in KNOWN.items():
         rs = root_system(name)
         assert len(rs.roots) == nroots
         assert rs.npos == nroots // 2
-        assert rs.weyl_order() == worder
+        assert weyl_order(rs) == worder
         assert rs.height(rs.highest_root()) == hheight
         assert rs.dim_adjoint == rs.rank + nroots
 
 
 def test_cartan_matrices():
     for name, want in CARTAN.items():
-        assert root_system(name).cartan_matrix() == want
+        assert cartan_matrix(root_system(name)) == want
 
 
 def test_rho_pairing_is_two_on_simples():
