@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .groups import ENUM_CAP, Family, GroupTable, TooLarge
+from .groups import ENUM_CAP, Family, GroupTable, TooLarge, has_tower
 
 FORMAT_VERSION = 2
 
@@ -165,19 +165,19 @@ def _store_disk(fam: Family, ring, table: GroupTable):
 def table_for(family, ring, cap=ENUM_CAP) -> GroupTable:
     """Enumerate (or fetch) the table of a family over a ring.
 
-    An enumeration at level m >= 2 of ``zq`` or ``fqt`` runs over the
-    level-(m-1) table when the memo holds it, as it does when the levels
-    are fetched in order; a memo or disk hit enumerates nothing."""
+    On a miss, level m >= 2 of ``zq`` or ``fqt`` is enumerated over the
+    level-(m-1) table, fetched through table_for once the order law allows
+    the cap; a memo or disk hit fetches nothing below."""
     fam = as_family(family)
     key = _memo_key(fam, ring)
     table = _memo.get(key)
     if table is None:
         table = _load_disk(fam, ring)
         if table is None:
+            fam.check_cap(ring, cap)
             lower = None
-            if fam.has_tower(ring):
-                below = ring.subring_level(ring.m - 1)
-                lower = _memo.get(_memo_key(fam, below))
+            if has_tower(ring):
+                lower = table_for(fam, ring.subring_level(ring.m - 1), cap)
             table = fam.table(ring, cap=cap, lower=lower)
             _store_disk(fam, ring, table)
         _memo[key] = table

@@ -6,8 +6,9 @@ of the rings from :mod:`localzeta.rings`, with the right-regular table
 inverse map that gathers on ``rho`` give.
 
 The enumeration files each product under the id of its element by one of
-two routes.  Over ``zq`` and ``fqt`` at level m >= 2, given the level-(m-1)
-table, an element x over the lower element i has the dense id
+two routes, fixed by the ring.  Every ``zq`` and ``fqt`` table at level
+m >= 2 is enumerated over the level-(m-1) table, where an element x over
+the lower element i has the dense id
 i |V| + its top pi-adic digits at the pivots of V s_r (congruence-kernel
 coordinates, ``_KernelIndex``): G(R_m) -> G(R_{m-1}) is onto with kernel
 I + pi^(m-1) V, |V| = q^dim_scheme, and s_r is the residue of i.  Level-1
@@ -294,11 +295,12 @@ class GroupTable:
     def class_count(self):
         return int(self.conjugation_labels().max()) + 1
 
-    def commuting_pairs(self, cap=PAIR_SCAN_CAP):
+    def commuting_pairs(self):
         """#{(x,y) : xy = yx} by direct scan (independent of orbits)."""
         n = self.size
-        if n > cap:
-            raise TooLarge(f"pair scan over {n} elements exceeds cap {cap}")
+        if n > PAIR_SCAN_CAP:
+            raise TooLarge(
+                f"pair scan over {n} elements exceeds cap {PAIR_SCAN_CAP}")
         total = 0
         E = self.mats
         for i in range(n):
@@ -388,11 +390,12 @@ class GroupTable:
         delta = self.ring.mat_sub(comm, self.ring.identity_mat(self.d))
         return int(self.ring.mat_min_valuation(delta))
 
-    def pair_depth_counts(self, cap=PAIR_SCAN_CAP):
+    def pair_depth_counts(self):
         """histogram[k] = #{(x,y) : w(x,y) >= k} for 0 <= k <= m."""
         n = self.size
-        if n > cap:
-            raise TooLarge(f"pair scan over {n} elements exceeds cap {cap}")
+        if n > PAIR_SCAN_CAP:
+            raise TooLarge(
+                f"pair scan over {n} elements exceeds cap {PAIR_SCAN_CAP}")
         m = self.ring.m
         hist = np.zeros(m + 1, dtype=np.int64)
         E = self.mats
@@ -475,8 +478,9 @@ def _inverses(rho, parent, letter, layers):
 
 
 class _KeyIndex:
-    """Element ids by packed keys, the route of level-1 tables, of ``zn``
-    and of a level enumerated without its lower table.
+    """Element ids by packed keys, the route of level-1 and ``zn`` tables
+    (and of ``generate`` called without ``lower``, the oracle that tests
+    compare the kernel route with).
 
     The keys of the elements found so far are kept as sorted runs of
     (keys, ids).  The last two runs are merged while the older is at most
@@ -713,12 +717,16 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
     congruence-kernel coordinates (``_KernelIndex``) when ``lower``, the
     level-(m-1) table, and ``kernel``, generators of the kernel of
     G(R_m) -> G(R_{m-1}), are given, and from packed keys (``_KeyIndex``)
-    otherwise; both give the same table.  Every product is kept as the
-    right-regular table rho, and is compared entry by entry with the
-    element it was numbered as, so a key collision raises IdentityError and
-    never merges two matrices.  These N * ngens products are the only
-    matrix products of the enumeration; inverses are gathers on rho.
-    Raises TooLarge in the piece that finds the (cap + 1)-th element.
+    otherwise; both give the same table.  ``Family.table`` and
+    ``cache.table_for`` give every ``zq`` and ``fqt`` level m >= 2 its
+    lower table.  Every product is kept as the right-regular table rho,
+    and is compared entry by entry with the element it was numbered as,
+    so a key collision raises IdentityError and never merges two matrices.
+    These N * ngens products are the only matrix products at level m;
+    inverses are gathers on rho.  A generator that projects to neither
+    I nor a lower generator costs |G_{m-1}| more products at level m-1,
+    for its map on the lower table.  Raises TooLarge in the piece that
+    finds the (cap + 1)-th element.
     """
     gens = _canonical_generators(generators)
     ngens = len(gens)
@@ -775,6 +783,11 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
 # families
 
 
+def has_tower(ring):
+    """Whether tables over ring are enumerated over the level below."""
+    return ring.kind != "zn" and ring.m >= 2
+
+
 def _heisenberg_generators(ring, scalars=None):
     """e12(t), e23(t), e13(t) for t in scalars, by default the ring's
     additive generators."""
@@ -820,11 +833,11 @@ class Family:
     roots), or ``rootset:A2:a1,a1+a2,-a1`` (arbitrary closed set).
     """
 
-    def __init__(self, text: str, include_torus=True):
+    def __init__(self, text: str):
         self.text = text
-        self.include_torus = include_torus
         parts = text.split(":")
         self.kind = parts[0]
+        self.include_torus = self.kind != "unipotent"
         if self.kind == "heisenberg":
             if len(parts) != 1:
                 raise GroupsError(f"bad family literal {text!r}")
@@ -858,33 +871,21 @@ class Family:
             self.roots = list(rs.positive)
         else:  # torus
             self.roots = []
-        if self.kind == "unipotent":
-            self.include_torus = False
         self.dim_scheme = rs.rank + len(self.roots) if self.include_torus \
             else len(self.roots)
 
     def predicted_order(self, ring):
         """|G| by its order law, or None where none is used.
 
-        Heisenberg: |R|^3.  Chevalley with its torus over O/p^m:
-        |G(F_q)| q^((m-1) dim G) (Lemma 6.1); Z/n has no single q.
+        Heisenberg: |R|^3.  Chevalley over O/p^m: |G(F_q)| q^((m-1) dim G)
+        (Lemma 6.1); Z/n has no single q.
         """
         if self.kind == "heisenberg":
             return ring.size**3
-        if self.kind == "chevalley" and self.include_torus \
-                and ring.kind != "zn":
+        if self.kind == "chevalley" and ring.kind != "zn":
             return self.cg.point_count(ring.q) \
                 * ring.q ** ((ring.m - 1) * self.dim_scheme)
         return None
-
-    def has_tower(self, ring):
-        """Whether the table over ring is enumerated over the level-(m-1)
-        table: over ``zq`` and ``fqt`` at level m >= 2, where the kernel
-        of G(R_m) -> G(R_{m-1}) is I + pi^(m-1) V with |V| = q^dim_scheme.
-        Not for Chevalley groups without their torus, whose root elements
-        alone need not span the kernel."""
-        return ring.kind != "zn" and ring.m >= 2 \
-            and (self.kind != "chevalley" or self.include_torus)
 
     def _generators(self, ring, scalars=None, units=None):
         if self.kind == "heisenberg":
@@ -900,25 +901,31 @@ class Family:
         units = [ring.add(ring.one, t) for t in scalars]
         return [g for _, g in self._generators(ring, scalars, units)]
 
-    def table(self, ring, cap=ENUM_CAP, lower=None) -> GroupTable:
-        """Enumerate the group over ring, over the level-(m-1) table lower
-        if one is given (see has_tower); TooLarge before any product when
-        the order law, |lower| q^dim_scheme with a lower table, predicts
-        more than cap elements."""
-        name = f"{self.text}/{ring.literal}"
-        kernel = None
-        if lower is None:
-            order = self.predicted_order(ring)
-        elif not self.has_tower(ring):
-            raise GroupsError(f"{name} is not enumerated over a lower level")
-        else:
-            order = lower.size * ring.q ** self.dim_scheme
-            kernel = self.kernel_generators(ring)
+    def check_cap(self, ring, cap, lower=None):
+        """TooLarge when the order law (|lower| q^dim_scheme over a lower
+        table, else predicted_order) gives more than cap elements."""
+        order = self.predicted_order(ring) if lower is None \
+            else lower.size * ring.q ** self.dim_scheme
         if order is not None and order > cap:
-            raise TooLarge(
-                f"group {name} exceeded cap: its order law gives {order} "
-                f"elements, so enumeration would reach {cap + 1}"
-            )
+            raise TooLarge(f"group {self.text}/{ring.literal} exceeded cap: "
+                           f"its order law gives {order} elements, so "
+                           f"enumeration would reach {cap + 1}")
+
+    def table(self, ring, cap=ENUM_CAP, lower=None) -> GroupTable:
+        """Enumerate the group over ring.  A tower level is enumerated over
+        lower, the level-(m-1) table, itself enumerated first when not
+        given.  The order law is checked before each level, so a cap that
+        predicted_order refuses raises TooLarge before any product."""
+        name = f"{self.text}/{ring.literal}"
+        self.check_cap(ring, cap)
+        kernel = None
+        if has_tower(ring):
+            if lower is None:
+                lower = self.table(ring.subring_level(ring.m - 1), cap)
+            self.check_cap(ring, cap, lower)
+            kernel = self.kernel_generators(ring)
+        elif lower is not None:
+            raise GroupsError(f"{name} is not enumerated over a lower level")
         return generate(ring, self._generators(ring), cap=cap, name=name,
                         dim_scheme=self.dim_scheme, lower=lower,
                         kernel=kernel)

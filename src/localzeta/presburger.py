@@ -1094,22 +1094,52 @@ def _disjuncts(ast):
     return [ast]
 
 
+def _rationally_empty(lits):
+    """Whether Fourier-Motzkin elimination shows that the le-literals have
+    no rational solution.  Congruences are dropped, which only enlarges
+    the set.  False (not shown) once the rows would exceed CELL_BUDGET."""
+    rows = [lit[1] for lit in lits if lit[0] == "le"]
+    while True:
+        if any(r.is_ground() and r.const > 0 for r in rows):
+            return True
+        rows = [r for r in rows if not r.is_ground()]
+        if not rows:
+            return False
+
+        def left(v):  # rows left after eliminating v
+            up = sum(r.coeff(v) > 0 for r in rows)
+            down = sum(r.coeff(v) < 0 for r in rows)
+            return len(rows) - up - down + up * down
+
+        v = min(sorted(set().union(*(r.vars() for r in rows))), key=left)
+        if left(v) > CELL_BUDGET:
+            return False
+        up = [r for r in rows if r.coeff(v) > 0]
+        down = [r for r in rows if r.coeff(v) < 0]
+        rows = [r for r in rows if not r.coeff(v)] + [
+            a.scale(-b.coeff(v)) + b.scale(a.coeff(v))
+            for a in up for b in down
+        ]
+
+
 def _satisfiable(lits):
     """Whether a conjunction of literals has an integer solution: True,
     False, or None when undecided.
 
-    Cooper elimination of one variable at a time, depth first over the
-    conjunctions each elimination yields, within CELL_BUDGET substituted
-    pieces in all (at most sqrt(CELL_BUDGET) eliminations of at most as
-    many pieces each).  A congruence with a rational coefficient, or a
-    system past that budget, leaves it undecided."""
+    Each conjunction is first tested by its rational relaxation
+    (``_rationally_empty``), then by Cooper elimination of one variable
+    at a time, depth first over the conjunctions each elimination yields,
+    within CELL_BUDGET substituted pieces in all (at most
+    sqrt(CELL_BUDGET) eliminations of at most as many pieces each).  A
+    congruence with a rational coefficient, or a system past that budget,
+    leaves it undecided."""
     per = math.isqrt(CELL_BUDGET)
     todo = [[_integral_le(lit) for lit in lits]]
     for _ in range(per):
         if not todo:
             return False
         alive, conj = _check_ground_lits(todo.pop())
-        if not alive:
+        if not alive or _rationally_empty(conj):
             continue
         if not conj:
             return True

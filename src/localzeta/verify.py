@@ -380,7 +380,7 @@ def _random_tree(rng, variables, depth, small):
     )
 
 
-def qe_corpus_report(count=200, seed=4242, box=25):
+def qe_corpus_report():
     """QE vs bounded-witness model checking on the free box.
 
     Witness ranges grow inward (outer quantifiers need only witnesses
@@ -388,7 +388,8 @@ def qe_corpus_report(count=200, seed=4242, box=25):
     the coefficient sizes generated here: one quantifier with
     coefficients up to 2, or two quantifiers with coefficients up to 1.
     """
-    rng = random.Random(seed)
+    count, box = 200, 25
+    rng = random.Random(4242)
     grid = np.arange(-box, box + 1, dtype=np.int64)
     half = (count + 1) // 2
     agree = 0
@@ -424,9 +425,10 @@ def qe_corpus_report(count=200, seed=4242, box=25):
     return {"formulas": count, "agree": agree, "box": box}
 
 
-def summation_corpus_report(count=200, seed=1009, M=5):
+def summation_corpus_report():
     """sum_rational + expand vs direct enumeration at q in {2, 3, 5}."""
-    rng = random.Random(seed)
+    count, M = 200, 5
+    rng = random.Random(1009)
     specs = []
     while len(specs) < count:
         kind = rng.randrange(5)

@@ -387,9 +387,7 @@ def hecke_zeta(system, s1, s2, kind, p, f, M, cap=ENUM_CAP) -> ZetaSeries:
 # consistency chains
 
 
-def prop62_consistency(
-    family, kind, p, f, M, cap=ENUM_CAP, pair_cap=PAIR_SCAN_CAP
-):
+def prop62_consistency(family, kind, p, f, M):
     """Ties the commutator-depth level sets to class counts, exactly.
 
     For each 1 <= m < M: commuting pairs e_m of the level-m quotient must
@@ -401,8 +399,8 @@ def prop62_consistency(
     """
     fam = as_family(family)
     rings = _levels(kind, p, f, M)
-    top = table_for(fam, rings[-1], cap)
-    hist = top.pair_depth_counts(cap=pair_cap)
+    top = table_for(fam, rings[-1])
+    hist = top.pair_depth_counts()
     top_sq = top.size**2
     levels = [
         {
@@ -416,9 +414,9 @@ def prop62_consistency(
         }
     ]
     for ring in rings:
-        G = table_for(fam, ring, cap)
+        G = table_for(fam, ring)
         c = G.class_count()
-        e = G.commuting_pairs(cap=pair_cap)
+        e = G.commuting_pairs()
         m = ring.m
         levels.append(
             {
@@ -443,9 +441,7 @@ def prop62_consistency(
     }
 
 
-def prop73_consistency(
-    system, s1, s2, kind, p, f, M, cap=ENUM_CAP, pair_cap=PAIR_SCAN_CAP
-):
+def prop73_consistency(system, s1, s2, kind, p, f, M):
     """Parabolic-depth chain: pair-depth level sets match b_m |P1| |P2|.
 
     Also checks the order law |P(level m)| = q^{m dim P} k_P(q) with
@@ -462,9 +458,9 @@ def prop73_consistency(
     e_by_level = {}
     for ring in rings:
         m = ring.m
-        G = table_for(fam, ring, cap)
-        P1 = table_for(fam1, ring, cap)
-        P2 = table_for(fam2, ring, cap)
+        G = table_for(fam, ring)
+        P1 = table_for(fam1, ring)
+        P2 = table_for(fam2, ring)
         subs1[m], subs2[m] = P1, P2
         b, e = G.double_coset_data(P1, P2)
         e_by_level[m] = e
@@ -480,7 +476,7 @@ def prop73_consistency(
         }
         for tag, sub, subfam in (("p1", P1, fam1), ("p2", P2, fam2)):
             dim = subfam.dim_scheme
-            base = table_for(subfam, rings[0], cap).size
+            base = table_for(subfam, rings[0]).size
             want = q ** ((m - 1) * dim) * base
             entry[f"{tag}_order_law_ok"] = sub.size == want
             if sub.size != want:
@@ -490,10 +486,10 @@ def prop73_consistency(
                 )
         levels.append(entry)
 
-    top = table_for(fam, rings[-1], cap)
-    if top.size > pair_cap:
+    top = table_for(fam, rings[-1])
+    if top.size > PAIR_SCAN_CAP:
         raise TooLarge(
-            f"pair scan over {top.size} elements exceeds cap {pair_cap}"
+            f"pair scan over {top.size} elements exceeds cap {PAIR_SCAN_CAP}"
         )
     lam1 = parabolic_depths(top, subs1)
     lam2 = parabolic_depths(top, subs2)
@@ -516,9 +512,9 @@ def prop73_consistency(
         entry["measure_ok"] = m_ok
         measure.append(m_ok)
 
-    k_g = Fraction(table_for(fam, rings[0], cap).size, q**fam.dim_scheme)
-    k_1 = Fraction(table_for(fam1, rings[0], cap).size, q**fam1.dim_scheme)
-    k_2 = Fraction(table_for(fam2, rings[0], cap).size, q**fam2.dim_scheme)
+    k_g = Fraction(table_for(fam, rings[0]).size, q**fam.dim_scheme)
+    k_1 = Fraction(table_for(fam1, rings[0]).size, q**fam1.dim_scheme)
+    k_2 = Fraction(table_for(fam2, rings[0]).size, q**fam2.dim_scheme)
     return {
         "system": system,
         "s1": s1,

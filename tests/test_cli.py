@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -90,13 +91,13 @@ def test_cache_version_bump_ignores_old_entries(tmp_path, monkeypatch):
     ring = make_ring("zq", 2, 1, 2)
     t1 = cache.table_for("heisenberg", ring)
     before = set(tmp_path.glob("table-*.npz"))
-    assert len(before) == 1
+    assert len(before) == 2  # level 2 and the level 1 it was built over
     cache.clear_memo()
     monkeypatch.setattr(cache, "FORMAT_VERSION", cache.FORMAT_VERSION + 1)
     t2 = cache.table_for("heisenberg", ring)
     after = set(tmp_path.glob("table-*.npz"))
-    # old entry untouched but unused; a fresh one was written
-    assert before < after and len(after) == 2
+    # old entries untouched but unused; fresh ones were written
+    assert before < after and len(after) == 4
     assert t1.size == t2.size
     cache.clear_memo()
 
@@ -211,6 +212,20 @@ def test_verify_repeated_byte_identical():
     assert first.stdout == second.stdout
 
 
+# sha256 of the stdout of `zeta verify --suite all`, recorded at commit
+# ba875de: a change to how tables are built must leave every report
+# byte-identical
+VERIFY_ALL_SHA256 = (
+    "9d58a41bcaad5bfedfec6395a9a108897d960b3342a14e96ce36159e23ffd087"
+)
+
+
+def test_verify_all_stdout_is_pinned():
+    proc = run_cli(["verify", "--suite", "all"])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
+
+
 def test_verify_failure_exit_code(monkeypatch):
     from localzeta import verify
 
@@ -313,8 +328,9 @@ def test_store_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
     cache.clear_memo()
     cache.table_for("heisenberg", make_ring("zq", 2, 1, 2))
-    names = [p.name for p in tmp_path.iterdir()]
-    assert len(names) == 1 and names[0].endswith(".npz")
+    # level 2 and the level 1 it was built over
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 2 and all(n.endswith(".npz") for n in names)
 
     def full_disk(*args, **kwargs):
         raise OSError("no space left on device")
@@ -322,5 +338,5 @@ def test_store_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cache.np, "savez", full_disk)
     cache.table_for("heisenberg", make_ring("zq", 2, 1, 3))
     assert "could not write cache" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == names
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
     cache.clear_memo()

@@ -30,8 +30,25 @@ from localzeta.groups import (
 from localzeta.rings import parse_ring
 
 
-def table(family, ring_lit, **kw):
-    return Family(family, **kw).table(parse_ring(ring_lit))
+def table(family, ring_lit):
+    return Family(family).table(parse_ring(ring_lit))
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """(ring literal, given a lower table) of every generate call, with an
+    empty memo and no disk cache."""
+    real, calls = groups.generate, []
+
+    def recording(ring, *args, **kwargs):
+        calls.append((ring.literal, kwargs.get("lower") is not None))
+        return real(ring, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "generate", recording)
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    cache.clear_memo()
+    yield calls
+    cache.clear_memo()
 
 
 def test_a1_orders_and_classes():
@@ -86,10 +103,12 @@ def test_generate_forms_only_the_frontier_products(monkeypatch):
         return out
 
     monkeypatch.setattr(rings.Ring, "mat_mul", counting)
-    for fam, lit in [("chevalley:A1", "zq:p=3,f=1,m=2"),
-                     ("parabolic:B2:a1", "fqt:p=2,f=1,m=2")]:
-        formed.clear()
-        G = table(fam, lit)
+    for family, lit in [("chevalley:A1", "zq:p=3,f=1,m=2"),
+                        ("parabolic:B2:a1", "fqt:p=2,f=1,m=2")]:
+        fam, ring = Family(family), parse_ring(lit)
+        lower = fam.table(ring.subring_level(1))
+        formed.clear()  # count the top level's products only
+        G = fam.table(ring, lower=lower)
         assert sum(formed) == G.size * len(G.generators)
 
 
@@ -583,11 +602,12 @@ def test_fold_collision_raises(monkeypatch):
     # merge two matrices rather than number them as one element
     monkeypatch.setattr(groups, "_fold",
                         lambda w: np.zeros(w.shape[0], dtype=np.uint64))
+    # generate without a lower table keeps packed keys at any level
+    ring = parse_ring("zq:p=2,f=1,m=2")
     with pytest.raises(IdentityError, match="share a key"):
-        Family("borel:A2").table(parse_ring("zq:p=2,f=1,m=2"))
+        generate(ring, Family("borel:A2")._generators(ring))
     # a one-word table never folds
-    assert Family("heisenberg").table(parse_ring("zq:p=2,f=1,m=2")).size \
-        == 64
+    assert generate(ring, groups._heisenberg_generators(ring)).size == 64
     # keys rebuilt after a cache load are checked for repeats too
     G = small_table("parabolic:B2:a1", "fqt:p=2,f=1,m=2")
     loaded = GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators,
@@ -667,8 +687,6 @@ def test_predicted_order_is_the_enumerated_order(family, lit):
 def test_no_order_law_without_one():
     ring = parse_ring("zq:p=2,f=1,m=2")
     assert Family("borel:A2").predicted_order(ring) is None
-    assert Family("chevalley:A1", include_torus=False) \
-        .predicted_order(ring) is None
     assert Family("chevalley:A1").predicted_order(parse_ring("zn:n=6")) \
         is None
 
@@ -678,29 +696,20 @@ def test_no_order_law_without_one():
     ("chevalley:A1", "fqt:p=2,f=1,m=3"),
 ])
 def test_cap_below_the_order_law_fails_before_enumerating(
-        monkeypatch, family, lit):
+        generated, family, lit):
     # cc --levels M enumerates the levels 1..M-1; only the top one, the
     # ring lit, is over the cap
     ring = parse_ring(lit)
     order = Family(family).predicted_order(ring)
-    real, rings = groups.generate, []
-
-    def recording(ring, *args, **kwargs):
-        rings.append(ring.literal)
-        return real(ring, *args, **kwargs)
-
-    monkeypatch.setattr(groups, "generate", recording)
-    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
-    cache.clear_memo()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["cc", "--group", family, "--ring", lit,
                          "--levels", str(ring.m + 1), "--cap", str(order - 1)])
-    cache.clear_memo()
     assert code == 3
     assert f"order law gives {order} elements" in err.getvalue()
     assert out.getvalue() == ""
-    assert len(rings) == ring.m - 1 and lit not in rings
+    rings_used = [r for r, _ in generated]
+    assert len(rings_used) == ring.m - 1 and lit not in rings_used
 
 
 # ----------------------------------------------------------------------
@@ -780,7 +789,8 @@ def test_kernel_route_matches_the_oracle_search(family, lit):
         mats, inv, rho = oracle_table(G.ring, fam._generators(G.ring))
         assert (G.mats == mats).all() and (G.inv == inv).all()
         assert (G.rho == rho).all()
-        keyed = fam.table(G.ring)  # the packed-key route
+        # generate without a lower table: the packed-key route
+        keyed = generate(G.ring, fam._generators(G.ring))
         for a, b in ((G.mats, keyed.mats), (G.inv, keyed.inv),
                      (G.rho, keyed.rho)):
             assert a.dtype == b.dtype and (a == b).all()
@@ -861,33 +871,64 @@ def test_lower_table_must_be_the_level_below():
     with pytest.raises(GroupsError, match="not a level-2 table"):
         fam.table(ring, lower=fam.table(ring.subring_level(1)))
     with pytest.raises(GroupsError, match="not enumerated over"):
-        Family("chevalley:A1", include_torus=False).table(
-            ring, lower=fam.table(ring.subring_level(2)))
+        fam.table(parse_ring("zn:n=4"), lower=fam.table(parse_ring("zn:n=2")))
 
 
-def test_cache_hits_enumerate_no_level(tmp_path, monkeypatch):
-    real, calls = groups.generate, []
+def assert_towers_over_lower(calls):
+    # every level m >= 2 (all rings here are zq or fqt) over its level
+    # below, and only those
+    levels = [parse_ring(lit).m for lit, _ in calls]
+    assert max(levels) >= 2
+    assert [lower for _, lower in calls] == [m >= 2 for m in levels]
 
-    def recording(ring, *args, **kwargs):
-        calls.append((ring.literal, kwargs.get("lower") is not None))
-        return real(ring, *args, **kwargs)
 
-    monkeypatch.setattr(groups, "generate", recording)
+def test_cold_prop62_enumerates_every_level_over_the_one_below(generated):
+    from localzeta.zeta import prop62_consistency
+
+    assert prop62_consistency("heisenberg", "zq", 2, 1, 4)["ok"]
+    assert [lit for lit, _ in generated] \
+        == [f"zq:p=2,f=1,m={m}" for m in (1, 2, 3)]
+    assert_towers_over_lower(generated)
+
+
+def test_suite_tables_checks_tables_enumerated_over_the_one_below(generated):
+    from localzeta import verify
+
+    assert verify.suite_tables()["ok"]
+    assert_towers_over_lower(generated)
+
+
+def test_direct_table_enumerates_its_lower_levels(generated):
+    G = Family("chevalley:A1").table(parse_ring("fqt:p=2,f=1,m=3"))
+    assert generated == [(f"fqt:p=2,f=1,m={m}", m >= 2) for m in (1, 2, 3)]
+    assert G.size == 6 * 8**2
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("chevalley:B2", "fqt:p=2,f=1,m=3"),
+    ("heisenberg", "zq:p=3,f=1,m=5"),
+])
+def test_a_refused_cap_enumerates_no_level(generated, family, lit):
+    ring = parse_ring(lit)
+    with pytest.raises(TooLarge, match="order law gives"):
+        cache.table_for(family, ring)
+    with pytest.raises(TooLarge, match="order law gives"):
+        Family(family).table(ring)
+    assert generated == []
+
+
+def test_cache_hits_enumerate_no_level(generated, tmp_path, monkeypatch):
     monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    for m in (1, 2, 3):
+        cache.table_for("chevalley:A1", parse_ring(f"fqt:p=2,f=1,m={m}"))
+    # levels fetched in order run over the memoised level below
+    assert [lower for _, lower in generated] == [False, True, True]
+    generated.clear()
+    top = parse_ring("fqt:p=2,f=1,m=3")
+    cache.table_for("chevalley:A1", top)  # memo hit
     cache.clear_memo()
-    try:
-        for m in (1, 2, 3):
-            cache.table_for("chevalley:A1", parse_ring(f"fqt:p=2,f=1,m={m}"))
-        # levels fetched in order run over the memoised level below
-        assert [lower for _, lower in calls] == [False, True, True]
-        calls.clear()
-        top = parse_ring("fqt:p=2,f=1,m=3")
-        cache.table_for("chevalley:A1", top)  # memo hit
-        cache.clear_memo()
-        cache.table_for("chevalley:A1", top)  # disk hit, memo empty
-        assert calls == []
-    finally:
-        cache.clear_memo()
+    cache.table_for("chevalley:A1", top)  # disk hit, memo empty
+    assert generated == []
 
 
 def test_order_law_refuses_before_any_top_level_product(monkeypatch):

@@ -436,6 +436,9 @@ def test_sum_empty_set_is_zero():
     "x >= 0 and n >= 0 and n = 1 mod 2 and n = 0 mod 2",
     # two lower bounds on x: the tight-bound literal has coefficient 1/2
     "2*x >= n and x >= 0 and n >= 0 and n <= -1",
+    # Cooper on n would substitute into 105 * 3 pieces, over its budget;
+    # the rational relaxation of the n, y literals is already empty
+    "x <= 0 and n >= 0 and 35*n + 6*y <= 2 and 21*n + 10*y >= 5 and y >= 0",
 ])
 def test_empty_cell_with_an_unbounded_variable_sums_to_zero(where):
     # x runs along a non-contracting ray, but no n satisfies the rest of
@@ -451,7 +454,9 @@ def test_empty_cell_with_an_unbounded_variable_sums_to_zero(where):
 def test_satisfiable_matches_a_search_over_a_box():
     # conjunctions inside the box -3 <= x, y <= 3, with rational
     # coefficients on the inequalities, against every point of the box;
-    # a system past the budget may stay undecided (None), never wrong
+    # a system past the budget may stay undecided (None), never wrong.
+    # Cooper alone decides 199; the rational relaxation shows 11 more
+    # empty
     rng = random.Random(11)
     box = range(-3, 4)
     decided = 0
@@ -478,7 +483,7 @@ def test_satisfiable_matches_a_search_over_a_box():
         got = presburger._satisfiable(lits)
         assert got in (want, None)
         decided += got is not None
-    assert decided >= 150  # at least half are decided
+    assert decided >= 210
 
 
 def test_sum_errors():

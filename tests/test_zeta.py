@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from localzeta import cache, groups, zeta
+from localzeta.groups import TooLarge
 from localzeta.laurent import Laurent
+from localzeta.rings import parse_ring
 from localzeta.zeta import (
     BivariateRational,
     ZetaError,
@@ -277,6 +280,25 @@ def test_prop73_maximal_parabolics_a2():
     assert l1["p1_order"] == 24 and l1["p2_order"] == 24
     # alpha = k_G^2 / (k_P1 k_P2) at q = 2: (21/32)^2 / (24/64)^2
     assert r["alpha"] == Fraction(21, 32) ** 2 / Fraction(24, 64) ** 2
+
+
+def test_pair_scans_refuse_past_their_cap(monkeypatch):
+    # with the cap at 10, the 8 elements of Heis(Z/2) are scanned and the
+    # 64 of Heis(Z/4) (and the 48 of A1(Z/4)) are refused
+    monkeypatch.setattr(groups, "PAIR_SCAN_CAP", 10)
+    monkeypatch.setattr(zeta, "PAIR_SCAN_CAP", 10)
+    small = cache.table_for("heisenberg", parse_ring("zq:p=2,f=1,m=1"))
+    assert small.commuting_pairs() == 5 * 8
+    assert small.pair_depth_counts()[1] == 5 * 8
+    big = cache.table_for("heisenberg", parse_ring("zq:p=2,f=1,m=2"))
+    with pytest.raises(TooLarge, match="exceeds cap 10"):
+        big.commuting_pairs()
+    with pytest.raises(TooLarge, match="exceeds cap 10"):
+        big.pair_depth_counts()
+    with pytest.raises(TooLarge, match="exceeds cap 10"):
+        prop62_consistency("heisenberg", "zq", 2, 1, 3)
+    with pytest.raises(TooLarge, match="exceeds cap 10"):
+        prop73_consistency("A1", "-", "-", "zq", 2, 1, 3)
 
 
 # ----------------------------------------------------------------------
