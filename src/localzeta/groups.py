@@ -2,24 +2,30 @@
 
 A GroupTable is a fully enumerated finite group of d x d matrices over one
 of the rings from :mod:`localzeta.rings`, with the right-regular table
-``rho`` of every product x * g that the enumeration formed, and the
+``rho``, the id of x * g for every element x and generator g, and the
 inverse map that gathers on ``rho`` give.
 
 The enumeration files each product under the id of its element by one of
 two routes, fixed by the ring.  Every ``zq`` and ``fqt`` table at level
-m >= 2 is enumerated over the level-(m-1) table, where an element x over
-the lower element i has the dense id
-i |V| + its top pi-adic digits at the pivots of V s_r (congruence-kernel
-coordinates, ``_KernelIndex``): G(R_m) -> G(R_{m-1}) is onto with kernel
-I + pi^(m-1) V, |V| = q^dim_scheme, and s_r is the residue of i.  Level-1
+m >= 2 is enumerated over the level-(m-1) table by kernel translation
+(``_KernelIndex``): G(R_m) -> G(R_{m-1}) is onto with the abelian kernel
+I + pi^(m-1) V, |V| = q^dim_scheme, so an element is (I + pi^(m-1) X_v)
+s_j for a lift s_j of the lower element j, and has the dense id j |V| +
+v.  Only the |G_{m-1}| ngens products s_j g are formed; each gives its
+lower index by the lower rho and a cocycle c in F_p^k, and every other
+product x g is the gather maps[g][j] |V| + (v + c digitwise mod p).  The
+matrices come last, s_j + pi^(m-1) X_v s_r by table gathers.  Level-1
 tables and ``zn`` have no such tower and keep packed integer keys
-(``_KeyIndex``): the entries of a matrix, bit-packed into uint64 words
-and folded into one uint64 when there are several words, are looked up
-in sorted keys.  ``lookup_batch`` and ``contains_batch`` search a table's
-sorted keys, built on first use, for either route.  Every product is
-confirmed entry by entry against the element it is filed as, and the
-kernel elements are checked to lie on I + pi^(m-1) V, so a wrong V or a
-key collision raises IdentityError instead of mis-filing an element.
+(``_KeyIndex``): every product is formed, the entries of a matrix are
+bit-packed into uint64 words and folded into one uint64 when there are
+several words, and looked up in sorted keys.  ``lookup_batch`` and
+``contains_batch`` search a table's sorted keys, built on first use, for
+either route.  Every product that is formed is confirmed entry by entry:
+against the element it is filed as on the key route, and against the
+matrix rebuilt from its lift and cocycle on the kernel route.  So a wrong
+V or a key collision raises IdentityError instead of mis-filing an
+element, and the translated entries are exact because
+(I + pi^(m-1) X)(I + pi^(m-1) C) = I + pi^(m-1) (X + C).
 
 On top of the table sit the counting routines used by the zeta layer;
 their group actions are integer gathers on ``rho`` and the inverse map,
@@ -47,6 +53,8 @@ from .chevalley import chevalley_group
 ENUM_CAP = 2_000_000
 PAIR_SCAN_CAP = 20_000
 PIECE = 1 << 18  # multiply-adds in one mat_mul call of generate
+TABLE_ENTRIES = 1 << 22  # in one kernel table of generate
+SLOTS = 1 << 16  # in one piece of the kernel route's slot gathers
 FOLD_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying is a bijection
 
 
@@ -482,23 +490,35 @@ class _KeyIndex:
     (and of ``generate`` called without ``lower``, the oracle that tests
     compare the kernel route with).
 
-    The keys of the elements found so far are kept as sorted runs of
-    (keys, ids).  The last two runs are merged while the older is at most
-    twice the newer, so each run is more than twice the next, there are at
-    most log2(N) + 1 runs, and a key's run grows 1.5-fold at each merge it
-    takes part in.  Each piece's keys are sorted and looked up in every
-    run; new keys are numbered in the order they first occur.
+    Every product x * g of the frontier is formed, and the keys of the
+    elements found so far are kept as sorted runs of (keys, ids).  The last
+    two runs are merged while the older is at most twice the newer, so each
+    run is more than twice the next, there are at most log2(N) + 1 runs,
+    and a key's run grows 1.5-fold at each merge it takes part in.  Each
+    piece's keys are sorted and looked up in every run; new keys are
+    numbered in the order they first occur.  Every product is compared
+    entry by entry with the element it is filed as, so a key collision
+    raises IdentityError and never merges two matrices.
     """
 
-    def __init__(self, ring, d):
+    def __init__(self, ring, gen_mats, d, name):
+        self.ring, self.gen_mats, self.d, self.name = ring, gen_mats, d, name
         self.pack = _Packing(ring, d)
         self.runs = [(self.pack(ring.identity_mat(d)[None]),
                       np.zeros(1, dtype=np.int32))]
+        # the first `size` rows are the elements found so far
+        self.mats = ring.identity_mat(d)[None]
+        self.per = max(1, PIECE // d**3)  # products of one piece
 
-    def file(self, prod, rows, c0, c1, size):
-        """(ids, fresh): the element id of every product, new elements
-        numbered from size, and the positions of the new elements' first
-        occurrences, ascending."""
+    def file(self, rows, c0, c1, size):
+        """(ids, fresh): the element id of every product of the elements
+        in the slice rows with the generators c0..c1-1, generator-major,
+        new elements numbered from size, and the positions of the new
+        elements' first occurrences, ascending."""
+        d = self.d
+        prod = self.ring.mat_mul(
+            self.mats[None, rows], self.gen_mats[c0:c1, None]
+        ).reshape(-1, d, d)
         keys = self.pack(prod)
         # the distinct keys, ascending, each with its first occurrence
         order = np.argsort(keys, kind="stable")
@@ -522,94 +542,132 @@ class _KeyIndex:
                 self.runs.append(_merge(self.runs.pop(), self.runs.pop()))
         ids = np.empty(keys.shape[0], dtype=np.int64)
         ids[order] = uid[np.cumsum(head) - 1]
+        self.mats = _room(self.mats, size, size + fresh.size)
+        self.mats[size:size + fresh.size] = prod[first[fresh]]
+        if not (self.mats[ids] == prod).all():
+            raise IdentityError(f"two matrices of {self.name} share a key")
         return ids, first[fresh]
 
-
-def _echelon(rows, p):
-    """Reduced row echelon forms modulo p of an (R, n, L) stack.
-
-    Returns (rank, pivots, forms): rank (R,), pivots (R, n) whose first
-    rank entries are the pivot columns, ascending, and forms (R, n, L)
-    whose first rank rows are the reduced basis."""
-    A = np.asarray(rows, dtype=np.int64) % p
-    R, n, L = A.shape
-    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], np.int64)
-    rank = np.zeros(R, dtype=np.int64)
-    piv = np.zeros((R, n), dtype=np.int64)
-    below = np.arange(n)
-    for col in range(L):
-        cand = (A[:, :, col] != 0) & (below >= rank[:, None])
-        hit = np.flatnonzero(cand.any(axis=1))
-        if not hit.size:
-            continue
-        src, dst = cand[hit].argmax(axis=1), rank[hit]
-        row = A[hit, src] * inv[A[hit, src, col]][:, None] % p
-        A[hit, src] = A[hit, dst]
-        A[hit] = (A[hit] - A[hit, :, col][:, :, None] * row[:, None]) % p
-        A[hit, dst] = row
-        piv[hit, dst] = col
-        rank[hit] += 1
-    return rank, piv, A
+    def matrices(self, size):
+        """The matrices of the first size elements, as filed."""
+        return self.mats[:size].copy() if self.mats.shape[0] > size \
+            else self.mats
 
 
 def _kernel_basis(ring, kernel):
-    """(basis, pivots): the reduced echelon F_p-basis, as (n, d*d*f) digit
+    """(basis, pivots): the reduced echelon F_p-basis, as (k, d*d*f) digit
     rows, of V, the span of the top digits D(k) = X over the kernel
     generators k = I + pi^(m-1) X (D(I) = 0 at level m >= 2), and its
-    pivot columns."""
-    rows = ring.top_digits()[np.asarray(kernel)].reshape(len(kernel), -1)
-    rank, piv, forms = _echelon(rows[None], ring.p)
-    return forms[0, :rank[0]], piv[0, :rank[0]]
+    pivot columns, ascending."""
+    p = ring.p
+    A = ring.top_digits()[np.asarray(kernel)].reshape(len(kernel), -1) % p
+    piv = []
+    for col in range(A.shape[1]):
+        r = len(piv)
+        hit = np.flatnonzero(A[r:, col])
+        if not hit.size:
+            continue
+        A[[r, r + hit[0]]] = A[[r + hit[0], r]]
+        row = A[r] * pow(int(A[r, col]), -1, p) % p
+        A = (A - A[:, col, None] * row) % p
+        A[r] = row
+        piv.append(col)
+    return A[:len(piv)], np.array(piv, dtype=np.int64)
 
 
 def _residues(lower):
-    """(res, mats): res[i] numbers the residue class mod pi of the lower
-    element i, and mats[r] is the residue matrix of class r."""
+    """(res, first): res[i] numbers the residue class mod pi of the lower
+    element i, and first[r] is the first lower element of class r."""
     res = lower.ring.mat_project(lower.mats, 1).astype(np.uint16)
     flat = np.ascontiguousarray(res.reshape(lower.size, -1))
     keys = flat.view(np.dtype((np.void, flat.shape[1] * 2))).ravel()
     _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
-    return cls.astype(np.int32), res[first].astype(np.int32)
+    return cls.astype(np.int32), first
 
 
-def _coordinate_pivots(ring, basis, residues):
-    """(R, k): the pivot columns of the reduced echelon basis of V s over
-    F_p for every residue matrix s, vectorised over the residues."""
+def _times_residues(ring, rows, residues):
+    """The digit rows of X s for every digit row X of rows, read as a
+    d x d matrix over F_q, and every residue matrix s: (R, n, d*d*f) from
+    (n, d*d*f) and (R, d, d), by the level-1 MUL and ADD tables, one inner
+    index at a time."""
     p, f = ring.p, ring.f
-    n, d = basis.shape[0], residues.shape[1]
+    n, d = rows.shape[0], residues.shape[1]
     one = ring.subring_level(1)
-    # a digit row is a matrix over F_q = the level-1 ring, digit j on x^j;
-    # X s by the ring's MUL and ADD tables, one inner index at a time
-    X = (basis.reshape(n, d, d, f) * p ** np.arange(f)).sum(axis=-1)
+    # a digit row is a matrix over F_q = the level-1 ring, digit j on x^j
+    X = (rows.reshape(n, d, d, f) * p ** np.arange(f)).sum(axis=-1)
     prods = np.zeros((len(residues), n, d, d), dtype=np.int64)
     for c in range(d):
         prods = one.ADD[prods, one.MUL[X[None, :, :, c, None],
                                        residues[:, None, None, c]]]
-    rank, piv, _ = _echelon(
-        one.top_digits()[prods].reshape(len(residues), n, -1), p)
-    if (rank != n).any():
-        raise IdentityError("a residue matrix is singular")
-    return piv
+    return one.top_digits()[prods].reshape(len(residues), n, -1)
+
+
+def _coordinate_maps(ring, inverses, kpiv):
+    """(R, n, k) int32: row t of map r holds the digits at the pivots kpiv
+    of E_t s_r^-1, E_t the unit digit row t (entry t // f, digit t % f) and
+    s_r^-1 the r-th matrix of inverses, so that the coordinates of
+    Y s_r^-1 are Y @ map r.  E_t s_r^-1 has one nonzero row, x^(t % f)
+    times a row of s_r^-1."""
+    f, d = ring.f, inverses.shape[1]
+    one = ring.subring_level(1)
+    row, col = np.divmod(np.arange(d * d * f) // f, d)
+    prow, pcol = np.divmod(kpiv // f, d)
+    x = np.array(one.kernel_scalars())[np.arange(d * d * f) % f]
+    val = one.MUL[x[None, :, None], inverses[:, col[:, None], pcol[None]]]
+    return (one.top_digits()[val, kpiv % f]
+            * (row[:, None] == prow)).astype(np.int32)
+
+
+def _digit_add(p, k):
+    """v, c -> the base-p digitwise sum mod p of arrays of numbers below
+    p^k: xor when p = 2, else lookups in a table of the sums of groups of
+    h digits, with p^(2h) at most 2^16."""
+    if p == 2:
+        return np.bitwise_xor
+    h = 1
+    while h < k and p ** (2 * h + 2) <= 1 << 16:
+        h += 1
+    w = p**h
+    digits = np.arange(w)[:, None] // p ** np.arange(h) % p
+    table = ((digits[:, None] + digits[None]) % p @ p ** np.arange(h)).ravel()
+
+    def add(v, c):
+        if h == k:
+            return table.take(v * w + c)
+        out = 0
+        for lo in range(0, k, h):
+            s = p**lo
+            out = out + table.take(v // s % w * w + c // s % w) * s
+        return out
+
+    return add
 
 
 class _KernelIndex:
-    """Element ids by congruence-kernel coordinates, the route of a level
+    """Element ids by congruence-kernel translation, the route of a level
     m >= 2 table over ``lower``, the level-(m-1) table of the same family.
 
-    An element x over the lower element i is k s_i, with s_i any element
-    over i and k = I + pi^(m-1) X in the kernel, X in V.  So D(x) - D(s_i)
-    = X s_r, with D the top pi-adic digits and s_r the residue of i: D(x)
-    runs through the coset D(s_i) + V s_r, on which its digits at the
-    pivots of the reduced echelon basis of V s_r are coordinates.  The id
-    of x is read from a dense array of |G_{m-1}| |V| slots at i |V| + those
-    digits (base p), and i itself is a gather: the lower index of y is
-    proj[y], and that of y g is maps[g][proj[y]].
+    G(R_m) -> G(R_{m-1}) has the abelian kernel I + pi^(m-1) V, V the
+    F_p-span of the top pi-adic digits of the kernel generators, with the
+    reduced echelon basis B_0..B_(k-1).  ``_lift`` runs a BFS over the
+    lower table under the level-m generators: it moves on lower indices
+    with ``maps[g]`` (the lower rho column of the projection of g) and
+    forms each product s_j g as a level-m ``mat_mul``.  The first product
+    over a new lower element J becomes its lift s_J (s_0 = I); every
+    product gives the cocycle c(j, g) in F_p^k, s_j g = (I + pi^(m-1) X_c)
+    s_J, read as the digits at the pivots of V of (D(s_j g) - D(s_J))
+    s_r^-1, with D the top digits and s_r the residue of J.  Each product
+    is compared entry by entry with the matrix rebuilt from (J, c), so a
+    product that is not a kernel element times its lift raises
+    IdentityError, and the lifts are checked against the lower table.
+    These |G_{m-1}| ngens products are the only ones formed at level m.
 
-    The elements over the lower identity are the kernel, and x s_i^-1 is
-    one of them, so checking that each of them lies on I + pi^(m-1) V
-    checks every coset: one off V raises IdentityError.  Every product is
-    compared entry by entry with the element filed at its slot, so a wrong
-    V raises and never mis-files.
+    The element x = (I + pi^(m-1) X_v) s_j has the dense slot j |V| + v,
+    v the coordinates of X_v in base p.  Since pi^(2(m-1)) = 0, x g =
+    (I + pi^(m-1) (X_v + X_c)) s_J, so ``file`` finds its slot as
+    maps[g][j] |V| + (v + c(j, g) digitwise mod p): every rho entry is a
+    gather and an add on checked products.  ``matrices`` rebuilds x as
+    s_j + pi^(m-1) X_v s_r, X_v s_r read from tables per residue.
     """
 
     def __init__(self, ring, gen_mats, lower, kernel, name):
@@ -618,34 +676,31 @@ class _KernelIndex:
         if lower.ring is not low or lower.d != d:
             raise GroupsError(f"{lower.name} is not a level-{low.m} table "
                               f"for {name}")
-        p, f = ring.p, ring.f
-        self.p, self.name = p, name
-        self.top = ring.top_digits()
-        self.basis, self.kpiv = _kernel_basis(ring, kernel)
-        k = self.basis.shape[0]
+        p = self.p = ring.p
+        self.name = name
+        self.top = ring.top_digits().astype(np.int8)
+        basis, kpiv = _kernel_basis(ring, kernel)
+        k = basis.shape[0]
         self.nV = p**k
-        self.res, residues = _residues(lower)
-        piv = _coordinate_pivots(ring, self.basis, residues)
-        # the slot digits are table[off + entry]: table holds digit j of
-        # every ring element times p^c in block c f + j, and off[r, c]
-        # starts the block of the c-th pivot of residue r
-        pent, pdig = np.divmod(piv, f)
-        self.pent = pent.astype(np.int32)
-        self.off = ((np.arange(k) * f + pdig) * ring.size).astype(np.int32)
-        self.table = (self.top.T * p ** np.arange(k)[:, None, None]).ravel()
-        # when every residue has the same pivots, products need no residue
-        self.static = bool((piv == piv[0]).all())
-        # the map i -> proj(i g) of each generator g on the lower table
+        self.digit_add = _digit_add(p, k)
+        self.res, first = _residues(lower)
+        residues = lower.ring.mat_project(lower.mats[first], 1)
+        inverses = lower.ring.mat_project(lower.mats[lower.inv[first]], 1)
+        self.ADD, self.ring_size = ring.ADD.ravel(), ring.size
+        self.tables = self._kernel_tables(ring, basis, residues)
+        # the coordinates of Y s_r^-1 at the pivots of V, linear in Y
+        n = basis.shape[1]
+        self.coord_maps = _coordinate_maps(ring, inverses, kpiv)
+        # the map j -> proj(s_j g) of each generator g on the lower table
         cols = {encode_mat(g): c for c, (_, g) in enumerate(lower.generators)}
         ident = encode_mat(low.identity_mat(d))
         per = max(1, PIECE // d**3)  # the most products of one piece
-        self.rows = np.arange(0, per * d * d, d * d, dtype=np.int32)
         self.maps = []
         for g in gen_mats:
             gp = ring.mat_project(g, low.m)
             key = encode_mat(gp)
             if key == ident:
-                self.maps.append(None)
+                self.maps.append(np.arange(lower.size, dtype=np.int32))
             elif key in cols:
                 self.maps.append(np.ascontiguousarray(lower.rho[:, cols[key]]))
             else:
@@ -653,33 +708,117 @@ class _KernelIndex:
                     lower.lookup_batch(low.mat_mul(lower.mats[r:r + per], gp))
                     for r in range(0, lower.size, per)
                 ]).astype(np.int32))
+        self._lift(ring, gen_mats, lower, per)
         slots = lower.size * self.nV
         # where[slot] is the element id there, -1 while empty; the identity
-        # is element 0, over the lower identity 0
+        # is element 0, at slot 0 = (lower identity, v = 0)
         self.where = np.full(slots, -1, dtype=np.int32)
-        self.proj = np.zeros(slots, dtype=np.int32)  # lower index per id
-        self.where[self._slots(ring.identity_mat(d).reshape(1, -1),
-                               np.zeros(1, np.int32))] = 0
+        self.where[0] = 0
+        # the lower index j and the coordinates v of each element
+        self.j = np.zeros(slots, dtype=np.int32)
+        self.v = np.zeros(slots, dtype=np.int32)
+        self.per = SLOTS
+        self.rows = per  # matrices rebuilt in one piece
 
-    def _slots(self, flat, i):
-        """i |V| + the digits of each row at the pivots of its residue."""
-        if self.static:
-            pent, off = self.pent[0], self.off[0]
-        else:
-            r = self.res[i]
-            pent, off = self.pent[r], self.off[r]
-        ent = flat.take(self.rows[:flat.shape[0], None] + pent)
-        return np.multiply(i, self.nV, dtype=np.int64) \
-            + self.table.take(ent + off).sum(axis=1)
+    @staticmethod
+    def _kernel_tables(ring, basis, residues):
+        """[(p^lo, p^h, table)] over groups of h coordinates of v, lo the
+        first: table[r p^h + u] is pi^(m-1) X_u s_r, X_u = sum_i u_i
+        B_(lo+i), built one coordinate at a time.  One group holds every
+        coordinate unless its table would pass TABLE_ENTRIES entries."""
+        p, k, R, d = ring.p, basis.shape[0], len(residues), residues.shape[1]
+        top = _times_residues(ring, basis, residues)  # (R, k, d*d*f)
+        scal = np.array(ring.kernel_scalars(), dtype=np.int64)
+        mult = np.arange(p)[:, None, None, None]
+        steps = (mult * top.reshape(R, k, 1, d, d, -1) % p @ scal) \
+            .astype(np.int32)  # (R, k, p, d, d)
+        h = k
+        while h > 1 and R * p**h * d * d > TABLE_ENTRIES:
+            h -= 1
+        tables = []
+        for lo in range(0, k, h):
+            table = np.zeros((R, 1, d, d), dtype=np.int32)
+            for i in range(lo, min(k, lo + h)):
+                table = np.concatenate(
+                    [ring.ADD[table, steps[:, i, a, None]] for a in range(p)],
+                    axis=1)
+            tables.append((p**lo, table.shape[1], table.reshape(-1, d, d)))
+        return tables
 
-    def file(self, prod, rows, c0, c1, size):
-        """(ids, fresh), as ``_KeyIndex.file``."""
-        flat = prod.reshape(prod.shape[0], -1)
-        py = self.proj[rows]
-        i = np.concatenate([py if g is None else g[py]
-                            for g in self.maps[c0:c1]])
-        slot = self._slots(flat, i)
-        ids = self.where[slot]
+    def _lift(self, ring, gen_mats, lower, per):
+        """The lifts s_j and the cocycles coc[g, j] = c(j, g), by a BFS over
+        the lower table: the only products formed."""
+        ngens, d = gen_mats.shape[:2]
+        self.lifts = np.zeros((lower.size, d, d), dtype=np.int32)
+        self.lifts[0] = ring.identity_mat(d)
+        lifted = np.zeros(lower.size, dtype=bool)
+        lifted[0] = True
+        self.coc = np.zeros((ngens, lower.size), dtype=np.int32)
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            found = []
+            for c0, c1, r0, r1 in _pieces(ngens, frontier.size, per):
+                rows = frontier[r0:r1]
+                prod = ring.mat_mul(
+                    self.lifts[None, rows], gen_mats[c0:c1, None]
+                ).reshape(-1, d, d)
+                J = np.concatenate([self.maps[c][rows] for c in range(c0, c1)])
+                # the first product over each new lower element is its lift
+                new = np.flatnonzero(~lifted[J])
+                new = new[np.unique(J[new], return_index=True)[1]]
+                lifted[J[new]] = True
+                self.lifts[J[new]] = prod[new]
+                found.append(J[new])
+                self.coc[c0:c1, rows] = \
+                    self._cocycles(prod, J).reshape(c1 - c0, r1 - r0)
+            frontier = np.concatenate(found)
+        at = np.flatnonzero(lifted)
+        if not (ring.mat_project(self.lifts[at], lower.ring.m)
+                == lower.mats[at]).all():
+            raise IdentityError(f"a lift of {self.name} is not over its "
+                                f"lower element")
+
+    def _coordinates(self, prod, J):
+        """The v with prod = (I + pi^(m-1) X_v) s_J, if prod is such a
+        matrix: the digits of (D(prod) - D(s_J)) s_r^-1 at the pivots of
+        V, as a base-p number."""
+        y = (self.top[prod] - self.top[self.lifts[J]]) % self.p
+        y = y.reshape(len(J), -1)
+        res = self.res[J]
+        c = sum(y[:, i, None] * self.coord_maps[:, i].take(res, axis=0)
+                for i in range(y.shape[1])) % self.p
+        return c @ self.p ** np.arange(c.shape[1])
+
+    def _cocycles(self, prod, J):
+        """The coordinates of every product over its lift, each product
+        compared entry by entry with the matrix rebuilt from them."""
+        v = self._coordinates(prod, J)
+        if not (self.rebuild(J, v) == prod).all():
+            raise IdentityError(
+                f"a product of {self.name} lies off its kernel coordinates")
+        return v
+
+    def rebuild(self, J, v):
+        """(I + pi^(m-1) X_v) s_J = s_J + pi^(m-1) X_v s_r for arrays J, v,
+        added one table at a time by the ring's ADD table."""
+        res, x = self.res.take(J), self.lifts.take(J, axis=0)
+        for s, w, table in self.tables:
+            at = x * self.ring_size
+            at += table.take(res * w + v // s % w, axis=0)
+            x = self.ADD.take(at)
+        return x
+
+    def file(self, rows, c0, c1, size):
+        """(ids, fresh), as ``_KeyIndex.file``, by gathers on the lower
+        maps and the cocycles."""
+        j, v = self.j[rows], self.v[rows]
+        J = np.concatenate([self.maps[c].take(j) for c in range(c0, c1)])
+        nv = self.digit_add(
+            np.tile(v, c1 - c0),
+            np.concatenate([self.coc[c].take(j) for c in range(c0, c1)]))
+        slot = np.multiply(J, self.nV, dtype=np.int64)
+        slot += nv
+        ids = self.where.take(slot)
         new = np.flatnonzero(ids < 0)
         if not new.size:
             return ids, new
@@ -689,19 +828,17 @@ class _KernelIndex:
         fresh = new[self.where[at] == -2 - new]
         self.where[slot[fresh]] = np.arange(size, size + fresh.size)
         ids[new] = self.where[at]
-        self.proj[size:size + fresh.size] = i[fresh]
-        kernel = fresh[i[fresh] == 0]
-        if kernel.size:
-            self._check_kernel(flat[kernel])
+        self.j[size:size + fresh.size] = J[fresh]
+        self.v[size:size + fresh.size] = nv[fresh]
         return ids, fresh
 
-    def _check_kernel(self, flat):
-        """IdentityError unless D(x) of every new kernel element x lies in
-        V."""
-        v = self.top[flat].reshape(len(flat), -1)
-        if (v[:, self.kpiv] @ self.basis % self.p != v).any():
-            raise IdentityError(
-                f"an element of {self.name} lies off its kernel coordinates")
+    def matrices(self, size):
+        """The matrices of the first size elements, rebuilt in pieces."""
+        mats = np.empty((size,) + self.lifts.shape[1:], dtype=np.int32)
+        for lo in range(0, size, self.rows):
+            hi = min(size, lo + self.rows)
+            mats[lo:hi] = self.rebuild(self.j[lo:hi], self.v[lo:hi])
+        return mats
 
 
 def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
@@ -709,72 +846,60 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
     """Breadth-first closure of the generator list.
 
     generators: list of (provenance, matrix).  Generators are deduplicated
-    and sorted by canonical encoding.  Each layer forms its products x * g
+    and sorted by canonical encoding.  Each layer files its products x * g
     generator-major (the whole frontier times g_0, then times g_1, ...),
-    in pieces of at most PIECE multiply-adds, and gives each product the id
-    of its element; new elements are numbered in the order they first
-    occur, so two runs produce identical tables.  Ids come from
-    congruence-kernel coordinates (``_KernelIndex``) when ``lower``, the
-    level-(m-1) table, and ``kernel``, generators of the kernel of
-    G(R_m) -> G(R_{m-1}), are given, and from packed keys (``_KeyIndex``)
-    otherwise; both give the same table.  ``Family.table`` and
-    ``cache.table_for`` give every ``zq`` and ``fqt`` level m >= 2 its
-    lower table.  Every product is kept as the right-regular table rho,
-    and is compared entry by entry with the element it was numbered as,
-    so a key collision raises IdentityError and never merges two matrices.
-    These N * ngens products are the only matrix products at level m;
-    inverses are gathers on rho.  A generator that projects to neither
-    I nor a lower generator costs |G_{m-1}| more products at level m-1,
-    for its map on the lower table.  Raises TooLarge in the piece that
-    finds the (cap + 1)-th element.
+    in pieces, under the id of their element; new elements are numbered
+    in the order they first occur, so two runs produce identical tables.
+    Ids come from congruence-kernel translation (``_KernelIndex``) when
+    ``lower``, the level-(m-1) table, and ``kernel``, generators of the
+    kernel of G(R_m) -> G(R_{m-1}), are given, and from packed keys
+    (``_KeyIndex``) otherwise; both give the same table.  ``Family.table``
+    and ``cache.table_for`` give every ``zq`` and ``fqt`` level m >= 2 its
+    lower table.  The key route forms all N * ngens products and checks
+    each against the element it is filed as.  The kernel route forms only
+    the |G_{m-1}| * ngens products s_j g of the lifts and checks each
+    against the matrix rebuilt from its lift and cocycle; every other rho
+    entry and every matrix follows from them exactly, because the kernel
+    I + pi^(m-1) V is abelian.  The ids of all N * ngens products are kept
+    as the right-regular table rho, and inverses are gathers on rho.  A
+    generator that projects to neither I nor a lower generator costs
+    |G_{m-1}| more products at level m-1, for its map on the lower table.
+    Raises TooLarge in the piece that finds the (cap + 1)-th element.
     """
     gens = _canonical_generators(generators)
     ngens = len(gens)
     d = gens[0][1].shape[0] if gens else 1
     gen_mats = np.array([g for _, g in gens], dtype=np.int32)
     if lower is None:
-        index = _KeyIndex(ring, d)
+        index = _KeyIndex(ring, gen_mats, d, name)
     else:
         index = _KernelIndex(ring, gen_mats, lower, kernel, name)
 
-    # the first `size` rows of mats are the elements found so far, and
     # element x > 0 is parent[x] * gen_mats[letter[x]]
-    mats = ring.identity_mat(d)[None]
     parent, letter = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
     size, lo = 1, 0
-    per = max(1, PIECE // d**3)
     rho, layers = [], []
     while lo < size:
         # the frontier is lo..size-1, the elements the last layer found
         width = size - lo
         block = np.empty((ngens, width), dtype=np.int32)  # generator-major
-        for c0, c1, r0, r1 in _pieces(ngens, width, per):
-            prod = ring.mat_mul(
-                mats[None, lo + r0:lo + r1], gen_mats[c0:c1, None]
-            ).reshape(-1, d, d)
-            ids, fresh = index.file(prod, slice(lo + r0, lo + r1), c0, c1,
-                                    size)
+        for c0, c1, r0, r1 in _pieces(ngens, width, index.per):
+            ids, fresh = index.file(slice(lo + r0, lo + r1), c0, c1, size)
             if size + fresh.size > cap:
                 raise TooLarge(f"group {name} exceeded cap: reached {cap + 1}")
             col, row = np.divmod(fresh, r1 - r0)
             parent.append(lo + r0 + row)
             letter.append(c0 + col)
-            mats = _room(mats, size, size + fresh.size)
-            mats[size:size + fresh.size] = prod[fresh]
             size += fresh.size
-            if not (mats[ids] == prod).all():
-                raise IdentityError(f"two matrices of {name} share a key")
             block[c0:c1, r0:r1] = ids.reshape(c1 - c0, r1 - r0)
         rho.append(block.T)
         layers.append((lo, lo + width))
         lo += width
-    if mats.shape[0] > size:
-        mats = mats[:size].copy()
     rho = np.concatenate(rho)
     inv = _inverses(rho, np.concatenate(parent), np.concatenate(letter),
                     layers)
     return GroupTable(
-        ring, mats, inv, rho, gens, name,
+        ring, index.matrices(size), inv, rho, gens, name,
         dim_scheme if dim_scheme is not None else d,
     )
 

@@ -387,6 +387,15 @@ def hecke_zeta(system, s1, s2, kind, p, f, M, cap=ENUM_CAP) -> ZetaSeries:
 # consistency chains
 
 
+def _check_pair_scan(order):
+    """TooLarge when a pair scan over order elements passes its cap; a
+    None order (no order law) is left to the scan itself."""
+    if order is not None and order > PAIR_SCAN_CAP:
+        raise TooLarge(
+            f"pair scan over {order} elements exceeds cap {PAIR_SCAN_CAP}"
+        )
+
+
 def prop62_consistency(family, kind, p, f, M):
     """Ties the commutator-depth level sets to class counts, exactly.
 
@@ -399,6 +408,7 @@ def prop62_consistency(family, kind, p, f, M):
     """
     fam = as_family(family)
     rings = _levels(kind, p, f, M)
+    _check_pair_scan(fam.predicted_order(rings[-1]))
     top = table_for(fam, rings[-1])
     hist = top.pair_depth_counts()
     top_sq = top.size**2
@@ -452,6 +462,7 @@ def prop73_consistency(system, s1, s2, kind, p, f, M):
     fam = Family(f"chevalley:{system}")
     fam1, fam2 = sub_family(system, s1), sub_family(system, s2)
     rings = _levels(kind, p, f, M)
+    _check_pair_scan(fam.predicted_order(rings[-1]))
     subs1, subs2 = {}, {}
     levels = []
     deviations = []
@@ -487,10 +498,7 @@ def prop73_consistency(system, s1, s2, kind, p, f, M):
         levels.append(entry)
 
     top = table_for(fam, rings[-1])
-    if top.size > PAIR_SCAN_CAP:
-        raise TooLarge(
-            f"pair scan over {top.size} elements exceeds cap {PAIR_SCAN_CAP}"
-        )
+    _check_pair_scan(top.size)
     lam1 = parabolic_depths(top, subs1)
     lam2 = parabolic_depths(top, subs2)
     mtop = rings[-1].m

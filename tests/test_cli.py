@@ -226,6 +226,41 @@ def test_verify_all_stdout_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
 
 
+# sha256 of the stdout of the five fixed `cc` and `hecke` jobs of the
+# benchmark (the REFERENCE_SHA256 of bench/workloads.py): their tables are
+# enumerated over the level below, so these pin that route's reports
+BENCH_JOB_SHA256 = {
+    "cc --group heisenberg --ring zq:p=3,f=1,m=5":
+        "353169463e68ecfcf01f27ff9565544657cdc9ffdbbdb475ab2ae86383276389",
+    "hecke --group A1 --s1 - --s2 - --ring fqt:p=2,f=1,m=6":
+        "77079d46f0f812cc3705e17d47e8089c5eb71dea823da8e6581d57940fdcaa1c",
+    "hecke --group A1 --s1 - --s2 all --ring fqt:p=2,f=1,m=6":
+        "addae75659211d3f1999c62011010e9e30fd44e28494f5825887b261842c2698",
+    "cc --group chevalley:A1 --ring fqt:p=2,f=1,m=6":
+        "db29169f60da6311f827175e51350494ef7254648e056d486568fe38a421f109",
+    "hecke --group B2 --s1 a1 --s2 a2 --ring fqt:p=2,f=1,m=2":
+        "87fcaab30a469c7b0262e3678cf0ebccf74ade40e1c7a82378ee4f46e07d6295",
+}
+
+
+def test_benchmark_job_stdout_is_pinned(monkeypatch):
+    import contextlib
+    import io
+
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    try:
+        for command, digest in BENCH_JOB_SHA256.items():
+            cache.clear_memo()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(command.split()) == 0
+            got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            assert got == digest, command
+    finally:
+        cache.clear_memo()
+
+
 def test_verify_failure_exit_code(monkeypatch):
     from localzeta import verify
 

@@ -34,23 +34,6 @@ def table(family, ring_lit):
     return Family(family).table(parse_ring(ring_lit))
 
 
-@pytest.fixture
-def generated(monkeypatch):
-    """(ring literal, given a lower table) of every generate call, with an
-    empty memo and no disk cache."""
-    real, calls = groups.generate, []
-
-    def recording(ring, *args, **kwargs):
-        calls.append((ring.literal, kwargs.get("lower") is not None))
-        return real(ring, *args, **kwargs)
-
-    monkeypatch.setattr(groups, "generate", recording)
-    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
-    cache.clear_memo()
-    yield calls
-    cache.clear_memo()
-
-
 def test_a1_orders_and_classes():
     for lit, order, classes in [
         ("zq:p=2,f=1,m=1", 6, 3),  # S3
@@ -93,8 +76,9 @@ def test_inverses_are_correct():
 
 
 def test_generate_forms_only_the_frontier_products(monkeypatch):
-    # one product x * g per element and generator; the inverses are
-    # gathers on rho, not matrix products
+    # the kernel route forms one product s_j * g per lower element and
+    # generator; the key route one x * g per element and generator; the
+    # inverses are gathers on rho, not matrix products
     real, formed = rings.Ring.mat_mul, []
 
     def counting(self, A, B):
@@ -104,12 +88,17 @@ def test_generate_forms_only_the_frontier_products(monkeypatch):
 
     monkeypatch.setattr(rings.Ring, "mat_mul", counting)
     for family, lit in [("chevalley:A1", "zq:p=3,f=1,m=2"),
-                        ("parabolic:B2:a1", "fqt:p=2,f=1,m=2")]:
+                        ("parabolic:B2:a1", "fqt:p=2,f=1,m=2"),
+                        ("heisenberg", "zq:p=3,f=1,m=3")]:
         fam, ring = Family(family), parse_ring(lit)
-        lower = fam.table(ring.subring_level(1))
+        lower = fam.table(ring.subring_level(ring.m - 1))
         formed.clear()  # count the top level's products only
         G = fam.table(ring, lower=lower)
-        assert sum(formed) == G.size * len(G.generators)
+        assert sum(formed) == lower.size * len(G.generators)
+        assert G.size == lower.size * ring.q ** fam.dim_scheme
+        formed.clear()
+        keyed = generate(ring, fam._generators(ring))
+        assert sum(formed) == keyed.size * len(keyed.generators)
 
 
 def test_inverses_reject_a_table_that_is_no_group():
@@ -863,6 +852,51 @@ def test_an_element_off_the_kernel_span_raises():
     with pytest.raises(IdentityError, match="off its kernel coordinates"):
         generate(ring, gens, lower=lower, name="odd",
                  kernel=fam.kernel_generators(ring))
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=3,f=1,m=2"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=3"),
+])
+def test_a_misread_cocycle_raises(monkeypatch, family, lit):
+    # one cocycle c(j, g) read off by the first basis vector of V: the
+    # product no longer equals the matrix rebuilt from it
+    fam, ring = Family(family), parse_ring(lit)
+    lower = fam.table(ring.subring_level(ring.m - 1))
+    real, calls = groups._KernelIndex._coordinates, []
+
+    def misread(self, prod, J):
+        v = real(self, prod, J)
+        calls.append(len(v))
+        if len(calls) == 2:
+            v = v.copy()
+            v[-1] = v[-1] - v[-1] % self.p + (v[-1] + 1) % self.p
+        return v
+
+    monkeypatch.setattr(groups._KernelIndex, "_coordinates", misread)
+    with pytest.raises(IdentityError, match="off its kernel coordinates"):
+        fam.table(ring, lower=lower)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p,k", [(2, 5), (3, 3), (3, 7), (5, 4), (7, 2)])
+def test_digit_add_sums_digitwise(p, k):
+    v, c = np.random.default_rng(p * k).integers(0, p**k, (2, 400))
+    want = sum((v // p**i + c // p**i) % p * p**i for i in range(k))
+    assert (groups._digit_add(p, k)(v, c) == want).all()
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("chevalley:A1", "zq:p=2,f=2,m=2"),
+    ("heisenberg", "zq:p=3,f=1,m=3"),
+])
+def test_kernel_tables_split_by_coordinate_keep_the_golden_tables(
+        monkeypatch, family, lit):
+    # a table per coordinate of V, added one after another
+    monkeypatch.setattr(groups, "TABLE_ENTRIES", 1)
+    G = tower(family, lit)[-1]
+    got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
+    assert got == GOLDEN_TABLES[family, lit]
 
 
 def test_lower_table_must_be_the_level_below():

@@ -301,6 +301,20 @@ def test_pair_scans_refuse_past_their_cap(monkeypatch):
         prop73_consistency("A1", "-", "-", "zq", 2, 1, 3)
 
 
+def test_pair_scans_refuse_by_the_order_law_first(generated, monkeypatch):
+    # the top level's order law refuses the scan before any table: B2 over
+    # F2[t]/t^2 has 720 * 2^10 elements, and with the cap at 10 so do
+    # Heis(Z/4) (64) and A1(Z/4) (48)
+    with pytest.raises(TooLarge, match="pair scan over 737280 elements"):
+        prop73_consistency("B2", "a1", "a2", "fqt", 2, 1, 3)
+    monkeypatch.setattr(zeta, "PAIR_SCAN_CAP", 10)
+    with pytest.raises(TooLarge, match="pair scan over 64 elements"):
+        prop62_consistency("heisenberg", "zq", 2, 1, 3)
+    with pytest.raises(TooLarge, match="pair scan over 48 elements"):
+        prop73_consistency("A1", "-", "-", "zq", 2, 1, 3)
+    assert generated == []
+
+
 # ----------------------------------------------------------------------
 # transfer and Euler product
 
