@@ -9,6 +9,16 @@ ray, which must contract for large s; sigma0 records the smallest integer s
 at which every ray contracts.  The result is an exact BivariateRational in
 (X, Y) = (q, q^-s) whose expansion matches brute-force partial sums.
 
+Eliminating a variable branches on residues: on z = M0*u + r to resolve
+the congruences on z, and on the residue of each bound numerator N when
+a bound z <= N/A is floored.  A branch whose new congruence, together
+with the congruences already there on the same single variable, has no
+integer solution (checked over one period, ``_congruences_clash``) is
+dropped when it is created.  This leaves the sum unchanged: the branch
+has no integer point, and keeping it would only defer its death to the
+elimination of that variable, whose residue modulus is a multiple of the
+period, so every residue there grounds some congruence to false.
+
 Divergence is always an error, never a silent wrong value.  The engine
 refuses runaway case splits via the modulus budget and refuses formulas
 with more than four free variables.
@@ -943,14 +953,51 @@ def _check_ground_lits(lits):
     return True, out
 
 
+def _congruences_clash(lits):
+    """Whether the congruence literals that each name a single variable
+    are shown to have no common integer solution.
+
+    Literals on different variables are independent, so each variable is
+    decided alone.  Whether c*x + k = 0 mod n holds (an integer multiple
+    of n) is periodic in x with period n*den(c), so the literals on x
+    repeat with period the lcm of n*den(c) over them, and the residues of
+    one period decide them.  A period over MODULUS_BUDGET is not searched
+    and leaves the answer False (not shown)."""
+    groups, periods = {}, {}
+    for lit in lits:
+        if lit[0] != "le" and len(lit[1].coeffs) == 1:
+            ((v, c),) = lit[1].coeffs.items()
+            k, n = lit[1].const, lit[2]
+            # c*x + k is an integer multiple of n iff d*c*x + d*k is one
+            # of d*n
+            d = math.lcm(c.denominator, k.denominator)
+            groups.setdefault(v, []).append(
+                (lit[0] == "cong", int(c * d), int(k * d), n * d))
+            periods[v] = math.lcm(periods.get(v, 1), n * c.denominator)
+    return any(
+        periods[v] <= MODULUS_BUDGET and not any(
+            all(((a * x + b) % m == 0) == holds for holds, a, b, m in rows)
+            for x in range(periods[v])
+        )
+        for v, rows in groups.items()
+    )
+
+
 def _residue_branches(term, z):
-    """Substitute z = M0*u + r; returns (M0, list of (r, new Term))
-    with congruences on z resolved into constraints on the rest."""
-    zlits = [l for l in term.lits if z in l[1].vars()]
-    rest = [l for l in term.lits if z not in l[1].vars()]
+    """Substitute z = M0*u + r; returns (M0, list of new Terms) with
+    congruences on z resolved into constraints on the rest.
+
+    Each residue is decided by its congruences first: at r a congruence
+    is its r = 0 form shifted by c*r, and a residue whose congruences
+    are false, or clash (``_congruences_clash``), has no integer point.
+    The le-literals and exponents are shifted only for the residues
+    that remain."""
+    zlits, rest = [], []
+    for lit in term.lits:
+        (zlits if z in lit[1].coeffs else rest).append(lit)
     denoms = [term.xexp.coeff(z).denominator, term.yexp.coeff(z).denominator]
     for lit in zlits:
-        c = lit[1].coeff(z)
+        c = lit[1].coeffs[z]
         if lit[0] == "le":
             denoms.append(c.denominator)
         else:
@@ -960,43 +1007,49 @@ def _residue_branches(term, z):
         raise ModulusBudget(
             f"residue modulus {M0} for {z} exceeds {MODULUS_BUDGET}"
         )
+    stretch = LinForm._raw({z: M0}, 0)  # z = M0*z with z reused as u
+    # (op, form at r = 0, coefficient c of r, modulus) in literal order
+    shifted = []
+    for lit in zlits:
+        c = lit[1].coeffs[z]
+        if lit[0] == "le":
+            shifted.append(("le", lit[1].substitute(z, stretch), c, None))
+            continue
+        # congruence: coefficient of u is c*M0, divisible by the
+        # modulus, so the literal drops u entirely
+        n = lit[2]
+        cu = c * M0
+        if cu.denominator != 1 or cu.numerator % n:
+            raise PresburgerError(
+                f"residue modulus {M0} does not clear {lit[0]} on {z}"
+            )
+        shifted.append((lit[0], lit[1].drop(z), c, n))
+    congs = [entry for entry in shifted if entry[0] != "le"]
+    cx, cy = term.xexp.coeff(z), term.yexp.coeff(z)
+    xexp = term.xexp.substitute(z, stretch)
+    yexp = term.yexp.substitute(z, stretch)
     branches = []
     for r in range(M0):
-        repl = LinForm({z: M0}, r)  # z = M0*z + r with z reused as u
-        lits = list(rest)
-        ok = True
-        for lit in zlits:
-            c = lit[1].coeff(z)
-            moved = lit[1].substitute(z, repl)
-            if lit[0] == "le":
-                lits.append(("le", moved))
-                continue
-            # congruence: coefficient of u is c*M0, divisible by the
-            # modulus, so the literal drops u entirely
-            n = lit[2]
-            cu = c * M0
-            if cu.denominator != 1 or cu.numerator % n:
-                raise PresburgerError(
-                    f"residue modulus {M0} does not clear {lit[0]} on {z}"
-                )
-            ground = moved.drop(z)
-            glit = (lit[0], ground, n)
-            g = _ground_literal(glit)
-            if g is None:
-                lits.append(glit)
-            elif g[0] == "false":
-                ok = False
-                break
-        if not ok:
+        at_r = [(op, form + c * r, n) for op, form, c, n in congs]
+        alive, found = _check_ground_lits(at_r)
+        if not alive or (any(len(lit[1].coeffs) == 1 for lit in found)
+                         and _congruences_clash(rest + found)):
             continue
-        t = _Term(
+        # the literals in their order, less the congruences true at r
+        kept = iter(at_r)
+        lits = list(rest)
+        for op, form, c, _ in shifted:
+            if op == "le":
+                lits.append(("le", form + c * r))
+            elif (lit := next(kept))[1].coeffs:
+                lits.append(lit)
+        branches.append(_Term(
             term.pref,
-            term.mult.substitute(z, repl),
-            term.xexp.substitute(z, repl),
-            term.yexp.substitute(z, repl),
+            term.mult.substitute(z, LinForm._raw({z: M0}, r)),
+            xexp + cx * r if cx else xexp,
+            yexp + cy * r if cy else yexp,
             lits,
-        )
-        branches.append(t)
+        ))
     return M0, branches
 
 
@@ -1005,10 +1058,14 @@ def _unit_bounds(term, z):
     integer-valued forms, branching on residues of the bound numerators.
 
     Returns a list of (lowers, uppers, residual literals) branches; the
-    residue congruences land in the residual literals.
+    residue congruences land in the residual literals.  A residue whose
+    congruence is false, or clashes with the single-variable congruences
+    already there (``_congruences_clash``), has no integer point and
+    makes no branch.
     """
-    zlits = [l for l in term.lits if z in l[1].vars()]
-    rest = [l for l in term.lits if z not in l[1].vars()]
+    zlits, rest = [], []
+    for lit in term.lits:
+        (zlits if z in lit[1].coeffs else rest).append(lit)
     branches = [([], [], rest)]
     for lit in zlits:
         c = lit[1].coeff(z)
@@ -1024,6 +1081,7 @@ def _unit_bounds(term, z):
         else:
             N = body  # z >= N / (-a); note -a > 0
         A = abs(a)
+        quotient = N.scale(Fraction(1, A))
         new = []
         for lowers, uppers, lits in branches:
             if A == 1:
@@ -1041,15 +1099,17 @@ def _unit_bounds(term, z):
                 g = _ground_literal(clit)
                 if g is not None and g[0] == "false":
                     continue
-                extra = [] if g is not None else [clit]
-                base = N.scale(Fraction(1, A)) - Fraction(srem, A)
+                kept = lits if g is not None else lits + [clit]
+                if len(N.coeffs) == 1 and _congruences_clash(kept):
+                    continue
+                base = quotient - Fraction(srem, A)
                 if a > 0:
                     # z <= N/A; floor is (N - srem)/A on this residue
-                    new.append((lowers, uppers + [base], lits + extra))
+                    new.append((lowers, uppers + [base], kept))
                 else:
                     # z >= N/A; ceil is floor + (1 if srem else 0)
                     L = base + (1 if srem else 0)
-                    new.append((lowers + [L], uppers, lits + extra))
+                    new.append((lowers + [L], uppers, kept))
         branches = new
     return branches
 
@@ -1196,15 +1256,15 @@ def _sum_progression(term, z, lower, upper, ctx):
         mult = term.mult.substitute(z, sub)
         x0 = xrest + base.scale(bx)
         y0 = yrest + base.scale(by)
+        shift_x = x0 + (H + 1).scale(dx)
+        shift_y = y0 + (H + 1).scale(dy)
+        hp1 = Poly.from_linform(H + 1)
         for k, piece in mult.split(z).items():
             # sum_{v=0}^{H} v^k r^v = G_k - r^(H+1) sum_j C(k,j)(H+1)^(k-j) G_j
             yield _Term(
                 term.pref * _geometric_moment(k, dx, dy),
                 piece, x0, y0, term.lits + [exist],
             )
-            shift_x = x0 + (H + 1).scale(dx)
-            shift_y = y0 + (H + 1).scale(dy)
-            hp1 = Poly.from_linform(H + 1)
             for j in range(0, k + 1):
                 coef = -math.comb(k, j)
                 yield _Term(

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -451,6 +452,24 @@ def test_empty_cell_with_an_unbounded_variable_sums_to_zero(where):
         == series_from_counts(solution_counts(spec, 6, 4), 3, 4).coeffs
 
 
+@pytest.mark.parametrize("where,weight", [
+    # no odd n is 0 mod 6: each branch that floors n/2 has a clashing
+    # congruence on n, so the bound 65*l >= n is never split (it raised
+    # ModulusBudget while those branches lived)
+    ("n >= 0 and 2*l <= n and 65*l >= n and n = 1 mod 2 and 3*n = 0 mod 6",
+     "q^(-n*s)"),
+    # no b is even and odd; the empty branches once reached the
+    # non-contracting ray in n and raised Divergent
+    ("a >= -1 and 2*a + 1 <= n and a <= 2*n + 1 and b >= -1"
+     " and 3*b = 0 mod 6 and 2*b != 0 mod 4 and 3*a = 0 mod 5",
+     "q^(-b*s - 2*a)"),
+])
+def test_clashing_congruences_empty_a_cell_before_it_errs(where, weight):
+    spec = SummationSpec(where, weight)
+    assert solution_counts(spec, 6) == {}
+    assert sum_rational(spec).rational.is_zero()
+
+
 def test_satisfiable_matches_a_search_over_a_box():
     # conjunctions inside the box -3 <= x, y <= 3, with rational
     # coefficients on the inequalities, against every point of the box;
@@ -601,6 +620,45 @@ def test_sum_rational_equals_the_left_fold():
         assert repr(got) == repr(_left_fold(spec)), (formula, weight)
 
 
+# The three (bound, weight) designs of the heavy benchmark specs at moduli
+# 2-5 with fixed residues, then one spec of each light and each quantified
+# shape.  Every solution of level below 4 lies in [-10, 10]^free.
+PINNED_SPECS = [
+    (f"0 <= a and a <= {c1}*n and 0 <= b and b <= {c2}*n and a + "
+     f"{min(slot + 1, mod - 1)}*b = {(2 * slot + 1) % mod} mod {mod}",
+     f"q^(-n*s - {w1}*a - {w2}*b)")
+    for mod in (2, 3, 4, 5)
+    for slot, ((c1, c2), (w1, w2)) in enumerate((
+        ((2, 3), (1, 2)), ((3, 1), (2, 1)), ((3, 3), (1, 3))
+    ))
+] + [
+    ("0 <= l and l <= 2*n + 3 and n >= 0", "q^(-n*s - 2*l)"),
+    ("0 <= l and l <= 2*n and l = 1 mod 3 and n >= 0", "q^(-n*s - l)"),
+    ("0 <= a and a <= n + 2 and 0 <= b and b <= n + 1 and n >= 0",
+     "q^(-n*s - a - b)"),
+    ("n >= 2 and n = 3 mod 6", "q^(-n*s)"),
+    ("(0 <= l and l <= n) or (3 <= l and l <= n + 3)", "q^(-n*s - l)"),
+    ("exists k (n = 3*k + 2) and 0 <= l and l <= n", "q^(-n*s - l)"),
+    ("exists k (l = 2*k and 0 <= k and k <= n) and n >= 0", "q^(-n*s - l)"),
+    ("exists k (0 <= k and k <= n and l = 3*k + 1) and n >= 0",
+     "q^(-n*s - l)"),
+]
+
+
+def test_pinned_specs_sum_byte_identically():
+    # sha256 of every (repr(rational), sigma0, cells), recorded before
+    # the summation engine dropped clashing residue branches early
+    seen = []
+    for formula, weight in PINNED_SPECS:
+        spec = SummationSpec(formula, weight)
+        res = sum_rational(spec)
+        seen.append((repr(res.rational), res.sigma0, res.cells))
+        assert expand(res.rational, 2, 4).coeffs == series_from_counts(
+            solution_counts(spec, 10, 4), 2, 4).coeffs, formula
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "485659885d2f9edf59e5b91586a108b6db796bd87bab071a98eb28e31fdb9a6a")
+
+
 # ----------------------------------------------------------------------
 # runtime invariants raise PresburgerError
 
@@ -622,6 +680,78 @@ def test_unit_bounds_rejects_non_inequalities():
         presburger._unit_bounds(
             _term([("le", z.scale(Fraction(1, 2)) - 3)]), "z"
         )
+
+
+def _holds(lit, env):
+    """A congruence literal at a point, as the engine grounds it: the
+    value must be an integer multiple of the modulus."""
+    val = Fraction(lit[1].evaluate(env))
+    hit = val.denominator == 1 and val.numerator % lit[2] == 0
+    return hit == (lit[0] == "cong")
+
+
+def test_congruence_clash_never_refutes_a_solvable_system():
+    rng = random.Random(SEED + 7)
+    clashes = 0
+    for _ in range(500):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            den = rng.randint(1, 3)
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), den)
+            k = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            lits.append((rng.choice(["cong", "ncong"]),
+                         LinForm({"x": c}, k), rng.randint(2, 6)))
+        period = math.lcm(*(lit[2] * lit[1].coeff("x").denominator
+                            for lit in lits))
+        solvable = any(all(_holds(lit, {"x": x}) for lit in lits)
+                       for x in range(-period, period))
+        clash = presburger._congruences_clash(lits)
+        assert not (clash and solvable), lits
+        # within the budget the search over one period is exact
+        if period <= presburger.MODULUS_BUDGET:
+            assert clash == (not solvable), lits
+        clashes += clash
+    assert clashes >= 150
+
+
+def test_congruence_clash_reads_single_variable_literals_only():
+    x, y, z = (LinForm.of(v) for v in "xyz")
+    assert presburger._congruences_clash(
+        [("cong", x - 1, 2), ("ncong", x + 1, 2)])
+    # the same clash on x + y is not searched
+    assert not presburger._congruences_clash(
+        [("cong", x + y - 1, 2), ("ncong", x + y + 1, 2)])
+    # nor one whose period exceeds the budget (x = 0 mod 67 and 1 mod 67)
+    assert not presburger._congruences_clash(
+        [("cong", x, 67), ("cong", x - 1, 67)])
+    # z <= x/2 on x = 1 mod 2 keeps only the residue x = 1 mod 2 ...
+    term = _term([("le", z.scale(2) - x), ("cong", x - 1, 2)])
+    assert len(presburger._unit_bounds(term, "z")) == 1
+    # ... and with x + y in place of x both residues stay
+    term = _term([("le", z.scale(2) - x - y), ("cong", x + y - 1, 2)])
+    assert len(presburger._unit_bounds(term, "z")) == 2
+    # z + x = 0 mod 3 on x = 1 mod 3 leaves only z = 2 mod 3
+    term = _term([("cong", z + x, 3), ("cong", x - 1, 3)])
+    assert len(presburger._residue_branches(term, "z")[1]) == 1
+    term = _term([("cong", z + x + y, 3), ("cong", x + y - 1, 3)])
+    assert len(presburger._residue_branches(term, "z")[1]) == 3
+
+
+def test_clashing_residues_are_dropped_when_created(monkeypatch):
+    runs = []
+    progression = presburger._sum_progression
+
+    def counted(*args):
+        runs.append(args[1])
+        return progression(*args)
+
+    monkeypatch.setattr(presburger, "_sum_progression", counted)
+    formula, weight, digest, sigma0 = GOLDEN[0]
+    res = sum_rational(SummationSpec(formula, weight))
+    assert hashlib.sha256(repr(res.rational).encode()).hexdigest() == digest
+    assert res.sigma0 == sigma0
+    # 375 runs when clashing branches lived until their variable's turn
+    assert len(runs) <= 175
 
 
 def test_sum_progression_rejects_rational_weight():
