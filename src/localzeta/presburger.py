@@ -931,6 +931,14 @@ class SumResult(NamedTuple):
 
 
 class _Term:
+    """One summand: pref * mult * X^xexp * Y^yexp over the points where
+    every literal of lits holds.
+
+    pref is a structural key, (moments, coef): the sorted tuple of the
+    (k, dx, dy) of each geometric moment factor and an int coefficient.
+    ``_ground_terms`` builds one BivariateRational per distinct key.
+    """
+
     __slots__ = ("pref", "mult", "xexp", "yexp", "lits")
 
     def __init__(self, pref, mult, xexp, yexp, lits):
@@ -1215,6 +1223,21 @@ def _satisfiable(lits):
     return None if todo else False
 
 
+def _times_moment(pref, k, dx, dy, coef=1):
+    """The prefactor key pref times the moment G_k(X^dx Y^dy) and coef."""
+    moments, c = pref
+    return tuple(sorted(moments + ((k, dx, dy),))), c * coef
+
+
+def _build_prefactor(pref):
+    """The BivariateRational of a prefactor key (``_Term``)."""
+    moments, coef = pref
+    out = BivariateRational.one()
+    for moment in moments:
+        out = out * _geometric_moment(*moment)
+    return out * coef
+
+
 def _sum_progression(term, z, lower, upper, ctx):
     """Integrate variable z over its (possibly one-sided) range."""
     bxf = term.xexp.coeff(z)
@@ -1238,6 +1261,8 @@ def _sum_progression(term, z, lower, upper, ctx):
     if lower is not None and upper is not None:
         H = upper - lower
         exist = ("le", lower - upper)  # the range is nonempty
+        if _ground_literal(exist) == ("false",):
+            return
         if (bx, by) == (0, 0):
             # pure polynomial block: Faulhaber in H
             mult = term.mult.substitute(z, LinForm.of(z) + lower)
@@ -1262,13 +1287,12 @@ def _sum_progression(term, z, lower, upper, ctx):
         for k, piece in mult.split(z).items():
             # sum_{v=0}^{H} v^k r^v = G_k - r^(H+1) sum_j C(k,j)(H+1)^(k-j) G_j
             yield _Term(
-                term.pref * _geometric_moment(k, dx, dy),
+                _times_moment(term.pref, k, dx, dy),
                 piece, x0, y0, term.lits + [exist],
             )
             for j in range(0, k + 1):
-                coef = -math.comb(k, j)
                 yield _Term(
-                    term.pref * _geometric_moment(j, dx, dy) * coef,
+                    _times_moment(term.pref, j, dx, dy, -math.comb(k, j)),
                     piece * hp1 ** (k - j),
                     shift_x, shift_y, term.lits + [exist],
                 )
@@ -1295,7 +1319,7 @@ def _sum_progression(term, z, lower, upper, ctx):
     y0 = yrest + base.scale(by)
     for k, piece in mult.split(z).items():
         yield _Term(
-            term.pref * _geometric_moment(k, dx, dy),
+            _times_moment(term.pref, k, dx, dy),
             piece, x0, y0, list(term.lits),
         )
 
@@ -1349,7 +1373,10 @@ def _ground_terms(spec: SummationSpec):
     """Every variable eliminated: (parts, sigma0, cells).
 
     The sum is that of pref * m * X^ex Y^ey over the parts
-    (pref, m, ex, ey), with pref a BivariateRational and m nonzero.
+    (pref, m, ex, ey), with pref a BivariateRational and m nonzero.  The
+    terms carry prefactor keys (``_Term``), and each distinct key is
+    built once: the normal form of a product is unique for its factor
+    tuple, so the order of the products cannot change a byte.
     """
     qf = (
         spec.formula
@@ -1379,10 +1406,7 @@ def _ground_terms(spec: SummationSpec):
     ctx = {"sigma": []}
     cell_list = cells(ast)
     terms = [
-        _Term(
-            BivariateRational.one(), Poly.const(1),
-            spec.B, spec.A.scale(-1), list(cell),
-        )
+        _Term(((), 1), Poly.const(1), spec.B, spec.A.scale(-1), list(cell))
         for cell in cell_list
     ]
     for z in order:
@@ -1390,7 +1414,7 @@ def _ground_terms(spec: SummationSpec):
         for term in terms:
             nxt.extend(_eliminate_variable(term, z, ctx))
         terms = nxt
-    parts = []
+    parts, built = [], {}
     for term in terms:
         alive, lits = _check_ground_lits(term.lits)
         if not alive:
@@ -1405,7 +1429,10 @@ def _ground_terms(spec: SummationSpec):
             raise PresburgerError("unresolved weight exponents")
         if cx.const.denominator != 1 or cy.const.denominator != 1:
             raise PresburgerError("non-integer ground exponent")
-        parts.append((term.pref, m, cx.const.numerator, cy.const.numerator))
+        pref = built.get(term.pref)
+        if pref is None:
+            pref = built[term.pref] = _build_prefactor(term.pref)
+        parts.append((pref, m, cx.const.numerator, cy.const.numerator))
     sigma0 = max(ctx["sigma"]) if ctx["sigma"] else None
     return parts, sigma0, len(cell_list)
 

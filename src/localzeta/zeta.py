@@ -221,19 +221,32 @@ class BivariateRational:
 def expand(rational: BivariateRational, q, M) -> ZetaSeries:
     """Exact coefficients of Y^0..Y^{M-1} after substituting X = q.
 
-    Denominator factors with b >= 1 are expanded geometrically; factors
-    with b = 0 are constants at the substitution (a pole there is an
-    error).  A surviving negative power of Y is an error: the result is
-    required to be an honest power series.
+    The work is in ints over one power of q.  The numerator is scaled by
+    q^S, so that every coefficient is an int over q^S, and kept in a list
+    indexed by the Y-exponent, from its lowest (negative) power up to
+    Y^{M-1}.  Each factor (1 - X^a Y^b)^mult with b >= 1 is divided in
+    by mult passes of the recurrence out[e] += q^a * out[e - b].  For
+    a < 0 a pass first raises S by (-a) * floor((len - 1) / b), which
+    makes each of its divisions by q^(-a) exact.  Factors with b = 0 are
+    constants at the substitution (a pole there is an error).  One
+    Fraction is built per coefficient, at the end.  A surviving negative
+    power of Y is an error: the result is required to be an honest power
+    series.
     """
     if q < 2:
         raise ZetaError("expansion needs q >= 2")
-    acc = {}
-    for (ex, ey), c in rational.numerator.terms.items():
-        val = c * Fraction(q) ** ex
-        if val:
-            acc[ey] = acc.get(ey, Fraction(0)) + val
-    acc = {e: c for e, c in acc.items() if c}
+    terms = rational.numerator.terms
+    # every Y-exponent above M - 1 drops out once a factor is expanded;
+    # without one, only the negative powers matter beside Y^0..Y^{M-1}
+    top = M - 1
+    if not any(b >= 1 for (_, b), _ in rational.factors):
+        top = max(top, -1)
+    lo = min([0] + [ey for _, ey in terms])
+    S = max([0] + [-ex for ex, _ in terms])
+    out = [0] * max(top - lo + 1, 0)
+    for (ex, ey), c in terms.items():
+        if ey <= top:
+            out[ey - lo] += c * q ** (ex + S)
     const = Fraction(rational.const)
     for (a, b), mult in rational.factors:
         if b < 0:
@@ -244,21 +257,29 @@ def expand(rational: BivariateRational, q, M) -> ZetaSeries:
                 raise ZetaError(f"pole: (1 - X^{a}) vanishes at q = {q}")
             const *= base**mult
             continue
-        ratio = Fraction(q) ** a
         for _ in range(mult):
-            new = {}
-            for e0, c0 in acc.items():
-                term = c0
-                e = e0
-                while e <= M - 1:
-                    new[e] = new.get(e, Fraction(0)) + term
-                    e += b
-                    term *= ratio
-            acc = new
-    bad = {e: c for e, c in acc.items() if e < 0 and c}
+            if a >= 0:
+                ratio = q**a
+                for e in range(b, len(out)):
+                    out[e] += ratio * out[e - b]
+                continue
+            # after the lift, out[e - b] sums q^(-a*(K - k)) times the
+            # input at e - b - k*b over k <= K - 1: a multiple of q^(-a)
+            K = max(len(out) - 1, 0) // b
+            lift, step = q ** (-a * K), q**-a
+            out = [v * lift for v in out]
+            S += -a * K
+            for e in range(b, len(out)):
+                quo, rem = divmod(out[e - b], step)
+                if rem:
+                    raise ZetaError(
+                        f"inexact division by q^{-a} at Y^{e - b + lo}")
+                out[e] += quo
+    bad = [e + lo for e, v in enumerate(out[:-lo]) if v]
     if bad:
-        raise ZetaError(f"expansion has negative Y powers: {sorted(bad)}")
-    coeffs = [acc.get(n, Fraction(0)) / const for n in range(M)]
+        raise ZetaError(f"expansion has negative Y powers: {bad}")
+    den = const.numerator * q**S
+    coeffs = [Fraction(out[n - lo] * const.denominator, den) for n in range(M)]
     return ZetaSeries(q, coeffs, "expanded-from-rational")
 
 

@@ -665,7 +665,7 @@ def test_pinned_specs_sum_byte_identically():
 
 def _term(lits, xexp=None, yexp=None):
     return presburger._Term(
-        BivariateRational.one(), Poly.const(1),
+        ((), 1), Poly.const(1),
         xexp or LinForm(), yexp or LinForm({"z": 1}), lits,
     )
 
@@ -752,6 +752,83 @@ def test_clashing_residues_are_dropped_when_created(monkeypatch):
     assert res.sigma0 == sigma0
     # 375 runs when clashing branches lived until their variable's turn
     assert len(runs) <= 175
+
+
+def _counting_progressions(monkeypatch):
+    """Wrap _sum_progression; returns a list that collects, per call,
+    whether its two-sided range is ground and empty and how many terms
+    it yields."""
+    runs = []
+    progression = presburger._sum_progression
+
+    def counted(term, z, lower, upper, ctx):
+        out = list(progression(term, z, lower, upper, ctx))
+        empty = (lower is not None and upper is not None
+                 and presburger._ground_literal(("le", lower - upper))
+                 == ("false",))
+        runs.append((empty, len(out)))
+        return iter(out)
+
+    monkeypatch.setattr(presburger, "_sum_progression", counted)
+    return runs
+
+
+def test_each_prefactor_key_is_built_once(monkeypatch):
+    built, products = [], []
+    build, product = presburger._build_prefactor, BivariateRational.__mul__
+
+    def recording_build(pref):
+        built.append(pref)
+        return build(pref)
+
+    def counting_product(self, other):
+        products.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(presburger, "_build_prefactor", recording_build)
+    monkeypatch.setattr(BivariateRational, "__mul__", counting_product)
+    runs = _counting_progressions(monkeypatch)
+    # the second heavy benchmark design at modulus 5 (GOLDEN[1])
+    res = sum_rational(SummationSpec(
+        "0 <= a and a <= 3*n and 0 <= b and b <= n and a + 2*b = 1 mod 5",
+        "q^(-n*s - 2*a - b)"))
+    assert hashlib.sha256(repr(res.rational).encode()).hexdigest() == (
+        "7f03a86ff8dce2898349e7c7fd95dff715b6a05bd463b760338f5be97bb4594b")
+    assert len(built) == len(set(built))
+    # one product per moment and one for the coefficient of each key, and
+    # none per yielded term: there were 325 when each term carried its
+    # prefactor built, for 250 yielded terms
+    assert len(products) == sum(len(moments) + 1 for moments, _ in built)
+    assert len(products) == 16
+    assert sum(n for _, n in runs) == 250
+    # the two cells eliminate a, b with moments X^-2, X^-3 and X^-3, X^-2:
+    # the sorted key builds their products once, not once per order
+    built.clear()
+    res = sum_rational(SummationSpec(
+        "0 <= a and a <= n and 0 <= b and b <= n and n >= 0 and"
+        " ((c = 0 and a = 0 mod 2 and b = 0 mod 3)"
+        " or (c = 1 and a = 0 mod 3 and b = 0 mod 2))", "q^(-n*s - a - b)"))
+    assert hashlib.sha256(repr(res.rational).encode()).hexdigest() == (
+        "4795ef40282df03328068704f94684dd9f07371d5518c4df741aa218de21d83f")
+    assert len(built) == 3
+
+
+def test_empty_two_sided_ranges_yield_no_terms(monkeypatch):
+    runs = _counting_progressions(monkeypatch)
+    res = sum_rational(SummationSpec(
+        "(0 <= l and l <= n) or (3 <= l and l <= n + 3)", "q^(-n*s - l)"))
+    # recorded when these ranges still yielded their terms
+    assert hashlib.sha256(repr(res.rational).encode()).hexdigest() == (
+        "5d4e7db46be8a3d5d3fcdd0f376ce5726fe5dc487a546c8d0fcabf31bdeca573")
+    assert sum(empty for empty, _ in runs) == 3
+    assert all(n == 0 for empty, n in runs if empty)
+    # a ground range of one point still yields its terms
+    term = _term([], xexp=LinForm({"z": 1}))
+    one = list(presburger._sum_progression(
+        term, "z", LinForm.constant(2), LinForm.constant(2), {"sigma": []}))
+    assert one
+    assert not list(presburger._sum_progression(
+        term, "z", LinForm.constant(3), LinForm.constant(2), {"sigma": []}))
 
 
 def test_sum_progression_rejects_rational_weight():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from localzeta.zeta import (
     sub_family,
     transfer_report,
 )
+
+SEED = 20260814
 
 
 def X(k=1):
@@ -142,6 +145,77 @@ def test_expand_rejects_bad_input():
     r = BivariateRational(Y(-1) * X() * Y(), {(1, 1): 1})
     s = expand(r, 2, 3)
     assert s.coeffs == [2, 4, 8]
+
+
+def _series_oracle(rational, q, M):
+    """expand in Fractions: the numerator's series (its powers Y^0..Y^{M-1}
+    at X = q) times each factor's truncated geometric series, multiplied
+    through ZetaSeries.__mul__, over the constant."""
+    num = [Fraction(0)] * M
+    for (ex, ey), c in rational.numerator.terms.items():
+        if ey < M:
+            num[ey] += c * Fraction(q) ** ex
+    series = ZetaSeries(q, num, "expanded-from-rational")
+    const = Fraction(rational.const)
+    for (a, b), mult in rational.factors:
+        if b == 0:
+            const *= (1 - Fraction(q) ** a) ** mult
+            continue
+        geometric = ZetaSeries(
+            q, [Fraction(q) ** (a * (e // b)) if e % b == 0 else 0
+                for e in range(M)], "expanded-from-rational")
+        for _ in range(mult):
+            series = series * geometric
+    return [c / const for c in series.coeffs]
+
+
+def test_expand_matches_geometric_series_oracle():
+    rng = random.Random(SEED)
+    for _ in range(300):
+        M = rng.randint(1, 6)
+        terms = {(rng.randint(-6, 6), rng.randint(0, M + 2)):
+                 rng.randint(-9, 9) for _ in range(rng.randint(1, 4))}
+        factors = {}
+        for _ in range(rng.randint(0, 3)):
+            key = (rng.randint(-8, 4), rng.randint(0, 4))
+            if key != (0, 0):
+                factors[key] = rng.randint(1, 3)
+        r = BivariateRational(Laurent(2, terms), factors, rng.randint(1, 6))
+        for q in (2, 3, 5, 7):
+            assert expand(r, q, M).coeffs == _series_oracle(r, q, M), (r, q)
+
+
+def test_expand_keeps_negative_powers_that_vanish_at_q():
+    # (X - 2) Y^-1 and (X^2 - 4) Y^-2 vanish at q = 2 only, and
+    # (2 X^-1 - 1) Y^-1 with it; the rest is a power series
+    vanish = (X() - 2) * Y(-1) + (X(2) - 4) * Y(-2) + (X(-1) * 2 - 1) * Y(-1)
+    tail = Laurent.const(1, 2) + X(-3) * Y(2)
+    for factors in ({}, {(1, 1): 2}, {(-2, 1): 1, (-40, 5): 1, (3, 0): 1}):
+        r = BivariateRational(vanish + tail, factors, 3)
+        want = _series_oracle(BivariateRational(tail, factors, 3), 2, 5)
+        assert expand(r, 2, 5).coeffs == want
+        for q in (3, 5, 7):
+            with pytest.raises(ZetaError, match="negative Y powers: \\[-2"):
+                expand(r, q, 5)
+
+
+def test_expand_errors():
+    # a pole of a b = 0 factor: 1 - X^a vanishes at q >= 2 only for a = 0,
+    # which the constructor refuses, so the factor is set directly
+    with pytest.raises(ZetaError, match="is zero"):
+        BivariateRational(Y(), {(0, 0): 1})
+    r = BivariateRational(Y(), {(1, 1): 1})
+    r.factors = ((0, 0), 1), ((1, 1), 1)
+    with pytest.raises(ZetaError, match="pole"):
+        expand(r, 2, 4)
+    with pytest.raises(ZetaError, match="negative Y power is not"):
+        expand(BivariateRational(Y(), {(1, -1): 1, (1, 1): 1}), 3, 4)
+    with pytest.raises(ZetaError, match="negative Y powers: \\[-1\\]"):
+        expand(BivariateRational(X(-1) * Y(-1) + Y(), {(-2, 1): 2}), 5, 4)
+    # with no factor to expand, no power is truncated before the check,
+    # not even at an M that keeps no coefficient
+    with pytest.raises(ZetaError, match="negative Y powers: \\[-3\\]"):
+        expand(BivariateRational(Y(-3), {(2, 0): 1}), 2, -5)
 
 
 def test_series_equality_and_product():
