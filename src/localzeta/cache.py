@@ -17,14 +17,16 @@ import tempfile
 
 import numpy as np
 
-from .groups import ENUM_CAP, Family, GroupTable, TooLarge, has_tower
+from .groups import ENUM_CAP, Family, Fibres, GroupTable, TooLarge, has_tower
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _memo = {}
 
-# the arrays of a stored table, all covered by its content hash
+# the arrays of a stored table, all covered by its content hash; a table
+# enumerated over its level below adds its kernel coordinates
 _ARRAYS = ("mats", "inv", "rho", "gen_mats")
+_FIBRE_ARRAYS = ("slot", "res", "adj")
 
 
 def as_family(obj) -> Family:
@@ -78,7 +80,8 @@ def _load_disk(fam: Family, ring):
     try:
         with np.load(path, allow_pickle=False) as blob:
             header = json.loads(bytes(blob["header"]).decode())
-            arrays = {key: blob[key] for key in _ARRAYS}
+            names = _ARRAYS + (_FIBRE_ARRAYS if header["fibres"] else ())
+            arrays = {key: blob[key] for key in names}
         want = {
             "version": FORMAT_VERSION,
             "family": fam.text,
@@ -98,6 +101,10 @@ def _load_disk(fam: Family, ring):
             (tuple(prov), g)
             for prov, g in zip(header["provenance"], arrays["gen_mats"])
         ]
+        fibres = None
+        if header["fibres"]:
+            fibres = Fibres(ring.p, arrays["slot"], arrays["res"],
+                            arrays["adj"])
         return GroupTable(
             ring,
             arrays["mats"],
@@ -106,6 +113,7 @@ def _load_disk(fam: Family, ring):
             generators,
             header["name"],
             header["dim_scheme"],
+            fibres,
         )
     except Exception as exc:  # corrupted entry: recompute, never trust
         sys.stderr.write(f"warning: discarding cache entry {path}: {exc}\n")
@@ -126,6 +134,9 @@ def _store_disk(fam: Family, ring, table: GroupTable):
             "rho": table.rho,
             "gen_mats": np.stack([g for _, g in table.generators]),
         }
+        fib = table.fibres
+        if fib is not None:
+            arrays.update(slot=fib.slot, res=fib.res, adj=fib.adj)
         provenance = [list(p) for p, _ in table.generators]
         header = {
             "version": FORMAT_VERSION,
@@ -136,6 +147,7 @@ def _store_disk(fam: Family, ring, table: GroupTable):
             "name": table.name,
             "dim_scheme": table.dim_scheme,
             "size": table.size,
+            "fibres": fib is not None,
             "provenance": provenance,
             "blob_sha256": _blob_hash(
                 arrays, provenance, table.name, table.dim_scheme

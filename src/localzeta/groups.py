@@ -40,6 +40,14 @@ with no matrix product:
 * congruence depth w(x,y) = min entry valuation of xy - yx, and the
   parabolic depth lambda_S via level projections.
 
+Orbits are labelled on nodes (``Fibres``): on a kernel-route table the
+kernel K = I + pi^(m-1) V acts on x = (I + pi^(m-1) X_v) s_j by
+translations of v, by W_r = (1 - Ad r) V under conjugation and by
+V_P1 + Ad(r) V_P2 under the two-sided action, r the residue of s_j.  A
+node is one such translation class; generators map nodes to nodes, so the
+orbits are the components of a graph on the nodes.  A table with no
+kernel is the case V = 0, every element its own node.
+
 Enumeration is breadth-first over a canonically sorted generator list, so
 element order (and therefore every cache file) is deterministic.
 """
@@ -141,11 +149,103 @@ def _merge(run, into):
     return np.insert(into[0], at, run[0]), np.insert(into[1], at, run[1])
 
 
-def inverse_perm(perm):
-    """The inverse of a permutation given as an index array."""
-    out = np.empty_like(perm)
-    out[perm] = np.arange(perm.shape[0], dtype=perm.dtype)
-    return out
+def _echelon(A, p):
+    """(E, rank, pivot) for an (R, n, k) stack of matrices over F_p: E
+    the reduced row echelon form of each, rank its rank, and pivot[r, col]
+    the row of E[r] whose leading 1 is in column col, or -1.  One column
+    at a time, batched over the stack."""
+    E = np.array(A, dtype=np.int64) % p
+    R, n, k = E.shape
+    rank = np.zeros(R, dtype=np.int64)
+    pivot = np.full((R, k), -1, dtype=np.int64)
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    for col in range(k):
+        free = (np.arange(n) >= rank[:, None]) & (E[:, :, col] != 0)
+        rs = np.flatnonzero(free.any(axis=1))
+        if not rs.size:
+            continue
+        hit, top = free[rs].argmax(axis=1), rank[rs]
+        row = E[rs, hit] * inverse[E[rs, hit, col]][:, None] % p
+        E[rs, hit] = E[rs, top]
+        E[rs, top] = row
+        factor = E[rs, :, col]
+        factor[np.arange(rs.size), top] = 0
+        E[rs] = (E[rs] - factor[:, :, None] * row[:, None, :]) % p
+        pivot[rs, col] = top
+        rank[rs] += 1
+    return E, rank, pivot
+
+
+def _reductions(span, p):
+    """(M, rank): for each (n, k) matrix of span over F_p, the k x k
+    matrix M with v M the canonical representative of v modulo its row
+    space (zero at the pivot columns), and the rank of that row space."""
+    E, rank, pivot = _echelon(span, p)
+    R, _, k = E.shape
+    M = np.broadcast_to(np.eye(k, dtype=np.int64), (R, k, k)).copy()
+    r, col = np.nonzero(pivot >= 0)
+    M[r, col] = (M[r, col] - E[r, pivot[r, col]]) % p
+    return M, rank
+
+
+def _reduction_table(M, p):
+    """table[r p^k + u] = u M_r, with u and u M_r read as base-p numbers,
+    built one digit of u at a time by the digitwise sum."""
+    R, k, _ = M.shape
+    weights = p ** np.arange(k)
+    add = _digit_add(p, k)
+    table = np.zeros((R, 1), dtype=np.int64)
+    for i in range(k):
+        table = np.concatenate(
+            [add(table, (a * M[:, i] % p @ weights)[:, None])
+             for a in range(p)], axis=1)
+    return table.ravel()
+
+
+class Fibres:
+    """The kernel coordinates of a table enumerated over its level below.
+
+    Element x = (I + pi^(m-1) X_v) s_j has ``slot[x]`` = j |V| + v, v the
+    base-p coordinates of X_v over the reduced echelon basis B_0..B_(k-1)
+    of V; ``res[j]`` numbers the residue class of the lower element j; row
+    i of ``adj[r]`` holds the coordinates of Ad(r) B_i = r B_i r^-1 for
+    the residue r.  ``trivial`` is the case V = 0 of a table with no
+    kernel (level 1, ``zn``, the packed-key route): slot[x] = x.
+    """
+
+    def __init__(self, p, slot, res, adj):
+        self.p, self.slot, self.res, self.adj = p, slot, res, adj
+        self.k = adj.shape[1]
+        self.nV = p**self.k
+
+    @classmethod
+    def trivial(cls, n):
+        # with k = 0 the prime never enters the arithmetic
+        return cls(2, np.arange(n, dtype=np.int32), np.zeros(n, np.int32),
+                   np.zeros((1, 0, 0), dtype=np.int8))
+
+    def kernel_span(self, idx):
+        """The reduced echelon basis, (k', k), of the v with (0, v) among
+        the element indices idx: V_P for the elements of a subgroup P."""
+        v = self.slot[idx]
+        digits = v[v < self.nV, None] // self.p ** np.arange(self.k) % self.p
+        E, rank, _ = _echelon(digits[None], self.p)
+        return E[0, :rank[0]]
+
+    def conjugation_span(self):
+        """(R, k, k): the rows of 1 - Ad(r), spanning W_r = (1 - Ad r) V,
+        by which K moves v under conjugation."""
+        return (np.eye(self.k, dtype=np.int64) - self.adj) % self.p
+
+    def double_coset_span(self, idx1, idx2):
+        """(R, k1 + k2, k): bases of V_1 and of Ad(r) V_2, spanning the
+        translations of v by the kernel parts of the subgroups with element
+        indices idx1 and idx2."""
+        V1, V2 = self.kernel_span(idx1), self.kernel_span(idx2)
+        return np.concatenate([
+            np.broadcast_to(V1, (self.adj.shape[0],) + V1.shape),
+            V2 @ self.adj % self.p,
+        ], axis=1)
 
 
 class GroupTable:
@@ -153,13 +253,15 @@ class GroupTable:
 
     ``rho[x, c]`` is the index of ``x * g_c`` for the c-th generator, so
     every action the counting layer needs is a gather on ``rho`` and
-    ``inv``: right multiplication by ``g^-1`` is the inverse permutation of
-    ``rho[:, c]``, left multiplication is ``inv[rho_g^-1[inv[x]]]``, and
-    conjugation composes the two.  ``inv`` itself comes from ``rho`` and
-    the enumeration's search tree (``_inverses``).
+    ``inv``: x g = rho_g[x], g^-1 x = inv[rho_g[inv[x]]], and g^-1 x g
+    composes the two.  ``inv`` itself comes from ``rho`` and the
+    enumeration's search tree (``_inverses``).  ``fibres`` holds the
+    kernel coordinates of a table enumerated over its level below, None
+    for a table with no kernel.
     """
 
-    def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme):
+    def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
+                 fibres=None):
         self.ring = ring
         self.mats = mats  # (N, d, d) int32
         self.inv = inv  # (N,) int64 index of inverse
@@ -168,6 +270,13 @@ class GroupTable:
         self.name = name
         self.dim_scheme = dim_scheme
         self.d = mats.shape[1]
+        if fibres is not None and not (
+                fibres.slot.shape == (mats.shape[0],)
+                and fibres.res.size * fibres.nV == mats.shape[0]
+                and fibres.adj.shape[0] > fibres.res.max()):
+            raise IdentityError(f"the kernel coordinates of {name} do not "
+                                f"fit its {mats.shape[0]} elements")
+        self.fibres = fibres
         self._pack = _Packing(ring, self.d)
         # (sorted keys, their element indices), built on first use
         self._sorted = None
@@ -244,18 +353,18 @@ class GroupTable:
             out.append(cols[key])
         return out
 
-    def right_inverse_perm(self, col):
-        """x -> x g^-1 for the generator g of rho column col."""
-        return inverse_perm(self.rho[:, col])
+    def times(self, x, col):
+        """x g for the element indices x and the generator g of rho column
+        col."""
+        return self.rho[x, col]
 
-    def left_perm(self, col):
-        """x -> g x, as inv[rho_g^-1[inv[x]]]."""
-        return self.inv[self.right_inverse_perm(col)[self.inv]]
+    def inverse_times(self, x, col):
+        """g^-1 x, as inv[rho_g[inv[x]]]."""
+        return self.inv[self.rho[self.inv[x], col]]
 
-    def conjugation_perm(self, col):
-        """x -> g x g^-1, as rho_g^-1[left_g(x)]."""
-        right_inv = self.right_inverse_perm(col)
-        return right_inv[self.inv[right_inv[self.inv]]]
+    def conjugate(self, x, col):
+        """g^-1 x g, as rho_g[g^-1 x]."""
+        return self.rho[self.inverse_times(x, col), col]
 
     # ------------------------------------------------------------------
     # conjugacy
@@ -291,13 +400,78 @@ class GroupTable:
         roots = parent == np.arange(n)
         return (np.cumsum(roots) - 1)[parent]
 
+    def _fibres(self):
+        return self.fibres if self.fibres is not None \
+            else Fibres.trivial(self.size)
+
+    def _nodes(self, fib, span):
+        """(node, reps): the node of every element, nodes numbered by their
+        smallest elements reps, ascending.
+
+        The node of x = (j, v) is (j, v reduced modulo the row space of
+        span[r]), r = res[j]: the orbit of x under the kernel translations
+        span[r] stands for.  Raises IdentityError unless every reduced v
+        stands for the p^rank values of its coset.
+        """
+        p, nV, R = fib.p, fib.nV, fib.adj.shape[0]
+        M, rank = _reductions(span, p)
+        red = _reduction_table(M, p).reshape(R, nV)
+        stands = np.bincount((red + np.arange(R)[:, None] * nV).ravel(),
+                             minlength=R * nV).reshape(R, nV)
+        if not (np.take_along_axis(stands, red, axis=1)
+                == p ** rank[:, None]).all():
+            raise IdentityError(f"a node of {self.name} is not a coset of "
+                                f"its kernel translations")
+        # the node key of slot j |V| + v is j |V| + red[res[j], v]
+        key = red.astype(np.int32)[fib.res]
+        key += np.arange(0, key.size, nV, dtype=np.int32)[:, None]
+        key = key.ravel()[fib.slot]
+        n = self.size
+        first = np.full(n, n, dtype=np.int32)
+        np.minimum.at(first, key, np.arange(n, dtype=np.int32))
+        first = first[key]  # the smallest element of each element's node
+        del key
+        reps = np.flatnonzero(first == np.arange(n))
+        node = np.empty(n, dtype=np.int32)
+        node[reps] = np.arange(reps.size)
+        return node[first], reps
+
+    def _orbits(self, fib, span, moves):
+        """Orbit label per element under the gather maps moves, (action,
+        column) pairs that send nodes of span to nodes.  Each move is
+        evaluated at the node representatives only; one that fixes every
+        node is dropped, and one that is not a permutation of the nodes
+        raises IdentityError.  The nodes are numbered by their smallest
+        elements, so each orbit is numbered by its smallest element."""
+        node, reps = self._nodes(fib, span)
+        nodes = np.arange(reps.size)
+        perms = []
+        for action, col in moves:
+            perm = node[action(reps, col)]
+            if np.array_equal(perm, nodes):
+                continue
+            seen = np.zeros(reps.size, dtype=bool)
+            seen[perm] = True
+            if not seen.all():
+                raise IdentityError(f"a generator of {self.name} does not "
+                                    f"permute its nodes")
+            perms.append(perm)
+        return self._orbit_labels(reps.size, perms)[node]
+
     def conjugation_labels(self):
-        """Conjugacy-class label per element (orbit partition)."""
+        """Conjugacy-class label per element, each class numbered by its
+        smallest element.
+
+        The kernel K = I + pi^(m-1) V conjugates x = (I + pi^(m-1) X_v) s_j
+        to (I + pi^(m-1) (X_v + w - Ad(r) w)) s_j, w in V, r the residue of
+        s_j, since pi^(2(m-1)) = 0: its nodes are the cosets v + W_r,
+        W_r = (1 - Ad r) V, and the classes are the orbits of x -> g^-1 x g
+        on them.
+        """
         if self._labels is None:
-            perms = [
-                self.conjugation_perm(c) for c in range(len(self.generators))
-            ]
-            self._labels = self._orbit_labels(self.size, perms)
+            fib = self._fibres()
+            moves = [(self.conjugate, c) for c in range(len(self.generators))]
+            self._labels = self._orbits(fib, fib.conjugation_span(), moves)
         return self._labels
 
     def class_count(self):
@@ -346,20 +520,36 @@ class GroupTable:
             )
         return idx
 
+    def double_coset_labels(self, sub1: "GroupTable", sub2: "GroupTable",
+                            idx1=None, idx2=None):
+        """Double-coset label per element, each numbered by its smallest
+        element: the orbits of x -> g1^-1 x and x -> x g2 for generators
+        g1 of sub1, g2 of sub2, whose element indices idx1 and idx2 are
+        found when not given.  They are labelled on nodes: K_1 x K_2, K_i
+        the kernel part of sub i with coordinates V_i, moves v by
+        V_1 + Ad(r) V_2, r the residue of x."""
+        if idx1 is None:
+            idx1 = self.subgroup_indices(sub1)
+        if idx2 is None:
+            idx2 = self.subgroup_indices(sub2)
+        fib = self._fibres()
+        moves = [(self.inverse_times, c) for c in self.columns(sub1)]
+        moves += [(self.times, c) for c in self.columns(sub2)]
+        return self._orbits(fib, fib.double_coset_span(idx1, idx2), moves)
+
     def double_coset_data(self, sub1: "GroupTable", sub2: "GroupTable"):
         """(b, e): double coset count and Hecke pair count.
 
-        b is the number of orbits of x -> g1 x and x -> x g2^{-1} for
-        generators g1 of sub1, g2 of sub2; e = #{(x,y): y in sub2,
-        x y x^{-1} in sub1} is computed from full conjugacy data, so the
-        identity e = b|Q1||Q2| is a genuine cross-check between two
-        independent counts.
+        b is the number of double-coset labels; e = #{(x,y): y in sub2,
+        x y x^{-1} in sub1} comes from the conjugacy labels, so the
+        identity e = b|Q1||Q2| checks two orbit partitions against each
+        other.  Both are labelled on nodes of the same kernel; the
+        matrix-product checks (``commuting_pairs``, ``pair_depth_counts``)
+        stay independent of them.
         """
         idx1 = self.subgroup_indices(sub1)
         idx2 = self.subgroup_indices(sub2)
-        perms = [self.left_perm(c) for c in self.columns(sub1)]
-        perms += [self.right_inverse_perm(c) for c in self.columns(sub2)]
-        labels = self._orbit_labels(self.size, perms)
+        labels = self.double_coset_labels(sub1, sub2, idx1, idx2)
         b = int(labels.max()) + 1
         e = self.hecke_pairs(idx1, idx2)
         return b, e
@@ -548,6 +738,11 @@ class _KeyIndex:
             raise IdentityError(f"two matrices of {self.name} share a key")
         return ids, first[fresh]
 
+    @staticmethod
+    def fibres(size):
+        """No kernel coordinates: every element is its own node."""
+        return None
+
     def matrices(self, size):
         """The matrices of the first size elements, as filed."""
         return self.mats[:size].copy() if self.mats.shape[0] > size \
@@ -668,6 +863,11 @@ class _KernelIndex:
     maps[g][j] |V| + (v + c(j, g) digitwise mod p): every rho entry is a
     gather and an add on checked products.  ``matrices`` rebuilds x as
     s_j + pi^(m-1) X_v s_r, X_v s_r read from tables per residue.
+
+    ``fibres`` keeps what the orbit labels need (``Fibres``): the slot of
+    every element, the residue class of every lower element, and Ad(r) on
+    V for every residue r, read off |R| k more checked products
+    (``_adjoint``).
     """
 
     def __init__(self, ring, gen_mats, lower, kernel, name):
@@ -680,7 +880,7 @@ class _KernelIndex:
         self.name = name
         self.top = ring.top_digits().astype(np.int8)
         basis, kpiv = _kernel_basis(ring, kernel)
-        k = basis.shape[0]
+        k = self.k = basis.shape[0]
         self.nV = p**k
         self.digit_add = _digit_add(p, k)
         self.res, first = _residues(lower)
@@ -709,6 +909,7 @@ class _KernelIndex:
                     for r in range(0, lower.size, per)
                 ]).astype(np.int32))
         self._lift(ring, gen_mats, lower, per)
+        self.adj = self._adjoint(ring, first)
         slots = lower.size * self.nV
         # where[slot] is the element id there, -1 while empty; the identity
         # is element 0, at slot 0 = (lower identity, v = 0)
@@ -778,6 +979,20 @@ class _KernelIndex:
             raise IdentityError(f"a lift of {self.name} is not over its "
                                 f"lower element")
 
+    def _adjoint(self, ring, first):
+        """(R, k, k) int8: row i of adj[r] holds the coordinates of
+        Ad(r) B_i = r B_i r^-1, as the cocycle of the product
+        s_J (I + pi^(m-1) B_i) = (I + pi^(m-1) r B_i r^-1) s_J over s_J,
+        J = first[r] of residue r; ``_cocycles`` compares every product
+        with its rebuilt matrix."""
+        p, k = self.p, self.k
+        units = p ** np.arange(k)
+        basis = self.rebuild(np.zeros(k, dtype=np.int64), units)
+        d = basis.shape[-1]
+        prod = ring.mat_mul(self.lifts[first][:, None], basis[None])
+        v = self._cocycles(prod.reshape(-1, d, d), np.repeat(first, k))
+        return (v[:, None] // units % p).reshape(-1, k, k).astype(np.int8)
+
     def _coordinates(self, prod, J):
         """The v with prod = (I + pi^(m-1) X_v) s_J, if prod is such a
         matrix: the digits of (D(prod) - D(s_J)) s_r^-1 at the pivots of
@@ -832,6 +1047,18 @@ class _KernelIndex:
         self.v[size:size + fresh.size] = nv[fresh]
         return ids, fresh
 
+    def fibres(self, size):
+        """The kernel coordinates of the size elements, once ``matrices``
+        has read j and v: the slots j |V| + v are formed in j's array.
+        None unless every slot is filled: a table whose kernel is not all
+        of I + pi^(m-1) V is not moved by all of it."""
+        if size != self.res.size * self.nV:
+            return None
+        slot = self.j[:size]
+        slot *= self.nV
+        slot += self.v[:size]
+        return Fibres(self.p, slot, self.res, self.adj)
+
     def matrices(self, size):
         """The matrices of the first size elements, rebuilt in pieces."""
         mats = np.empty((size,) + self.lifts.shape[1:], dtype=np.int32)
@@ -864,6 +1091,8 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
     as the right-regular table rho, and inverses are gathers on rho.  A
     generator that projects to neither I nor a lower generator costs
     |G_{m-1}| more products at level m-1, for its map on the lower table.
+    A kernel-route table keeps its kernel coordinates (``Fibres``), on
+    which its orbits are labelled.
     Raises TooLarge in the piece that finds the (cap + 1)-th element.
     """
     gens = _canonical_generators(generators)
@@ -898,9 +1127,11 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
     rho = np.concatenate(rho)
     inv = _inverses(rho, np.concatenate(parent), np.concatenate(letter),
                     layers)
+    mats = index.matrices(size)
     return GroupTable(
-        ring, index.matrices(size), inv, rho, gens, name,
+        ring, mats, inv, rho, gens, name,
         dim_scheme if dim_scheme is not None else d,
+        fibres=index.fibres(size),
     )
 
 

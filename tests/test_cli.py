@@ -357,6 +357,28 @@ def test_cache_discards_each_corrupted_field(tmp_path, monkeypatch, capsys,
     cache.clear_memo()
 
 
+@pytest.mark.parametrize("field", ["slot", "res", "adj"])
+def test_cache_discards_corrupted_kernel_coordinates(tmp_path, monkeypatch,
+                                                     capsys, field):
+    # only the level-2 entry is enumerated over a lower level and stores
+    # kernel coordinates; its content hash covers them
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    fresh, _ = _cc_in_process(capsys)
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    _cc_in_process(capsys)
+    stored = [path for path in sorted(tmp_path.glob("table-*.npz"))
+              if _read_entry(path)[0]["fibres"]]
+    assert len(stored) == 1
+    header, arrays = _corrupt(field, *_read_entry(stored[0]))
+    np.savez(stored[0], header=np.frombuffer(
+        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
+        **arrays)
+    out, err = _cc_in_process(capsys)
+    assert out == fresh
+    assert err.count("discarding cache entry") == 1
+    cache.clear_memo()
+
+
 def test_store_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     from localzeta.rings import make_ring
 

@@ -77,8 +77,10 @@ def test_inverses_are_correct():
 
 def test_generate_forms_only_the_frontier_products(monkeypatch):
     # the kernel route forms one product s_j * g per lower element and
-    # generator; the key route one x * g per element and generator; the
-    # inverses are gathers on rho, not matrix products
+    # generator, and one s_r (I + pi^(m-1) B_i) per residue class r and
+    # basis vector B_i of V for the adjoint action; the key route one x * g
+    # per element and generator; the inverses are gathers on rho, not
+    # matrix products
     real, formed = rings.Ring.mat_mul, []
 
     def counting(self, A, B):
@@ -94,7 +96,9 @@ def test_generate_forms_only_the_frontier_products(monkeypatch):
         lower = fam.table(ring.subring_level(ring.m - 1))
         formed.clear()  # count the top level's products only
         G = fam.table(ring, lower=lower)
-        assert sum(formed) == lower.size * len(G.generators)
+        residues = groups._residues(lower)[0].max() + 1
+        assert sum(formed) == lower.size * len(G.generators) \
+            + residues * ring.f * fam.dim_scheme
         assert G.size == lower.size * ring.q ** fam.dim_scheme
         formed.clear()
         keyed = generate(ring, fam._generators(ring))
@@ -421,20 +425,19 @@ def test_actions_match_matrix_products(family, lit):
     X = G.mats[rows]
     for c, (_, g) in enumerate(G.generators):
         gi = _inverse_by_powers(G.ring, g)
-        assert (G.right_inverse_perm(c)[rows]
-                == G.lookup_batch(mul(X, gi))).all()
-        assert (G.left_perm(c)[rows] == G.lookup_batch(mul(g, X))).all()
-        assert (G.conjugation_perm(c)[rows]
-                == G.lookup_batch(mul(mul(g, X), gi))).all()
+        assert (G.times(rows, c) == G.lookup_batch(mul(X, g))).all()
+        assert (G.inverse_times(rows, c) == G.lookup_batch(mul(gi, X))).all()
+        assert (G.conjugate(rows, c)
+                == G.lookup_batch(mul(mul(gi, X), g))).all()
 
 
 @pytest.mark.parametrize("family,lit", SMALL_TABLES)
 def test_pointer_jumping_matches_fixpoint(family, lit):
     G = small_table(family, lit)
-    ngens = len(G.generators)
-    conj = [G.conjugation_perm(c) for c in range(ngens)]
+    ngens, every = len(G.generators), np.arange(G.size)
+    conj = [G.conjugate(every, c) for c in range(ngens)]
     assert (G.conjugation_labels() == _fixpoint_labels(G.size, conj)).all()
-    moves = [G.left_perm(0), G.right_inverse_perm(ngens - 1)]
+    moves = [G.inverse_times(every, 0), G.times(every, ngens - 1)]
     assert (G._orbit_labels(G.size, moves)
             == _fixpoint_labels(G.size, moves)).all()
 
@@ -543,7 +546,7 @@ def test_golden_tables(family, lit):
     G = table(family, lit)
     got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
     assert got == GOLDEN_TABLES[family, lit]
-    assert cache.FORMAT_VERSION == 2
+    assert cache.FORMAT_VERSION == 3
 
 
 def _big_int_words(mats, bits, nwords):
@@ -1002,3 +1005,170 @@ def test_parabolic_order_law(family, kind, levels):
     tables = tower(family, f"{kind}:p=2,f=1,m={levels}")
     for m, P in enumerate(tables, start=1):
         assert P.size == tables[0].size * 2 ** ((m - 1) * fam.dim_scheme)
+
+
+# ----------------------------------------------------------------------
+# orbit labels on kernel nodes, against the all-points labels of the
+# packed-key oracle, which has no kernel coordinates
+
+
+_keyed = {}
+
+
+def keyed_table(family, lit):
+    """The packed-key table of generate without a lower table: the same
+    elements in the same order, every element its own node."""
+    if (family, lit) not in _keyed:
+        ring = parse_ring(lit)
+        _keyed[family, lit] = generate(ring, Family(family)._generators(ring))
+    return _keyed[family, lit]
+
+
+def trivial_subgroup(G):
+    return generate(G.ring, [(("1",), G.ring.identity_mat(G.d))], name="1")
+
+
+# both ring kinds, p = 2 and 3, f = 1 and 2, the families Heisenberg, A1,
+# A2 and B2 (the B2 groups are its parabolics: chevalley:B2 has 737,280
+# elements at level 2, which the key route takes tens of seconds on)
+NODE_CASES = [
+    ("heisenberg", "zq:p=3,f=1,m=3"),
+    ("heisenberg", "fqt:p=2,f=2,m=2"),
+    ("heisenberg", "zq:p=2,f=1,m=4"),
+    ("chevalley:A1", "zq:p=2,f=2,m=2"),
+    ("chevalley:A1", "fqt:p=3,f=1,m=3"),
+    ("chevalley:A1", "zq:p=3,f=1,m=2"),
+    ("chevalley:A2", "zq:p=2,f=1,m=2"),
+    ("parabolic:B2:a1", "fqt:p=2,f=1,m=2"),
+    ("parabolic:B2:a2", "zq:p=2,f=1,m=2"),
+]
+
+
+@pytest.mark.parametrize("family,lit", NODE_CASES)
+def test_conjugation_labels_on_nodes_match_every_point(family, lit):
+    G = small_table(family, lit)
+    assert G.fibres is not None
+    fib = G.fibres
+    node, reps = G._nodes(fib, fib.conjugation_span())
+    assert reps.size < G.size
+    want = keyed_table(family, lit).conjugation_labels()
+    assert G.conjugation_labels().dtype == want.dtype
+    assert (G.conjugation_labels() == want).all()
+
+
+# (group, pairs of subgroup families): Borel, maximal parabolic, trivial
+# ("1") and whole-group pairs
+COSET_CASES = [
+    ("chevalley:A2", "zq:p=2,f=1,m=2",
+     [("borel:A2", "borel:A2"), ("parabolic:A2:a1", "parabolic:A2:a2"),
+      ("parabolic:A2:a2", "borel:A2"), ("1", "1"),
+      ("chevalley:A2", "chevalley:A2"), ("1", "parabolic:A2:a1")]),
+    ("chevalley:A1", "fqt:p=3,f=1,m=3",
+     [("borel:A1", "borel:A1"), ("1", "1"),
+      ("chevalley:A1", "chevalley:A1"), ("borel:A1", "1")]),
+    ("chevalley:A1", "zq:p=2,f=2,m=2",
+     [("borel:A1", "borel:A1"), ("1", "chevalley:A1")]),
+    ("parabolic:B2:a1", "fqt:p=2,f=1,m=2",
+     [("parabolic:B2:-", "parabolic:B2:-"), ("parabolic:B2:a1", "1"),
+      ("1", "1"), ("parabolic:B2:-", "parabolic:B2:a1")]),
+    ("heisenberg", "zq:p=3,f=1,m=3",
+     [("1", "1"), ("heisenberg", "heisenberg"), ("1", "heisenberg")]),
+]
+
+
+@pytest.mark.parametrize("family,lit,pairs", COSET_CASES)
+def test_double_coset_labels_on_nodes_match_every_point(family, lit, pairs):
+    G, keyed = small_table(family, lit), keyed_table(family, lit)
+
+    def sub(name):
+        return trivial_subgroup(G) if name == "1" else small_table(name, lit)
+
+    for s1, s2 in pairs:
+        P1, P2 = sub(s1), sub(s2)
+        got = G.double_coset_labels(P1, P2)
+        assert (got == keyed.double_coset_labels(P1, P2)).all()
+        b, e = G.double_coset_data(P1, P2)
+        assert b == got.max() + 1 and e == b * P1.size * P2.size
+        if s1 == s2 == "1":
+            assert b == G.size
+        if family in (s1, s2):
+            assert b == 1
+
+
+@pytest.mark.parametrize("family,lit,nodes,classes", [
+    ("heisenberg", "zq:p=3,f=1,m=4", 216_513, 8721),
+    ("chevalley:A1", "zq:p=7,f=1,m=2", 2_688, 58),
+])
+def test_node_counts(family, lit, nodes, classes):
+    # |G_(m-1)| times the orbits of G(F_q) on V: 11 for Heisenberg at q = 3
+    # and 8 for A1 at q = 7
+    G = table(family, lit)
+    node, reps = G._nodes(G.fibres, G.fibres.conjugation_span())
+    assert reps.size == nodes
+    assert np.bincount(node).sum() == G.size
+    assert G.class_count() == classes
+
+
+def test_identity_moves_are_dropped(monkeypatch):
+    # conjugation by the central e13 generators fixes every node
+    G = table("heisenberg", "zq:p=3,f=1,m=2")
+    seen = []
+    real = GroupTable._orbit_labels
+    monkeypatch.setattr(GroupTable, "_orbit_labels", staticmethod(
+        lambda n, perms: seen.append(len(perms)) or real(n, perms)))
+    assert G.class_count() == keyed_table("heisenberg", "zq:p=3,f=1,m=2") \
+        .class_count()
+    assert len(G.generators) == 3 and seen[0] == 2
+
+
+def test_a_corrupted_node_map_raises(monkeypatch):
+    # residue 0 reduced as if all of V moved it: nodes of the wrong size
+    real = groups._reduction_table
+
+    def merged(M, p):
+        red = real(M, p)
+        red[:p ** M.shape[1]] = 0
+        return red
+
+    G = table("chevalley:A1", "fqt:p=2,f=1,m=3")
+    monkeypatch.setattr(groups, "_reduction_table", merged)
+    with pytest.raises(IdentityError, match="not a coset"):
+        G.class_count()
+
+
+def test_a_move_that_is_no_node_permutation_raises(monkeypatch):
+    G = table("chevalley:A1", "zq:p=3,f=1,m=2")
+    monkeypatch.setattr(GroupTable, "conjugate",
+                        lambda self, x, col: np.zeros_like(x))
+    with pytest.raises(IdentityError, match="does not permute its nodes"):
+        G.class_count()
+
+
+def test_kernel_coordinates_must_fit_the_table():
+    G = table("heisenberg", "zq:p=2,f=1,m=2")
+    fib = G.fibres
+    short = groups.Fibres(fib.p, fib.slot[:-1], fib.res, fib.adj)
+    with pytest.raises(IdentityError, match="do not fit"):
+        GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators, G.name,
+                   G.dim_scheme, short)
+
+
+def test_a_table_loaded_from_disk_labels_on_its_stored_nodes(
+        generated, tmp_path, monkeypatch):
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    top = parse_ring("fqt:p=2,f=1,m=3")
+    fresh = cache.table_for("chevalley:A1", top)
+    borel = cache.table_for("borel:A1", top)
+    want = fresh.conjugation_labels().copy()
+    want2 = fresh.double_coset_labels(borel, borel).copy()
+    cache.clear_memo()
+    generated.clear()
+    loaded = cache.table_for("chevalley:A1", top)  # disk hit, memo empty
+    assert generated == [] and loaded is not fresh
+    for a, b in ((loaded.fibres.slot, fresh.fibres.slot),
+                 (loaded.fibres.res, fresh.fibres.res),
+                 (loaded.fibres.adj, fresh.fibres.adj)):
+        assert a.dtype == b.dtype and (a == b).all()
+    assert (loaded.conjugation_labels() == want).all()
+    assert (loaded.double_coset_labels(borel, borel) == want2).all()
+    assert generated == []
