@@ -78,10 +78,6 @@ def _load_disk(fam: Family, ring):
     if path is None or not os.path.exists(path):
         return None
     try:
-        with np.load(path, allow_pickle=False) as blob:
-            header = json.loads(bytes(blob["header"]).decode())
-            names = _ARRAYS + (_FIBRE_ARRAYS if header["fibres"] else ())
-            arrays = {key: blob[key] for key in names}
         want = {
             "version": FORMAT_VERSION,
             "family": fam.text,
@@ -89,9 +85,15 @@ def _load_disk(fam: Family, ring):
             "struct": fam.struct_hash(),
             "ring": ring.literal,
         }
-        for key, val in want.items():
-            if header.get(key) != val:
-                raise ValueError(f"header field {key} does not match")
+        with np.load(path, allow_pickle=False) as blob:
+            header = json.loads(bytes(blob["header"]).decode())
+            # the fields are checked before the header says which arrays
+            # there are: an entry of another format is reported as such
+            for key, val in want.items():
+                if header.get(key) != val:
+                    raise ValueError(f"header field {key} does not match")
+            names = _ARRAYS + (_FIBRE_ARRAYS if header["fibres"] else ())
+            arrays = {key: blob[key] for key in names}
         digest = _blob_hash(
             arrays, header["provenance"], header["name"], header["dim_scheme"]
         )

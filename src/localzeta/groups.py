@@ -520,18 +520,19 @@ class GroupTable:
             )
         return idx
 
-    def double_coset_labels(self, sub1: "GroupTable", sub2: "GroupTable",
-                            idx1=None, idx2=None):
+    def double_coset_labels(self, sub1: "GroupTable", sub2: "GroupTable"):
         """Double-coset label per element, each numbered by its smallest
         element: the orbits of x -> g1^-1 x and x -> x g2 for generators
-        g1 of sub1, g2 of sub2, whose element indices idx1 and idx2 are
-        found when not given.  They are labelled on nodes: K_1 x K_2, K_i
-        the kernel part of sub i with coordinates V_i, moves v by
+        g1 of sub1, g2 of sub2.  They are labelled on nodes: K_1 x K_2,
+        K_i the kernel part of sub i with coordinates V_i, moves v by
         V_1 + Ad(r) V_2, r the residue of x."""
-        if idx1 is None:
-            idx1 = self.subgroup_indices(sub1)
-        if idx2 is None:
-            idx2 = self.subgroup_indices(sub2)
+        return self._double_coset_labels(sub1, sub2,
+                                         self.subgroup_indices(sub1),
+                                         self.subgroup_indices(sub2))
+
+    def _double_coset_labels(self, sub1, sub2, idx1, idx2):
+        """``double_coset_labels`` with the element indices idx1 and idx2
+        of the subgroups already found."""
         fib = self._fibres()
         moves = [(self.inverse_times, c) for c in self.columns(sub1)]
         moves += [(self.times, c) for c in self.columns(sub2)]
@@ -549,7 +550,7 @@ class GroupTable:
         """
         idx1 = self.subgroup_indices(sub1)
         idx2 = self.subgroup_indices(sub2)
-        labels = self.double_coset_labels(sub1, sub2, idx1, idx2)
+        labels = self._double_coset_labels(sub1, sub2, idx1, idx2)
         b = int(labels.max()) + 1
         e = self.hecke_pairs(idx1, idx2)
         return b, e
@@ -754,20 +755,9 @@ def _kernel_basis(ring, kernel):
     rows, of V, the span of the top digits D(k) = X over the kernel
     generators k = I + pi^(m-1) X (D(I) = 0 at level m >= 2), and its
     pivot columns, ascending."""
-    p = ring.p
-    A = ring.top_digits()[np.asarray(kernel)].reshape(len(kernel), -1) % p
-    piv = []
-    for col in range(A.shape[1]):
-        r = len(piv)
-        hit = np.flatnonzero(A[r:, col])
-        if not hit.size:
-            continue
-        A[[r, r + hit[0]]] = A[[r + hit[0], r]]
-        row = A[r] * pow(int(A[r, col]), -1, p) % p
-        A = (A - A[:, col, None] * row) % p
-        A[r] = row
-        piv.append(col)
-    return A[:len(piv)], np.array(piv, dtype=np.int64)
+    A = ring.top_digits()[np.asarray(kernel)].reshape(len(kernel), -1)
+    E, rank, pivot = _echelon(A[None], ring.p)
+    return E[0, :rank[0]].astype(A.dtype), np.flatnonzero(pivot[0] >= 0)
 
 
 def _residues(lower):
@@ -858,7 +848,8 @@ class _KernelIndex:
     These |G_{m-1}| ngens products are the only ones formed at level m.
 
     The element x = (I + pi^(m-1) X_v) s_j has the dense slot j |V| + v,
-    v the coordinates of X_v in base p.  Since pi^(2(m-1)) = 0, x g =
+    v the coordinates of X_v in base p, kept as ``slot[x]``, the one
+    array per element.  Since pi^(2(m-1)) = 0, x g =
     (I + pi^(m-1) (X_v + X_c)) s_J, so ``file`` finds its slot as
     maps[g][j] |V| + (v + c(j, g) digitwise mod p): every rho entry is a
     gather and an add on checked products.  ``matrices`` rebuilds x as
@@ -867,7 +858,7 @@ class _KernelIndex:
     ``fibres`` keeps what the orbit labels need (``Fibres``): the slot of
     every element, the residue class of every lower element, and Ad(r) on
     V for every residue r, read off |R| k more checked products
-    (``_adjoint``).
+    (``_adjoint``) once the table is known to fill every slot.
     """
 
     def __init__(self, ring, gen_mats, lower, kernel, name):
@@ -877,15 +868,16 @@ class _KernelIndex:
             raise GroupsError(f"{lower.name} is not a level-{low.m} table "
                               f"for {name}")
         p = self.p = ring.p
-        self.name = name
+        self.ring, self.name = ring, name
         self.top = ring.top_digits().astype(np.int8)
         basis, kpiv = _kernel_basis(ring, kernel)
         k = self.k = basis.shape[0]
         self.nV = p**k
         self.digit_add = _digit_add(p, k)
-        self.res, first = _residues(lower)
-        residues = lower.ring.mat_project(lower.mats[first], 1)
-        inverses = lower.ring.mat_project(lower.mats[lower.inv[first]], 1)
+        self.res, self.first = _residues(lower)
+        residues = lower.ring.mat_project(lower.mats[self.first], 1)
+        inverses = lower.ring.mat_project(
+            lower.mats[lower.inv[self.first]], 1)
         self.ADD, self.ring_size = ring.ADD.ravel(), ring.size
         self.tables = self._kernel_tables(ring, basis, residues)
         # the coordinates of Y s_r^-1 at the pivots of V, linear in Y
@@ -909,15 +901,13 @@ class _KernelIndex:
                     for r in range(0, lower.size, per)
                 ]).astype(np.int32))
         self._lift(ring, gen_mats, lower, per)
-        self.adj = self._adjoint(ring, first)
         slots = lower.size * self.nV
-        # where[slot] is the element id there, -1 while empty; the identity
-        # is element 0, at slot 0 = (lower identity, v = 0)
+        # where[slot] is the element id there, -1 while empty, and slot[x]
+        # the slot of element x; the identity is element 0, at slot 0 =
+        # (lower identity, v = 0)
         self.where = np.full(slots, -1, dtype=np.int32)
         self.where[0] = 0
-        # the lower index j and the coordinates v of each element
-        self.j = np.zeros(slots, dtype=np.int32)
-        self.v = np.zeros(slots, dtype=np.int32)
+        self.slot = np.zeros(slots, dtype=np.int32)
         self.per = SLOTS
         self.rows = per  # matrices rebuilt in one piece
 
@@ -979,17 +969,17 @@ class _KernelIndex:
             raise IdentityError(f"a lift of {self.name} is not over its "
                                 f"lower element")
 
-    def _adjoint(self, ring, first):
+    def _adjoint(self):
         """(R, k, k) int8: row i of adj[r] holds the coordinates of
         Ad(r) B_i = r B_i r^-1, as the cocycle of the product
         s_J (I + pi^(m-1) B_i) = (I + pi^(m-1) r B_i r^-1) s_J over s_J,
         J = first[r] of residue r; ``_cocycles`` compares every product
         with its rebuilt matrix."""
-        p, k = self.p, self.k
+        p, k, first = self.p, self.k, self.first
         units = p ** np.arange(k)
         basis = self.rebuild(np.zeros(k, dtype=np.int64), units)
         d = basis.shape[-1]
-        prod = ring.mat_mul(self.lifts[first][:, None], basis[None])
+        prod = self.ring.mat_mul(self.lifts[first][:, None], basis[None])
         v = self._cocycles(prod.reshape(-1, d, d), np.repeat(first, k))
         return (v[:, None] // units % p).reshape(-1, k, k).astype(np.int8)
 
@@ -1026,7 +1016,7 @@ class _KernelIndex:
     def file(self, rows, c0, c1, size):
         """(ids, fresh), as ``_KeyIndex.file``, by gathers on the lower
         maps and the cocycles."""
-        j, v = self.j[rows], self.v[rows]
+        j, v = np.divmod(self.slot[rows], self.nV)
         J = np.concatenate([self.maps[c].take(j) for c in range(c0, c1)])
         nv = self.digit_add(
             np.tile(v, c1 - c0),
@@ -1043,28 +1033,24 @@ class _KernelIndex:
         fresh = new[self.where[at] == -2 - new]
         self.where[slot[fresh]] = np.arange(size, size + fresh.size)
         ids[new] = self.where[at]
-        self.j[size:size + fresh.size] = J[fresh]
-        self.v[size:size + fresh.size] = nv[fresh]
+        self.slot[size:size + fresh.size] = slot[fresh]
         return ids, fresh
 
     def fibres(self, size):
-        """The kernel coordinates of the size elements, once ``matrices``
-        has read j and v: the slots j |V| + v are formed in j's array.
-        None unless every slot is filled: a table whose kernel is not all
-        of I + pi^(m-1) V is not moved by all of it."""
-        if size != self.res.size * self.nV:
+        """The kernel coordinates of the size elements, None unless every
+        slot is filled: a table whose kernel is not all of I + pi^(m-1) V
+        is not moved by all of it."""
+        if size != self.slot.size:
             return None
-        slot = self.j[:size]
-        slot *= self.nV
-        slot += self.v[:size]
-        return Fibres(self.p, slot, self.res, self.adj)
+        return Fibres(self.p, self.slot, self.res, self._adjoint())
 
     def matrices(self, size):
         """The matrices of the first size elements, rebuilt in pieces."""
         mats = np.empty((size,) + self.lifts.shape[1:], dtype=np.int32)
         for lo in range(0, size, self.rows):
             hi = min(size, lo + self.rows)
-            mats[lo:hi] = self.rebuild(self.j[lo:hi], self.v[lo:hi])
+            mats[lo:hi] = self.rebuild(*np.divmod(self.slot[lo:hi],
+                                                  self.nV))
         return mats
 
 

@@ -102,6 +102,33 @@ def test_cache_version_bump_ignores_old_entries(tmp_path, monkeypatch):
     cache.clear_memo()
 
 
+def test_an_entry_of_an_older_format_is_reported_as_such(tmp_path,
+                                                        monkeypatch, capsys):
+    # a version-2 header has no "fibres" field; the discard names the
+    # version, not the missing field
+    from localzeta.rings import make_ring
+
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    cache.clear_memo()
+    ring = make_ring("zq", 2, 1, 2)
+    fresh = cache.table_for("heisenberg", ring)
+    path = cache._cache_path(cache.as_family("heisenberg"), ring)
+    header, arrays = _read_entry(path)
+    del header["fibres"]
+    header["version"] = 2
+    np.savez(path, header=np.frombuffer(
+        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
+        **{key: arrays[key] for key in ("mats", "inv", "rho", "gen_mats")})
+    cache.clear_memo()
+    capsys.readouterr()
+    again = cache.table_for("heisenberg", ring)
+    err = capsys.readouterr().err
+    assert err.count("discarding cache entry") == 1
+    assert "header field version does not match" in err
+    assert (again.mats == fresh.mats).all()
+    cache.clear_memo()
+
+
 def test_cache_hits_respect_the_cap(tmp_path, monkeypatch):
     from localzeta.groups import TooLarge
     from localzeta.rings import make_ring

@@ -77,10 +77,10 @@ def test_inverses_are_correct():
 
 def test_generate_forms_only_the_frontier_products(monkeypatch):
     # the kernel route forms one product s_j * g per lower element and
-    # generator, and one s_r (I + pi^(m-1) B_i) per residue class r and
-    # basis vector B_i of V for the adjoint action; the key route one x * g
-    # per element and generator; the inverses are gathers on rho, not
-    # matrix products
+    # generator, and, when the table fills every slot, one
+    # s_r (I + pi^(m-1) B_i) per residue class r and basis vector B_i of V
+    # for the adjoint action; the key route one x * g per element and
+    # generator; the inverses are gathers on rho, not matrix products
     real, formed = rings.Ring.mat_mul, []
 
     def counting(self, A, B):
@@ -103,6 +103,17 @@ def test_generate_forms_only_the_frontier_products(monkeypatch):
         formed.clear()
         keyed = generate(ring, fam._generators(ring))
         assert sum(formed) == keyed.size * len(keyed.generators)
+    # over F2[t]/t^2 the generators with entries 1 give a copy of the level-1
+    # group, which fills one slot of each fibre: no Fibres, no adjoint
+    fam, ring = Family("heisenberg"), parse_ring("fqt:p=2,f=1,m=2")
+    lower = fam.table(ring.subring_level(1))
+    formed.clear()
+    part = generate(ring, groups._heisenberg_generators(ring, [ring.one]),
+                    lower=lower, kernel=fam.kernel_generators(ring))
+    assert part.fibres is None and part.size == lower.size
+    assert sum(formed) == lower.size * len(part.generators)
+    assert part.class_count() == generate(
+        ring, groups._heisenberg_generators(ring, [ring.one])).class_count()
 
 
 def test_inverses_reject_a_table_that_is_no_group():
