@@ -38,7 +38,7 @@ def clear_memo():
 
 
 def _memo_key(fam: Family, ring):
-    return (fam.text, fam.include_torus, ring.key())
+    return (fam.text, ring.key())
 
 
 def _disk_key(fam: Family, ring) -> str:
@@ -46,7 +46,6 @@ def _disk_key(fam: Family, ring) -> str:
         [
             FORMAT_VERSION,
             fam.text,
-            fam.include_torus,
             fam.struct_hash(),
             ring.literal,
         ],
@@ -81,7 +80,6 @@ def _load_disk(fam: Family, ring):
         want = {
             "version": FORMAT_VERSION,
             "family": fam.text,
-            "include_torus": fam.include_torus,
             "struct": fam.struct_hash(),
             "ring": ring.literal,
         }
@@ -143,7 +141,6 @@ def _store_disk(fam: Family, ring, table: GroupTable):
         header = {
             "version": FORMAT_VERSION,
             "family": fam.text,
-            "include_torus": fam.include_torus,
             "struct": fam.struct_hash(),
             "ring": ring.literal,
             "name": table.name,

@@ -103,6 +103,19 @@ def emit(report, fmt, out=None):
 # subcommands
 
 
+def _positive_int(text):
+    """The type of every --levels: a positive integer, else a usage
+    error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _series_ring(args):
     ring = parse_ring(args.ring)
     if ring.kind not in ("zq", "fqt"):
@@ -115,7 +128,7 @@ def _series_ring(args):
 
 def _cmd_cc(args):
     ring = _series_ring(args)
-    levels = args.levels or ring.m
+    levels = ring.m if args.levels is None else args.levels
     series = zt.cc_zeta(args.group, ring.kind, ring.p, ring.f, levels,
                         cap=args.cap)
     return {
@@ -131,7 +144,7 @@ def _cmd_cc(args):
 
 def _cmd_hecke(args):
     ring = _series_ring(args)
-    levels = args.levels or ring.m
+    levels = ring.m if args.levels is None else args.levels
     system = args.group.split(":", 1)[1] if ":" in args.group else args.group
     series = zt.hecke_zeta(system, args.s1, args.s2, ring.kind, ring.p,
                            ring.f, levels, cap=args.cap)
@@ -172,6 +185,8 @@ def _cmd_igusa(args):
 
 
 def _cmd_presburger(args):
+    if args.levels is not None and args.q is None:
+        raise ValueError("--levels needs --q")
     spec = SummationSpec(args.where, args.sum)
     res = sum_rational(spec)
     report = {
@@ -186,7 +201,7 @@ def _cmd_presburger(args):
         "timings": {},
     }
     if args.q is not None:
-        levels = args.levels or 6
+        levels = 6 if args.levels is None else args.levels
         series = zt.expand(res.rational, args.q, levels)
         report["q"] = args.q
         report["M"] = levels
@@ -233,7 +248,7 @@ def build_parser():
     p = sub.add_parser("cc", help="conjugacy-class series of a family")
     p.add_argument("--group", required=True,
                    help="family literal, e.g. heisenberg or chevalley:A1")
-    p.add_argument("--levels", type=int, default=None,
+    p.add_argument("--levels", type=_positive_int, default=None,
                    help="number of coefficients (default: ring depth)")
     p.add_argument("--cap", type=int, default=ENUM_CAP)
     common(p)
@@ -245,7 +260,7 @@ def build_parser():
                    help="first parabolic: '-' Borel, 'all', 'a1,a2', "
                    "or roots:...")
     p.add_argument("--s2", default="-")
-    p.add_argument("--levels", type=int, default=None)
+    p.add_argument("--levels", type=_positive_int, default=None)
     p.add_argument("--cap", type=int, default=ENUM_CAP)
     common(p)
     p.set_defaults(fn=_cmd_hecke)
@@ -262,7 +277,9 @@ def build_parser():
     p.add_argument("--sum", required=True, help="weight, e.g. q^(-n*s - l)")
     p.add_argument("--q", type=int, default=None,
                    help="also expand at this prime power")
-    p.add_argument("--levels", type=int, default=None)
+    p.add_argument("--levels", type=_positive_int, default=None,
+                   help="coefficients of the expansion (default 6; "
+                   "needs --q)")
     common(p, ring=False)
     p.set_defaults(fn=_cmd_presburger)
 
@@ -271,7 +288,7 @@ def build_parser():
     p.add_argument("--group", required=True)
     p.add_argument("--primes", required=True, help="e.g. 2,3,5")
     p.add_argument("--f", type=int, default=1)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_positive_int, required=True)
     p.add_argument("--s1", default=None)
     p.add_argument("--s2", default=None)
     p.add_argument("--cap", type=int, default=ENUM_CAP)

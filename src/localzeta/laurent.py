@@ -1,5 +1,9 @@
 """Multivariate Laurent polynomials with exact coefficients.
 
+This is the one polynomial type of the summation path: it holds the
+numerators of rational functions and the multipliers that the Presburger
+engine creates by telescoping and Faulhaber sums.
+
 Terms are stored sparsely as ``{exponent tuple: coefficient}`` with zero
 coefficients dropped, so equality is structural and exact.  Exponents may be
 negative.
@@ -21,8 +25,8 @@ from fractions import Fraction
 def exact(c):
     """c as an int when it is integral, else as a Fraction.
 
-    Every exact container (Laurent and Presburger terms, linear forms,
-    bivariate rationals) stores its coefficients through this, so a
+    Every exact container (Laurent polynomials, linear forms, bivariate
+    rationals) stores its coefficients through this, so a
     Fraction with denominator 1 never survives.  Floats raise TypeError.
     """
     if type(c) is int:
@@ -168,15 +172,25 @@ class Laurent:
             total += v
         return total
 
-    def substitute(self, i, value):
-        """Replace variable i by a Laurent of the same arity."""
-        value = self._check(value)
-        out = Laurent.const(0, self.nvars)
+    def split(self, i):
+        """{power of variable i: the terms of that power, with variable i
+        set to power 0}, each a Laurent of the same arity."""
+        out = {}
         for e, c in self.terms.items():
-            rest = list(e)
-            k = rest[i]
-            rest[i] = 0
-            out = out + Laurent.monomial(c, rest) * value**k
+            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        parts = {}
+        for k, terms in out.items():
+            parts[k] = r = Laurent(self.nvars)
+            r.terms = terms
+        return parts
+
+    def substitute(self, i, value):
+        """Replace variable i by a Laurent of the same arity, raising it
+        to each power of variable i once."""
+        value = self._check(value)
+        out = Laurent(self.nvars)
+        for k, piece in self.split(i).items():
+            out = out + (piece * value**k if k else piece)
         return out
 
     # ------------------------------------------------------------------

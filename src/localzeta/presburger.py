@@ -761,104 +761,22 @@ def cells(ast):
 
 
 # ----------------------------------------------------------------------
-# polynomials in several variables (multipliers from telescoping)
+# multipliers from telescoping: Laurents whose variable i is order[i]
 
 
-class Poly:
-    """Multivariate polynomial with exact (``laurent.exact``) coefficients,
-    for the polynomial prefactors produced by summing v^k over
-    progressions."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for mono, c in (terms or {}).items():
-            c = exact(c)
-            if c:
-                self.terms[mono] = c
-
-    @classmethod
-    def const(cls, c):
-        return cls({(): c})
-
-    @classmethod
-    def from_linform(cls, L: LinForm):
-        terms = {((v, 1),): c for v, c in L.coeffs.items()}
-        terms[()] = L.const
-        return cls(terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
-        return Poly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly({m: c * other for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                exps = dict(m1)
-                for v, e in m2:
-                    exps[v] = exps.get(v, 0) + e
-                mono = tuple(sorted(exps.items()))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return Poly(out)
-
-    def __pow__(self, k):
-        acc = Poly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
-    def substitute(self, var, L: LinForm):
-        repl = Poly.from_linform(L)
-        out = Poly()
-        for k, piece in self.split(var).items():
-            out = out + piece * (repl**k if k else Poly.const(1))
-        return out
-
-    def split(self, var):
-        """{power of var: polynomial in the other variables}."""
-        out = {}
-        for mono, c in self.terms.items():
-            k = 0
-            rest = []
-            for v, e in mono:
-                if v == var:
-                    k = e
-                else:
-                    rest.append((v, e))
-            bucket = out.setdefault(k, Poly())
-            bucket.terms[tuple(rest)] = (
-                bucket.terms.get(tuple(rest), 0) + c
-            )
-        return {k: Poly(p.terms) for k, p in out.items()}
-
-    def is_ground(self):
-        return all(m == () for m in self.terms)
-
-    def ground_value(self):
-        if not self.terms:
-            return 0
-        if not self.is_ground():
-            raise PresburgerError("polynomial is not ground")
-        return self.terms[()]
-
-    def vars(self):
-        out = set()
-        for mono in self.terms:
-            out.update(v for v, _ in mono)
-        return frozenset(out)
-
-    def __repr__(self):
-        return f"Poly({self.terms})"
+def _as_laurent(form: LinForm, index):
+    """A form as a Laurent polynomial, variable v at index[v]."""
+    n = len(index)
+    terms = {}
+    for v, c in form.coeffs.items():
+        e = [0] * n
+        e[index[v]] = 1
+        terms[tuple(e)] = c
+    if form.const:
+        terms[(0,) * n] = form.const
+    out = Laurent(n)
+    out.terms = terms
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -885,17 +803,17 @@ def _geometric_moment(k, bx, by):
     return total
 
 
-def _faulhaber(k, H: LinForm) -> Poly:
-    """Sum over v = 0..H of v^k as a polynomial in the variables of H."""
-    hp1 = Poly.from_linform(H + 1)
-    total = Poly()
+def _faulhaber(k, hp1: Laurent) -> Laurent:
+    """Sum over v = 0..H of v^k as a polynomial in the variables of H,
+    given hp1 = H + 1."""
+    total = Laurent(hp1.nvars)
     for j in range(0, k + 1):
         c = _stirling2(k, j)
         if not c:
             continue
-        ff = Poly.const(1)
+        ff = Laurent.const(1, hp1.nvars)
         for i in range(j + 1):
-            ff = ff * (hp1 + Poly.const(-i))
+            ff = ff * (hp1 - i)
         total = total + ff * Fraction(c, j + 1)
     return total
 
@@ -909,12 +827,9 @@ class SummationSpec:
 
     def __init__(self, formula, weight):
         self.formula = parse(formula)
-        if isinstance(weight, str):
-            self.A, self.B = parse_weight(weight)
-            self.weight_text = weight
-        else:
-            self.A, self.B = weight
-            self.weight_text = f"q^(s*({self.A}) + ({self.B}))"
+        self.A, self.B = (
+            parse_weight(weight) if isinstance(weight, str) else weight
+        )
         missing = (self.A.vars() | self.B.vars()) - set(
             free_vars(self.formula.ast)
         )
@@ -932,7 +847,8 @@ class SumResult(NamedTuple):
 
 class _Term:
     """One summand: pref * mult * X^xexp * Y^yexp over the points where
-    every literal of lits holds.
+    every literal of lits holds.  mult is a Laurent polynomial whose
+    variable i is the i-th variable of the spec's elimination order.
 
     pref is a structural key, (moments, coef): the sorted tuple of the
     (k, dx, dy) of each geometric moment factor and an int coefficient.
@@ -991,9 +907,10 @@ def _congruences_clash(lits):
     )
 
 
-def _residue_branches(term, z):
+def _residue_branches(term, z, index):
     """Substitute z = M0*u + r; returns (M0, list of new Terms) with
-    congruences on z resolved into constraints on the rest.
+    congruences on z resolved into constraints on the rest.  index maps
+    each variable to its place in the multipliers.
 
     Each residue is decided by its congruences first: at r a congruence
     is its r = 0 form shifted by c*r, and a residue whose congruences
@@ -1016,6 +933,7 @@ def _residue_branches(term, z):
             f"residue modulus {M0} for {z} exceeds {MODULUS_BUDGET}"
         )
     stretch = LinForm._raw({z: M0}, 0)  # z = M0*z with z reused as u
+    mult_stretch = _as_laurent(stretch, index)
     # (op, form at r = 0, coefficient c of r, modulus) in literal order
     shifted = []
     for lit in zlits:
@@ -1053,7 +971,7 @@ def _residue_branches(term, z):
                 lits.append(lit)
         branches.append(_Term(
             term.pref,
-            term.mult.substitute(z, LinForm._raw({z: M0}, r)),
+            term.mult.substitute(index[z], mult_stretch + r),
             xexp + cx * r if cx else xexp,
             yexp + cy * r if cy else yexp,
             lits,
@@ -1249,6 +1167,8 @@ def _sum_progression(term, z, lower, upper, ctx):
     bx, by = bxf.numerator, byf.numerator
     xrest = term.xexp.drop(z)
     yrest = term.yexp.drop(z)
+    index = ctx["index"]
+    i = index[z]
 
     def contracting(dx, dy):
         return dy > 0 or (dy == 0 and dx < 0)
@@ -1265,10 +1185,12 @@ def _sum_progression(term, z, lower, upper, ctx):
             return
         if (bx, by) == (0, 0):
             # pure polynomial block: Faulhaber in H
-            mult = term.mult.substitute(z, LinForm.of(z) + lower)
-            out = Poly()
-            for k, piece in mult.split(z).items():
-                out = out + piece * _faulhaber(k, H)
+            mult = term.mult.substitute(i, _as_laurent(LinForm.of(z) + lower,
+                                                       index))
+            hp1 = _as_laurent(H + 1, index)
+            out = Laurent(len(index))
+            for k, piece in mult.split(i).items():
+                out = out + piece * _faulhaber(k, hp1)
             yield _Term(term.pref, out, xrest, yrest,
                         term.lits + [exist])
             return
@@ -1278,13 +1200,13 @@ def _sum_progression(term, z, lower, upper, ctx):
         else:
             base, dx, dy = upper, -bx, -by
         sub = LinForm.of(z).scale(1 if base is lower else -1) + base
-        mult = term.mult.substitute(z, sub)
+        mult = term.mult.substitute(i, _as_laurent(sub, index))
         x0 = xrest + base.scale(bx)
         y0 = yrest + base.scale(by)
         shift_x = x0 + (H + 1).scale(dx)
         shift_y = y0 + (H + 1).scale(dy)
-        hp1 = Poly.from_linform(H + 1)
-        for k, piece in mult.split(z).items():
+        hp1 = _as_laurent(H + 1, index)
+        for k, piece in mult.split(i).items():
             # sum_{v=0}^{H} v^k r^v = G_k - r^(H+1) sum_j C(k,j)(H+1)^(k-j) G_j
             yield _Term(
                 _times_moment(term.pref, k, dx, dy),
@@ -1314,10 +1236,10 @@ def _sum_progression(term, z, lower, upper, ctx):
         return
     if dy > 0:
         ctx["sigma"].append(dx // dy + 1)
-    mult = term.mult.substitute(z, sub)
+    mult = term.mult.substitute(i, _as_laurent(sub, index))
     x0 = xrest + base.scale(bx)
     y0 = yrest + base.scale(by)
-    for k, piece in mult.split(z).items():
+    for k, piece in mult.split(i).items():
         yield _Term(
             _times_moment(term.pref, k, dx, dy),
             piece, x0, y0, list(term.lits),
@@ -1329,7 +1251,7 @@ def _eliminate_variable(term, z, ctx):
     if not alive:
         return
     term = _Term(term.pref, term.mult, term.xexp, term.yexp, lits)
-    _, residues = _residue_branches(term, z)
+    _, residues = _residue_branches(term, z, ctx["index"])
     for rterm in residues:
         for lowers, uppers, rest in _unit_bounds(rterm, z):
             low_opts = (
@@ -1403,10 +1325,11 @@ def _ground_terms(spec: SummationSpec):
     if ncells > CELL_BUDGET:
         raise CellBudget(f"{ncells} cells exceed budget {CELL_BUDGET}")
     order = _variable_order(free, spec.A, spec.B)
-    ctx = {"sigma": []}
+    ctx = {"sigma": [], "index": {v: i for i, v in enumerate(order)}}
     cell_list = cells(ast)
+    one = Laurent.const(1, len(order))
     terms = [
-        _Term(((), 1), Poly.const(1), spec.B, spec.A.scale(-1), list(cell))
+        _Term(((), 1), one, spec.B, spec.A.scale(-1), list(cell))
         for cell in cell_list
     ]
     for z in order:
@@ -1421,7 +1344,9 @@ def _ground_terms(spec: SummationSpec):
             continue
         if lits:
             raise PresburgerError(f"unresolved constraints {lits}")
-        m = term.mult.ground_value()
+        m = term.mult.terms.get((0,) * len(order), 0)
+        if len(term.mult.terms) > bool(m):
+            raise PresburgerError(f"unresolved multiplier {term.mult}")
         if not m:
             continue
         cx, cy = term.xexp, term.yexp

@@ -111,7 +111,6 @@ class RootSystem:
         ]
         self._index = {v: i for i, v in enumerate(self.roots)}
         self.coeffs = {v: self._coeffs_of(v) for v in self.roots}
-        self.simple_indices = [self._index[v] for v in self.simple]
 
     # ------------------------------------------------------------------
     # basic geometry

@@ -187,6 +187,41 @@ def test_exit_codes():
     assert b"cells exceed budget 4096" in proc.stderr
 
 
+SERIES = ["presburger", "--where", "n >= 0", "--sum", "q^(-n*s)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cc", "--group", "heisenberg", "--ring", "zq:p=2,f=1,m=2",
+     "--levels", "0"],
+    ["hecke", "--group", "A1", "--ring", "zq:p=2,f=1,m=2", "--levels", "-1"],
+    SERIES + ["--q", "2", "--levels", "-1"],
+    SERIES + ["--q", "2", "--levels", "two"],
+    SERIES + ["--levels", "3"],
+    ["transfer", "--group", "heisenberg", "--primes", "2", "--levels", "0"],
+], ids=["cc-zero", "hecke-negative", "presburger-negative",
+        "presburger-text", "presburger-without-q", "transfer-zero"])
+def test_levels_must_be_a_positive_integer(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--levels" in captured.err
+
+
+def test_levels_given_or_defaulted(capsys):
+    cache.clear_memo()
+    assert cli.main(["cc", "--group", "heisenberg",
+                     "--ring", "zq:p=2,f=1,m=3", "--levels", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["M"], report["coefficients"]) == ("1", ["1"])
+    assert cli.main(SERIES + ["--q", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["M"] == "6" and len(report["coefficients"]) == 6
+
+
 def test_igusa_three_by_three_at_level_three():
     proc = run_cli(["igusa", "--poly", DET3, "--ring", "fqt:p=2,f=1,m=3"])
     assert proc.returncode == 0

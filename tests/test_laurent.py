@@ -1,7 +1,7 @@
 """Exactness of the mixed int/Fraction coefficient representation.
 
-Laurent, LinForm and Poly store integral coefficients as ints and the rest
-as Fractions.  Each test runs seeded random arithmetic on them and compares
+Laurent and LinForm store integral coefficients as ints and the rest as
+Fractions.  Each test runs seeded random arithmetic on them and compares
 the result, evaluated at rational points, with the same operation carried
 out on the operands' values in Fractions alone.  Every coefficient of every
 result must be in normal form: an int, or a Fraction that is not integral,
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from localzeta.laurent import Laurent, exact
-from localzeta.presburger import LinForm, Poly
+from localzeta.presburger import LinForm, _as_laurent
 
 SEED = 20261018
 VARS = ("a", "b", "n")
@@ -56,24 +56,19 @@ def _linform(rng):
     return LinForm(coeffs, _coeff(rng))
 
 
+INDEX = {v: i for i, v in enumerate(VARS)}
+
+
 def _poly(rng):
+    """A polynomial in VARS, as the summation engine's multipliers are:
+    a Laurent with no negative power, variable INDEX[v] for v."""
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        mono = tuple(sorted(
-            (v, rng.randint(1, 2)) for v in rng.sample(VARS, rng.randint(0, 2))
-        ))
-        terms[mono] = _coeff(rng)
-    return Poly(terms)
-
-
-def _poly_value(p, env):
-    total = Fraction(0)
-    for mono, c in p.terms.items():
-        v = Fraction(c)
-        for var, e in mono:
-            v *= Fraction(env[var]) ** e
-        total += v
-    return total
+        e = [0] * len(VARS)
+        for v in rng.sample(VARS, rng.randint(0, 2)):
+            e[INDEX[v]] = rng.randint(1, 2)
+        terms[tuple(e)] = _coeff(rng)
+    return Laurent(len(VARS), terms)
 
 
 def test_exact_normal_form():
@@ -178,24 +173,40 @@ def test_poly_arithmetic_matches_fractions():
         L = _linform(rng)
         k = rng.randint(1, 7)
         var = rng.choice(VARS)
-        env = dict(zip(VARS, _point(rng, len(VARS))))
-        fv, gv = _poly_value(f, env), _poly_value(g, env)
-        sub_env = dict(env, **{var: L.evaluate(env)})
+        i = INDEX[var]
+        pt = _point(rng, len(VARS))
+        env = dict(zip(VARS, pt))
+        fv, gv = f.evaluate(pt), g.evaluate(pt)
+        sub_pt = list(pt)
+        sub_pt[i] = L.evaluate(env)
         cases = [
             (f + g, fv + gv),
             (f * g, fv * gv),
             (f * Fraction(1, k), fv / k),
             (f ** 3, fv ** 3),
-            (Poly.from_linform(L), L.evaluate(env)),
-            (f.substitute(var, L), _poly_value(f, sub_env)),
+            (_as_laurent(L, INDEX), L.evaluate(env)),
+            (f.substitute(i, _as_laurent(L, INDEX)), f.evaluate(sub_pt)),
         ]
         for got, want in cases:
             _assert_normal(got.terms.values())
-            assert _poly_value(got, env) == want
-        parts = f.split(var)
+            assert got.evaluate(pt) == want
+        # the form's terms are built directly: the same as by the
+        # normalising constructor
+        assert _as_laurent(L, INDEX).terms == Laurent(len(VARS), {
+            **{tuple(int(v == w) for w in VARS): c
+               for v, c in L.coeffs.items()},
+            (0,) * len(VARS): L.const,
+        }).terms
+        parts = f.split(i)
         for part in parts.values():
             _assert_normal(part.terms.values())
+            assert all(e[i] == 0 for e in part.terms)
         assert sum(
-            (_poly_value(p, env) * env[var] ** e for e, p in parts.items()),
+            (p.evaluate(pt) * pt[i] ** e for e, p in parts.items()),
             Fraction(0),
         ) == fv
+        # split recomposes f exactly
+        assert sum(
+            (p * Laurent.var(i, len(VARS), e) for e, p in parts.items()),
+            Laurent(len(VARS)),
+        ) == f

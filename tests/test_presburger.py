@@ -14,7 +14,6 @@ from localzeta.presburger import (
     CellBudget,
     Divergent,
     LinForm,
-    Poly,
     ModulusBudget,
     PresburgerError,
     PresburgerFormula,
@@ -663,9 +662,17 @@ def test_pinned_specs_sum_byte_identically():
 # runtime invariants raise PresburgerError
 
 
+# the multipliers of _term are indexed over these variables
+INDEX = {"x": 0, "y": 1, "z": 2}
+
+
+def _ctx():
+    return {"sigma": [], "index": INDEX}
+
+
 def _term(lits, xexp=None, yexp=None):
     return presburger._Term(
-        ((), 1), Poly.const(1),
+        ((), 1), Laurent.const(1, len(INDEX)),
         xexp or LinForm(), yexp or LinForm({"z": 1}), lits,
     )
 
@@ -732,9 +739,9 @@ def test_congruence_clash_reads_single_variable_literals_only():
     assert len(presburger._unit_bounds(term, "z")) == 2
     # z + x = 0 mod 3 on x = 1 mod 3 leaves only z = 2 mod 3
     term = _term([("cong", z + x, 3), ("cong", x - 1, 3)])
-    assert len(presburger._residue_branches(term, "z")[1]) == 1
+    assert len(presburger._residue_branches(term, "z", INDEX)[1]) == 1
     term = _term([("cong", z + x + y, 3), ("cong", x + y - 1, 3)])
-    assert len(presburger._residue_branches(term, "z")[1]) == 3
+    assert len(presburger._residue_branches(term, "z", INDEX)[1]) == 3
 
 
 def test_clashing_residues_are_dropped_when_created(monkeypatch):
@@ -825,19 +832,34 @@ def test_empty_two_sided_ranges_yield_no_terms(monkeypatch):
     # a ground range of one point still yields its terms
     term = _term([], xexp=LinForm({"z": 1}))
     one = list(presburger._sum_progression(
-        term, "z", LinForm.constant(2), LinForm.constant(2), {"sigma": []}))
+        term, "z", LinForm.constant(2), LinForm.constant(2), _ctx()))
     assert one
     assert not list(presburger._sum_progression(
-        term, "z", LinForm.constant(3), LinForm.constant(2), {"sigma": []}))
+        term, "z", LinForm.constant(3), LinForm.constant(2), _ctx()))
 
 
 def test_sum_progression_rejects_rational_weight():
     term = _term([], xexp=LinForm({"z": Fraction(1, 2)}))
     with pytest.raises(PresburgerError, match="non-integer weight"):
         list(presburger._sum_progression(
-            term, "z", LinForm.constant(0), LinForm.constant(3),
-            {"sigma": []},
+            term, "z", LinForm.constant(0), LinForm.constant(3), _ctx(),
         ))
+
+
+def test_a_multiplier_left_holding_a_variable_is_refused(monkeypatch):
+    progression = presburger._sum_progression
+
+    def leaky(term, z, lower, upper, ctx):
+        # each yielded multiplier keeps a factor of the variable just summed
+        index = ctx["index"]
+        for t in progression(term, z, lower, upper, ctx):
+            t.mult = t.mult * Laurent.var(index[z], len(index))
+            yield t
+
+    monkeypatch.setattr(presburger, "_sum_progression", leaky)
+    with pytest.raises(PresburgerError, match="unresolved multiplier") as exc:
+        sum_rational(SummationSpec("0 <= l and l <= n", "q^(-n*s - l)"))
+    assert type(exc.value) is PresburgerError
 
 
 def test_oracle_rejects_non_integer_degrees():
