@@ -19,14 +19,14 @@ import numpy as np
 
 from .groups import ENUM_CAP, Family, Fibres, GroupTable, TooLarge, has_tower
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _memo = {}
 
 # the arrays of a stored table, all covered by its content hash; a table
 # enumerated over its level below adds its kernel coordinates
 _ARRAYS = ("mats", "inv", "rho", "gen_mats")
-_FIBRE_ARRAYS = ("slot", "res", "adj")
+_FIBRE_ARRAYS = ("res", "adj")
 
 
 def as_family(obj) -> Family:
@@ -103,8 +103,7 @@ def _load_disk(fam: Family, ring):
         ]
         fibres = None
         if header["fibres"]:
-            fibres = Fibres(ring.p, arrays["slot"], arrays["res"],
-                            arrays["adj"])
+            fibres = Fibres(ring.p, arrays["res"], arrays["adj"])
         return GroupTable(
             ring,
             arrays["mats"],
@@ -132,11 +131,13 @@ def _store_disk(fam: Family, ring, table: GroupTable):
             "mats": table.mats,
             "inv": table.inv,
             "rho": table.rho,
-            "gen_mats": np.stack([g for _, g in table.generators]),
+            # np.stack refuses the empty list of a one-element table
+            "gen_mats": np.array([g for _, g in table.generators],
+                                 dtype=np.int32),
         }
         fib = table.fibres
         if fib is not None:
-            arrays.update(slot=fib.slot, res=fib.res, adj=fib.adj)
+            arrays.update(res=fib.res, adj=fib.adj)
         provenance = [list(p) for p, _ in table.generators]
         header = {
             "version": FORMAT_VERSION,

@@ -104,8 +104,8 @@ def emit(report, fmt, out=None):
 
 
 def _positive_int(text):
-    """The type of every --levels: a positive integer, else a usage
-    error."""
+    """The type of every --levels and --cap: a positive integer, else a
+    usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -250,7 +250,7 @@ def build_parser():
                    help="family literal, e.g. heisenberg or chevalley:A1")
     p.add_argument("--levels", type=_positive_int, default=None,
                    help="number of coefficients (default: ring depth)")
-    p.add_argument("--cap", type=int, default=ENUM_CAP)
+    p.add_argument("--cap", type=_positive_int, default=ENUM_CAP)
     common(p)
     p.set_defaults(fn=_cmd_cc)
 
@@ -261,7 +261,7 @@ def build_parser():
                    "or roots:...")
     p.add_argument("--s2", default="-")
     p.add_argument("--levels", type=_positive_int, default=None)
-    p.add_argument("--cap", type=int, default=ENUM_CAP)
+    p.add_argument("--cap", type=_positive_int, default=ENUM_CAP)
     common(p)
     p.set_defaults(fn=_cmd_hecke)
 
@@ -291,7 +291,7 @@ def build_parser():
     p.add_argument("--levels", type=_positive_int, required=True)
     p.add_argument("--s1", default=None)
     p.add_argument("--s2", default=None)
-    p.add_argument("--cap", type=int, default=ENUM_CAP)
+    p.add_argument("--cap", type=_positive_int, default=ENUM_CAP)
     common(p, ring=False)
     p.set_defaults(fn=_cmd_transfer)
 

@@ -5,27 +5,19 @@ of the rings from :mod:`localzeta.rings`, with the right-regular table
 ``rho``, the id of x * g for every element x and generator g, and the
 inverse map that gathers on ``rho`` give.
 
-The enumeration files each product under the id of its element by one of
-two routes, fixed by the ring.  Every ``zq`` and ``fqt`` table at level
-m >= 2 is enumerated over the level-(m-1) table by kernel translation
+Elements get their ids by one of two routes, fixed by the ring (see
+``generate``).  Every ``zq`` and ``fqt`` table at level m >= 2 is
+numbered over the level-(m-1) table by its congruence kernel
 (``_KernelIndex``): G(R_m) -> G(R_{m-1}) is onto with the abelian kernel
 I + pi^(m-1) V, |V| = q^dim_scheme, so an element is (I + pi^(m-1) X_v)
-s_j for a lift s_j of the lower element j, and has the dense id j |V| +
-v.  Only the |G_{m-1}| ngens products s_j g are formed; each gives its
-lower index by the lower rho and a cocycle c in F_p^k, and every other
-product x g is the gather maps[g][j] |V| + (v + c digitwise mod p).  The
-matrices come last, s_j + pi^(m-1) X_v s_r by table gathers.  Level-1
-tables and ``zn`` have no such tower and keep packed integer keys
-(``_KeyIndex``): every product is formed, the entries of a matrix are
-bit-packed into uint64 words and folded into one uint64 when there are
-several words, and looked up in sorted keys.  ``lookup_batch`` and
-``contains_batch`` search a table's sorted keys, built on first use, for
-either route.  Every product that is formed is confirmed entry by entry:
-against the element it is filed as on the key route, and against the
-matrix rebuilt from its lift and cocycle on the kernel route.  So a wrong
-V or a key collision raises IdentityError instead of mis-filing an
-element, and the translated entries are exact because
-(I + pi^(m-1) X)(I + pi^(m-1) C) = I + pi^(m-1) (X + C).
+s_j for a lift s_j of the lower element j, and its id is its kernel slot
+j |V| + v.  Only the products over the lifts are formed; rho and the
+inverses follow by gathers, and the matrices are rebuilt when first read.
+Level-1 tables and ``zn`` are searched breadth-first with packed integer
+keys (``_KeyIndex``).  ``lookup_batch`` and ``contains_batch`` search a
+table's sorted keys, built on first use, for either route.  Every product
+that is formed is confirmed entry by entry, so a wrong V or a key
+collision raises IdentityError instead of mis-filing an element.
 
 On top of the table sit the counting routines used by the zeta layer;
 their group actions are integer gathers on ``rho`` and the inverse map,
@@ -48,11 +40,15 @@ node is one such translation class; generators map nodes to nodes, so the
 orbits are the components of a graph on the nodes.  A table with no
 kernel is the case V = 0, every element its own node.
 
-Enumeration is breadth-first over a canonically sorted generator list, so
-element order (and therefore every cache file) is deterministic.
+The generator list is canonically sorted, and both numberings are fixed
+by it (the lifts are chosen by a breadth-first search over the lower
+table), so element order, and therefore every cache file, is
+deterministic.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -62,7 +58,7 @@ ENUM_CAP = 2_000_000
 PAIR_SCAN_CAP = 20_000
 PIECE = 1 << 18  # multiply-adds in one mat_mul call of generate
 TABLE_ENTRIES = 1 << 22  # in one kernel table of generate
-SLOTS = 1 << 16  # in one piece of the kernel route's slot gathers
+RHO_BLOCK = 1 << 16  # rho entries of one block of the kernel route
 FOLD_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying is a bijection
 
 
@@ -205,30 +201,30 @@ def _reduction_table(M, p):
 class Fibres:
     """The kernel coordinates of a table enumerated over its level below.
 
-    Element x = (I + pi^(m-1) X_v) s_j has ``slot[x]`` = j |V| + v, v the
-    base-p coordinates of X_v over the reduced echelon basis B_0..B_(k-1)
-    of V; ``res[j]`` numbers the residue class of the lower element j; row
-    i of ``adj[r]`` holds the coordinates of Ad(r) B_i = r B_i r^-1 for
-    the residue r.  ``trivial`` is the case V = 0 of a table with no
-    kernel (level 1, ``zn``, the packed-key route): slot[x] = x.
+    Element x = (I + pi^(m-1) X_v) s_j has the id j |V| + v, v the base-p
+    coordinates of X_v over the reduced echelon basis B_0..B_(k-1) of V;
+    ``res[j]`` numbers the residue class of the lower element j; row i of
+    ``adj[r]`` holds the coordinates of Ad(r) B_i = r B_i r^-1 for the
+    residue r.  ``trivial`` is the case V = 0 of a table with no kernel
+    (level 1, ``zn``, the packed-key route): x = j.
     """
 
-    def __init__(self, p, slot, res, adj):
-        self.p, self.slot, self.res, self.adj = p, slot, res, adj
+    def __init__(self, p, res, adj):
+        self.p, self.res, self.adj = p, res, adj
         self.k = adj.shape[1]
         self.nV = p**self.k
 
     @classmethod
     def trivial(cls, n):
         # with k = 0 the prime never enters the arithmetic
-        return cls(2, np.arange(n, dtype=np.int32), np.zeros(n, np.int32),
+        return cls(2, np.zeros(n, np.int32),
                    np.zeros((1, 0, 0), dtype=np.int8))
 
     def kernel_span(self, idx):
         """The reduced echelon basis, (k', k), of the v with (0, v) among
         the element indices idx: V_P for the elements of a subgroup P."""
-        v = self.slot[idx]
-        digits = v[v < self.nV, None] // self.p ** np.arange(self.k) % self.p
+        digits = idx[idx < self.nV, None] // self.p ** np.arange(self.k) \
+            % self.p
         E, rank, _ = _echelon(digits[None], self.p)
         return E[0, :rank[0]]
 
@@ -254,28 +250,30 @@ class GroupTable:
     ``rho[x, c]`` is the index of ``x * g_c`` for the c-th generator, so
     every action the counting layer needs is a gather on ``rho`` and
     ``inv``: x g = rho_g[x], g^-1 x = inv[rho_g[inv[x]]], and g^-1 x g
-    composes the two.  ``inv`` itself comes from ``rho`` and the
-    enumeration's search tree (``_inverses``).  ``fibres`` holds the
-    kernel coordinates of a table enumerated over its level below, None
-    for a table with no kernel.
+    composes the two.  ``fibres`` holds the kernel coordinates of a table
+    enumerated over its level below, None for a table with no kernel.
+    ``mats`` is an (N, d, d) int32 array, or a function that builds it,
+    called on the first read: the counting layer reads only ``rho``,
+    ``inv`` and ``fibres``, and a table enumerated over its level below
+    rebuilds its matrices from its lifts.
     """
 
     def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
                  fibres=None):
         self.ring = ring
-        self.mats = mats  # (N, d, d) int32
+        self._mats = mats
         self.inv = inv  # (N,) int64 index of inverse
         self.rho = rho  # (N, ngens) int32 index of x * g
         self.generators = generators  # list of (provenance, matrix)
         self.name = name
         self.dim_scheme = dim_scheme
-        self.d = mats.shape[1]
+        # a table with no generators is the identity alone, built eagerly
+        self.d = generators[0][1].shape[0] if generators else mats.shape[1]
         if fibres is not None and not (
-                fibres.slot.shape == (mats.shape[0],)
-                and fibres.res.size * fibres.nV == mats.shape[0]
+                fibres.res.size * fibres.nV == self.size
                 and fibres.adj.shape[0] > fibres.res.max()):
             raise IdentityError(f"the kernel coordinates of {name} do not "
-                                f"fit its {mats.shape[0]} elements")
+                                f"fit its {self.size} elements")
         self.fibres = fibres
         self._pack = _Packing(ring, self.d)
         # (sorted keys, their element indices), built on first use
@@ -284,7 +282,14 @@ class GroupTable:
 
     @property
     def size(self):
-        return self.mats.shape[0]
+        return self.rho.shape[0]
+
+    @property
+    def mats(self):
+        """(N, d, d) int32, element x at row x."""
+        if callable(self._mats):
+            self._mats = self._mats()
+        return self._mats
 
     def _sorted_keys(self):
         """The sorted key array and the element index of each key."""
@@ -408,7 +413,7 @@ class GroupTable:
         """(node, reps): the node of every element, nodes numbered by their
         smallest elements reps, ascending.
 
-        The node of x = (j, v) is (j, v reduced modulo the row space of
+        The node of x = j |V| + v is (j, v reduced modulo the row space of
         span[r]), r = res[j]: the orbit of x under the kernel translations
         span[r] stands for.  Raises IdentityError unless every reduced v
         stands for the p^rank values of its coset.
@@ -422,15 +427,16 @@ class GroupTable:
                 == p ** rank[:, None]).all():
             raise IdentityError(f"a node of {self.name} is not a coset of "
                                 f"its kernel translations")
-        # the node key of slot j |V| + v is j |V| + red[res[j], v]
-        key = red.astype(np.int32)[fib.res]
-        key += np.arange(0, key.size, nV, dtype=np.int32)[:, None]
-        key = key.ravel()[fib.slot]
+        # rep[r, v]: the smallest v' with red[r, v'] = red[r, v], so the
+        # smallest element of the node of j |V| + v is j |V| + rep[res[j], v]
+        at = (red + np.arange(0, R * nV, nV)[:, None]).ravel()
+        low = np.full(R * nV, nV, dtype=np.int32)
+        np.minimum.at(low, at, np.tile(np.arange(nV, dtype=np.int32), R))
+        rep = low[at].reshape(R, nV)
         n = self.size
-        first = np.full(n, n, dtype=np.int32)
-        np.minimum.at(first, key, np.arange(n, dtype=np.int32))
-        first = first[key]  # the smallest element of each element's node
-        del key
+        first = rep[fib.res]
+        first += np.arange(0, n, nV, dtype=np.int32)[:, None]
+        first = first.ravel()
         reps = np.flatnonzero(first == np.arange(n))
         node = np.empty(n, dtype=np.int32)
         node[reps] = np.arange(reps.size)
@@ -739,11 +745,6 @@ class _KeyIndex:
             raise IdentityError(f"two matrices of {self.name} share a key")
         return ids, first[fresh]
 
-    @staticmethod
-    def fibres(size):
-        """No kernel coordinates: every element is its own node."""
-        return None
-
     def matrices(self, size):
         """The matrices of the first size elements, as filed."""
         return self.mats[:size].copy() if self.mats.shape[0] > size \
@@ -803,6 +804,15 @@ def _coordinate_maps(ring, inverses, kpiv):
             * (row[:, None] == prow)).astype(np.int32)
 
 
+def _distinct(keys, size):
+    """(vals, at): the distinct values of an array of keys below size,
+    ascending, and where each key is among them, vals[at] == keys; by a
+    mark per value, with no sort."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
 def _digit_add(p, k):
     """v, c -> the base-p digitwise sum mod p of arrays of numbers below
     p^k: xor when p = 2, else lookups in a table of the sums of groups of
@@ -828,9 +838,63 @@ def _digit_add(p, k):
     return add
 
 
+def _rebuild(ring, tables, res, lifts, J, v):
+    """(I + pi^(m-1) X_v) s_J = s_J + pi^(m-1) X_v s_r, r = res[J], for
+    arrays J, v: X_v s_r read from ``_kernel_tables`` and added one table
+    at a time by the ring's ADD table."""
+    r, x = res.take(J), lifts.take(J, axis=0)
+    for s, w, table in tables:
+        at = x * ring.size
+        at += table.take(r * w + v // s % w, axis=0)
+        x = ring.ADD.take(at)
+    return x
+
+
+def _matrices(ring, lifts, res, residues, basis):
+    """Every matrix of a table enumerated over its level below, element
+    j |V| + v at row j |V| + v, in pieces of whole fibres, from what
+    rebuilding needs: the lifts, the residue class of each lower element,
+    the residue matrices and the basis of V."""
+    tables = _kernel_tables(ring, basis, residues)
+    (L, d, _), nV = lifts.shape, ring.p ** basis.shape[0]
+    mats = np.empty((L * nV, d, d), dtype=np.int32)
+    step = max(1, PIECE // d**3 // nV)
+    for lo in range(0, L, step):
+        hi = min(L, lo + step)
+        mats[lo * nV:hi * nV] = _rebuild(
+            ring, tables, res, lifts, np.repeat(np.arange(lo, hi), nV),
+            np.tile(np.arange(nV), hi - lo))
+    return mats
+
+
+def _kernel_tables(ring, basis, residues):
+    """[(p^lo, p^h, table)] over groups of h coordinates of v, lo the
+    first: table[r p^h + u] is pi^(m-1) X_u s_r, X_u = sum_i u_i
+    B_(lo+i), built one coordinate at a time.  One group holds every
+    coordinate unless its table would pass TABLE_ENTRIES entries."""
+    p, k, R, d = ring.p, basis.shape[0], len(residues), residues.shape[1]
+    top = _times_residues(ring, basis, residues)  # (R, k, d*d*f)
+    scal = np.array(ring.kernel_scalars(), dtype=np.int64)
+    mult = np.arange(p)[:, None, None, None]
+    steps = (mult * top.reshape(R, k, 1, d, d, -1) % p @ scal) \
+        .astype(np.int32)  # (R, k, p, d, d)
+    h = k
+    while h > 1 and R * p**h * d * d > TABLE_ENTRIES:
+        h -= 1
+    tables = []
+    for lo in range(0, k, h):
+        table = np.zeros((R, 1, d, d), dtype=np.int32)
+        for i in range(lo, min(k, lo + h)):
+            table = np.concatenate(
+                [ring.ADD[table, steps[:, i, a, None]] for a in range(p)],
+                axis=1)
+        tables.append((p**lo, table.shape[1], table.reshape(-1, d, d)))
+    return tables
+
+
 class _KernelIndex:
-    """Element ids by congruence-kernel translation, the route of a level
-    m >= 2 table over ``lower``, the level-(m-1) table of the same family.
+    """A level m >= 2 table over ``lower``, the level-(m-1) table of the
+    same family, numbered by kernel coordinates, with no search at level m.
 
     G(R_m) -> G(R_{m-1}) has the abelian kernel I + pi^(m-1) V, V the
     F_p-span of the top pi-adic digits of the kernel generators, with the
@@ -845,23 +909,20 @@ class _KernelIndex:
     is compared entry by entry with the matrix rebuilt from (J, c), so a
     product that is not a kernel element times its lift raises
     IdentityError, and the lifts are checked against the lower table.
-    These |G_{m-1}| ngens products are the only ones formed at level m.
 
-    The element x = (I + pi^(m-1) X_v) s_j has the dense slot j |V| + v,
-    v the coordinates of X_v in base p, kept as ``slot[x]``, the one
-    array per element.  Since pi^(2(m-1)) = 0, x g =
-    (I + pi^(m-1) (X_v + X_c)) s_J, so ``file`` finds its slot as
-    maps[g][j] |V| + (v + c(j, g) digitwise mod p): every rho entry is a
-    gather and an add on checked products.  ``matrices`` rebuilds x as
-    s_j + pi^(m-1) X_v s_r, X_v s_r read from tables per residue.
-
-    ``fibres`` keeps what the orbit labels need (``Fibres``): the slot of
-    every element, the residue class of every lower element, and Ad(r) on
-    V for every residue r, read off |R| k more checked products
-    (``_adjoint``) once the table is known to fill every slot.
+    The element x = (I + pi^(m-1) X_v) s_j has the id j |V| + v, v the
+    coordinates of X_v in base p.  The generated group H fills every id:
+    by Schreier's lemma H meets the kernel in the span of the cocycles,
+    which ``_lift`` checks has rank k, and every lower element is lifted.
+    Since pi^(2(m-1)) = 0, x g = (I + pi^(m-1) (X_v + X_c)) s_J, so
+    ``rho`` is a broadcast over (j, v) of maps[g][j] |V| + (v + c(j, g)
+    digitwise mod p), ``inverses`` follows from the lower inverses and one
+    checked product s_j s_j' per lower element, and Ad(r) on V for every
+    residue r is read off |R| k more checked products (``_adjoint``).  The
+    matrices are left to ``_matrices``, called when they are first read.
     """
 
-    def __init__(self, ring, gen_mats, lower, kernel, name):
+    def __init__(self, ring, gen_mats, lower, kernel, name, cap):
         d = gen_mats.shape[1]
         low = ring.subring_level(ring.m - 1)
         if lower.ring is not low or lower.d != d:
@@ -873,20 +934,24 @@ class _KernelIndex:
         basis, kpiv = _kernel_basis(ring, kernel)
         k = self.k = basis.shape[0]
         self.nV = p**k
+        if lower.size * self.nV > cap:
+            raise TooLarge(f"group {name} exceeded cap: its {lower.size} "
+                           f"lower elements times |V| = {self.nV} give "
+                           f"{lower.size * self.nV} elements, so enumeration "
+                           f"would reach {cap + 1}")
         self.digit_add = _digit_add(p, k)
         self.res, self.first = _residues(lower)
-        residues = lower.ring.mat_project(lower.mats[self.first], 1)
+        self.residues = lower.ring.mat_project(lower.mats[self.first], 1)
         inverses = lower.ring.mat_project(
             lower.mats[lower.inv[self.first]], 1)
-        self.ADD, self.ring_size = ring.ADD.ravel(), ring.size
-        self.tables = self._kernel_tables(ring, basis, residues)
+        self.tables = _kernel_tables(ring, basis, self.residues)
+        self.basis = basis
         # the coordinates of Y s_r^-1 at the pivots of V, linear in Y
-        n = basis.shape[1]
         self.coord_maps = _coordinate_maps(ring, inverses, kpiv)
         # the map j -> proj(s_j g) of each generator g on the lower table
         cols = {encode_mat(g): c for c, (_, g) in enumerate(lower.generators)}
         ident = encode_mat(low.identity_mat(d))
-        per = max(1, PIECE // d**3)  # the most products of one piece
+        per = self.per = max(1, PIECE // d**3)  # products of one piece
         self.maps = []
         for g in gen_mats:
             gp = ring.mat_project(g, low.m)
@@ -900,45 +965,13 @@ class _KernelIndex:
                     lower.lookup_batch(low.mat_mul(lower.mats[r:r + per], gp))
                     for r in range(0, lower.size, per)
                 ]).astype(np.int32))
-        self._lift(ring, gen_mats, lower, per)
-        slots = lower.size * self.nV
-        # where[slot] is the element id there, -1 while empty, and slot[x]
-        # the slot of element x; the identity is element 0, at slot 0 =
-        # (lower identity, v = 0)
-        self.where = np.full(slots, -1, dtype=np.int32)
-        self.where[0] = 0
-        self.slot = np.zeros(slots, dtype=np.int32)
-        self.per = SLOTS
-        self.rows = per  # matrices rebuilt in one piece
+        self._lift(ring, gen_mats, lower)
 
-    @staticmethod
-    def _kernel_tables(ring, basis, residues):
-        """[(p^lo, p^h, table)] over groups of h coordinates of v, lo the
-        first: table[r p^h + u] is pi^(m-1) X_u s_r, X_u = sum_i u_i
-        B_(lo+i), built one coordinate at a time.  One group holds every
-        coordinate unless its table would pass TABLE_ENTRIES entries."""
-        p, k, R, d = ring.p, basis.shape[0], len(residues), residues.shape[1]
-        top = _times_residues(ring, basis, residues)  # (R, k, d*d*f)
-        scal = np.array(ring.kernel_scalars(), dtype=np.int64)
-        mult = np.arange(p)[:, None, None, None]
-        steps = (mult * top.reshape(R, k, 1, d, d, -1) % p @ scal) \
-            .astype(np.int32)  # (R, k, p, d, d)
-        h = k
-        while h > 1 and R * p**h * d * d > TABLE_ENTRIES:
-            h -= 1
-        tables = []
-        for lo in range(0, k, h):
-            table = np.zeros((R, 1, d, d), dtype=np.int32)
-            for i in range(lo, min(k, lo + h)):
-                table = np.concatenate(
-                    [ring.ADD[table, steps[:, i, a, None]] for a in range(p)],
-                    axis=1)
-            tables.append((p**lo, table.shape[1], table.reshape(-1, d, d)))
-        return tables
-
-    def _lift(self, ring, gen_mats, lower, per):
+    def _lift(self, ring, gen_mats, lower):
         """The lifts s_j and the cocycles coc[g, j] = c(j, g), by a BFS over
-        the lower table: the only products formed."""
+        the lower table: the only products formed apart from the |R| k of
+        ``_adjoint`` and the |G_(m-1)| of ``inverses``.  Raises GroupsError
+        unless the generators fill every id."""
         ngens, d = gen_mats.shape[:2]
         self.lifts = np.zeros((lower.size, d, d), dtype=np.int32)
         self.lifts[0] = ring.identity_mat(d)
@@ -948,7 +981,7 @@ class _KernelIndex:
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
             found = []
-            for c0, c1, r0, r1 in _pieces(ngens, frontier.size, per):
+            for c0, c1, r0, r1 in _pieces(ngens, frontier.size, self.per):
                 rows = frontier[r0:r1]
                 prod = ring.mat_mul(
                     self.lifts[None, rows], gen_mats[c0:c1, None]
@@ -963,11 +996,23 @@ class _KernelIndex:
                 self.coc[c0:c1, rows] = \
                     self._cocycles(prod, J).reshape(c1 - c0, r1 - r0)
             frontier = np.concatenate(found)
-        at = np.flatnonzero(lifted)
-        if not (ring.mat_project(self.lifts[at], lower.ring.m)
-                == lower.mats[at]).all():
+        if not lifted.all():
+            raise GroupsError(f"the generators of {self.name} reach "
+                              f"{lifted.sum()} of the {lower.size} elements "
+                              f"of {lower.name}")
+        if not (ring.mat_project(self.lifts, lower.ring.m)
+                == lower.mats).all():
             raise IdentityError(f"a lift of {self.name} is not over its "
                                 f"lower element")
+        # Schreier's lemma: the group meets the kernel in the span of the
+        # cocycles, the values s_j g s_J^-1 on the transversal of lifts
+        p, k = self.p, self.k
+        values = np.unique(self.coc)
+        rank = _echelon((values[:, None] // p ** np.arange(k) % p)[None],
+                        p)[1][0]
+        if rank < k:
+            raise GroupsError(f"the generators of {self.name} meet the kernel "
+                              f"in F_p-rank {rank}, not {k}")
 
     def _adjoint(self):
         """(R, k, k) int8: row i of adj[r] holds the coordinates of
@@ -1004,92 +1049,100 @@ class _KernelIndex:
         return v
 
     def rebuild(self, J, v):
-        """(I + pi^(m-1) X_v) s_J = s_J + pi^(m-1) X_v s_r for arrays J, v,
-        added one table at a time by the ring's ADD table."""
-        res, x = self.res.take(J), self.lifts.take(J, axis=0)
-        for s, w, table in self.tables:
-            at = x * self.ring_size
-            at += table.take(res * w + v // s % w, axis=0)
-            x = self.ADD.take(at)
-        return x
+        return _rebuild(self.ring, self.tables, self.res, self.lifts, J, v)
 
-    def file(self, rows, c0, c1, size):
-        """(ids, fresh), as ``_KeyIndex.file``, by gathers on the lower
-        maps and the cocycles."""
-        j, v = np.divmod(self.slot[rows], self.nV)
-        J = np.concatenate([self.maps[c].take(j) for c in range(c0, c1)])
-        nv = self.digit_add(
-            np.tile(v, c1 - c0),
-            np.concatenate([self.coc[c].take(j) for c in range(c0, c1)]))
-        slot = np.multiply(J, self.nV, dtype=np.int64)
-        slot += nv
-        ids = self.where.take(slot)
-        new = np.flatnonzero(ids < 0)
-        if not new.size:
-            return ids, new
-        # first occurrences by a reverse-order scatter of -2 - position
-        at = slot[new]
-        self.where[at[::-1]] = -2 - new[::-1]
-        fresh = new[self.where[at] == -2 - new]
-        self.where[slot[fresh]] = np.arange(size, size + fresh.size)
-        ids[new] = self.where[at]
-        self.slot[size:size + fresh.size] = slot[fresh]
-        return ids, fresh
+    def rho(self):
+        """rho[j |V| + v, g] = maps[g][j] |V| + (v + c(j, g)): one gather
+        of the rows v -> v + c of the distinct cocycle values c and an add,
+        for a block of lower elements and every generator at a time."""
+        L, nV = self.lifts.shape[0], self.nV
+        vals, at = _distinct(self.coc, nV)
+        rows = self.digit_add(vals[:, None], np.arange(nV)).astype(np.int32)
+        J = np.stack(self.maps) * np.int32(nV)
+        rho = np.empty((L, nV, len(self.maps)), dtype=np.int32)
+        step = max(1, RHO_BLOCK // rho[0].size)
+        for lo in range(0, L, step):
+            block = rows.take(at[:, lo:lo + step], axis=0)  # (ngens, j, v)
+            block += J[:, lo:lo + step, None]
+            rho[lo:lo + step] = block.transpose(1, 2, 0)
+        return rho.reshape(L * nV, -1)
 
-    def fibres(self, size):
-        """The kernel coordinates of the size elements, None unless every
-        slot is filled: a table whose kernel is not all of I + pi^(m-1) V
-        is not moved by all of it."""
-        if size != self.slot.size:
-            return None
-        return Fibres(self.p, self.slot, self.res, self._adjoint())
+    def inverses(self, lower, adj):
+        """inv[j |V| + v] = j' |V| + u: with j' = lower.inv[j], r = res[j']
+        and s_j s_j' = I + pi^(m-1) X_e, x^-1 = s_j' (I - pi^(m-1) X_e)
+        (I - pi^(m-1) X_v) = (I - pi^(m-1) Ad(r) (X_e + X_v)) s_j', so u is
+        -(e + v) Ad(r): one gather of the rows v -> u of the distinct
+        pairs (r, e).  The |G_(m-1)| products s_j s_j' are compared entry
+        by entry with I + pi^(m-1) X_e, and the result must be an
+        involution."""
+        L, nV, p, per = self.lifts.shape[0], self.nV, self.p, self.per
+        jp = lower.inv
+        e = np.concatenate([
+            self._cocycles(
+                self.ring.mat_mul(self.lifts[lo:lo + per],
+                                  self.lifts[jp[lo:lo + per]]),
+                np.zeros(min(L, lo + per) - lo, dtype=np.int64))
+            for lo in range(0, L, per)])
+        pairs, at = _distinct(self.res[jp].astype(np.int64) * nV + e,
+                              adj.shape[0] * nV)
+        r, e = np.divmod(pairs, nV)
+        neg = _reduction_table(-adj.astype(np.int64) % p, p).reshape(-1, nV)
+        rows = np.take_along_axis(
+            neg[r], self.digit_add(e[:, None], np.arange(nV)), axis=1)
+        inv = rows.take(at, axis=0)
+        inv += jp[:, None] * nV
+        inv = inv.ravel()
+        if not (inv[inv] == np.arange(inv.size)).all():
+            raise IdentityError(f"the derived inverse map of {self.name} "
+                                f"is not an involution")
+        return inv
 
-    def matrices(self, size):
-        """The matrices of the first size elements, rebuilt in pieces."""
-        mats = np.empty((size,) + self.lifts.shape[1:], dtype=np.int32)
-        for lo in range(0, size, self.rows):
-            hi = min(size, lo + self.rows)
-            mats[lo:hi] = self.rebuild(*np.divmod(self.slot[lo:hi],
-                                                  self.nV))
-        return mats
+    def table(self, lower, gens, dim_scheme):
+        """The GroupTable, its matrices left to be rebuilt on first read."""
+        adj = self._adjoint()
+        matrices = functools.partial(_matrices, self.ring, self.lifts,
+                                     self.res, self.residues, self.basis)
+        return GroupTable(self.ring, matrices, self.inverses(lower, adj),
+                          self.rho(), gens, self.name, dim_scheme,
+                          Fibres(self.p, self.res, adj))
 
 
 def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
-             lower=None, kernel=None):
-    """Breadth-first closure of the generator list.
+             lower=None, kernel=None, d=1):
+    """The group the generator list generates, as a GroupTable.
 
-    generators: list of (provenance, matrix).  Generators are deduplicated
-    and sorted by canonical encoding.  Each layer files its products x * g
-    generator-major (the whole frontier times g_0, then times g_1, ...),
-    in pieces, under the id of their element; new elements are numbered
-    in the order they first occur, so two runs produce identical tables.
-    Ids come from congruence-kernel translation (``_KernelIndex``) when
-    ``lower``, the level-(m-1) table, and ``kernel``, generators of the
-    kernel of G(R_m) -> G(R_{m-1}), are given, and from packed keys
-    (``_KeyIndex``) otherwise; both give the same table.  ``Family.table``
-    and ``cache.table_for`` give every ``zq`` and ``fqt`` level m >= 2 its
-    lower table.  The key route forms all N * ngens products and checks
-    each against the element it is filed as.  The kernel route forms only
-    the |G_{m-1}| * ngens products s_j g of the lifts and checks each
-    against the matrix rebuilt from its lift and cocycle; every other rho
-    entry and every matrix follows from them exactly, because the kernel
-    I + pi^(m-1) V is abelian.  The ids of all N * ngens products are kept
-    as the right-regular table rho, and inverses are gathers on rho.  A
-    generator that projects to neither I nor a lower generator costs
-    |G_{m-1}| more products at level m-1, for its map on the lower table.
-    A kernel-route table keeps its kernel coordinates (``Fibres``), on
-    which its orbits are labelled.
-    Raises TooLarge in the piece that finds the (cap + 1)-th element.
+    generators: list of (provenance, matrix), deduplicated and sorted by
+    canonical encoding; d is the matrix size of an empty list, whose group
+    is the identity alone.  With ``lower``, the level-(m-1) table, and
+    ``kernel``, generators of the kernel of G(R_m) -> G(R_{m-1}), the
+    elements are numbered by kernel slot with no search (``_KernelIndex``):
+    the generators must fill every slot (GroupsError otherwise), and
+    TooLarge is raised before any level-m product when |G_{m-1}| |V|
+    passes the cap.  ``Family.table`` and ``cache.table_for`` give every
+    ``zq`` and ``fqt`` level m >= 2 its lower table.
+
+    Without ``lower`` the enumeration is breadth-first by packed keys
+    (``_KeyIndex``), the route of level-1 and ``zn`` tables and the oracle
+    that tests compare the kernel route with.  Each layer files its
+    products x * g generator-major (the whole frontier times g_0, then
+    times g_1, ...), in pieces, under the id of their element; new
+    elements are numbered in the order they first occur, so two runs
+    produce identical tables.  All N * ngens products are formed and
+    checked against the element each is filed as; their ids are rho, and
+    the inverses are gathers on rho along the search tree
+    (``_inverses``).  Raises TooLarge in the piece that finds the
+    (cap + 1)-th element.
     """
     gens = _canonical_generators(generators)
+    d = gens[0][1].shape[0] if gens else d
+    gen_mats = np.array([g for _, g in gens], dtype=np.int32) \
+        .reshape(-1, d, d)
+    dim_scheme = dim_scheme if dim_scheme is not None else d
+    if lower is not None:
+        return _KernelIndex(ring, gen_mats, lower, kernel, name, cap) \
+            .table(lower, gens, dim_scheme)
+    index = _KeyIndex(ring, gen_mats, d, name)
     ngens = len(gens)
-    d = gens[0][1].shape[0] if gens else 1
-    gen_mats = np.array([g for _, g in gens], dtype=np.int32)
-    if lower is None:
-        index = _KeyIndex(ring, gen_mats, d, name)
-    else:
-        index = _KernelIndex(ring, gen_mats, lower, kernel, name)
-
     # element x > 0 is parent[x] * gen_mats[letter[x]]
     parent, letter = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
     size, lo = 1, 0
@@ -1113,12 +1166,8 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
     rho = np.concatenate(rho)
     inv = _inverses(rho, np.concatenate(parent), np.concatenate(letter),
                     layers)
-    mats = index.matrices(size)
-    return GroupTable(
-        ring, mats, inv, rho, gens, name,
-        dim_scheme if dim_scheme is not None else d,
-        fibres=index.fibres(size),
-    )
+    return GroupTable(ring, index.matrices(size), inv, rho, gens, name,
+                      dim_scheme)
 
 
 # ----------------------------------------------------------------------
@@ -1184,7 +1233,7 @@ class Family:
             if len(parts) != 1:
                 raise GroupsError(f"bad family literal {text!r}")
             self.system = None
-            self.dim_scheme = 3
+            self.dim_scheme = self.d = 3
             return
         if self.kind not in (
             "chevalley", "unipotent", "borel", "torus", "parabolic", "rootset"
@@ -1194,6 +1243,7 @@ class Family:
             raise GroupsError(f"family literal {text!r} needs a system")
         self.system = parts[1]
         self.cg = chevalley_group(self.system)
+        self.d = self.cg.dim  # the matrix size, also of an empty list
         rs = self.cg.rs
         if self.kind in ("parabolic", "rootset"):
             if len(parts) != 3:
@@ -1270,7 +1320,7 @@ class Family:
             raise GroupsError(f"{name} is not enumerated over a lower level")
         return generate(ring, self._generators(ring), cap=cap, name=name,
                         dim_scheme=self.dim_scheme, lower=lower,
-                        kernel=kernel)
+                        kernel=kernel, d=self.d)
 
     def struct_hash(self):
         if self.kind == "heisenberg":

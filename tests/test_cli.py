@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from localzeta import cache, cli
+from localzeta import cache, cli, groups
+from localzeta.rings import parse_ring
 
 
 def run_cli(args, env_extra=None, timeout=None):
@@ -209,6 +210,62 @@ def test_levels_must_be_a_positive_integer(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--levels" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cc", "--group", "heisenberg", "--ring", "zq:p=2,f=1,m=2",
+     "--cap", "-1"],
+    ["hecke", "--group", "A1", "--ring", "zq:p=2,f=1,m=2", "--cap", "0"],
+    ["transfer", "--group", "heisenberg", "--primes", "2", "--levels", "2",
+     "--cap", "-1"],
+], ids=["cc-negative", "hecke-zero", "transfer-negative"])
+def test_cap_must_be_a_positive_integer(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cap" in captured.err and "budget" not in captured.err
+
+
+@pytest.mark.parametrize("group,lit,orders", [
+    ("torus:A2", "zq:p=2,f=1,m=3", [1, 4, 16]),
+    ("torus:A1", "zq:p=2,f=1,m=2", [1, 2]),
+], ids=["A2", "A1"])
+def test_a_torus_over_f2_keeps_its_tower(group, lit, orders, capsys,
+                                         tmp_path, monkeypatch):
+    # F_2^* is trivial, so the level-1 torus has no generators and is the
+    # identity alone, of the family's own matrix size; the torus is
+    # abelian, so its class counts are its orders
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    cache.clear_memo()
+    for argv in (["cc", "--group", group, "--ring", lit],
+                 ["cc", "--group", group, "--ring", lit,
+                  "--levels", str(len(orders) + 1)]):
+        assert cli.main(argv) == 0
+    counts = [json.loads(out)["coefficients"]
+              for out in capsys.readouterr().out.splitlines()]
+    want = ["1"] + [str(n) for n in orders]
+    assert counts == [want[:-1], want]
+    fam, ring = groups.Family(group), parse_ring(lit)
+    for m, order in enumerate(orders, start=1):
+        level = ring.subring_level(m)
+        G = cache.table_for(fam, level)
+        keyed = groups.generate(level, fam._generators(level), d=fam.d)
+        assert G.size == keyed.size == order and G.d == fam.d
+        assert G.class_count() == keyed.class_count() == order
+    # the identity-alone table is stored and read back like any other
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    for _ in range(2):  # cold, then warm
+        cache.clear_memo()
+        assert cli.main(["cc", "--group", group, "--ring", lit]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["coefficients"] == want[:-1]
+        assert "cache" not in err
+    assert len(list(tmp_path.glob("table-*.npz"))) == len(orders) - 1
+    cache.clear_memo()
 
 
 def test_levels_given_or_defaulted(capsys):
@@ -419,7 +476,7 @@ def test_cache_discards_each_corrupted_field(tmp_path, monkeypatch, capsys,
     cache.clear_memo()
 
 
-@pytest.mark.parametrize("field", ["slot", "res", "adj"])
+@pytest.mark.parametrize("field", ["res", "adj"])
 def test_cache_discards_corrupted_kernel_coordinates(tmp_path, monkeypatch,
                                                      capsys, field):
     # only the level-2 entry is enumerated over a lower level and stores

@@ -77,10 +77,10 @@ def test_inverses_are_correct():
 
 def test_generate_forms_only_the_frontier_products(monkeypatch):
     # the kernel route forms one product s_j * g per lower element and
-    # generator, and, when the table fills every slot, one
-    # s_r (I + pi^(m-1) B_i) per residue class r and basis vector B_i of V
-    # for the adjoint action; the key route one x * g per element and
-    # generator; the inverses are gathers on rho, not matrix products
+    # generator, one s_r (I + pi^(m-1) B_i) per residue class r and basis
+    # vector B_i of V for the adjoint action, and one s_j s_j' per lower
+    # element j for the inverses; the key route one x * g per element and
+    # generator, its inverses being gathers on rho, not matrix products
     real, formed = rings.Ring.mat_mul, []
 
     def counting(self, A, B):
@@ -98,22 +98,51 @@ def test_generate_forms_only_the_frontier_products(monkeypatch):
         G = fam.table(ring, lower=lower)
         residues = groups._residues(lower)[0].max() + 1
         assert sum(formed) == lower.size * len(G.generators) \
-            + residues * ring.f * fam.dim_scheme
+            + residues * ring.f * fam.dim_scheme + lower.size
         assert G.size == lower.size * ring.q ** fam.dim_scheme
         formed.clear()
         keyed = generate(ring, fam._generators(ring))
         assert sum(formed) == keyed.size * len(keyed.generators)
-    # over F2[t]/t^2 the generators with entries 1 give a copy of the level-1
-    # group, which fills one slot of each fibre: no Fibres, no adjoint
+
+
+def test_generators_that_miss_part_of_the_kernel_raise():
+    # over F2[t]/t^2 the generators with entries 1 give a copy of the
+    # level-1 group: their cocycles span less than V, so by Schreier's
+    # lemma they fill one slot of each fibre, and the kernel route refuses
     fam, ring = Family("heisenberg"), parse_ring("fqt:p=2,f=1,m=2")
     lower = fam.table(ring.subring_level(1))
-    formed.clear()
-    part = generate(ring, groups._heisenberg_generators(ring, [ring.one]),
-                    lower=lower, kernel=fam.kernel_generators(ring))
-    assert part.fibres is None and part.size == lower.size
-    assert sum(formed) == lower.size * len(part.generators)
-    assert part.class_count() == generate(
-        ring, groups._heisenberg_generators(ring, [ring.one])).class_count()
+    gens = groups._heisenberg_generators(ring, [ring.one])
+    with pytest.raises(GroupsError, match="F_p-rank 0, not 3"):
+        generate(ring, gens, lower=lower, kernel=fam.kernel_generators(ring))
+    assert generate(ring, gens).size == lower.size
+
+
+def test_a_corrupted_inverse_product_raises(monkeypatch):
+    # one coordinate e_j of a product s_j s_j' read off by one: the
+    # product no longer equals I + pi^(m-1) X_e
+    fam, ring = Family("heisenberg"), parse_ring("zq:p=3,f=1,m=2")
+    lower = fam.table(ring.subring_level(1))
+    real_inverses, real = groups._KernelIndex.inverses, \
+        groups._KernelIndex._coordinates
+    calls = []
+
+    def marking(self, *args):
+        self.inverting = True
+        return real_inverses(self, *args)
+
+    def misread(self, prod, J):
+        v = real(self, prod, J)
+        if getattr(self, "inverting", False):
+            calls.append(len(v))
+            v = v.copy()
+            v[-1] = v[-1] - v[-1] % self.p + (v[-1] + 1) % self.p
+        return v
+
+    monkeypatch.setattr(groups._KernelIndex, "inverses", marking)
+    monkeypatch.setattr(groups._KernelIndex, "_coordinates", misread)
+    with pytest.raises(IdentityError, match="off its kernel coordinates"):
+        fam.table(ring, lower=lower)
+    assert calls == [lower.size]
 
 
 def test_inverses_reject_a_table_that_is_no_group():
@@ -514,24 +543,27 @@ def _array_sha256(arr):
     return hashlib.sha256(head + arr.tobytes()).hexdigest()
 
 
-# sha256 of (dtype, shape, bytes) of mats, inv and rho, recorded from the
-# enumeration that numbered elements through a dict of byte encodings; the
-# key widths are 45 bits, 8, 12, exactly 64, 128 (two words) and 100
+# sha256 of (dtype, shape, bytes) of mats, inv and rho.  The level-1
+# tables were recorded from the enumeration that numbered elements through
+# a dict of byte encodings; the tower levels (m >= 2) are numbered by kernel
+# slot, element (I + pi^(m-1) X_v) s_j at j |V| + v, and were recorded when
+# that numbering replaced the search order.  The key widths are 45 bits, 8,
+# 12, exactly 64, 128 (two words) and 100
 GOLDEN_TABLES = {
     ("heisenberg", "zq:p=3,f=1,m=3"): (
-        "9ee24fb0dcfd5dc351668696c61b8e197006e64f788d4f3f864cd6167b89f8fe",
-        "aca599d23117e7e8b7d73e2781e73365a156a6a9e5df34ef3a348a344cf1c63b",
-        "03fa589cb8012b8d62c0b30bbfffdc30a8889ae7701a7e53b1f863c76d57f697",
+        "ccec6a41cbe2d868a9a7ac31883f2a76248350d7051e887918d2b99d790b30b6",
+        "716f2a9e1b8e3180bf2bd28b037a712845001a4b1fcd194b0fa6bc544aab3d41",
+        "62cee1955846199163f7f1e67c172914b2c9934183aedd191682e03016448a4f",
     ),
     ("chevalley:A1", "fqt:p=2,f=1,m=4"): (
-        "811d0656cbbab8b5859675c90e065d13a7eea94763f66d15d2fd38d7161c2512",
-        "61a57313bfffede93d1e6f8a1601a04d8be1b60d6217077704d84f4d35fe1e85",
-        "420f51804edc2fdbf0b42ebf3d7e12c07ef69149a63d173132722444fef40f33",
+        "68c49f3834eef41f8efbc8088cbbcb9605089acc35fbf11bc9b89810e2d857f8",
+        "f3326e3447f1e735a4acfd4e8ae743854fa840146b63b5373799820fbc33f7b8",
+        "33a5a43e15987ee272e32e1c06851999d5d5aaef0fc021d3a94bf78f0c572923",
     ),
     ("chevalley:A1", "zq:p=2,f=2,m=2"): (
-        "71e6023ed5169ecfc16132e2ac8511028321e40389dc1512ea80022c1258bd8f",
-        "b13781485c0d5571108fa9d8462ee080cc66b9ed532698b093a7feb343f0f135",
-        "7be784921e51c59f5542a67e5e02f270f8efa10929ae568ea6e51c69f95c698e",
+        "1a97c51e8496df9b5e11f34bd6eef31884f38acdc7c3e366609093e4b7a139c5",
+        "1730f321032fe0def85c8eead979948bfcd250a3436aa5631a249a71bd99c281",
+        "8cd3760b76490b33b3ecb0ca0cacb9a3796bd7e4cad3218bf65f9aff1ebef4be",
     ),
     ("chevalley:A2", "zq:p=2,f=1,m=1"): (
         "8e1ffe3f5959bb132622a0a6f20500abeb7440f6790d294a8f8adeb7c0799e36",
@@ -539,9 +571,9 @@ GOLDEN_TABLES = {
         "5bebb8398cabb0bf644cca579618ec347ba531390627b5f6625b2687da01cf36",
     ),
     ("borel:A2", "zq:p=2,f=1,m=2"): (
-        "687949157e542c2ff7324066a1251e6ebd0735b389a6f3793a1ffc29f6959ea3",
-        "4e4acfeae64fcc809b6346c4a7c5b1b964e04a63d0dcdd31b9ec1d211aaf2c52",
-        "6304972ea781b31a723ee8b4a05f6d97640ba693401152372a74f83359c7ca8c",
+        "31602ac7f7333d1e53207fbb928b1265b7085739c2294c192ddb8dab502945f0",
+        "562a2e5645971ab1ceec8f775663621b61133e6340793d617543e8c5bb567867",
+        "4a6d90dc77fdaf383786e45a860f5f8a08120e09d46d00d70586717599d1142a",
     ),
     ("parabolic:B2:a1", "fqt:p=2,f=1,m=1"): (
         "63af6a95f4723db2ca1ae1f9f62092299f5200e223c7c0caa6b8f5d0b8b6fa23",
@@ -557,7 +589,7 @@ def test_golden_tables(family, lit):
     G = table(family, lit)
     got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
     assert got == GOLDEN_TABLES[family, lit]
-    assert cache.FORMAT_VERSION == 3
+    assert cache.FORMAT_VERSION == 4
 
 
 def _big_int_words(mats, bits, nwords):
@@ -785,18 +817,38 @@ KERNEL_CASES = [
 ]
 
 
+def assert_isomorphic(G, keyed):
+    """pi = keyed.lookup_batch(G.mats) renumbers G as keyed: a bijection
+    that carries rho and inv of the one to those of the other."""
+    pi = keyed.lookup_batch(G.mats)
+    assert G.size == keyed.size
+    assert np.array_equal(np.sort(pi), np.arange(keyed.size))
+    assert G.rho.dtype == keyed.rho.dtype and G.inv.dtype == keyed.inv.dtype
+    assert (keyed.rho[pi] == pi[G.rho]).all()
+    assert (keyed.inv[pi] == pi[G.inv]).all()
+    return pi
+
+
+def assert_partitions_correspond(labels, keyed_labels, pi):
+    """The labels of G and those of keyed at pi[x] pair one to one."""
+    n = labels.max() + 1
+    assert keyed_labels.max() + 1 == n
+    assert labels.dtype == keyed_labels.dtype
+    assert np.unique(labels * n + keyed_labels[pi]).size == n
+
+
 @pytest.mark.parametrize("family,lit", KERNEL_CASES)
 def test_kernel_route_matches_the_oracle_search(family, lit):
     fam = Family(family)
     for G in tower(family, lit)[1:]:
         mats, inv, rho = oracle_table(G.ring, fam._generators(G.ring))
-        assert (G.mats == mats).all() and (G.inv == inv).all()
-        assert (G.rho == rho).all()
-        # generate without a lower table: the packed-key route
+        # generate without a lower table: the packed-key route, numbered
+        # in the oracle's search order
         keyed = generate(G.ring, fam._generators(G.ring))
-        for a, b in ((G.mats, keyed.mats), (G.inv, keyed.inv),
-                     (G.rho, keyed.rho)):
-            assert a.dtype == b.dtype and (a == b).all()
+        assert (keyed.mats == mats).all() and (keyed.inv == inv).all()
+        assert (keyed.rho == rho).all()
+        # the kernel route numbers the same group by kernel slot
+        assert_isomorphic(G, keyed)
 
 
 @pytest.mark.parametrize("family,lit", KERNEL_CASES)
@@ -838,6 +890,7 @@ def test_kernel_route_keeps_the_golden_tables(family, lit):
     G = tower(family, lit)[-1]
     got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
     assert got == GOLDEN_TABLES[family, lit]
+    assert_isomorphic(G, keyed_table(family, lit))
 
 
 def test_a_smaller_kernel_span_raises(monkeypatch):
@@ -911,6 +964,34 @@ def test_kernel_tables_split_by_coordinate_keep_the_golden_tables(
     G = tower(family, lit)[-1]
     got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
     assert got == GOLDEN_TABLES[family, lit]
+
+
+def test_cc_never_rebuilds_the_top_matrices(monkeypatch, capsys):
+    # cc counts classes by gathers on rho, inv and the kernel coordinates;
+    # a level's matrices are rebuilt only when the level above checks its
+    # lifts against them, or when they are read
+    real, rebuilt = groups._matrices, []
+
+    def recording(ring, *args):
+        rebuilt.append(ring.literal)
+        return real(ring, *args)
+
+    monkeypatch.setattr(groups, "_matrices", recording)
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    cache.clear_memo()
+    try:
+        assert cli.main(["cc", "--group", "heisenberg",
+                         "--ring", "zq:p=3,f=1,m=4"]) == 0
+        assert rebuilt == ["zq:p=3,f=1,m=2"]
+        top = parse_ring("zq:p=3,f=1,m=3")
+        G = cache.table_for("heisenberg", top)  # memo hit
+        assert rebuilt == ["zq:p=3,f=1,m=2"]
+        # read later, the matrices are those of the packed-key route
+        assert_isomorphic(G, keyed_table("heisenberg", top.literal))
+        assert rebuilt == ["zq:p=3,f=1,m=2", "zq:p=3,f=1,m=3"]
+    finally:
+        cache.clear_memo()
+    capsys.readouterr()
 
 
 def test_lower_table_must_be_the_level_below():
@@ -1028,7 +1109,7 @@ _keyed = {}
 
 def keyed_table(family, lit):
     """The packed-key table of generate without a lower table: the same
-    elements in the same order, every element its own node."""
+    group numbered in search order, every element its own node."""
     if (family, lit) not in _keyed:
         ring = parse_ring(lit)
         _keyed[family, lit] = generate(ring, Family(family)._generators(ring))
@@ -1062,9 +1143,10 @@ def test_conjugation_labels_on_nodes_match_every_point(family, lit):
     fib = G.fibres
     node, reps = G._nodes(fib, fib.conjugation_span())
     assert reps.size < G.size
-    want = keyed_table(family, lit).conjugation_labels()
-    assert G.conjugation_labels().dtype == want.dtype
-    assert (G.conjugation_labels() == want).all()
+    keyed = keyed_table(family, lit)
+    pi = assert_isomorphic(G, keyed)
+    assert_partitions_correspond(G.conjugation_labels(),
+                                 keyed.conjugation_labels(), pi)
 
 
 # (group, pairs of subgroup families): Borel, maximal parabolic, trivial
@@ -1090,6 +1172,7 @@ COSET_CASES = [
 @pytest.mark.parametrize("family,lit,pairs", COSET_CASES)
 def test_double_coset_labels_on_nodes_match_every_point(family, lit, pairs):
     G, keyed = small_table(family, lit), keyed_table(family, lit)
+    pi = assert_isomorphic(G, keyed)
 
     def sub(name):
         return trivial_subgroup(G) if name == "1" else small_table(name, lit)
@@ -1097,7 +1180,8 @@ def test_double_coset_labels_on_nodes_match_every_point(family, lit, pairs):
     for s1, s2 in pairs:
         P1, P2 = sub(s1), sub(s2)
         got = G.double_coset_labels(P1, P2)
-        assert (got == keyed.double_coset_labels(P1, P2)).all()
+        assert_partitions_correspond(
+            got, keyed.double_coset_labels(P1, P2), pi)
         b, e = G.double_coset_data(P1, P2)
         assert b == got.max() + 1 and e == b * P1.size * P2.size
         if s1 == s2 == "1":
@@ -1158,7 +1242,7 @@ def test_a_move_that_is_no_node_permutation_raises(monkeypatch):
 def test_kernel_coordinates_must_fit_the_table():
     G = table("heisenberg", "zq:p=2,f=1,m=2")
     fib = G.fibres
-    short = groups.Fibres(fib.p, fib.slot[:-1], fib.res, fib.adj)
+    short = groups.Fibres(fib.p, fib.res[:-1], fib.adj)
     with pytest.raises(IdentityError, match="do not fit"):
         GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators, G.name,
                    G.dim_scheme, short)
@@ -1176,8 +1260,7 @@ def test_a_table_loaded_from_disk_labels_on_its_stored_nodes(
     generated.clear()
     loaded = cache.table_for("chevalley:A1", top)  # disk hit, memo empty
     assert generated == [] and loaded is not fresh
-    for a, b in ((loaded.fibres.slot, fresh.fibres.slot),
-                 (loaded.fibres.res, fresh.fibres.res),
+    for a, b in ((loaded.fibres.res, fresh.fibres.res),
                  (loaded.fibres.adj, fresh.fibres.adj)):
         assert a.dtype == b.dtype and (a == b).all()
     assert (loaded.conjugation_labels() == want).all()
