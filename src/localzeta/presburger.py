@@ -30,6 +30,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -70,59 +71,93 @@ class CellBudget(PresburgerError):
 
 
 class LinForm:
-    """Integer/rational linear combination of variables plus a constant.
-
-    Parsed atoms always carry integer coefficients; rational coefficients
-    appear only inside the summation engine, where the forms stay
-    integer-valued on their cells (floors of bounds along fixed residues).
-    Coefficients and the constant are in the ``laurent.exact`` normal form:
-    ints when integral, Fractions otherwise.
-
-    Forms are immutable, so a result may share its coefficient dict with
-    an operand.  The operations build their results through ``_raw``,
-    which skips the normalisation of ``__init__``; only the sums and
-    products they form pass through ``exact``.
+    """Rational linear combination of variables plus a constant: the int
+    numerators ``nums`` (nonzero, by variable) and ``cnum`` over one int
+    ``den`` > 0, with gcd(den, nums, cnum) = 1, so integral forms have
+    den = 1 and int arithmetic.  Parsed atoms are integral; rational forms
+    appear only in the summation engine, where they stay integer-valued on
+    their cells (floors of bounds along fixed residues).  ``coeff``,
+    ``coeffs`` and ``const`` give values in the ``laurent.exact`` form.
+    Forms are immutable, so a result may share its dict with an operand,
+    as a shift of the constant does when no common factor divides out.
     """
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("nums", "cnum", "den")
 
     def __init__(self, coeffs=None, const=0):
-        self.coeffs = {}
-        for v, c in (coeffs or {}).items():
-            c = exact(c)
-            if c:
-                self.coeffs[v] = c
-        self.const = exact(const)
+        values = {v: exact(c) for v, c in (coeffs or {}).items()}
+        const = exact(const)
+        den = math.lcm(const.denominator,
+                       *(c.denominator for c in values.values()))
+        self.nums = {v: int(c * den) for v, c in values.items() if c}
+        self.cnum = int(const * den)
+        self.den = den
 
     @classmethod
-    def _raw(cls, coeffs, const):
-        """A form over a dict of nonzero normal-form coefficients and a
-        normal-form constant, taken as they are."""
+    def _make(cls, nums, cnum, den):
+        """(nums, cnum) / den for nonzero ints nums and den > 0, their
+        common factor divided out; nums is kept when there is none."""
+        if den != 1:
+            g = math.gcd(den, cnum, *nums.values())
+            if g != 1:
+                nums = {v: c // g for v, c in nums.items()}
+                cnum //= g
+                den //= g
         out = object.__new__(cls)
-        out.coeffs = coeffs
-        out.const = const
+        out.nums = nums
+        out.cnum = cnum
+        out.den = den
         return out
 
     @classmethod
     def of(cls, var):
-        return cls({var: 1})
+        return cls._make({var: 1}, 0, 1)
 
     @classmethod
     def constant(cls, c):
         return cls({}, c)
 
+    @property
+    def coeffs(self):
+        if self.den == 1:
+            return self.nums
+        return {v: exact(Fraction(c, self.den)) for v, c in self.nums.items()}
+
+    @property
+    def const(self):
+        if self.den == 1:
+            return self.cnum
+        return exact(Fraction(self.cnum, self.den))
+
+    def _shift(self, n, d=1):
+        """self + n/d for ints n and d > 0."""
+        if not n:
+            return self
+        den = self.den
+        if den % d == 0:
+            return LinForm._make(self.nums, self.cnum + n * (den // d), den)
+        m = math.lcm(den, d)
+        return LinForm._make({v: c * (m // den) for v, c in self.nums.items()},
+                             self.cnum * (m // den) + n * (m // d), m)
+
     def _combined(self, other, sign):
         """self + sign * other for a form or a number, sign = +-1."""
-        if isinstance(other, (int, Fraction)):
-            return LinForm._raw(self.coeffs, exact(self.const + sign * other))
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            s = exact(out.get(v, 0) + sign * c)
+        if not isinstance(other, LinForm):
+            n, d = _ratio(other)
+            return self._shift(sign * n, d)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        if a == 1:
+            out = dict(self.nums)
+        else:
+            out = {v: c * a for v, c in self.nums.items()}
+        for v, c in other.nums.items():
+            s = out.get(v, 0) + b * c
             if s:
                 out[v] = s
             else:
                 del out[v]
-        return LinForm._raw(out, exact(self.const + sign * other.const))
+        return LinForm._make(out, self.cnum * a + b * other.cnum, den)
 
     def __add__(self, other):
         return self._combined(other, 1)
@@ -131,48 +166,64 @@ class LinForm:
         return self._combined(other, -1)
 
     def scale(self, k):
-        k = exact(k)
-        if k == 1:
+        n, d = _ratio(k)
+        if not n:
+            return LinForm._make({}, 0, 1)
+        if n == d == 1:
             return self
-        if not k:
-            return LinForm._raw({}, 0)
-        return LinForm._raw(
-            {v: exact(c * k) for v, c in self.coeffs.items()},
-            exact(self.const * k),
-        )
+        nums = self.nums
+        if n != 1:
+            nums = {v: c * n for v, c in nums.items()}
+        return LinForm._make(nums, self.cnum * n, self.den * d)
 
     def coeff(self, var):
-        return self.coeffs.get(var, 0)
+        c = self.nums.get(var, 0)
+        return c if self.den == 1 else exact(Fraction(c, self.den))
+
+    def coeff_den(self, var):
+        """The denominator of var's coefficient in lowest terms."""
+        return self.den // math.gcd(self.nums.get(var, 0), self.den)
 
     def drop(self, var):
-        if var not in self.coeffs:
+        if var not in self.nums:
             return self
-        rest = {v: c for v, c in self.coeffs.items() if v != var}
-        return LinForm._raw(rest, self.const)
+        rest = dict(self.nums)
+        del rest[var]
+        return LinForm._make(rest, self.cnum, self.den)
 
     def substitute(self, var, form: "LinForm"):
-        c = self.coeff(var)
+        c = self.nums.get(var)
         if not c:
             return self
-        return self.drop(var) + form.scale(c)
+        # (rest + c*var)/d with var = (F + f)/e is (e*rest + c*(F + f))/(d*e)
+        e = form.den
+        out = {v: x * e for v, x in self.nums.items() if v != var}
+        for v, x in form.nums.items():
+            s = out.get(v, 0) + c * x
+            if s:
+                out[v] = s
+            else:
+                del out[v]
+        return LinForm._make(out, self.cnum * e + c * form.cnum, self.den * e)
 
     def vars(self):
-        return frozenset(self.coeffs)
+        return frozenset(self.nums)
 
     def is_ground(self):
-        return not self.coeffs
+        return not self.nums
 
     def evaluate(self, env):
-        total = self.const
-        for v, c in self.coeffs.items():
+        total = self.cnum
+        for v, c in self.nums.items():
             total += c * env[v]
-        return total
+        return total if self.den == 1 else Fraction(total, self.den)
 
     def key(self):
         return (tuple(sorted(self.coeffs.items())), self.const)
 
     def __eq__(self, other):
-        return isinstance(other, LinForm) and self.key() == other.key()
+        return (isinstance(other, LinForm) and self.den == other.den
+                and self.cnum == other.cnum and self.nums == other.nums)
 
     def __hash__(self):
         return hash(self.key())
@@ -181,6 +232,15 @@ class LinForm:
         parts = [f"{c}*{v}" for v, c in sorted(self.coeffs.items())]
         parts.append(str(self.const))
         return " + ".join(parts)
+
+
+def _ratio(k):
+    """(numerator, denominator) of an int or a Fraction; floats refused."""
+    if type(k) is int:
+        return k, 1
+    if isinstance(k, Fraction):
+        return k.numerator, k.denominator
+    return operator.index(k), 1
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +504,7 @@ class _Parser:
 
 
 def _pure_var(L: LinForm):
-    if L.const == 0 and len(L.coeffs) == 1:
+    if L.cnum == 0 and len(L.nums) == 1:
         ((v, c),) = L.coeffs.items()
         return (v, c)
     return None
@@ -473,11 +533,11 @@ def parse_weight(text):
     expo = p.term()
     p.take(")")
     p.take("end")
+    if expo.den != 1:
+        raise PresburgerError("weight coefficients must be integers")
     A = {}
     B = {}
-    for v, c in expo.coeffs.items():
-        if c.denominator != 1:
-            raise PresburgerError("weight coefficients must be integers")
+    for v, c in expo.nums.items():
         if v == "s":
             # a bare k*s term: constant coefficient on s
             A[""] = A.get("", 0) + c
@@ -485,10 +545,8 @@ def parse_weight(text):
             A[v[:-2]] = c
         else:
             B[v] = c
-    if expo.const.denominator != 1:
-        raise PresburgerError("weight constant must be an integer")
     consts = A.pop("", 0)
-    return LinForm(A, consts), LinForm(B, expo.const)
+    return LinForm(A, consts), LinForm(B, expo.cnum)
 
 
 # ----------------------------------------------------------------------
@@ -496,13 +554,13 @@ def parse_weight(text):
 
 
 def _ground_literal(ast):
-    """Evaluate a variable-free literal to a true/false node, else None."""
+    """Evaluate a variable-free literal to a true/false node, else None.
+    Its value cnum/den is a multiple of n iff cnum is one of n*den."""
     op = ast[0]
-    if op == "le" and ast[1].is_ground():
-        return ("true",) if ast[1].const <= 0 else ("false",)
-    if op in ("cong", "ncong") and ast[1].is_ground():
-        val = ast[1].const
-        hit = val.denominator == 1 and val.numerator % ast[2] == 0
+    if op == "le" and not ast[1].nums:
+        return ("true",) if ast[1].cnum <= 0 else ("false",)
+    if op in ("cong", "ncong") and not ast[1].nums:
+        hit = ast[1].cnum % (ast[2] * ast[1].den) == 0
         if op == "ncong":
             hit = not hit
         return ("true",) if hit else ("false",)
@@ -617,22 +675,23 @@ def _subst(lit, var, form):
 def _scale_for(lit, var, lam):
     """Rewrite a literal so the variable's coefficient is exactly +-1,
     under the change of variable var' = lam * var."""
-    c = lit[1].coeff(var)
+    form = lit[1]
+    c = form.nums.get(var)
     if not c:
         return lit
-    unit = LinForm.of(var).scale(1 if c > 0 else -1)
+    unit = LinForm._make({var: 1 if c > 0 else -1}, 0, 1)
+    # c/den is an integer dividing lam; k > 0 keeps the <= direction
+    k = lam * form.den // abs(c)
+    scaled = form.scale(k).drop(var) + unit
     if lit[0] == "le":
-        # positive scaling keeps the <= direction
-        scaled = lit[1].scale(Fraction(lam, abs(c.numerator)))
-        return ("le", scaled.drop(var) + unit)
-    k = lam // abs(c.numerator)
-    return (lit[0], lit[1].scale(k).drop(var) + unit, lit[2] * k)
+        return ("le", scaled)
+    return (lit[0], scaled, lit[2] * k)
 
 
 def _minus_infinity(lit, var):
     """Limit of a literal as var -> -inf: lower bounds go false, upper
     bounds go true, congruences survive."""
-    c = lit[1].coeff(var)
+    c = lit[1].nums.get(var, 0)
     if lit[0] != "le" or not c:
         return lit
     # c > 0 is an upper bound var + t <= 0, satisfied at -inf
@@ -645,17 +704,17 @@ def _cooper(var, ast, limit=None):
     ast = simplify(ast)
     if var not in free_vars(ast):
         return ast
-    coeffs = [c for lit in _literals(ast) if (c := lit[1].coeff(var))]
-    if any(c.denominator != 1 for c in coeffs):
+    forms = [lit[1] for lit in _literals(ast) if var in lit[1].nums]
+    if any(form.nums[var] % form.den for form in forms):
         raise PresburgerError("rational coefficient in QE input")
-    lam = math.lcm(*(abs(c.numerator) for c in coeffs))
+    lam = math.lcm(*(abs(form.nums[var]) // form.den for form in forms))
     scaled = _map_literals(ast, lambda lit: _scale_for(lit, var, lam))
     if lam > 1:
         scaled = ("and", scaled, ("cong", LinForm.of(var), lam))
     D = 1
     bterms = {}
     for lit in _literals(scaled):
-        c = lit[1].coeff(var)
+        c = lit[1].nums.get(var, 0)
         if c and lit[0] != "le":
             D = math.lcm(D, lit[2])
         elif c < 0:
@@ -889,15 +948,15 @@ def _congruences_clash(lits):
     and leaves the answer False (not shown)."""
     groups, periods = {}, {}
     for lit in lits:
-        if lit[0] != "le" and len(lit[1].coeffs) == 1:
-            ((v, c),) = lit[1].coeffs.items()
-            k, n = lit[1].const, lit[2]
-            # c*x + k is an integer multiple of n iff d*c*x + d*k is one
-            # of d*n
-            d = math.lcm(c.denominator, k.denominator)
+        form = lit[1]
+        if lit[0] != "le" and len(form.nums) == 1:
+            ((v, c),) = form.nums.items()
+            n = lit[2]
+            # (c*x + k)/den is an integer multiple of n iff c*x + k is
+            # one of n*den
             groups.setdefault(v, []).append(
-                (lit[0] == "cong", int(c * d), int(k * d), n * d))
-            periods[v] = math.lcm(periods.get(v, 1), n * c.denominator)
+                (lit[0] == "cong", c, form.cnum, n * form.den))
+            periods[v] = math.lcm(periods.get(v, 1), n * form.coeff_den(v))
     return any(
         periods[v] <= MODULUS_BUDGET and not any(
             all(((a * x + b) % m == 0) == holds for holds, a, b, m in rows)
@@ -919,61 +978,58 @@ def _residue_branches(term, z, index):
     that remain."""
     zlits, rest = [], []
     for lit in term.lits:
-        (zlits if z in lit[1].coeffs else rest).append(lit)
-    denoms = [term.xexp.coeff(z).denominator, term.yexp.coeff(z).denominator]
+        (zlits if z in lit[1].nums else rest).append(lit)
+    denoms = [term.xexp.coeff_den(z), term.yexp.coeff_den(z)]
     for lit in zlits:
-        c = lit[1].coeffs[z]
-        if lit[0] == "le":
-            denoms.append(c.denominator)
-        else:
-            denoms.append(c.denominator * lit[2])
+        d = lit[1].coeff_den(z)
+        denoms.append(d if lit[0] == "le" else d * lit[2])
     M0 = math.lcm(*denoms)
     if M0 > MODULUS_BUDGET:
         raise ModulusBudget(
             f"residue modulus {M0} for {z} exceeds {MODULUS_BUDGET}"
         )
-    stretch = LinForm._raw({z: M0}, 0)  # z = M0*z with z reused as u
+    stretch = LinForm._make({z: M0}, 0, 1)  # z = M0*z with z reused as u
     mult_stretch = _as_laurent(stretch, index)
-    # (op, form at r = 0, coefficient c of r, modulus) in literal order
+    # (op, form at r = 0, coefficient c/d of r, modulus) in literal order
     shifted = []
     for lit in zlits:
-        c = lit[1].coeffs[z]
+        form = lit[1]
+        c, d = form.nums[z], form.den
         if lit[0] == "le":
-            shifted.append(("le", lit[1].substitute(z, stretch), c, None))
+            shifted.append(("le", form.substitute(z, stretch), c, d, None))
             continue
-        # congruence: coefficient of u is c*M0, divisible by the
+        # congruence: coefficient of u is c*M0/d, divisible by the
         # modulus, so the literal drops u entirely
         n = lit[2]
-        cu = c * M0
-        if cu.denominator != 1 or cu.numerator % n:
+        if c * M0 % (d * n):
             raise PresburgerError(
                 f"residue modulus {M0} does not clear {lit[0]} on {z}"
             )
-        shifted.append((lit[0], lit[1].drop(z), c, n))
+        shifted.append((lit[0], form.drop(z), c, d, n))
     congs = [entry for entry in shifted if entry[0] != "le"]
-    cx, cy = term.xexp.coeff(z), term.yexp.coeff(z)
+    cx, cy = term.xexp.nums.get(z, 0), term.yexp.nums.get(z, 0)
     xexp = term.xexp.substitute(z, stretch)
     yexp = term.yexp.substitute(z, stretch)
     branches = []
     for r in range(M0):
-        at_r = [(op, form + c * r, n) for op, form, c, n in congs]
+        at_r = [(op, form._shift(c * r, d), n) for op, form, c, d, n in congs]
         alive, found = _check_ground_lits(at_r)
-        if not alive or (any(len(lit[1].coeffs) == 1 for lit in found)
+        if not alive or (any(len(lit[1].nums) == 1 for lit in found)
                          and _congruences_clash(rest + found)):
             continue
         # the literals in their order, less the congruences true at r
         kept = iter(at_r)
         lits = list(rest)
-        for op, form, c, _ in shifted:
+        for op, form, c, d, _ in shifted:
             if op == "le":
-                lits.append(("le", form + c * r))
-            elif (lit := next(kept))[1].coeffs:
+                lits.append(("le", form._shift(c * r, d)))
+            elif (lit := next(kept))[1].nums:
                 lits.append(lit)
         branches.append(_Term(
             term.pref,
             term.mult.substitute(index[z], mult_stretch + r),
-            xexp + cx * r if cx else xexp,
-            yexp + cy * r if cy else yexp,
+            xexp._shift(cx * r, term.xexp.den),
+            yexp._shift(cy * r, term.yexp.den),
             lits,
         ))
     return M0, branches
@@ -991,15 +1047,15 @@ def _unit_bounds(term, z):
     """
     zlits, rest = [], []
     for lit in term.lits:
-        (zlits if z in lit[1].coeffs else rest).append(lit)
+        (zlits if z in lit[1].nums else rest).append(lit)
     branches = [([], [], rest)]
     for lit in zlits:
-        c = lit[1].coeff(z)
-        if lit[0] != "le" or c.denominator != 1:
+        c, d = lit[1].nums[z], lit[1].den
+        if lit[0] != "le" or c % d:
             raise PresburgerError(
                 f"bound on {z} is not an integral inequality: {lit}"
             )
-        a = c.numerator
+        a = c // d
         body = lit[1].drop(z)
         # a*z + body <= 0
         if a > 0:
@@ -1007,7 +1063,6 @@ def _unit_bounds(term, z):
         else:
             N = body  # z >= N / (-a); note -a > 0
         A = abs(a)
-        quotient = N.scale(Fraction(1, A))
         new = []
         for lowers, uppers, lits in branches:
             if A == 1:
@@ -1026,9 +1081,11 @@ def _unit_bounds(term, z):
                 if g is not None and g[0] == "false":
                     continue
                 kept = lits if g is not None else lits + [clit]
-                if len(N.coeffs) == 1 and _congruences_clash(kept):
+                if len(N.nums) == 1 and _congruences_clash(kept):
                     continue
-                base = quotient - Fraction(srem, A)
+                # (N - srem)/A
+                top = clit[1]
+                base = LinForm._make(top.nums, top.cnum, top.den * A)
                 if a > 0:
                     # z <= N/A; floor is (N - srem)/A on this residue
                     new.append((lowers, uppers + [base], kept))
@@ -1061,16 +1118,19 @@ def _tight_branches(forms, sense):
 
 
 def _integral_le(lit):
-    """An le-literal as an equivalent one with integer coefficients and
-    constant: scaled by the coefficients' denominators, then, as the
-    variable part is an integer at every integer point, the constant
-    rounded up.  Other literals are returned as they are."""
-    if lit[0] != "le":
-        return lit
+    """An le-literal as one with the same integer points, with integer
+    coefficients of gcd 1 and an integer constant.
+
+    The form's numerators give a*x + b <= 0 (den > 0 keeps the sign).
+    As a*x is a multiple of g = gcd(a) at every integer point, that is
+    (a/g)*x + ceil(b/g) <= 0, the tightening of the Omega test.  Ground
+    and other literals are returned as they are."""
     form = lit[1]
-    form = form.scale(math.lcm(*(form.coeff(v).denominator
-                                 for v in form.vars())))
-    return ("le", form + (math.ceil(form.const) - form.const))
+    if lit[0] != "le" or not form.nums:
+        return lit
+    g = math.gcd(*form.nums.values())
+    return ("le", LinForm._make({v: c // g for v, c in form.nums.items()},
+                               -(-form.cnum // g), 1))
 
 
 def _disjuncts(ast):
@@ -1083,27 +1143,29 @@ def _disjuncts(ast):
 def _rationally_empty(lits):
     """Whether Fourier-Motzkin elimination shows that the le-literals have
     no rational solution.  Congruences are dropped, which only enlarges
-    the set.  False (not shown) once the rows would exceed CELL_BUDGET."""
-    rows = [lit[1] for lit in lits if lit[0] == "le"]
+    the set.  False (not shown) once the rows would exceed CELL_BUDGET.
+    Each row is its numerators over den > 0: int arithmetic throughout."""
+    rows = [LinForm._make(lit[1].nums, lit[1].cnum, 1)
+            for lit in lits if lit[0] == "le"]
     while True:
-        if any(r.is_ground() and r.const > 0 for r in rows):
+        if any(not r.nums and r.cnum > 0 for r in rows):
             return True
-        rows = [r for r in rows if not r.is_ground()]
+        rows = [r for r in rows if r.nums]
         if not rows:
             return False
 
         def left(v):  # rows left after eliminating v
-            up = sum(r.coeff(v) > 0 for r in rows)
-            down = sum(r.coeff(v) < 0 for r in rows)
+            up = sum(r.nums.get(v, 0) > 0 for r in rows)
+            down = sum(r.nums.get(v, 0) < 0 for r in rows)
             return len(rows) - up - down + up * down
 
-        v = min(sorted(set().union(*(r.vars() for r in rows))), key=left)
+        v = min(sorted(set().union(*(r.nums for r in rows))), key=left)
         if left(v) > CELL_BUDGET:
             return False
-        up = [r for r in rows if r.coeff(v) > 0]
-        down = [r for r in rows if r.coeff(v) < 0]
-        rows = [r for r in rows if not r.coeff(v)] + [
-            a.scale(-b.coeff(v)) + b.scale(a.coeff(v))
+        up = [r for r in rows if r.nums.get(v, 0) > 0]
+        down = [r for r in rows if r.nums.get(v, 0) < 0]
+        rows = [r for r in rows if v not in r.nums] + [
+            a.scale(-b.nums[v]) + b.scale(a.nums[v])
             for a in up for b in down
         ]
 
@@ -1112,19 +1174,19 @@ def _satisfiable(lits):
     """Whether a conjunction of literals has an integer solution: True,
     False, or None when undecided.
 
-    Each conjunction is first tested by its rational relaxation
-    (``_rationally_empty``), then by Cooper elimination of one variable
-    at a time, depth first over the conjunctions each elimination yields,
-    within CELL_BUDGET substituted pieces in all (at most
-    sqrt(CELL_BUDGET) eliminations of at most as many pieces each).  A
-    congruence with a rational coefficient, or a system past that budget,
-    leaves it undecided."""
+    Each conjunction has its le-literals tightened (``_integral_le``) and
+    is tested by its rational relaxation (``_rationally_empty``), then by
+    Cooper elimination of one variable at a time, depth first over the
+    conjunctions each elimination yields, within CELL_BUDGET substituted
+    pieces in all (at most sqrt(CELL_BUDGET) eliminations of at most as
+    many pieces each).  A congruence with a rational coefficient, or a
+    system past that budget, leaves it undecided."""
     per = math.isqrt(CELL_BUDGET)
-    todo = [[_integral_le(lit) for lit in lits]]
+    todo = [lits]
     for _ in range(per):
         if not todo:
             return False
-        alive, conj = _check_ground_lits(todo.pop())
+        alive, conj = _check_ground_lits(map(_integral_le, todo.pop()))
         if not alive or _rationally_empty(conj):
             continue
         if not conj:
@@ -1158,13 +1220,13 @@ def _build_prefactor(pref):
 
 def _sum_progression(term, z, lower, upper, ctx):
     """Integrate variable z over its (possibly one-sided) range."""
-    bxf = term.xexp.coeff(z)
-    byf = term.yexp.coeff(z)
-    if bxf.denominator != 1 or byf.denominator != 1:
+    bx, rx = divmod(term.xexp.nums.get(z, 0), term.xexp.den)
+    by, ry = divmod(term.yexp.nums.get(z, 0), term.yexp.den)
+    if rx or ry:
         raise PresburgerError(
-            f"non-integer weight coefficient on {z}: X^{bxf} Y^{byf}"
+            f"non-integer weight coefficient on {z}: "
+            f"X^{term.xexp.coeff(z)} Y^{term.yexp.coeff(z)}"
         )
-    bx, by = bxf.numerator, byf.numerator
     xrest = term.xexp.drop(z)
     yrest = term.yexp.drop(z)
     index = ctx["index"]
@@ -1352,12 +1414,12 @@ def _ground_terms(spec: SummationSpec):
         cx, cy = term.xexp, term.yexp
         if not (cx.is_ground() and cy.is_ground()):
             raise PresburgerError("unresolved weight exponents")
-        if cx.const.denominator != 1 or cy.const.denominator != 1:
+        if cx.den != 1 or cy.den != 1:
             raise PresburgerError("non-integer ground exponent")
         pref = built.get(term.pref)
         if pref is None:
             pref = built[term.pref] = _build_prefactor(term.pref)
-        parts.append((pref, m, cx.const.numerator, cy.const.numerator))
+        parts.append((pref, m, cx.cnum, cy.cnum))
     sigma0 = max(ctx["sigma"]) if ctx["sigma"] else None
     return parts, sigma0, len(cell_list)
 
@@ -1403,18 +1465,14 @@ RANGED_CELLS = 1 << 18
 """The most grid cells that one ranged evaluation holds in an array."""
 
 
-def _literal_int(c):
-    """A literal's coefficient as an int; a ranged literal must be integral."""
-    if c.denominator != 1:
-        raise PresburgerError(f"non-integer coefficient {c} in a ranged literal")
-    return int(c)
-
-
 def _ranged_values(form, env):
     """The int64 values of an integral linear form on an open grid."""
-    total = np.int64(_literal_int(form.const))
-    for v, c in form.coeffs.items():
-        total = total + _literal_int(c) * env[v]
+    if form.den != 1:
+        raise PresburgerError(
+            f"non-integer coefficient in ranged literal {form}")
+    total = np.int64(form.cnum)
+    for v, c in form.nums.items():
+        total = total + c * env[v]
     return total
 
 
@@ -1493,9 +1551,8 @@ def _grid_blocks(free, box):
 
 def _numerator_form(form):
     """(d, d * form) with d the least positive integer that makes every
-    coefficient of d * form integral."""
-    d = math.lcm(*(c.denominator for c in [form.const, *form.coeffs.values()]))
-    return d, form.scale(d)
+    coefficient of d * form integral: the form's denominator."""
+    return form.den, LinForm._make(form.nums, form.cnum, 1)
 
 
 def _check_int64(forms, box):
