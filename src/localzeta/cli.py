@@ -166,13 +166,13 @@ def _cmd_hecke(args):
 def _cmd_igusa(args):
     ring = parse_ring(args.ring)
     poly = parse_poly(args.poly)
-    series, tail = igusa_truncation(poly, ring, arity=args.arity)
+    series, tail = igusa_truncation(poly, ring)
     partition = sum(series.coeffs) + tail
     return {
         "command": "igusa",
         "poly": poly.text,
         "ring": ring.literal,
-        "arity": args.arity if args.arity is not None else len(poly.vars),
+        "arity": len(poly.vars),
         "M": ring.m,
         "coefficients": series.coeffs,
         "tail": tail,
@@ -267,8 +267,6 @@ def build_parser():
 
     p = sub.add_parser("igusa", help="truncated polynomial integral")
     p.add_argument("--poly", required=True, help="e.g. 'a*b - c*d'")
-    p.add_argument("--arity", type=int, default=None,
-                   help="ambient coordinates (default: variables in poly)")
     common(p)
     p.set_defaults(fn=_cmd_igusa)
 

@@ -774,17 +774,13 @@ def _residues(lower):
 def _times_residues(ring, rows, residues):
     """The digit rows of X s for every digit row X of rows, read as a
     d x d matrix over F_q, and every residue matrix s: (R, n, d*d*f) from
-    (n, d*d*f) and (R, d, d), by the level-1 MUL and ADD tables, one inner
-    index at a time."""
+    (n, d*d*f) and (R, d, d), by one level-1 ``mat_mul``."""
     p, f = ring.p, ring.f
     n, d = rows.shape[0], residues.shape[1]
     one = ring.subring_level(1)
     # a digit row is a matrix over F_q = the level-1 ring, digit j on x^j
     X = (rows.reshape(n, d, d, f) * p ** np.arange(f)).sum(axis=-1)
-    prods = np.zeros((len(residues), n, d, d), dtype=np.int64)
-    for c in range(d):
-        prods = one.ADD[prods, one.MUL[X[None, :, :, c, None],
-                                       residues[:, None, None, c]]]
+    prods = one.mat_mul(X[None], residues[:, None])
     return one.top_digits()[prods].reshape(len(residues), n, -1)
 
 
@@ -1007,7 +1003,7 @@ class _KernelIndex:
         # Schreier's lemma: the group meets the kernel in the span of the
         # cocycles, the values s_j g s_J^-1 on the transversal of lifts
         p, k = self.p, self.k
-        values = np.unique(self.coc)
+        values = _distinct(self.coc, self.nV)[0]
         rank = _echelon((values[:, None] // p ** np.arange(k) % p)[None],
                         p)[1][0]
         if rank < k:

@@ -266,26 +266,14 @@ def _eval_chunk(ast, ring, coords, width):
     raise IgusaError(f"unknown node {op!r}")
 
 
-def zero_count(poly, ring: Ring, arity=None) -> int:
-    """N = #{x in ring^arity : f(x) = 0}, by exhaustive evaluation.
-
-    Only the axes f actually mentions are scanned; unused ambient axes
-    multiply the count by a power of |ring| at the end.  The budget is
-    checked against the full ambient grid.
-    """
+def zero_count(poly, ring: Ring) -> int:
+    """N = #{x in ring^d : f(x) = 0} over the d variables f mentions, by
+    exhaustive evaluation; the budget is checked against that grid."""
     poly = parse_poly(poly)
-    if arity is None:
-        arity = len(poly.vars)
-    if arity < len(poly.vars):
-        raise IgusaError(
-            f"arity {arity} below variable count {len(poly.vars)}"
-        )
-    if ring.size**arity > GRID_CAP:
-        raise TooLarge(
-            f"grid of {ring.size**arity} points exceeds budget {GRID_CAP}"
-        )
     names = poly.vars
     grid = ring.size ** len(names)
+    if grid > GRID_CAP:
+        raise TooLarge(f"grid of {grid} points exceeds budget {GRID_CAP}")
     total = 0
     for lo in range(0, grid, CHUNK):
         hi = min(grid, lo + CHUNK)
@@ -296,7 +284,7 @@ def zero_count(poly, ring: Ring, arity=None) -> int:
         }
         vals = _eval_chunk(poly.ast, ring, coords, hi - lo)
         total += int((vals == ring.zero).sum())
-    return total * ring.size ** (arity - len(names))
+    return total
 
 
 def _lift_table(ring: Ring, k):
@@ -430,34 +418,25 @@ so the zeros fall in two kinds, fixed by their image on level 1.  A
     return counts
 
 
-def level_set_measures(poly, ring: Ring, arity=None):
+def level_set_measures(poly, ring: Ring):
     """Exact measures mu(v(f) = n) for 0 <= n < m, plus the tail mass.
 
-    Uses mu(v >= n) = q^{-nd} N_n with N_n the zero count at level n, so
-    the measures and the tail q^{-md} N_m partition 1 exactly.  The N_n
-    come from the stationary-phase count, which lifts only the singular
-    zeros through the fibres of the projection; zero_count is the
-    brute-force oracle for them.  Only the variables f mentions are
-    evaluated, and the budget caps the points evaluated, not the ambient
-    grid.
+    Uses mu(v >= n) = q^{-nd} N_n with N_n the zero count at level n over
+    the d variables f mentions, so the measures and the tail q^{-md} N_m
+    partition 1 exactly.  The N_n come from the stationary-phase count,
+    which lifts only the singular zeros through the fibres of the
+    projection; zero_count is the brute-force oracle for them.  The
+    budget caps the points evaluated.
     """
     poly = parse_poly(poly)
     if ring.VAL is None:
         raise IgusaError(f"no valuation on {ring.literal}")
-    if arity is None:
-        arity = len(poly.vars)
-    if arity < len(poly.vars):
-        raise IgusaError(
-            f"arity {arity} below variable count {len(poly.vars)}"
-        )
-    d = arity
+    d = len(poly.vars)
     q = ring.q
     m = ring.m
     rings = [ring.subring_level(k) for k in range(1, m + 1)]
-    lifted = _stationary_zero_counts(poly, rings)
-    unused = d - len(poly.vars)
     counts = [1]  # N_0: the empty congruence
-    counts += [n * r.size**unused for n, r in zip(lifted, rings)]
+    counts += _stationary_zero_counts(poly, rings)
     measures = []
     for n in range(m):
         mu = Fraction(counts[n], q ** (n * d)) - Fraction(
@@ -475,13 +454,13 @@ def level_set_measures(poly, ring: Ring, arity=None):
     }
 
 
-def igusa_truncation(poly, ring: Ring, arity=None):
+def igusa_truncation(poly, ring: Ring):
     """(series, tail): sum_{n<m} mu(v=n) t^n and the q^{-md} N_m bound.
 
     The series coefficients are honest measures; adding the tail to the
     coefficient sum gives exactly 1, and any closed form claiming the
     integral must match the coefficients after expand().
     """
-    data = level_set_measures(poly, ring, arity)
+    data = level_set_measures(poly, ring)
     series = ZetaSeries(ring.q, data["measures"], "enumerated")
     return series, data["tail"]

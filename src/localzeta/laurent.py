@@ -188,6 +188,8 @@ class Laurent:
         """Replace variable i by a Laurent of the same arity, raising it
         to each power of variable i once."""
         value = self._check(value)
+        if not any(e[i] for e in self.terms):
+            return self
         out = Laurent(self.nvars)
         for k, piece in self.split(i).items():
             out = out + (piece * value**k if k else piece)

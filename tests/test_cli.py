@@ -287,6 +287,19 @@ def test_igusa_three_by_three_at_level_three():
     assert report["tail"] == "841/4096"
 
 
+def test_igusa_has_no_arity_option(capsys):
+    # the measures are over exactly the variables f mentions
+    try:
+        code = cli.main(["igusa", "--poly", "x", "--ring", "zq:p=2,f=1,m=2",
+                         "--arity", "1"])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--arity" in captured.err
+
+
 def test_csv_projection():
     proc = run_cli(CC_ARGS + ["--format", "csv"])
     assert proc.returncode == 0

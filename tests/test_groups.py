@@ -85,7 +85,8 @@ def test_generate_forms_only_the_frontier_products(monkeypatch):
 
     def counting(self, A, B):
         out = real(self, A, B)
-        formed.append(math.prod(out.shape[:-2]))
+        if self.m != 1:  # count only the products on the level-m ring
+            formed.append(math.prod(out.shape[:-2]))
         return out
 
     monkeypatch.setattr(rings.Ring, "mat_mul", counting)
@@ -944,6 +945,25 @@ def test_a_misread_cocycle_raises(monkeypatch, family, lit):
     with pytest.raises(IdentityError, match="off its kernel coordinates"):
         fam.table(ring, lower=lower)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("lit", ["zq:p=3,f=1,m=2", "zq:p=2,f=2,m=2",
+                                 "fqt:p=2,f=1,m=2", "fqt:p=2,f=2,m=2"])
+def test_times_residues_matches_the_gather_oracle(lit):
+    # the level-1 mat_mul (BLAS for zq with f = 1, _Kronecker otherwise)
+    # against verify's MUL/ADD gather, which shares no code with it
+    from localzeta import verify
+    ring = parse_ring(lit)
+    one = ring.subring_level(1)
+    rng = np.random.default_rng(11)
+    d, n, R = 3, 5, 7
+    X = rng.integers(0, one.size, (n, d, d))
+    s = rng.integers(0, one.size, (R, d, d))
+    rows = one.top_digits()[X].reshape(n, -1)
+    want = one.top_digits()[verify._gather_mat_mul(one, X[None], s[:, None])]
+    got = groups._times_residues(ring, rows, s)
+    assert got.shape == (R, n, d * d * ring.f)
+    assert (got == want.reshape(R, n, -1)).all()
 
 
 @pytest.mark.parametrize("p,k", [(2, 5), (3, 3), (3, 7), (5, 4), (7, 2)])

@@ -46,50 +46,55 @@ def test_parse_poly_errors():
 def test_zero_count_determinant_f2():
     # over F_2: ab = cd has 3*3 + 1*1 solutions
     r = make_ring("zq", p=2, f=1, m=1)
-    assert zero_count(DET, r, 4) == 10
+    assert zero_count(DET, r) == 10
     q = 2
     assert 10 == q**3 + q**2 - q
 
 
 def test_zero_count_single_variable():
-    assert zero_count("x", make_ring("zq", p=3, f=1, m=2), 1) == 1
-    assert zero_count("x", make_ring("fqt", p=3, f=1, m=2), 1) == 1
+    assert zero_count("x", make_ring("zq", p=3, f=1, m=2)) == 1
+    assert zero_count("x", make_ring("fqt", p=3, f=1, m=2)) == 1
 
 
 def test_zero_count_constants():
     r = make_ring("zq", p=2, f=1, m=2)
-    assert zero_count("1", r, 3) == 0
-    assert zero_count("0", r, 3) == r.size**3
-    assert zero_count("4", r, 1) == r.size  # 4 = 0 in Z/4
+    assert zero_count("1", r) == 0
+    assert zero_count("0", r) == 1  # R^0 is one point
+    assert zero_count("4 + 0*x", r) == r.size  # 4 = 0 in Z/4
 
 
 def test_zero_count_ambient_axes_scale():
+    # a variable that f mentions but does not depend on is still an axis
     r = make_ring("zq", p=3, f=1, m=1)
-    base = zero_count("x", r, 1)
-    assert zero_count("x", r, 3) == base * r.size**2
+    base = zero_count("x", r)
+    assert zero_count("x + 0*y*z", r) == base * r.size**2
 
 
 def test_zero_count_power_and_identities():
     r9 = make_ring("zq", p=3, f=1, m=2)
-    assert zero_count("x^2", r9, 1) == 3  # x in {0, 3, 6}
+    assert zero_count("x^2", r9) == 3  # x in {0, 3, 6}
     # binomial identity vanishes everywhere
     r8 = make_ring("zq", p=2, f=1, m=3)
-    n = zero_count("(a+b)^2 - a^2 - 2*a*b - b^2", r8, 2)
+    n = zero_count("(a+b)^2 - a^2 - 2*a*b - b^2", r8)
     assert n == r8.size**2
-    assert zero_count("- - x - x", r8, 1) == r8.size
+    assert zero_count("- - x - x", r8) == r8.size
 
 
-def test_zero_count_arity_checks():
-    r = make_ring("zq", p=2, f=1, m=1)
-    with pytest.raises(IgusaError):
-        zero_count(DET, r, 3)
+def test_zero_count_arity_checks(monkeypatch):
+    # the budget is checked against the grid of the d variables f mentions
     with pytest.raises(TooLarge):
-        zero_count("x + y + z", make_ring("zq", p=2, f=1, m=12), 3)
+        zero_count("x + y + z", make_ring("zq", p=2, f=1, m=12))
+    r = make_ring("zq", p=2, f=1, m=2)
+    monkeypatch.setattr(igusa, "GRID_CAP", r.size**4)
+    assert zero_count(DET, r) == level_set_measures(DET, r)["zero_counts"][1]
+    monkeypatch.setattr(igusa, "GRID_CAP", r.size**4 - 1)
+    with pytest.raises(TooLarge, match="grid of 256 points"):
+        zero_count(DET, r)
 
 
 def test_level_set_measures_determinant():
     top = make_ring("zq", p=2, f=1, m=4)
-    rep = level_set_measures(DET, top, 4)
+    rep = level_set_measures(DET, top)
     assert rep["zero_counts"][0] == 10
     # mu(v >= 1) = 10/16, so mu(v = 0) = 3/8
     assert rep["measures"][0] == Fraction(3, 8)
@@ -101,48 +106,50 @@ def test_level_set_measures_determinant():
 def test_level_set_measures_coordinate():
     for q, kind in ((2, "zq"), (3, "zq"), (2, "fqt")):
         top = make_ring(kind, p=q, f=1, m=4)
-        rep = level_set_measures("x", top, 1)
+        rep = level_set_measures("x", top)
         for n, mu in enumerate(rep["measures"]):
             assert mu == Fraction(1, q**n) * (1 - Fraction(1, q))
 
 
 def test_level_set_measures_needs_valuation():
     with pytest.raises(IgusaError):
-        level_set_measures("x", make_ring("zn", n=6), 1)
+        level_set_measures("x", make_ring("zn", n=6))
 
 
 def test_zero_counts_monotone_under_reduction():
     # each level-(m+1) zero reduces to a level-m zero; fibers have q^d points
     top = make_ring("zq", p=2, f=1, m=4)
-    N = [1] + level_set_measures(DET, top, 4)["zero_counts"]
+    N = [1] + level_set_measures(DET, top)["zero_counts"]
     for i in range(len(N) - 1):
         assert 0 <= N[i + 1] <= 2**4 * N[i]
 
 
 def test_igusa_truncation_matches_closed_form():
     top = make_ring("zq", p=2, f=1, m=4)
-    series, tail = igusa_truncation(DET, top, 4)
+    series, tail = igusa_truncation(DET, top)
     assert series == expand(igusa_two_by_two_form(), 2, 4)
     assert series.provenance == ["enumerated"] * 4
     assert sum(series.coeffs) + tail == 1
 
     top3 = make_ring("zq", p=3, f=1, m=3)
-    series3, _ = igusa_truncation(DET, top3, 4)
+    series3, _ = igusa_truncation(DET, top3)
     assert series3 == expand(igusa_two_by_two_form(), 3, 3)
 
 
 def test_igusa_truncation_transfer():
     for kind in ("zq", "fqt"):
-        s, _ = igusa_truncation(DET, make_ring(kind, p=2, f=1, m=3), 4)
+        s, _ = igusa_truncation(DET, make_ring(kind, p=2, f=1, m=3))
         assert s == expand(igusa_two_by_two_form(), 2, 3)
 
 
 def test_igusa_truncation_univariate():
-    s, tail = igusa_truncation("x", make_ring("zq", p=2, f=1, m=5), 1)
+    s, tail = igusa_truncation("x", make_ring("zq", p=2, f=1, m=5))
     assert s == expand(igusa_coordinate_form(), 2, 5)
     assert tail == Fraction(1, 32)
 
 
+# (poly, ring, chunk): a chunk, when given, replaces CHUNK, so that the
+# scan and the lifting split their grids and fibres at odd offsets
 LIFT_CASES = [
     (DET, "zq:p=2,f=1,m=5", None),
     (DET, "fqt:p=2,f=1,m=5", None),
@@ -163,16 +170,18 @@ LIFT_CASES = [
 ]
 
 
-def _scan_counts(poly, top, arity):
-    return [zero_count(poly, top.subring_level(k), arity)
+def _scan_counts(poly, top):
+    return [zero_count(poly, top.subring_level(k))
             for k in range(1, top.m + 1)]
 
 
-@pytest.mark.parametrize("poly,ring,arity", LIFT_CASES)
-def test_lifted_counts_match_scan(poly, ring, arity):
+@pytest.mark.parametrize("poly,ring,chunk", LIFT_CASES)
+def test_lifted_counts_match_scan(monkeypatch, poly, ring, chunk):
     top = parse_ring(ring)
-    got = level_set_measures(poly, top, arity)["zero_counts"]
-    assert got == _scan_counts(poly, top, arity)
+    if chunk is not None:
+        monkeypatch.setattr(igusa, "CHUNK", chunk)
+    got = level_set_measures(poly, top)["zero_counts"]
+    assert got == _scan_counts(poly, top)
 
 
 @pytest.mark.parametrize("chunk", [8, 64])
@@ -180,9 +189,9 @@ def test_lifted_counts_in_small_pieces(monkeypatch, chunk):
     # 8 splits one fibre of q^4 = 16 lifts over two pieces; 64 puts four
     # zeros in each piece
     top = make_ring("zq", p=2, f=1, m=4)
-    want = _scan_counts(DET, top, 5)
+    want = _scan_counts(DET, top)
     monkeypatch.setattr(igusa, "CHUNK", chunk)
-    assert level_set_measures(DET, top, 5)["zero_counts"] == want
+    assert level_set_measures(DET, top)["zero_counts"] == want
 
 
 def test_lift_checks_fibre_sizes(monkeypatch):
@@ -191,7 +200,7 @@ def test_lift_checks_fibre_sizes(monkeypatch):
     bad[bad == 1] = 0  # one fibre of size 2q, one empty
     monkeypatch.setitem(top._proj_tables, 1, bad)
     with pytest.raises(IdentityError, match="fibre"):
-        level_set_measures("x", top, 1)
+        level_set_measures("x", top)
 
 
 def test_lifting_memory_does_not_grow_with_zeros(monkeypatch):
@@ -228,38 +237,40 @@ def test_budget_checked_before_any_level(monkeypatch):
     monkeypatch.setattr(igusa, "GRID_CAP", 21848)
     top = make_ring("zq", p=2, f=1, m=9)
     with pytest.raises(TooLarge, match="up to 21849 points"):
-        level_set_measures("a*b", top, 3)
+        level_set_measures("a*b", top)
     assert set(levels) == {1}  # the level-1 scan ran, no lift did
     levels.clear()
     monkeypatch.setattr(igusa, "GRID_CAP", 3)
     with pytest.raises(TooLarge, match="grid of 4 points"):
-        level_set_measures("a*b", top, 3)
+        level_set_measures("a*b", top)
     assert not levels
 
 
 @pytest.mark.parametrize(
-    "poly,ring,arity", LIFT_CASES + [("x - x", "zq:p=2,f=1,m=5", None)])
+    "poly,ring,chunk", LIFT_CASES + [("x - x", "zq:p=2,f=1,m=5", None)])
 def test_budget_accepts_every_ambient_grid_within_it(monkeypatch, poly,
-                                                     ring, arity):
-    # the ambient-grid budget accepted exactly q^(m * arity) <= GRID_CAP;
-    # the bound on evaluated points never exceeds that grid, and x - x
-    # (q^d = 2, every zero singular) meets it with equality
+                                                     ring, chunk):
+    # a scan of the top level accepts exactly q^(m d) <= GRID_CAP, d the
+    # variables f mentions; for d >= 1 the bound on evaluated points never
+    # exceeds that grid, and x - x (q^d = 2, every zero singular) meets it
+    # with equality.  With d = 0 each level evaluates its one point once.
     top = parse_ring(ring)
-    want = _scan_counts(poly, top, arity)
-    if arity is None:
-        arity = len(parse_poly(poly).vars)
-    monkeypatch.setattr(igusa, "GRID_CAP", top.q ** (top.m * arity))
-    assert level_set_measures(poly, top, arity)["zero_counts"] == want
+    want = _scan_counts(poly, top)
+    d = len(parse_poly(poly).vars)
+    if chunk is not None:
+        monkeypatch.setattr(igusa, "CHUNK", chunk)
+    monkeypatch.setattr(igusa, "GRID_CAP", top.size**d if d else top.m)
+    assert level_set_measures(poly, top)["zero_counts"] == want
 
 
 @pytest.mark.parametrize("poly", ["0", "2", "9"])
 def test_counts_without_variables(poly):
     # no variables: every zero is singular and the counts stay integers
     top = make_ring("zq", p=3, f=1, m=3)
-    for arity in (None, 2):
-        counts = level_set_measures(poly, top, arity)["zero_counts"]
-        assert counts == _scan_counts(poly, top, arity or 0)
-        assert all(type(n) is int for n in counts)
+    counts = level_set_measures(poly, top)["zero_counts"]
+    assert counts == _scan_counts(poly, top)
+    assert counts == [int(int(poly) % 3**k == 0) for k in (1, 2, 3)]
+    assert all(type(n) is int for n in counts)
 
 
 def test_derivative_by_hand():
@@ -285,9 +296,9 @@ def test_derivative_by_hand():
 def test_derivative_of_square_vanishes_mod_two():
     # d(x^2)/dx = 2x vanishes mod 2, though not on Z/8
     dx = igusa.Poly(igusa._derivative(parse_poly("x^2").ast, "x"), "2*x")
-    assert zero_count(dx, make_ring("zq", p=2, f=1, m=1), 1) == 2
-    assert zero_count(dx, make_ring("fqt", p=2, f=1, m=3), 1) == 8
-    assert zero_count(dx, make_ring("zq", p=2, f=1, m=3), 1) == 2
+    assert zero_count(dx, make_ring("zq", p=2, f=1, m=1)) == 2
+    assert zero_count(dx, make_ring("fqt", p=2, f=1, m=3)) == 8
+    assert zero_count(dx, make_ring("zq", p=2, f=1, m=3)) == 2
     # so the one zero of x^2 over F_2 is singular, and the zero (0, 0) of
     # x^2 + y is smooth
     f2 = make_ring("zq", p=2, f=1, m=1)
