@@ -1,9 +1,16 @@
 """Caching of enumerated group tables.
 
 Two layers: a process-level memo (tables are immutable, so sharing is
-safe), and an optional on-disk store under ``ZETA_CACHE_DIR``.  Disk
-entries carry a versioned header plus a content hash; anything that fails
-validation is discarded with a warning and recomputed, never trusted.
+safe), and an optional on-disk store under ``ZETA_CACHE_DIR``.  An entry
+is one file: an 8-byte little-endian length, a JSON header of that
+length, and one little-endian int32 buffer with the arrays the header
+lists, by name and shape, in order.  A table enumerated over its level
+below is stored as its ``LiftRecord`` and derived from it on load by the
+route a fresh enumeration takes, so a store never builds its matrices;
+any other table stores its matrices, inverses and rho.  One sha256
+covers the buffer, the names and shapes, and the provenance, name and
+dim_scheme of the table; an entry that fails validation is discarded
+with a warning and recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -11,22 +18,22 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from .groups import ENUM_CAP, Family, Fibres, GroupTable, TooLarge, has_tower
+from .groups import (ENUM_CAP, Family, GroupTable, LiftRecord, TooLarge,
+                     has_tower)
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _memo = {}
 
-# the arrays of a stored table, all covered by its content hash; a table
-# enumerated over its level below adds its kernel coordinates
-_ARRAYS = ("mats", "inv", "rho", "gen_mats")
-_FIBRE_ARRAYS = ("res", "adj")
+# the arrays of a table with no kernel; every entry adds gen_mats
+_FLAT_ARRAYS = ("mats", "inv", "rho")
 
 
 def as_family(obj) -> Family:
@@ -54,14 +61,13 @@ def _disk_key(fam: Family, ring) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def _blob_hash(arrays, provenance, name, dim_scheme):
-    """sha256 over every array and header field that the loader uses."""
-    h = hashlib.sha256()
-    for key in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[key])
-        h.update(f"{key} {arr.dtype.str} {arr.shape}".encode())
-        h.update(arr.tobytes())
-    h.update(json.dumps([provenance, name, dim_scheme]).encode())
+def _entry_hash(shapes, chunks, provenance, name, dim_scheme):
+    """sha256 over the buffer, in chunks, and every header field the
+    loader uses."""
+    h = hashlib.sha256(
+        json.dumps([shapes, provenance, name, dim_scheme]).encode())
+    for chunk in chunks:
+        h.update(chunk)
     return h.hexdigest()
 
 
@@ -69,7 +75,7 @@ def _cache_path(fam, ring):
     root = os.environ.get("ZETA_CACHE_DIR")
     if not root:
         return None
-    return os.path.join(root, f"table-{_disk_key(fam, ring)}.npz")
+    return os.path.join(root, f"table-{_disk_key(fam, ring)}.bin")
 
 
 def _load_disk(fam: Family, ring):
@@ -83,37 +89,34 @@ def _load_disk(fam: Family, ring):
             "struct": fam.struct_hash(),
             "ring": ring.literal,
         }
-        with np.load(path, allow_pickle=False) as blob:
-            header = json.loads(bytes(blob["header"]).decode())
-            # the fields are checked before the header says which arrays
-            # there are: an entry of another format is reported as such
+        with open(path, "rb") as fh:
+            header = json.loads(fh.read(int.from_bytes(fh.read(8), "little")))
+            # the fields are checked before the arrays are read: an entry
+            # of another format is reported as such
             for key, val in want.items():
                 if header.get(key) != val:
                     raise ValueError(f"header field {key} does not match")
-            names = _ARRAYS + (_FIBRE_ARRAYS if header["fibres"] else ())
-            arrays = {key: blob[key] for key in names}
-        digest = _blob_hash(
-            arrays, header["provenance"], header["name"], header["dim_scheme"]
-        )
-        if header["blob_sha256"] != digest:
+            buf = np.fromfile(fh, dtype="<i4")
+        shapes, provenance = header["arrays"], header["provenance"]
+        if header["sha256"] != _entry_hash(shapes, [buf], provenance,
+                                           header["name"],
+                                           header["dim_scheme"]):
             raise ValueError("content hash mismatch")
-        generators = [
-            (tuple(prov), g)
-            for prov, g in zip(header["provenance"], arrays["gen_mats"])
-        ]
-        fibres = None
-        if header["fibres"]:
-            fibres = Fibres(ring.p, arrays["res"], arrays["adj"])
-        return GroupTable(
-            ring,
-            arrays["mats"],
-            arrays["inv"],
-            arrays["rho"],
-            generators,
-            header["name"],
-            header["dim_scheme"],
-            fibres,
-        )
+        names = LiftRecord.ARRAYS if has_tower(ring) else _FLAT_ARRAYS
+        if [key for key, _ in shapes] != [*names, "gen_mats"]:
+            raise ValueError("the stored arrays are not those of the table")
+        arrays, at = {}, 0
+        for key, shape in shapes:
+            arrays[key] = buf[at:at + math.prod(shape)].reshape(shape)
+            at += arrays[key].size
+        generators = [(tuple(prov), g) for prov, g in
+                      zip(provenance, arrays.pop("gen_mats"))]
+        if has_tower(ring):
+            return LiftRecord(ring, **arrays).table(
+                generators, header["name"], header["dim_scheme"])
+        return GroupTable(ring, arrays["mats"], arrays["inv"].astype(np.int64),
+                          arrays["rho"], generators, header["name"],
+                          header["dim_scheme"])
     except Exception as exc:  # corrupted entry: recompute, never trust
         sys.stderr.write(f"warning: discarding cache entry {path}: {exc}\n")
         return None
@@ -127,43 +130,34 @@ def _store_disk(fam: Family, ring, table: GroupTable):
     try:
         root = os.path.dirname(path)
         os.makedirs(root, exist_ok=True)
-        arrays = {
-            "mats": table.mats,
-            "inv": table.inv,
-            "rho": table.rho,
-            # np.stack refuses the empty list of a one-element table
-            "gen_mats": np.array([g for _, g in table.generators],
-                                 dtype=np.int32),
-        }
-        fib = table.fibres
-        if fib is not None:
-            arrays.update(res=fib.res, adj=fib.adj)
+        arrays = table.record.arrays() if table.record is not None else {
+            key: getattr(table, key) for key in _FLAT_ARRAYS}
+        # np.stack refuses the empty list of a one-element table
+        arrays["gen_mats"] = np.array([g for _, g in table.generators],
+                                      dtype=np.int32)
+        shapes = [[key, list(arr.shape)] for key, arr in arrays.items()]
+        chunks = [np.ascontiguousarray(arr, dtype="<i4")
+                  for arr in arrays.values()]
         provenance = [list(p) for p, _ in table.generators]
-        header = {
+        header = json.dumps({
             "version": FORMAT_VERSION,
             "family": fam.text,
             "struct": fam.struct_hash(),
             "ring": ring.literal,
             "name": table.name,
             "dim_scheme": table.dim_scheme,
-            "size": table.size,
-            "fibres": fib is not None,
             "provenance": provenance,
-            "blob_sha256": _blob_hash(
-                arrays, provenance, table.name, table.dim_scheme
-            ),
-        }
+            "arrays": shapes,
+            "sha256": _entry_hash(shapes, chunks, provenance, table.name,
+                                  table.dim_scheme),
+        }, sort_keys=True).encode()
         fd, tmp = tempfile.mkstemp(
             dir=root, prefix=os.path.basename(path) + ".", suffix=".tmp"
         )
         with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                header=np.frombuffer(
-                    json.dumps(header, sort_keys=True).encode(), dtype=np.uint8
-                ),
-                **arrays,
-            )
+            fh.write(len(header).to_bytes(8, "little") + header)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:  # cache is best-effort

@@ -11,8 +11,9 @@ numbered over the level-(m-1) table by its congruence kernel
 (``_KernelIndex``): G(R_m) -> G(R_{m-1}) is onto with the abelian kernel
 I + pi^(m-1) V, |V| = q^dim_scheme, so an element is (I + pi^(m-1) X_v)
 s_j for a lift s_j of the lower element j, and its id is its kernel slot
-j |V| + v.  Only the products over the lifts are formed; rho and the
-inverses follow by gathers, and the matrices are rebuilt when first read.
+j |V| + v.  Only the products over the lifts are formed; they fix a
+``LiftRecord`` of O(|G_(m-1)|) arrays, from which rho and the inverses
+follow by gathers, and the matrices are rebuilt when first read.
 Level-1 tables and ``zn`` are searched breadth-first with packed integer
 keys (``_KeyIndex``).  ``lookup_batch`` and ``contains_batch`` search a
 table's sorted keys, built on first use, for either route.  Every product
@@ -47,8 +48,6 @@ deterministic.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -254,13 +253,17 @@ class GroupTable:
     enumerated over its level below, None for a table with no kernel.
     ``mats`` is an (N, d, d) int32 array, or a function that builds it,
     called on the first read: the counting layer reads only ``rho``,
-    ``inv`` and ``fibres``, and a table enumerated over its level below
-    rebuilds its matrices from its lifts.
+    ``inv`` and ``fibres``.  A table enumerated over its level below is
+    derived from its ``record`` (``LiftRecord.table``) and keeps it: its
+    matrices are rebuilt from the lifts when first read, and the disk
+    cache stores the record, not the matrices.  ``record`` is None for a
+    table with no kernel.
     """
 
     def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
-                 fibres=None):
+                 fibres=None, record=None):
         self.ring = ring
+        self.record = record
         self._mats = mats
         self.inv = inv  # (N,) int64 index of inverse
         self.rho = rho  # (N, ngens) int32 index of x * g
@@ -888,34 +891,124 @@ def _kernel_tables(ring, basis, residues):
     return tables
 
 
+class LiftRecord:
+    """What a level m >= 2 table over its level below is derived from:
+    O(|G_(m-1)|) arrays, against the |G_(m-1)| |V| rows of the table.
+
+    G(R_m) -> G(R_{m-1}) has the abelian kernel I + pi^(m-1) V, V with the
+    reduced echelon basis B_0..B_(k-1) (``basis``, digit rows), and the
+    element x = (I + pi^(m-1) X_v) s_j has the id j |V| + v, v the base-p
+    coordinates of X_v.  The record holds the lifts s_j (``lifts``); the
+    lower rho column of each generator g (``maps[g]``) and the cocycles
+    coc[g, j], s_j g = (I + pi^(m-1) X_c) s_(maps[g][j]) with c = coc[g, j];
+    the lower inverses (``lower_inv``) and the cocycles e[j] of
+    s_j s_(lower_inv[j]) = I + pi^(m-1) X_e; the residue class ``res[j]``
+    of each lower element and the residue matrices (``residues``); and
+    Ad(r) on V for each residue r (``adj``, as in ``Fibres``).  A table
+    and the record are fixed by a Schreier transversal and its cocycles.
+
+    ``table`` is the one route from a record to its GroupTable, taken by
+    a fresh enumeration (``_KernelIndex.record``) and by a disk-cache hit
+    alike: ``rho`` by a broadcast, the inverses by the kernel formula with
+    an involution check, and the matrices left to ``_matrices``, called
+    when they are first read.  The table keeps the record, so a store
+    never builds its matrices.
+    """
+
+    ARRAYS = ("lifts", "coc", "maps", "e", "lower_inv", "res", "residues",
+              "adj", "basis")
+
+    def __init__(self, ring, lifts, coc, maps, e, lower_inv, res, residues,
+                 adj, basis):
+        self.ring = ring
+        self.lifts, self.coc, self.maps, self.e, self.lower_inv, self.res, \
+            self.residues, self.basis = (
+                np.asarray(a, dtype=np.int32) for a in
+                (lifts, coc, maps, e, lower_inv, res, residues, basis))
+        self.adj = np.asarray(adj, dtype=np.int8)
+        self.k = self.basis.shape[0]
+        self.nV = ring.p**self.k
+        self.digit_add = _digit_add(ring.p, self.k)
+
+    def arrays(self):
+        return {key: getattr(self, key) for key in self.ARRAYS}
+
+    def rho(self):
+        """rho[j |V| + v, g] = maps[g][j] |V| + (v + c(j, g)): one gather
+        of the rows v -> v + c of the distinct cocycle values c and an add,
+        for a block of lower elements and every generator at a time."""
+        L, nV = self.lifts.shape[0], self.nV
+        vals, at = _distinct(self.coc, nV)
+        rows = self.digit_add(vals[:, None], np.arange(nV)).astype(np.int32)
+        J = self.maps * np.int32(nV)
+        rho = np.empty((L, nV, J.shape[0]), dtype=np.int32)
+        step = max(1, RHO_BLOCK // rho[0].size)
+        for lo in range(0, L, step):
+            block = rows.take(at[:, lo:lo + step], axis=0)  # (ngens, j, v)
+            block += J[:, lo:lo + step, None]
+            rho[lo:lo + step] = block.transpose(1, 2, 0)
+        return rho.reshape(L * nV, -1)
+
+    def inverses(self, name):
+        """inv[j |V| + v] = j' |V| + u: with j' = lower_inv[j], r = res[j']
+        and s_j s_j' = I + pi^(m-1) X_e, x^-1 = s_j' (I - pi^(m-1) X_e)
+        (I - pi^(m-1) X_v) = (I - pi^(m-1) Ad(r) (X_e + X_v)) s_j', so u is
+        -(e + v) Ad(r): one gather of the rows v -> u of the distinct
+        pairs (r, e).  The result must be an involution."""
+        nV, p, jp = self.nV, self.ring.p, self.lower_inv
+        pairs, at = _distinct(self.res[jp].astype(np.int64) * nV + self.e,
+                              self.adj.shape[0] * nV)
+        r, e = np.divmod(pairs, nV)
+        neg = _reduction_table(-self.adj.astype(np.int64) % p, p) \
+            .reshape(-1, nV)
+        rows = np.take_along_axis(
+            neg[r], self.digit_add(e[:, None], np.arange(nV)), axis=1)
+        inv = rows.take(at, axis=0)
+        inv += jp[:, None].astype(np.int64) * nV
+        inv = inv.ravel()
+        if not (inv[inv] == np.arange(inv.size)).all():
+            raise IdentityError(f"the derived inverse map of {name} "
+                                f"is not an involution")
+        return inv
+
+    def matrices(self):
+        return _matrices(self.ring, self.lifts, self.res, self.residues,
+                         self.basis)
+
+    def table(self, generators, name, dim_scheme):
+        """The GroupTable, its matrices left to be rebuilt on first read."""
+        return GroupTable(self.ring, self.matrices, self.inverses(name),
+                          self.rho(), generators, name, dim_scheme,
+                          Fibres(self.ring.p, self.res, self.adj), self)
+
+
 class _KernelIndex:
-    """A level m >= 2 table over ``lower``, the level-(m-1) table of the
-    same family, numbered by kernel coordinates, with no search at level m.
+    """The enumeration of a level m >= 2 table over ``lower``, the
+    level-(m-1) table of the same family: it forms and checks the products
+    that fix the table's ``LiftRecord``, with no search at level m, and
+    is dropped once the record is made, with its coordinate maps and
+    kernel tables.
 
-    G(R_m) -> G(R_{m-1}) has the abelian kernel I + pi^(m-1) V, V the
-    F_p-span of the top pi-adic digits of the kernel generators, with the
-    reduced echelon basis B_0..B_(k-1).  ``_lift`` runs a BFS over the
-    lower table under the level-m generators: it moves on lower indices
-    with ``maps[g]`` (the lower rho column of the projection of g) and
-    forms each product s_j g as a level-m ``mat_mul``.  The first product
-    over a new lower element J becomes its lift s_J (s_0 = I); every
-    product gives the cocycle c(j, g) in F_p^k, s_j g = (I + pi^(m-1) X_c)
-    s_J, read as the digits at the pivots of V of (D(s_j g) - D(s_J))
-    s_r^-1, with D the top digits and s_r the residue of J.  Each product
-    is compared entry by entry with the matrix rebuilt from (J, c), so a
-    product that is not a kernel element times its lift raises
-    IdentityError, and the lifts are checked against the lower table.
+    V is the F_p-span of the top pi-adic digits of the kernel generators.
+    ``_lift`` runs a BFS over the lower table under the level-m
+    generators: it moves on lower indices with ``maps[g]`` (the lower rho
+    column of the projection of g) and forms each product s_j g as a
+    level-m ``mat_mul``.  The first product over a new lower element J
+    becomes its lift s_J (s_0 = I); every product gives the cocycle
+    c(j, g) in F_p^k, s_j g = (I + pi^(m-1) X_c) s_J, read as the digits at
+    the pivots of V of (D(s_j g) - D(s_J)) s_r^-1, with D the top digits
+    and s_r the residue of J.  Each product is compared entry by entry
+    with the matrix rebuilt from (J, c), so a product that is not a kernel
+    element times its lift raises IdentityError, and the lifts are checked
+    against the lower table.
 
-    The element x = (I + pi^(m-1) X_v) s_j has the id j |V| + v, v the
-    coordinates of X_v in base p.  The generated group H fills every id:
-    by Schreier's lemma H meets the kernel in the span of the cocycles,
-    which ``_lift`` checks has rank k, and every lower element is lifted.
-    Since pi^(2(m-1)) = 0, x g = (I + pi^(m-1) (X_v + X_c)) s_J, so
-    ``rho`` is a broadcast over (j, v) of maps[g][j] |V| + (v + c(j, g)
-    digitwise mod p), ``inverses`` follows from the lower inverses and one
-    checked product s_j s_j' per lower element, and Ad(r) on V for every
-    residue r is read off |R| k more checked products (``_adjoint``).  The
-    matrices are left to ``_matrices``, called when they are first read.
+    The generated group H fills every id j |V| + v: by Schreier's lemma H
+    meets the kernel in the span of the cocycles, which ``_lift`` checks
+    has rank k, and every lower element is lifted.  Since
+    pi^(2(m-1)) = 0, x g = (I + pi^(m-1) (X_v + X_c)) s_J, so the record
+    fixes ``rho``; the inverse cocycles come from one checked product
+    s_j s_j' per lower element (``_inverse_cocycles``), and Ad(r) on V for
+    every residue r from |R| k more checked products (``_adjoint``).
     """
 
     def __init__(self, ring, gen_mats, lower, kernel, name, cap):
@@ -935,7 +1028,6 @@ class _KernelIndex:
                            f"lower elements times |V| = {self.nV} give "
                            f"{lower.size * self.nV} elements, so enumeration "
                            f"would reach {cap + 1}")
-        self.digit_add = _digit_add(p, k)
         self.res, self.first = _residues(lower)
         self.residues = lower.ring.mat_project(lower.mats[self.first], 1)
         inverses = lower.ring.mat_project(
@@ -948,19 +1040,19 @@ class _KernelIndex:
         cols = {encode_mat(g): c for c, (_, g) in enumerate(lower.generators)}
         ident = encode_mat(low.identity_mat(d))
         per = self.per = max(1, PIECE // d**3)  # products of one piece
-        self.maps = []
-        for g in gen_mats:
+        self.maps = np.empty((len(gen_mats), lower.size), dtype=np.int32)
+        for g, row in zip(gen_mats, self.maps):
             gp = ring.mat_project(g, low.m)
             key = encode_mat(gp)
             if key == ident:
-                self.maps.append(np.arange(lower.size, dtype=np.int32))
+                row[:] = np.arange(lower.size)
             elif key in cols:
-                self.maps.append(np.ascontiguousarray(lower.rho[:, cols[key]]))
+                row[:] = lower.rho[:, cols[key]]
             else:
-                self.maps.append(np.concatenate([
+                row[:] = np.concatenate([
                     lower.lookup_batch(low.mat_mul(lower.mats[r:r + per], gp))
                     for r in range(0, lower.size, per)
-                ]).astype(np.int32))
+                ])
         self._lift(ring, gen_mats, lower)
 
     def _lift(self, ring, gen_mats, lower):
@@ -1047,60 +1139,24 @@ class _KernelIndex:
     def rebuild(self, J, v):
         return _rebuild(self.ring, self.tables, self.res, self.lifts, J, v)
 
-    def rho(self):
-        """rho[j |V| + v, g] = maps[g][j] |V| + (v + c(j, g)): one gather
-        of the rows v -> v + c of the distinct cocycle values c and an add,
-        for a block of lower elements and every generator at a time."""
-        L, nV = self.lifts.shape[0], self.nV
-        vals, at = _distinct(self.coc, nV)
-        rows = self.digit_add(vals[:, None], np.arange(nV)).astype(np.int32)
-        J = np.stack(self.maps) * np.int32(nV)
-        rho = np.empty((L, nV, len(self.maps)), dtype=np.int32)
-        step = max(1, RHO_BLOCK // rho[0].size)
-        for lo in range(0, L, step):
-            block = rows.take(at[:, lo:lo + step], axis=0)  # (ngens, j, v)
-            block += J[:, lo:lo + step, None]
-            rho[lo:lo + step] = block.transpose(1, 2, 0)
-        return rho.reshape(L * nV, -1)
-
-    def inverses(self, lower, adj):
-        """inv[j |V| + v] = j' |V| + u: with j' = lower.inv[j], r = res[j']
-        and s_j s_j' = I + pi^(m-1) X_e, x^-1 = s_j' (I - pi^(m-1) X_e)
-        (I - pi^(m-1) X_v) = (I - pi^(m-1) Ad(r) (X_e + X_v)) s_j', so u is
-        -(e + v) Ad(r): one gather of the rows v -> u of the distinct
-        pairs (r, e).  The |G_(m-1)| products s_j s_j' are compared entry
-        by entry with I + pi^(m-1) X_e, and the result must be an
-        involution."""
-        L, nV, p, per = self.lifts.shape[0], self.nV, self.p, self.per
+    def _inverse_cocycles(self, lower):
+        """e[j], s_j s_j' = I + pi^(m-1) X_e for j' = lower.inv[j]: the
+        |G_(m-1)| products, each compared entry by entry with the matrix
+        rebuilt from its coordinates."""
+        L, per = self.lifts.shape[0], self.per
         jp = lower.inv
-        e = np.concatenate([
+        return np.concatenate([
             self._cocycles(
                 self.ring.mat_mul(self.lifts[lo:lo + per],
                                   self.lifts[jp[lo:lo + per]]),
                 np.zeros(min(L, lo + per) - lo, dtype=np.int64))
             for lo in range(0, L, per)])
-        pairs, at = _distinct(self.res[jp].astype(np.int64) * nV + e,
-                              adj.shape[0] * nV)
-        r, e = np.divmod(pairs, nV)
-        neg = _reduction_table(-adj.astype(np.int64) % p, p).reshape(-1, nV)
-        rows = np.take_along_axis(
-            neg[r], self.digit_add(e[:, None], np.arange(nV)), axis=1)
-        inv = rows.take(at, axis=0)
-        inv += jp[:, None] * nV
-        inv = inv.ravel()
-        if not (inv[inv] == np.arange(inv.size)).all():
-            raise IdentityError(f"the derived inverse map of {self.name} "
-                                f"is not an involution")
-        return inv
 
-    def table(self, lower, gens, dim_scheme):
-        """The GroupTable, its matrices left to be rebuilt on first read."""
+    def record(self, lower):
         adj = self._adjoint()
-        matrices = functools.partial(_matrices, self.ring, self.lifts,
-                                     self.res, self.residues, self.basis)
-        return GroupTable(self.ring, matrices, self.inverses(lower, adj),
-                          self.rho(), gens, self.name, dim_scheme,
-                          Fibres(self.p, self.res, adj))
+        return LiftRecord(self.ring, self.lifts, self.coc, self.maps,
+                          self._inverse_cocycles(lower), lower.inv, self.res,
+                          self.residues, adj, self.basis)
 
 
 def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
@@ -1136,7 +1192,7 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
     dim_scheme = dim_scheme if dim_scheme is not None else d
     if lower is not None:
         return _KernelIndex(ring, gen_mats, lower, kernel, name, cap) \
-            .table(lower, gens, dim_scheme)
+            .record(lower).table(gens, name, dim_scheme)
     index = _KeyIndex(ring, gen_mats, d, name)
     ngens = len(gens)
     # element x > 0 is parent[x] * gen_mats[letter[x]]

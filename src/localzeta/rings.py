@@ -203,10 +203,14 @@ class Ring:
         size = self.size
         if self.kind == "zn" or (self.kind == "zq" and self.f == 1):
             mod = self.n if self.kind == "zn" else self.p**self.m
-            idx = np.arange(size, dtype=np.int64)
-            self.ADD = ((idx[:, None] + idx[None, :]) % mod).astype(np.int32)
-            self.MUL = ((idx[:, None] * idx[None, :]) % mod).astype(np.int32)
-            self.NEG = ((-idx) % mod).astype(np.int32)
+            # int32 throughout, reduced in place: RING_TABLE_CAP bounds
+            # every product by 4095^2 < 2^31
+            idx = np.arange(size, dtype=np.int32)
+            self.ADD = np.add.outer(idx, idx)
+            self.ADD %= mod
+            self.MUL = np.multiply.outer(idx, idx)
+            self.MUL %= mod
+            self.NEG = -idx % mod
             self._fast_mod = int(mod)
         else:
             self._build_poly_tables()

@@ -25,6 +25,7 @@ def run_cli(args, env_extra=None, timeout=None):
 
 
 DET3 = "a*e*i+b*f*g+c*d*h-c*e*g-b*d*i-a*f*h"
+ENTRIES = "table-*.bin"  # the disk-cache entries of a cache directory
 CC_ARGS = ["cc", "--group", "heisenberg", "--ring", "zq:p=2,f=1,m=3",
            "--levels", "3"]
 
@@ -65,7 +66,7 @@ def test_cold_and_warm_cache_agree(tmp_path):
     env = {"ZETA_CACHE_DIR": str(tmp_path)}
     cold = run_cli(CC_ARGS, env)
     assert cold.returncode == 0
-    entries = list(tmp_path.glob("table-*.npz"))
+    entries = list(tmp_path.glob(ENTRIES))
     assert entries
     warm = run_cli(CC_ARGS, env)
     assert warm.returncode == 0
@@ -76,7 +77,7 @@ def test_cold_and_warm_cache_agree(tmp_path):
 def test_corrupted_cache_recomputes(tmp_path):
     env = {"ZETA_CACHE_DIR": str(tmp_path)}
     clean = run_cli(CC_ARGS, env)
-    for entry in tmp_path.glob("table-*.npz"):
+    for entry in tmp_path.glob(ENTRIES):
         entry.write_bytes(b"not an archive")
     again = run_cli(CC_ARGS, env)
     assert again.returncode == 0
@@ -91,12 +92,12 @@ def test_cache_version_bump_ignores_old_entries(tmp_path, monkeypatch):
     cache.clear_memo()
     ring = make_ring("zq", 2, 1, 2)
     t1 = cache.table_for("heisenberg", ring)
-    before = set(tmp_path.glob("table-*.npz"))
+    before = set(tmp_path.glob(ENTRIES))
     assert len(before) == 2  # level 2 and the level 1 it was built over
     cache.clear_memo()
     monkeypatch.setattr(cache, "FORMAT_VERSION", cache.FORMAT_VERSION + 1)
     t2 = cache.table_for("heisenberg", ring)
-    after = set(tmp_path.glob("table-*.npz"))
+    after = set(tmp_path.glob(ENTRIES))
     # old entries untouched but unused; fresh ones were written
     assert before < after and len(after) == 4
     assert t1.size == t2.size
@@ -105,21 +106,18 @@ def test_cache_version_bump_ignores_old_entries(tmp_path, monkeypatch):
 
 def test_an_entry_of_an_older_format_is_reported_as_such(tmp_path,
                                                         monkeypatch, capsys):
-    # a version-2 header has no "fibres" field; the discard names the
-    # version, not the missing field
+    # the discard names the version, before any other field is read
     from localzeta.rings import make_ring
 
     monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
     cache.clear_memo()
     ring = make_ring("zq", 2, 1, 2)
     fresh = cache.table_for("heisenberg", ring)
-    path = cache._cache_path(cache.as_family("heisenberg"), ring)
+    path = tmp_path / os.path.basename(
+        cache._cache_path(cache.as_family("heisenberg"), ring))
     header, arrays = _read_entry(path)
-    del header["fibres"]
-    header["version"] = 2
-    np.savez(path, header=np.frombuffer(
-        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-        **{key: arrays[key] for key in ("mats", "inv", "rho", "gen_mats")})
+    header["version"] = 4
+    _write_entry(path, header, arrays)
     cache.clear_memo()
     capsys.readouterr()
     again = cache.table_for("heisenberg", ring)
@@ -127,6 +125,35 @@ def test_an_entry_of_an_older_format_is_reported_as_such(tmp_path,
     assert err.count("discarding cache entry") == 1
     assert "header field version does not match" in err
     assert (again.mats == fresh.mats).all()
+    cache.clear_memo()
+
+
+def test_a_format_4_archive_is_never_read(tmp_path, monkeypatch, capsys):
+    # format 4 kept each table as an .npz archive named by a key over
+    # version 4; format 5 neither opens nor overwrites one
+    from localzeta.rings import make_ring
+
+    def unreadable(*args, **kwargs):
+        raise AssertionError("an .npz archive was opened")
+
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(np, "load", unreadable)
+    ring = make_ring("zq", 2, 1, 2)
+    fam = cache.as_family("heisenberg")
+    archives = []
+    for level in (ring.subring_level(1), ring):
+        key = hashlib.sha256(json.dumps(
+            [4, fam.text, fam.struct_hash(), level.literal],
+            sort_keys=True).encode()).hexdigest()[:24]
+        archives.append(tmp_path / f"table-{key}.npz")
+        archives[-1].write_bytes(b"PK\x03\x04 a format-4 archive")
+    for _ in range(2):  # cold, then warm
+        cache.clear_memo()
+        assert cache.table_for(fam, ring).size == 64
+        assert capsys.readouterr().err == ""
+    assert len(list(tmp_path.glob(ENTRIES))) == 2
+    assert all(path.read_bytes() == b"PK\x03\x04 a format-4 archive"
+               for path in archives)
     cache.clear_memo()
 
 
@@ -159,7 +186,7 @@ def test_cache_hits_respect_the_cap(tmp_path, monkeypatch):
 def test_warm_cache_keeps_the_cap_exit_code(tmp_path):
     env = {"ZETA_CACHE_DIR": str(tmp_path)}
     assert run_cli(CC_ARGS, env).returncode == 0
-    assert list(tmp_path.glob("table-*.npz"))
+    assert list(tmp_path.glob(ENTRIES))
     assert run_cli(CC_ARGS + ["--cap", "10"], env).returncode == 3
 
 
@@ -264,7 +291,7 @@ def test_a_torus_over_f2_keeps_its_tower(group, lit, orders, capsys,
         out, err = capsys.readouterr()
         assert json.loads(out)["coefficients"] == want[:-1]
         assert "cache" not in err
-    assert len(list(tmp_path.glob("table-*.npz"))) == len(orders) - 1
+    assert len(list(tmp_path.glob(ENTRIES))) == len(orders) - 1
     cache.clear_memo()
 
 
@@ -444,10 +471,26 @@ def _cc_in_process(capsys):
 
 
 def _read_entry(path):
-    with np.load(path, allow_pickle=False) as blob:
-        arrays = {key: blob[key] for key in blob.files if key != "header"}
-        header = json.loads(bytes(blob["header"]).decode())
+    """(header, arrays) of an entry: an 8-byte little-endian length, the
+    JSON header of that length, then the int32 arrays it lists, in order."""
+    data = path.read_bytes()
+    n = int.from_bytes(data[:8], "little")
+    header = json.loads(data[8:8 + n])
+    buf = np.frombuffer(data, dtype="<i4", offset=8 + n)
+    arrays, at = {}, 0
+    for key, shape in header["arrays"]:
+        size = int(np.prod(shape))
+        arrays[key] = buf[at:at + size].reshape(shape).copy()
+        at += size
+    assert at == buf.size
     return header, arrays
+
+
+def _write_entry(path, header, arrays):
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(len(text).to_bytes(8, "little") + text + b"".join(
+        np.ascontiguousarray(arrays[key], dtype="<i4").tobytes()
+        for key, _ in header["arrays"]))
 
 
 def _corrupt(field, header, arrays):
@@ -461,54 +504,61 @@ def _corrupt(field, header, arrays):
         header["provenance"][0][0] += "x"
     elif field == "name":
         header["name"] += "x"
+    elif field == "arrays":  # every shape reversed, the buffer kept
+        header["arrays"] = [[key, shape[::-1]]
+                            for key, shape in header["arrays"]]
     else:
         header[field] += 1
     return header, arrays
 
 
-@pytest.mark.parametrize(
-    "field",
-    ["mats", "inv", "rho", "gen_mats", "provenance", "name", "dim_scheme"],
-)
-def test_cache_discards_each_corrupted_field(tmp_path, monkeypatch, capsys,
-                                             field):
+def _discards_each_corrupted_entry(field, tmp_path, monkeypatch, capsys):
+    """Each entry that stores field, corrupted alone, is discarded with one
+    warning, and the report is the one without a cache."""
     monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
     fresh, _ = _cc_in_process(capsys)
     monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
     _cc_in_process(capsys)  # writes one entry per level
-    entries = sorted(tmp_path.glob("table-*.npz"))
+    entries = sorted(tmp_path.glob(ENTRIES))
     assert len(entries) == 2
+    corrupted = 0
     for path in entries:
-        header, arrays = _corrupt(field, *_read_entry(path))
-        np.savez(path, header=np.frombuffer(
-            json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-            **arrays)
-    out, err = _cc_in_process(capsys)
-    assert out == fresh
-    assert err.count("discarding cache entry") == len(entries)
+        header, arrays = _read_entry(path)
+        if field not in arrays and field not in header:
+            continue
+        _write_entry(path, *_corrupt(field, header, arrays))
+        out, err = _cc_in_process(capsys)
+        assert out == fresh
+        assert err.count("discarding cache entry") == 1
+        assert str(path) in err
+        corrupted += 1
+        # the recomputed table was stored again, byte for byte
+        assert _read_entry(path)[0] == header
     cache.clear_memo()
+    return corrupted
 
 
-@pytest.mark.parametrize("field", ["res", "adj"])
+@pytest.mark.parametrize(
+    "field",
+    ["mats", "inv", "rho", "gen_mats", "provenance", "name", "dim_scheme",
+     "arrays"],
+)
+def test_cache_discards_each_corrupted_field(tmp_path, monkeypatch, capsys,
+                                             field):
+    # the level-1 entry stores mats, inv and rho; both entries store the
+    # generators and the hashed header fields
+    want = 1 if field in ("mats", "inv", "rho") else 2
+    assert _discards_each_corrupted_entry(field, tmp_path, monkeypatch,
+                                          capsys) == want
+
+
+@pytest.mark.parametrize("field", groups.LiftRecord.ARRAYS)
 def test_cache_discards_corrupted_kernel_coordinates(tmp_path, monkeypatch,
                                                      capsys, field):
     # only the level-2 entry is enumerated over a lower level and stores
-    # kernel coordinates; its content hash covers them
-    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
-    fresh, _ = _cc_in_process(capsys)
-    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
-    _cc_in_process(capsys)
-    stored = [path for path in sorted(tmp_path.glob("table-*.npz"))
-              if _read_entry(path)[0]["fibres"]]
-    assert len(stored) == 1
-    header, arrays = _corrupt(field, *_read_entry(stored[0]))
-    np.savez(stored[0], header=np.frombuffer(
-        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-        **arrays)
-    out, err = _cc_in_process(capsys)
-    assert out == fresh
-    assert err.count("discarding cache entry") == 1
-    cache.clear_memo()
+    # its lift record; the content hash covers every array of it
+    assert _discards_each_corrupted_entry(field, tmp_path, monkeypatch,
+                                          capsys) == 1
 
 
 def test_store_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
@@ -519,12 +569,24 @@ def test_store_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     cache.table_for("heisenberg", make_ring("zq", 2, 1, 2))
     # level 2 and the level 1 it was built over
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert len(names) == 2 and all(n.endswith(".npz") for n in names)
+    assert len(names) == 2 and all(n.endswith(".bin") for n in names)
+    real = os.fdopen
 
-    def full_disk(*args, **kwargs):
-        raise OSError("no space left on device")
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(cache.np, "savez", full_disk)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(cache.os, "fdopen",
+                        lambda fd, mode: FullDisk(real(fd, mode)))
     cache.table_for("heisenberg", make_ring("zq", 2, 1, 3))
     assert "could not write cache" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == names

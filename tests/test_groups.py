@@ -123,7 +123,7 @@ def test_a_corrupted_inverse_product_raises(monkeypatch):
     # product no longer equals I + pi^(m-1) X_e
     fam, ring = Family("heisenberg"), parse_ring("zq:p=3,f=1,m=2")
     lower = fam.table(ring.subring_level(1))
-    real_inverses, real = groups._KernelIndex.inverses, \
+    real_inverses, real = groups._KernelIndex._inverse_cocycles, \
         groups._KernelIndex._coordinates
     calls = []
 
@@ -139,7 +139,7 @@ def test_a_corrupted_inverse_product_raises(monkeypatch):
             v[-1] = v[-1] - v[-1] % self.p + (v[-1] + 1) % self.p
         return v
 
-    monkeypatch.setattr(groups._KernelIndex, "inverses", marking)
+    monkeypatch.setattr(groups._KernelIndex, "_inverse_cocycles", marking)
     monkeypatch.setattr(groups._KernelIndex, "_coordinates", misread)
     with pytest.raises(IdentityError, match="off its kernel coordinates"):
         fam.table(ring, lower=lower)
@@ -590,7 +590,7 @@ def test_golden_tables(family, lit):
     G = table(family, lit)
     got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
     assert got == GOLDEN_TABLES[family, lit]
-    assert cache.FORMAT_VERSION == 4
+    assert cache.FORMAT_VERSION == 5
 
 
 def _big_int_words(mats, bits, nwords):
@@ -1078,6 +1078,104 @@ def test_cache_hits_enumerate_no_level(generated, tmp_path, monkeypatch):
     cache.clear_memo()
     cache.table_for("chevalley:A1", top)  # disk hit, memo empty
     assert generated == []
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=3,f=1,m=3"),
+    ("chevalley:A1", "zq:p=2,f=2,m=2"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=3"),
+    ("chevalley:A2", "zq:p=2,f=1,m=2"),
+    ("chevalley:B2", "fqt:p=2,f=1,m=1"),
+    ("parabolic:B2:a1", "fqt:p=2,f=1,m=2"),
+    ("borel:A2", "fqt:p=2,f=2,m=2"),
+])
+def test_a_table_from_disk_equals_the_fresh_one(tmp_path, monkeypatch,
+                                                family, lit):
+    # every level: level 1 stores its arrays (the packed-key route),
+    # levels m >= 2 their lift records (the kernel route)
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    fam, ring = Family(family), parse_ring(lit)
+    cache.clear_memo()
+    try:
+        cache.table_for(fam, ring)
+        for m in range(1, ring.m + 1):
+            level = ring.subring_level(m)
+            fresh = cache.table_for(fam, level)  # memo hit
+            loaded = cache._load_disk(fam, level)
+            assert (loaded.record is None) == (m == 1)
+            if m > 1:
+                for key, arr in fresh.record.arrays().items():
+                    got = getattr(loaded.record, key)
+                    assert got.dtype == arr.dtype and (got == arr).all(), key
+            for key in ("mats", "inv", "rho"):
+                want, got = getattr(fresh, key), getattr(loaded, key)
+                assert got.dtype == want.dtype and (got == want).all(), key
+            assert [(p, g.tolist()) for p, g in loaded.generators] \
+                == [(p, g.tolist()) for p, g in fresh.generators]
+            fib, want = loaded._fibres(), fresh._fibres()
+            assert (fib.res == want.res).all() and (fib.adj == want.adj).all()
+            assert (fib.adj.dtype, fib.nV) == (want.adj.dtype, want.nV)
+            assert loaded.class_count() == fresh.class_count()
+            assert (loaded.name, loaded.dim_scheme, loaded.d) \
+                == (fresh.name, fresh.dim_scheme, fresh.d)
+    finally:
+        cache.clear_memo()
+
+
+def test_a_store_never_builds_the_matrices(tmp_path, monkeypatch):
+    # the top table is stored as its lift record: its matrices stay a
+    # function, and rebuilding them is left to their first read
+    real, rebuilt = groups._matrices, []
+
+    def recording(ring, *args):
+        rebuilt.append(ring.literal)
+        return real(ring, *args)
+
+    monkeypatch.setattr(groups, "_matrices", recording)
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    cache.clear_memo()
+    try:
+        G = cache.table_for("chevalley:A1", parse_ring("fqt:p=2,f=1,m=3"))
+        assert len(list(tmp_path.glob("table-*.bin"))) == 3
+        assert callable(G._mats)
+        # level 2 is read once, when level 3 checks its lifts
+        assert rebuilt == ["fqt:p=2,f=1,m=2"]
+    finally:
+        cache.clear_memo()
+
+
+def test_a_disk_hit_forms_no_product_and_fetches_nothing_below(
+        tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a disk hit should not enumerate")
+
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    top = parse_ring("fqt:p=2,f=1,m=3")
+    cache.clear_memo()
+    try:
+        fresh = cache.table_for("chevalley:A1", top)
+        cache.clear_memo()
+        real_mul, products = rings.Ring.mat_mul, []
+        real_load, loaded = cache._load_disk, []
+
+        def recording_mul(self, A, B):
+            products.append(self.literal)
+            return real_mul(self, A, B)
+
+        def recording_load(fam, ring):
+            loaded.append(ring.literal)
+            return real_load(fam, ring)
+
+        monkeypatch.setattr(rings.Ring, "mat_mul", recording_mul)
+        monkeypatch.setattr(cache, "_load_disk", recording_load)
+        monkeypatch.setattr(groups, "generate", unreachable)
+        monkeypatch.setattr(Family, "table", unreachable)
+        G = cache.table_for("chevalley:A1", top)
+        assert loaded == [top.literal] and products == []
+        assert (G.rho == fresh.rho).all() and (G.inv == fresh.inv).all()
+        assert G.class_count() == fresh.class_count() and products == []
+    finally:
+        cache.clear_memo()
 
 
 def test_order_law_refuses_before_any_top_level_product(monkeypatch):

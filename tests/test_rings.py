@@ -415,6 +415,31 @@ def test_kronecker_mat_mul_memory_is_linear_in_the_batch(d, batch):
     assert peak <= 4 * batch * d * d * 8
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("zq", {"p": 2, "f": 1, "m": 12}),
+    ("zn", {"n": 4095}),
+], ids=["zq:p=2,f=1,m=12", "zn:n=4095"])
+def test_residue_ring_tables_match_the_int64_formula(kind, params):
+    # ADD and MUL are int32 outer sums and products reduced in place: no
+    # int64 temporary of |R|^2 entries, and the tables of the int64 formula
+    tracemalloc.start()
+    try:
+        ring = Ring(kind, **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = mod = ring.size
+    assert peak <= 2 * size * size * 4 + (16 << 20)
+    idx = np.arange(size, dtype=np.int64)
+    for lo in range(0, size, 512):
+        rows = idx[lo:lo + 512, None]
+        for table, want in ((ring.ADD, rows + idx), (ring.MUL, rows * idx)):
+            assert table.dtype == np.int32
+            assert table[lo:lo + 512].tobytes() \
+                == (want % mod).astype(np.int32).tobytes()
+    assert ring.NEG.tobytes() == ((-idx) % mod).astype(np.int32).tobytes()
+
+
 def test_coefficient_array_is_built_once():
     ring = Ring("fqt", p=3, f=2, m=2)
     C = ring._coeff_array()
