@@ -33,13 +33,13 @@ with no matrix product:
 * congruence depth w(x,y) = min entry valuation of xy - yx, and the
   parabolic depth lambda_S via level projections.
 
-Orbits are labelled on nodes (``Fibres``): on a kernel-route table the
-kernel K = I + pi^(m-1) V acts on x = (I + pi^(m-1) X_v) s_j by
-translations of v, by W_r = (1 - Ad r) V under conjugation and by
-V_P1 + Ad(r) V_P2 under the two-sided action, r the residue of s_j.  A
-node is one such translation class; generators map nodes to nodes, so the
-orbits are the components of a graph on the nodes.  A table with no
-kernel is the case V = 0, every element its own node.
+Orbits are labelled on nodes, read from the table's ``LiftRecord``: on a
+kernel-route table the kernel K = I + pi^(m-1) V acts on
+x = (I + pi^(m-1) X_v) s_j by translations of v, by W_r = (1 - Ad r) V
+under conjugation and by V_P1 + Ad(r) V_P2 under the two-sided action, r
+the residue of s_j.  A node is one such translation class; generators map
+nodes to nodes, so the orbits are the components of a graph on the nodes.
+A table with no kernel (no record) has every element its own node.
 
 The generator list is canonically sorted, and both numberings are fixed
 by it (the lifts are chosen by a breadth-first search over the lower
@@ -197,71 +197,24 @@ def _reduction_table(M, p):
     return table.ravel()
 
 
-class Fibres:
-    """The kernel coordinates of a table enumerated over its level below.
-
-    Element x = (I + pi^(m-1) X_v) s_j has the id j |V| + v, v the base-p
-    coordinates of X_v over the reduced echelon basis B_0..B_(k-1) of V;
-    ``res[j]`` numbers the residue class of the lower element j; row i of
-    ``adj[r]`` holds the coordinates of Ad(r) B_i = r B_i r^-1 for the
-    residue r.  ``trivial`` is the case V = 0 of a table with no kernel
-    (level 1, ``zn``, the packed-key route): x = j.
-    """
-
-    def __init__(self, p, res, adj):
-        self.p, self.res, self.adj = p, res, adj
-        self.k = adj.shape[1]
-        self.nV = p**self.k
-
-    @classmethod
-    def trivial(cls, n):
-        # with k = 0 the prime never enters the arithmetic
-        return cls(2, np.zeros(n, np.int32),
-                   np.zeros((1, 0, 0), dtype=np.int8))
-
-    def kernel_span(self, idx):
-        """The reduced echelon basis, (k', k), of the v with (0, v) among
-        the element indices idx: V_P for the elements of a subgroup P."""
-        digits = idx[idx < self.nV, None] // self.p ** np.arange(self.k) \
-            % self.p
-        E, rank, _ = _echelon(digits[None], self.p)
-        return E[0, :rank[0]]
-
-    def conjugation_span(self):
-        """(R, k, k): the rows of 1 - Ad(r), spanning W_r = (1 - Ad r) V,
-        by which K moves v under conjugation."""
-        return (np.eye(self.k, dtype=np.int64) - self.adj) % self.p
-
-    def double_coset_span(self, idx1, idx2):
-        """(R, k1 + k2, k): bases of V_1 and of Ad(r) V_2, spanning the
-        translations of v by the kernel parts of the subgroups with element
-        indices idx1 and idx2."""
-        V1, V2 = self.kernel_span(idx1), self.kernel_span(idx2)
-        return np.concatenate([
-            np.broadcast_to(V1, (self.adj.shape[0],) + V1.shape),
-            V2 @ self.adj % self.p,
-        ], axis=1)
-
-
 class GroupTable:
     """An enumerated group with its right-regular table.
 
     ``rho[x, c]`` is the index of ``x * g_c`` for the c-th generator, so
     every action the counting layer needs is a gather on ``rho`` and
     ``inv``: x g = rho_g[x], g^-1 x = inv[rho_g[inv[x]]], and g^-1 x g
-    composes the two.  ``fibres`` holds the kernel coordinates of a table
-    enumerated over its level below, None for a table with no kernel.
-    ``mats`` is an (N, d, d) int32 array, or a function that builds it,
-    called on the first read: the counting layer reads only ``rho``,
-    ``inv`` and ``fibres``.  A table enumerated over its level below is
-    derived from its ``record`` (``LiftRecord.table``) and keeps it: its
-    matrices are rebuilt from the lifts when first read, and the disk
-    cache stores the record, not the matrices.  ``record`` is None for a
-    table with no kernel.
+    composes the two.  ``mats`` is an (N, d, d) int32 array, or a
+    function that builds it, called on the first read: the counting layer
+    reads only ``rho``, ``inv`` and ``record``.  A table enumerated over
+    its level below is derived from its ``record`` (``LiftRecord.table``)
+    and keeps it: the record holds the kernel coordinates its orbits are
+    labelled by, its matrices are rebuilt from the lifts when first read,
+    and the disk cache stores the record, not the matrices.  ``record`` is
+    None for a table with no kernel.
     """
 
     def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
-                 fibres=None, record=None):
+                 record=None):
         self.ring = ring
         self.record = record
         self._mats = mats
@@ -272,12 +225,11 @@ class GroupTable:
         self.dim_scheme = dim_scheme
         # a table with no generators is the identity alone, built eagerly
         self.d = generators[0][1].shape[0] if generators else mats.shape[1]
-        if fibres is not None and not (
-                fibres.res.size * fibres.nV == self.size
-                and fibres.adj.shape[0] > fibres.res.max()):
+        if record is not None and not (
+                record.res.size * record.nV == self.size
+                and record.adj.shape[0] > record.res.max()):
             raise IdentityError(f"the kernel coordinates of {name} do not "
                                 f"fit its {self.size} elements")
-        self.fibres = fibres
         self._pack = _Packing(ring, self.d)
         # (sorted keys, their element indices), built on first use
         self._sorted = None
@@ -408,20 +360,17 @@ class GroupTable:
         roots = parent == np.arange(n)
         return (np.cumsum(roots) - 1)[parent]
 
-    def _fibres(self):
-        return self.fibres if self.fibres is not None \
-            else Fibres.trivial(self.size)
-
-    def _nodes(self, fib, span):
+    def _nodes(self, span):
         """(node, reps): the node of every element, nodes numbered by their
         smallest elements reps, ascending.
 
         The node of x = j |V| + v is (j, v reduced modulo the row space of
-        span[r]), r = res[j]: the orbit of x under the kernel translations
-        span[r] stands for.  Raises IdentityError unless every reduced v
-        stands for the p^rank values of its coset.
+        span[r]), r = res[j] of the record: the orbit of x under the kernel
+        translations span[r] stands for.  Raises IdentityError unless every
+        reduced v stands for the p^rank values of its coset.
         """
-        p, nV, R = fib.p, fib.nV, fib.adj.shape[0]
+        rec = self.record
+        p, nV, R = rec.ring.p, rec.nV, rec.adj.shape[0]
         M, rank = _reductions(span, p)
         red = _reduction_table(M, p).reshape(R, nV)
         stands = np.bincount((red + np.arange(R)[:, None] * nV).ravel(),
@@ -437,7 +386,7 @@ class GroupTable:
         np.minimum.at(low, at, np.tile(np.arange(nV, dtype=np.int32), R))
         rep = low[at].reshape(R, nV)
         n = self.size
-        first = rep[fib.res]
+        first = rep[rec.res]
         first += np.arange(0, n, nV, dtype=np.int32)[:, None]
         first = first.ravel()
         reps = np.flatnonzero(first == np.arange(n))
@@ -445,14 +394,19 @@ class GroupTable:
         node[reps] = np.arange(reps.size)
         return node[first], reps
 
-    def _orbits(self, fib, span, moves):
+    def _orbits(self, span, moves):
         """Orbit label per element under the gather maps moves, (action,
-        column) pairs that send nodes of span to nodes.  Each move is
-        evaluated at the node representatives only; one that fixes every
-        node is dropped, and one that is not a permutation of the nodes
-        raises IdentityError.  The nodes are numbered by their smallest
-        elements, so each orbit is numbered by its smallest element."""
-        node, reps = self._nodes(fib, span)
+        column) pairs that send nodes of span to nodes, span a function of
+        the record; with no record every element is its own node.  Each
+        move is evaluated at the node representatives only; one that fixes
+        every node is dropped, and one that is not a permutation of the
+        nodes raises IdentityError.  The nodes are numbered by their
+        smallest elements, so each orbit is numbered by its smallest
+        element."""
+        if self.record is None:
+            node = reps = np.arange(self.size)
+        else:
+            node, reps = self._nodes(span(self.record))
         nodes = np.arange(reps.size)
         perms = []
         for action, col in moves:
@@ -478,9 +432,8 @@ class GroupTable:
         on them.
         """
         if self._labels is None:
-            fib = self._fibres()
             moves = [(self.conjugate, c) for c in range(len(self.generators))]
-            self._labels = self._orbits(fib, fib.conjugation_span(), moves)
+            self._labels = self._orbits(LiftRecord.conjugation_span, moves)
         return self._labels
 
     def class_count(self):
@@ -542,10 +495,10 @@ class GroupTable:
     def _double_coset_labels(self, sub1, sub2, idx1, idx2):
         """``double_coset_labels`` with the element indices idx1 and idx2
         of the subgroups already found."""
-        fib = self._fibres()
         moves = [(self.inverse_times, c) for c in self.columns(sub1)]
         moves += [(self.times, c) for c in self.columns(sub2)]
-        return self._orbits(fib, fib.double_coset_span(idx1, idx2), moves)
+        return self._orbits(lambda rec: rec.double_coset_span(idx1, idx2),
+                            moves)
 
     def double_coset_data(self, sub1: "GroupTable", sub2: "GroupTable"):
         """(b, e): double coset count and Hecke pair count.
@@ -775,32 +728,21 @@ def _residues(lower):
 
 
 def _times_residues(ring, rows, residues):
-    """The digit rows of X s for every digit row X of rows, read as a
-    d x d matrix over F_q, and every residue matrix s: (R, n, d*d*f) from
-    (n, d*d*f) and (R, d, d), by one level-1 ``mat_mul``."""
-    p, f = ring.p, ring.f
-    n, d = rows.shape[0], residues.shape[1]
+    """The digit rows of X s, X the d x d matrix over F_q that a digit row
+    of rows reads as and s a residue matrix: rows (..., d*d*f) and
+    residues (..., d, d) broadcast like np.matmul, by one level-1
+    ``mat_mul``.  A level-1 element is the base-p number of its digits."""
+    p, f, d = ring.p, ring.f, residues.shape[-1]
     one = ring.subring_level(1)
-    # a digit row is a matrix over F_q = the level-1 ring, digit j on x^j
-    X = (rows.reshape(n, d, d, f) * p ** np.arange(f)).sum(axis=-1)
-    prods = one.mat_mul(X[None], residues[:, None])
-    return one.top_digits()[prods].reshape(len(residues), n, -1)
-
-
-def _coordinate_maps(ring, inverses, kpiv):
-    """(R, n, k) int32: row t of map r holds the digits at the pivots kpiv
-    of E_t s_r^-1, E_t the unit digit row t (entry t // f, digit t % f) and
-    s_r^-1 the r-th matrix of inverses, so that the coordinates of
-    Y s_r^-1 are Y @ map r.  E_t s_r^-1 has one nonzero row, x^(t % f)
-    times a row of s_r^-1."""
-    f, d = ring.f, inverses.shape[1]
-    one = ring.subring_level(1)
-    row, col = np.divmod(np.arange(d * d * f) // f, d)
-    prow, pcol = np.divmod(kpiv // f, d)
-    x = np.array(one.kernel_scalars())[np.arange(d * d * f) % f]
-    val = one.MUL[x[None, :, None], inverses[:, col[:, None], pcol[None]]]
-    return (one.top_digits()[val, kpiv % f]
-            * (row[:, None] == prow)).astype(np.int32)
+    X = rows.reshape(rows.shape[:-1] + (d, d, f))
+    A = X[..., f - 1].astype(np.int32)
+    for j in range(f - 2, -1, -1):
+        A = A * p + X[..., j]
+    prods = one.mat_mul(A, residues)
+    # with f = 1 an element is its own digit
+    digits = prods[..., None] if f == 1 \
+        else one.top_digits().take(prods, axis=0)
+    return digits.reshape(prods.shape[:-2] + (-1,))
 
 
 def _distinct(keys, size):
@@ -872,7 +814,8 @@ def _kernel_tables(ring, basis, residues):
     B_(lo+i), built one coordinate at a time.  One group holds every
     coordinate unless its table would pass TABLE_ENTRIES entries."""
     p, k, R, d = ring.p, basis.shape[0], len(residues), residues.shape[1]
-    top = _times_residues(ring, basis, residues)  # (R, k, d*d*f)
+    # (R, k, d*d*f): every basis row times every residue
+    top = _times_residues(ring, basis[None], residues[:, None])
     scal = np.array(ring.kernel_scalars(), dtype=np.int64)
     mult = np.arange(p)[:, None, None, None]
     steps = (mult * top.reshape(R, k, 1, d, d, -1) % p @ scal) \
@@ -904,8 +847,11 @@ class LiftRecord:
     the lower inverses (``lower_inv``) and the cocycles e[j] of
     s_j s_(lower_inv[j]) = I + pi^(m-1) X_e; the residue class ``res[j]``
     of each lower element and the residue matrices (``residues``); and
-    Ad(r) on V for each residue r (``adj``, as in ``Fibres``).  A table
-    and the record are fixed by a Schreier transversal and its cocycles.
+    Ad(r) on V for each residue r (``adj``: row i of adj[r] holds the
+    coordinates of Ad(r) B_i = r B_i r^-1).  A table and the record are
+    fixed by a Schreier transversal and its cocycles.  The record is also
+    the table's kernel description for orbit labelling: the spans below
+    give the kernel translations of each node.
 
     ``table`` is the one route from a record to its GroupTable, taken by
     a fresh enumeration (``_KernelIndex.record``) and by a disk-cache hit
@@ -971,6 +917,29 @@ class LiftRecord:
                                 f"is not an involution")
         return inv
 
+    def kernel_span(self, idx):
+        """The reduced echelon basis, (k', k), of the v with (0, v) among
+        the element indices idx: V_P for the elements of a subgroup P."""
+        p = self.ring.p
+        digits = idx[idx < self.nV, None] // p ** np.arange(self.k) % p
+        E, rank, _ = _echelon(digits[None], p)
+        return E[0, :rank[0]]
+
+    def conjugation_span(self):
+        """(R, k, k): the rows of 1 - Ad(r), spanning W_r = (1 - Ad r) V,
+        by which K moves v under conjugation."""
+        return (np.eye(self.k, dtype=np.int64) - self.adj) % self.ring.p
+
+    def double_coset_span(self, idx1, idx2):
+        """(R, k1 + k2, k): bases of V_1 and of Ad(r) V_2, spanning the
+        translations of v by the kernel parts of the subgroups with element
+        indices idx1 and idx2."""
+        V1, V2 = self.kernel_span(idx1), self.kernel_span(idx2)
+        return np.concatenate([
+            np.broadcast_to(V1, (self.adj.shape[0],) + V1.shape),
+            V2 @ self.adj % self.ring.p,
+        ], axis=1)
+
     def matrices(self):
         return _matrices(self.ring, self.lifts, self.res, self.residues,
                          self.basis)
@@ -978,16 +947,14 @@ class LiftRecord:
     def table(self, generators, name, dim_scheme):
         """The GroupTable, its matrices left to be rebuilt on first read."""
         return GroupTable(self.ring, self.matrices, self.inverses(name),
-                          self.rho(), generators, name, dim_scheme,
-                          Fibres(self.ring.p, self.res, self.adj), self)
+                          self.rho(), generators, name, dim_scheme, self)
 
 
 class _KernelIndex:
     """The enumeration of a level m >= 2 table over ``lower``, the
     level-(m-1) table of the same family: it forms and checks the products
     that fix the table's ``LiftRecord``, with no search at level m, and
-    is dropped once the record is made, with its coordinate maps and
-    kernel tables.
+    is dropped once the record is made, with its kernel tables.
 
     V is the F_p-span of the top pi-adic digits of the kernel generators.
     ``_lift`` runs a BFS over the lower table under the level-m
@@ -1020,8 +987,8 @@ class _KernelIndex:
         p = self.p = ring.p
         self.ring, self.name = ring, name
         self.top = ring.top_digits().astype(np.int8)
-        basis, kpiv = _kernel_basis(ring, kernel)
-        k = self.k = basis.shape[0]
+        self.basis, self.kpiv = _kernel_basis(ring, kernel)
+        k = self.k = self.basis.shape[0]
         self.nV = p**k
         if lower.size * self.nV > cap:
             raise TooLarge(f"group {name} exceeded cap: its {lower.size} "
@@ -1030,12 +997,9 @@ class _KernelIndex:
                            f"would reach {cap + 1}")
         self.res, self.first = _residues(lower)
         self.residues = lower.ring.mat_project(lower.mats[self.first], 1)
-        inverses = lower.ring.mat_project(
+        self.inverse_residues = lower.ring.mat_project(
             lower.mats[lower.inv[self.first]], 1)
-        self.tables = _kernel_tables(ring, basis, self.residues)
-        self.basis = basis
-        # the coordinates of Y s_r^-1 at the pivots of V, linear in Y
-        self.coord_maps = _coordinate_maps(ring, inverses, kpiv)
+        self.tables = _kernel_tables(ring, self.basis, self.residues)
         # the map j -> proj(s_j g) of each generator g on the lower table
         cols = {encode_mat(g): c for c, (_, g) in enumerate(lower.generators)}
         ident = encode_mat(low.identity_mat(d))
@@ -1083,7 +1047,7 @@ class _KernelIndex:
                 found.append(J[new])
                 self.coc[c0:c1, rows] = \
                     self._cocycles(prod, J).reshape(c1 - c0, r1 - r0)
-            frontier = np.concatenate(found)
+            frontier = np.concatenate([frontier[:0]] + found)
         if not lifted.all():
             raise GroupsError(f"the generators of {self.name} reach "
                               f"{lifted.sum()} of the {lower.size} elements "
@@ -1119,13 +1083,13 @@ class _KernelIndex:
     def _coordinates(self, prod, J):
         """The v with prod = (I + pi^(m-1) X_v) s_J, if prod is such a
         matrix: the digits of (D(prod) - D(s_J)) s_r^-1 at the pivots of
-        V, as a base-p number."""
-        y = (self.top[prod] - self.top[self.lifts[J]]) % self.p
-        y = y.reshape(len(J), -1)
-        res = self.res[J]
-        c = sum(y[:, i, None] * self.coord_maps[:, i].take(res, axis=0)
-                for i in range(y.shape[1])) % self.p
-        return c @ self.p ** np.arange(c.shape[1])
+        V, as a base-p number, s_r^-1 the inverse residue of J."""
+        y = self.top.take(prod, axis=0) \
+            - self.top.take(self.lifts.take(J, axis=0), axis=0)
+        y += (y < 0) * np.int8(self.p)  # mod p, y in (-p, p)
+        inv = self.inverse_residues.take(self.res.take(J), axis=0)
+        y = _times_residues(self.ring, y.reshape(len(J), -1), inv)
+        return y[:, self.kpiv] @ self.p ** np.arange(self.k)
 
     def _cocycles(self, prod, J):
         """The coordinates of every product over its lift, each product

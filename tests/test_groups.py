@@ -951,7 +951,9 @@ def test_a_misread_cocycle_raises(monkeypatch, family, lit):
                                  "fqt:p=2,f=1,m=2", "fqt:p=2,f=2,m=2"])
 def test_times_residues_matches_the_gather_oracle(lit):
     # the level-1 mat_mul (BLAS for zq with f = 1, _Kronecker otherwise)
-    # against verify's MUL/ADD gather, which shares no code with it
+    # against verify's MUL/ADD gather, which shares no code with it: every
+    # row times every residue, as _kernel_tables calls it, and row i times
+    # residue i, as _KernelIndex._coordinates does
     from localzeta import verify
     ring = parse_ring(lit)
     one = ring.subring_level(1)
@@ -961,9 +963,46 @@ def test_times_residues_matches_the_gather_oracle(lit):
     s = rng.integers(0, one.size, (R, d, d))
     rows = one.top_digits()[X].reshape(n, -1)
     want = one.top_digits()[verify._gather_mat_mul(one, X[None], s[:, None])]
-    got = groups._times_residues(ring, rows, s)
+    got = groups._times_residues(ring, rows[None], s[:, None])
     assert got.shape == (R, n, d * d * ring.f)
     assert (got == want.reshape(R, n, -1)).all()
+    pairs = groups._times_residues(ring, rows, s[:n])
+    assert pairs.shape == (n, d * d * ring.f)
+    assert (pairs == got[np.arange(n), np.arange(n)]).all()
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=3,f=1,m=2"),
+    ("chevalley:A1", "zq:p=2,f=2,m=2"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=2"),
+    ("heisenberg", "fqt:p=2,f=2,m=2"),
+])
+def test_coordinates_read_back_the_rebuilt_kernel_slot(family, lit):
+    # (I + pi^(m-1) X_v) s_J rebuilt from random (J, v) has the
+    # coordinates v over its lift s_J, whatever the golden tables hold
+    fam, ring = Family(family), parse_ring(lit)
+    lower = fam.table(ring.subring_level(1))
+    gens = groups._canonical_generators(fam._generators(ring))
+    index = groups._KernelIndex(
+        ring, np.array([g for _, g in gens], dtype=np.int32), lower,
+        fam.kernel_generators(ring), "G", groups.ENUM_CAP)
+    rng = np.random.default_rng(5)
+    J = rng.integers(0, lower.size, 500)
+    v = rng.integers(0, index.nV, 500)
+    assert (index._coordinates(index.rebuild(J, v), J) == v).all()
+
+
+def test_no_generators_over_a_lower_table_raise_the_unfilled_error():
+    # over the level-1 table they lift only the identity; over the
+    # identity alone they meet the kernel in nothing
+    fam, ring = Family("heisenberg"), parse_ring("zq:p=2,f=1,m=2")
+    one = ring.subring_level(1)
+    kernel = fam.kernel_generators(ring)
+    with pytest.raises(GroupsError, match="reach 1 of the 8 elements"):
+        generate(ring, [], lower=fam.table(one), kernel=kernel, d=3)
+    with pytest.raises(GroupsError, match="F_p-rank 0, not 3"):
+        generate(ring, [], lower=generate(one, [], d=3), kernel=kernel,
+                 d=3)
 
 
 @pytest.mark.parametrize("p,k", [(2, 5), (3, 3), (3, 7), (5, 4), (7, 2)])
@@ -1107,14 +1146,12 @@ def test_a_table_from_disk_equals_the_fresh_one(tmp_path, monkeypatch,
                 for key, arr in fresh.record.arrays().items():
                     got = getattr(loaded.record, key)
                     assert got.dtype == arr.dtype and (got == arr).all(), key
+                assert loaded.record.nV == fresh.record.nV
             for key in ("mats", "inv", "rho"):
                 want, got = getattr(fresh, key), getattr(loaded, key)
                 assert got.dtype == want.dtype and (got == want).all(), key
             assert [(p, g.tolist()) for p, g in loaded.generators] \
                 == [(p, g.tolist()) for p, g in fresh.generators]
-            fib, want = loaded._fibres(), fresh._fibres()
-            assert (fib.res == want.res).all() and (fib.adj == want.adj).all()
-            assert (fib.adj.dtype, fib.nV) == (want.adj.dtype, want.nV)
             assert loaded.class_count() == fresh.class_count()
             assert (loaded.name, loaded.dim_scheme, loaded.d) \
                 == (fresh.name, fresh.dim_scheme, fresh.d)
@@ -1257,9 +1294,8 @@ NODE_CASES = [
 @pytest.mark.parametrize("family,lit", NODE_CASES)
 def test_conjugation_labels_on_nodes_match_every_point(family, lit):
     G = small_table(family, lit)
-    assert G.fibres is not None
-    fib = G.fibres
-    node, reps = G._nodes(fib, fib.conjugation_span())
+    assert G.record is not None
+    node, reps = G._nodes(G.record.conjugation_span())
     assert reps.size < G.size
     keyed = keyed_table(family, lit)
     pi = assert_isomorphic(G, keyed)
@@ -1316,7 +1352,7 @@ def test_node_counts(family, lit, nodes, classes):
     # |G_(m-1)| times the orbits of G(F_q) on V: 11 for Heisenberg at q = 3
     # and 8 for A1 at q = 7
     G = table(family, lit)
-    node, reps = G._nodes(G.fibres, G.fibres.conjugation_span())
+    node, reps = G._nodes(G.record.conjugation_span())
     assert reps.size == nodes
     assert np.bincount(node).sum() == G.size
     assert G.class_count() == classes
@@ -1359,8 +1395,9 @@ def test_a_move_that_is_no_node_permutation_raises(monkeypatch):
 
 def test_kernel_coordinates_must_fit_the_table():
     G = table("heisenberg", "zq:p=2,f=1,m=2")
-    fib = G.fibres
-    short = groups.Fibres(fib.p, fib.res[:-1], fib.adj)
+    arrays = G.record.arrays()
+    arrays["res"] = arrays["res"][:-1]
+    short = groups.LiftRecord(G.ring, **arrays)
     with pytest.raises(IdentityError, match="do not fit"):
         GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators, G.name,
                    G.dim_scheme, short)
@@ -1378,8 +1415,8 @@ def test_a_table_loaded_from_disk_labels_on_its_stored_nodes(
     generated.clear()
     loaded = cache.table_for("chevalley:A1", top)  # disk hit, memo empty
     assert generated == [] and loaded is not fresh
-    for a, b in ((loaded.fibres.res, fresh.fibres.res),
-                 (loaded.fibres.adj, fresh.fibres.adj)):
+    for a, b in ((loaded.record.res, fresh.record.res),
+                 (loaded.record.adj, fresh.record.adj)):
         assert a.dtype == b.dtype and (a == b).all()
     assert (loaded.conjugation_labels() == want).all()
     assert (loaded.double_coset_labels(borel, borel) == want2).all()
