@@ -17,8 +17,8 @@ follow by gathers, and the matrices are rebuilt when first read.
 Level-1 tables and ``zn`` are searched breadth-first with packed integer
 keys (``_KeyIndex``).  ``lookup_batch`` and ``contains_batch`` search a
 table's sorted keys, built on first use, for either route.  Every product
-that is formed is confirmed entry by entry, so a wrong V or a key
-collision raises IdentityError instead of mis-filing an element.
+that is formed is confirmed, entry or digit by digit, so a wrong V or a
+key collision raises IdentityError instead of mis-filing an element.
 
 On top of the table sit the counting routines used by the zeta layer;
 their group actions are integer gathers on ``rho`` and the inverse map,
@@ -56,7 +56,7 @@ from .chevalley import chevalley_group
 ENUM_CAP = 2_000_000
 PAIR_SCAN_CAP = 20_000
 PIECE = 1 << 18  # multiply-adds in one mat_mul call of generate
-TABLE_ENTRIES = 1 << 22  # in one kernel table of generate
+TABLE_ENTRIES = 1 << 22  # in one kernel table of _matrices
 RHO_BLOCK = 1 << 16  # rho entries of one block of the kernel route
 FOLD_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying is a bijection
 
@@ -779,32 +779,23 @@ def _digit_add(p, k):
     return add
 
 
-def _rebuild(ring, tables, res, lifts, J, v):
-    """(I + pi^(m-1) X_v) s_J = s_J + pi^(m-1) X_v s_r, r = res[J], for
-    arrays J, v: X_v s_r read from ``_kernel_tables`` and added one table
-    at a time by the ring's ADD table."""
-    r, x = res.take(J), lifts.take(J, axis=0)
-    for s, w, table in tables:
-        at = x * ring.size
-        at += table.take(r * w + v // s % w, axis=0)
-        x = ring.ADD.take(at)
-    return x
-
-
 def _matrices(ring, lifts, res, residues, basis):
     """Every matrix of a table enumerated over its level below, element
     j |V| + v at row j |V| + v, in pieces of whole fibres, from what
     rebuilding needs: the lifts, the residue class of each lower element,
-    the residue matrices and the basis of V."""
+    the residue matrices and the basis of V.  X_v s_r, r = res[J], is read
+    from ``_kernel_tables`` and added to s_J by the ring's ADD table."""
     tables = _kernel_tables(ring, basis, residues)
     (L, d, _), nV = lifts.shape, ring.p ** basis.shape[0]
     mats = np.empty((L * nV, d, d), dtype=np.int32)
-    step = max(1, PIECE // d**3 // nV)
+    step, v = max(1, PIECE // d**3 // nV), np.arange(nV)
     for lo in range(0, L, step):
-        hi = min(L, lo + step)
-        mats[lo * nV:hi * nV] = _rebuild(
-            ring, tables, res, lifts, np.repeat(np.arange(lo, hi), nV),
-            np.tile(np.arange(nV), hi - lo))
+        J = np.arange(lo, min(L, lo + step))[:, None]
+        x = lifts[J]  # (J, 1, d, d), broadcast over every v of the fibre
+        for s, w, table in tables:
+            x = ring.ADD.take(x * ring.size
+                              + table.take(res[J] * w + v // s % w, axis=0))
+        mats[lo * nV:(lo + J.size) * nV] = x.reshape(-1, d, d)
     return mats
 
 
@@ -954,7 +945,7 @@ class _KernelIndex:
     """The enumeration of a level m >= 2 table over ``lower``, the
     level-(m-1) table of the same family: it forms and checks the products
     that fix the table's ``LiftRecord``, with no search at level m, and
-    is dropped once the record is made, with its kernel tables.
+    is dropped once the record is made.
 
     V is the F_p-span of the top pi-adic digits of the kernel generators.
     ``_lift`` runs a BFS over the lower table under the level-m
@@ -964,10 +955,10 @@ class _KernelIndex:
     becomes its lift s_J (s_0 = I); every product gives the cocycle
     c(j, g) in F_p^k, s_j g = (I + pi^(m-1) X_c) s_J, read as the digits at
     the pivots of V of (D(s_j g) - D(s_J)) s_r^-1, with D the top digits
-    and s_r the residue of J.  Each product is compared entry by entry
-    with the matrix rebuilt from (J, c), so a product that is not a kernel
-    element times its lift raises IdentityError, and the lifts are checked
-    against the lower table.
+    and s_r the residue of J.  Each product is checked digit by digit
+    (``_cocycles``), so a product that is not a kernel element times its
+    lift raises IdentityError, and the lifts are checked against the
+    lower table.
 
     The generated group H fills every id j |V| + v: by Schreier's lemma H
     meets the kernel in the span of the cocycles, which ``_lift`` checks
@@ -987,6 +978,7 @@ class _KernelIndex:
         p = self.p = ring.p
         self.ring, self.name = ring, name
         self.top = ring.top_digits().astype(np.int8)
+        self.scal = np.array(ring.kernel_scalars(), dtype=np.int32)
         self.basis, self.kpiv = _kernel_basis(ring, kernel)
         k = self.k = self.basis.shape[0]
         self.nV = p**k
@@ -999,7 +991,16 @@ class _KernelIndex:
         self.residues = lower.ring.mat_project(lower.mats[self.first], 1)
         self.inverse_residues = lower.ring.mat_project(
             lower.mats[lower.inv[self.first]], 1)
-        self.tables = _kernel_tables(ring, self.basis, self.residues)
+        one = ring.subring_level(1)
+        if not (one.mat_mul(self.residues, self.inverse_residues)
+                == one.identity_mat(d)).all():
+            raise IdentityError(f"an inverse residue of {name} is wrong")
+        # rows[v]: the digit row of X_v = sum_i v_i B_i, one digit at a time
+        self.rows = np.zeros((1, self.basis.shape[1]), dtype=np.int8)
+        for b in self.basis:
+            self.rows = np.concatenate([
+                (self.rows + (a * b % p).astype(np.int8)) % p
+                for a in range(p)])
         # the map j -> proj(s_j g) of each generator g on the lower table
         cols = {encode_mat(g): c for c, (_, g) in enumerate(lower.generators)}
         ident = encode_mat(low.identity_mat(d))
@@ -1070,43 +1071,41 @@ class _KernelIndex:
         """(R, k, k) int8: row i of adj[r] holds the coordinates of
         Ad(r) B_i = r B_i r^-1, as the cocycle of the product
         s_J (I + pi^(m-1) B_i) = (I + pi^(m-1) r B_i r^-1) s_J over s_J,
-        J = first[r] of residue r; ``_cocycles`` compares every product
-        with its rebuilt matrix."""
+        J = first[r] of residue r; ``_cocycles`` checks every product."""
         p, k, first = self.p, self.k, self.first
-        units = p ** np.arange(k)
-        basis = self.rebuild(np.zeros(k, dtype=np.int64), units)
-        d = basis.shape[-1]
+        units, d = p ** np.arange(k), self.lifts.shape[-1]
+        # I has top digits 0 at m >= 2, so adding pi^(m-1) B_i cannot carry
+        basis = self.ring.identity_mat(d) + self.basis.reshape(k, d, d, -1) \
+            @ self.scal
         prod = self.ring.mat_mul(self.lifts[first][:, None], basis[None])
         v = self._cocycles(prod.reshape(-1, d, d), np.repeat(first, k))
         return (v[:, None] // units % p).reshape(-1, k, k).astype(np.int8)
 
-    def _coordinates(self, prod, J):
-        """The v with prod = (I + pi^(m-1) X_v) s_J, if prod is such a
-        matrix: the digits of (D(prod) - D(s_J)) s_r^-1 at the pivots of
-        V, as a base-p number, s_r^-1 the inverse residue of J."""
-        y = self.top.take(prod, axis=0) \
-            - self.top.take(self.lifts.take(J, axis=0), axis=0)
+    def _cocycles(self, prod, J):
+        """The v with prod = (I + pi^(m-1) X_v) s_J for each product over
+        its lift, checked by digits: with y = D(prod) - D(s_J), D the top
+        digits, prod - s_J must be y scal entrywise (an index is its digits
+        below pi^(m-1) plus D scal, with no carry), and z = (y mod p) s_r^-1
+        the digit row of X_v, s_r^-1 the inverse residue of J."""
+        low = self.lifts.take(J, axis=0)
+        y = self.top.take(prod, axis=0) - self.top.take(low, axis=0)
+        low -= prod  # s_J - prod + y scal, 0 iff every lower digit agrees
+        for j, u in enumerate(self.scal):
+            low += y[..., j] * u
+        off = low.any()
+        del low  # not held through the level-1 product
         y += (y < 0) * np.int8(self.p)  # mod p, y in (-p, p)
         inv = self.inverse_residues.take(self.res.take(J), axis=0)
-        y = _times_residues(self.ring, y.reshape(len(J), -1), inv)
-        return y[:, self.kpiv] @ self.p ** np.arange(self.k)
-
-    def _cocycles(self, prod, J):
-        """The coordinates of every product over its lift, each product
-        compared entry by entry with the matrix rebuilt from them."""
-        v = self._coordinates(prod, J)
-        if not (self.rebuild(J, v) == prod).all():
+        z = _times_residues(self.ring, y.reshape(len(J), -1), inv)
+        v = z[:, self.kpiv] @ self.p ** np.arange(self.k)
+        if off or (z != self.rows.take(v, axis=0)).any():
             raise IdentityError(
                 f"a product of {self.name} lies off its kernel coordinates")
         return v
 
-    def rebuild(self, J, v):
-        return _rebuild(self.ring, self.tables, self.res, self.lifts, J, v)
-
     def _inverse_cocycles(self, lower):
         """e[j], s_j s_j' = I + pi^(m-1) X_e for j' = lower.inv[j]: the
-        |G_(m-1)| products, each compared entry by entry with the matrix
-        rebuilt from its coordinates."""
+        |G_(m-1)| products, each checked by ``_cocycles``."""
         L, per = self.lifts.shape[0], self.per
         jp = lower.inv
         return np.concatenate([

@@ -118,13 +118,21 @@ def test_generators_that_miss_part_of_the_kernel_raise():
     assert generate(ring, gens).size == lower.size
 
 
+def read_off_by_one(index):
+    """Make ``_cocycles`` of index check each product's coordinates v as
+    if read off by the first basis vector of V: against the digit row of
+    X_v + B_0 in place of X_v."""
+    v = np.arange(index.nV)
+    index.rows = index.rows[v - v % index.p + (v + 1) % index.p]
+
+
 def test_a_corrupted_inverse_product_raises(monkeypatch):
-    # one coordinate e_j of a product s_j s_j' read off by one: the
-    # product no longer equals I + pi^(m-1) X_e
+    # the coordinates e_j of the products s_j s_j' read off by one: the
+    # products no longer equal I + pi^(m-1) X_e
     fam, ring = Family("heisenberg"), parse_ring("zq:p=3,f=1,m=2")
     lower = fam.table(ring.subring_level(1))
     real_inverses, real = groups._KernelIndex._inverse_cocycles, \
-        groups._KernelIndex._coordinates
+        groups._KernelIndex._cocycles
     calls = []
 
     def marking(self, *args):
@@ -132,15 +140,13 @@ def test_a_corrupted_inverse_product_raises(monkeypatch):
         return real_inverses(self, *args)
 
     def misread(self, prod, J):
-        v = real(self, prod, J)
         if getattr(self, "inverting", False):
-            calls.append(len(v))
-            v = v.copy()
-            v[-1] = v[-1] - v[-1] % self.p + (v[-1] + 1) % self.p
-        return v
+            calls.append(len(J))
+            read_off_by_one(self)
+        return real(self, prod, J)
 
     monkeypatch.setattr(groups._KernelIndex, "_inverse_cocycles", marking)
-    monkeypatch.setattr(groups._KernelIndex, "_coordinates", misread)
+    monkeypatch.setattr(groups._KernelIndex, "_cocycles", misread)
     with pytest.raises(IdentityError, match="off its kernel coordinates"):
         fam.table(ring, lower=lower)
     assert calls == [lower.size]
@@ -927,21 +933,19 @@ def test_an_element_off_the_kernel_span_raises():
     ("chevalley:A1", "fqt:p=2,f=1,m=3"),
 ])
 def test_a_misread_cocycle_raises(monkeypatch, family, lit):
-    # one cocycle c(j, g) read off by the first basis vector of V: the
-    # product no longer equals the matrix rebuilt from it
+    # the cocycles c(j, g) of the second piece read off by the first basis
+    # vector of V: the products no longer match the digits of X_c
     fam, ring = Family(family), parse_ring(lit)
     lower = fam.table(ring.subring_level(ring.m - 1))
-    real, calls = groups._KernelIndex._coordinates, []
+    real, calls = groups._KernelIndex._cocycles, []
 
     def misread(self, prod, J):
-        v = real(self, prod, J)
-        calls.append(len(v))
+        calls.append(len(J))
         if len(calls) == 2:
-            v = v.copy()
-            v[-1] = v[-1] - v[-1] % self.p + (v[-1] + 1) % self.p
-        return v
+            read_off_by_one(self)
+        return real(self, prod, J)
 
-    monkeypatch.setattr(groups._KernelIndex, "_coordinates", misread)
+    monkeypatch.setattr(groups._KernelIndex, "_cocycles", misread)
     with pytest.raises(IdentityError, match="off its kernel coordinates"):
         fam.table(ring, lower=lower)
     assert len(calls) == 2
@@ -952,8 +956,8 @@ def test_a_misread_cocycle_raises(monkeypatch, family, lit):
 def test_times_residues_matches_the_gather_oracle(lit):
     # the level-1 mat_mul (BLAS for zq with f = 1, _Kronecker otherwise)
     # against verify's MUL/ADD gather, which shares no code with it: every
-    # row times every residue, as _kernel_tables calls it, and row i times
-    # residue i, as _KernelIndex._coordinates does
+    # row times every residue, as _kernel_tables calls it for the matrix
+    # rebuild, and row i times residue i, as _KernelIndex._cocycles does
     from localzeta import verify
     ring = parse_ring(lit)
     one = ring.subring_level(1)
@@ -971,6 +975,18 @@ def test_times_residues_matches_the_gather_oracle(lit):
     assert (pairs == got[np.arange(n), np.arange(n)]).all()
 
 
+def kernel_index(family, lit):
+    """(index, lower): the enumeration of the level-m table over the
+    level-(m-1) one, with its lifts and cocycles made."""
+    fam, ring = Family(family), parse_ring(lit)
+    lower = fam.table(ring.subring_level(ring.m - 1))
+    gens = groups._canonical_generators(fam._generators(ring))
+    index = groups._KernelIndex(
+        ring, np.array([g for _, g in gens], dtype=np.int32), lower,
+        fam.kernel_generators(ring), "G", groups.ENUM_CAP)
+    return index, lower
+
+
 @pytest.mark.parametrize("family,lit", [
     ("heisenberg", "zq:p=3,f=1,m=2"),
     ("chevalley:A1", "zq:p=2,f=2,m=2"),
@@ -978,18 +994,106 @@ def test_times_residues_matches_the_gather_oracle(lit):
     ("heisenberg", "fqt:p=2,f=2,m=2"),
 ])
 def test_coordinates_read_back_the_rebuilt_kernel_slot(family, lit):
-    # (I + pi^(m-1) X_v) s_J rebuilt from random (J, v) has the
-    # coordinates v over its lift s_J, whatever the golden tables hold
-    fam, ring = Family(family), parse_ring(lit)
-    lower = fam.table(ring.subring_level(1))
-    gens = groups._canonical_generators(fam._generators(ring))
-    index = groups._KernelIndex(
-        ring, np.array([g for _, g in gens], dtype=np.int32), lower,
-        fam.kernel_generators(ring), "G", groups.ENUM_CAP)
+    # the matrix at slot J |V| + v of the rebuilt table,
+    # (I + pi^(m-1) X_v) s_J, has the coordinates v over its lift s_J,
+    # whatever the golden tables hold
+    index, lower = kernel_index(family, lit)
+    mats = index.record(lower).matrices()
     rng = np.random.default_rng(5)
     J = rng.integers(0, lower.size, 500)
     v = rng.integers(0, index.nV, 500)
-    assert (index._coordinates(index.rebuild(J, v), J) == v).all()
+    assert (index._cocycles(mats[J * index.nV + v], J) == v).all()
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=3,f=1,m=2"),
+    ("chevalley:A1", "fqt:p=2,f=2,m=3"),
+])
+def test_a_product_passes_only_as_the_element_at_its_coordinates(
+        family, lit):
+    # one digit of one entry of (I + pi^(m-1) X_v) s_J changed at a time:
+    # a change below pi^(m-1) is refused, and a change in the top digits
+    # is refused or read as the coordinates of the element it now is
+    index, lower = kernel_index(family, lit)
+    ring, nV = index.ring, index.nV
+    mats = index.record(lower).matrices()
+    top = ring.top_digits()
+    J = np.array([lower.size - 1])
+    prod = mats[J * nV + nV // 2]
+    low = refused = moved = 0
+    for (a, b), i in itertools.product(np.ndindex(prod.shape[1:]),
+                                       range(len(ring.digits(0)))):
+        digits = list(ring.digits(int(prod[0, a, b])))
+        digits[i] = (digits[i] + 1) % ring.p
+        bad = prod.copy()
+        bad[0, a, b] = ring.from_digits(digits)
+        if (top[bad] == top[prod]).all():
+            low += 1
+            with pytest.raises(IdentityError, match="off its kernel"):
+                index._cocycles(bad, J)
+            continue
+        try:
+            u = index._cocycles(bad, J)
+        except IdentityError:
+            refused += 1
+        else:
+            moved += 1
+            assert (mats[J * nV + u] == bad).all()
+    assert low and refused and moved
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=3,f=1,m=2"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=2"),
+])
+def test_a_wrong_inverse_residue_raises(monkeypatch, family, lit):
+    # the lower inverse map sends the first element of one nontrivial
+    # residue class to the identity, so that class's inverse residue is
+    # wrong: the enumeration refuses it before any level-m product
+    fam, ring = Family(family), parse_ring(lit)
+    lower = fam.table(ring.subring_level(1))
+    first = groups._residues(lower)[1]
+    ident = lower.ring.identity_mat(lower.d)
+    x = next(j for j in first if (lower.mats[j] != ident).any())
+    lower.inv = lower.inv.copy()
+    lower.inv[x] = lower.lookup(ident)
+    real, formed = ring.mat_mul, []
+
+    def counting(*args):
+        formed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ring, "mat_mul", counting)
+    with pytest.raises(IdentityError, match="inverse residue"):
+        fam.table(ring, lower=lower)
+    assert formed == []
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["hecke", "--group", "B2", "--s1", "a1", "--s2", "a2",
+      "--ring", "fqt:p=2,f=1,m=3"], 0),
+    (["cc", "--group", "heisenberg", "--ring", "zq:p=3,f=1,m=5"], 2),
+    (["cc", "--group", "chevalley:A1", "--ring", "fqt:p=2,f=1,m=6"], 3),
+])
+def test_the_enumeration_builds_no_kernel_tables(monkeypatch, capsys, argv,
+                                                  built):
+    # kernel tables are built only to rebuild matrices when they are read:
+    # the lower levels whose lifts the level above checks
+    real, calls = groups._kernel_tables, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_kernel_tables", counting)
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    cache.clear_memo()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        cache.clear_memo()
+    capsys.readouterr()
+    assert len(calls) == built
 
 
 def test_no_generators_over_a_lower_table_raise_the_unfilled_error():
