@@ -210,7 +210,12 @@ def _cmd_presburger(args):
 
 
 def _cmd_transfer(args):
+    if (args.s1 is None) != (args.s2 is None):
+        raise ValueError("--s1 and --s2 go together: give both for a hecke "
+                         "transfer, neither for cc")
     primes = [int(p) for p in args.primes.split(",") if p]
+    if not primes:
+        raise ValueError(f"--primes names no prime: {args.primes!r}")
     rep = zt.transfer_report(args.group, primes, args.f, args.levels,
                              s1=args.s1, s2=args.s2, cap=args.cap)
     rep = dict(rep)

@@ -13,7 +13,8 @@ I + pi^(m-1) V, |V| = q^dim_scheme, so an element is (I + pi^(m-1) X_v)
 s_j for a lift s_j of the lower element j, and its id is its kernel slot
 j |V| + v.  Only the products over the lifts are formed; they fix a
 ``LiftRecord`` of O(|G_(m-1)|) arrays, from which rho and the inverses
-follow by gathers, and the matrices are rebuilt when first read.
+follow by gathers.  The level above reads the table through it, and its
+matrices are built, by one ``mat_mul`` per piece, only when read.
 Level-1 tables and ``zn`` are searched breadth-first with packed integer
 keys (``_KeyIndex``).  ``lookup_batch`` and ``contains_batch`` search a
 table's sorted keys, built on first use, for either route.  Every product
@@ -56,7 +57,6 @@ from .chevalley import chevalley_group
 ENUM_CAP = 2_000_000
 PAIR_SCAN_CAP = 20_000
 PIECE = 1 << 18  # multiply-adds in one mat_mul call of generate
-TABLE_ENTRIES = 1 << 22  # in one kernel table of _matrices
 RHO_BLOCK = 1 << 16  # rho entries of one block of the kernel route
 FOLD_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying is a bijection
 
@@ -207,10 +207,8 @@ class GroupTable:
     function that builds it, called on the first read: the counting layer
     reads only ``rho``, ``inv`` and ``record``.  A table enumerated over
     its level below is derived from its ``record`` (``LiftRecord.table``)
-    and keeps it: the record holds the kernel coordinates its orbits are
-    labelled by, its matrices are rebuilt from the lifts when first read,
-    and the disk cache stores the record, not the matrices.  ``record`` is
-    None for a table with no kernel.
+    and keeps it, for its orbit labels, the level above and the disk
+    cache; ``record`` is None for a table with no kernel.
     """
 
     def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
@@ -708,23 +706,38 @@ class _KeyIndex:
 
 
 def _kernel_basis(ring, kernel):
-    """(basis, pivots): the reduced echelon F_p-basis, as (k, d*d*f) digit
-    rows, of V, the span of the top digits D(k) = X over the kernel
-    generators k = I + pi^(m-1) X (D(I) = 0 at level m >= 2), and its
-    pivot columns, ascending."""
+    """The reduced echelon F_p-basis, as (k, d*d*f) digit rows, of V, the
+    span of the top digits D(k) = X over the kernel generators
+    k = I + pi^(m-1) X (D(I) = 0 at level m >= 2)."""
     A = ring.top_digits()[np.asarray(kernel)].reshape(len(kernel), -1)
-    E, rank, pivot = _echelon(A[None], ring.p)
-    return E[0, :rank[0]].astype(A.dtype), np.flatnonzero(pivot[0] >= 0)
+    E, rank, _ = _echelon(A[None], ring.p)
+    return E[0, :rank[0]].astype(A.dtype)
 
 
 def _residues(lower):
     """(res, first): res[i] numbers the residue class mod pi of the lower
-    element i, and first[r] is the first lower element of class r."""
+    element i, in the order of the residue matrices, so that every level
+    numbers them alike, and first[r] is the first element of class r."""
     res = lower.ring.mat_project(lower.mats, 1).astype(np.uint16)
     flat = np.ascontiguousarray(res.reshape(lower.size, -1))
     keys = flat.view(np.dtype((np.void, flat.shape[1] * 2))).ravel()
     _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
     return cls.astype(np.int32), first
+
+
+def _residue_data(lower):
+    """``_residues``, the residue matrix of each class and that of the
+    inverse of its first element; read off the record of a lower table
+    with one, where J |V'| + v' is in the class of J, with no matrix."""
+    rec = lower.record
+    if rec is None:
+        res, first = _residues(lower)
+        residues = lower.ring.mat_project(lower.mats[first], 1)
+    else:
+        res = np.repeat(rec.res, rec.nV)
+        first = np.unique(rec.res, return_index=True)[1] * rec.nV
+        residues = rec.residues
+    return res, first, residues, residues[res[lower.inv[first]]]
 
 
 def _times_residues(ring, rows, residues):
@@ -779,50 +792,34 @@ def _digit_add(p, k):
     return add
 
 
-def _matrices(ring, lifts, res, residues, basis):
-    """Every matrix of a table enumerated over its level below, element
-    j |V| + v at row j |V| + v, in pieces of whole fibres, from what
-    rebuilding needs: the lifts, the residue class of each lower element,
-    the residue matrices and the basis of V.  X_v s_r, r = res[J], is read
-    from ``_kernel_tables`` and added to s_J by the ring's ADD table."""
-    tables = _kernel_tables(ring, basis, residues)
-    (L, d, _), nV = lifts.shape, ring.p ** basis.shape[0]
-    mats = np.empty((L * nV, d, d), dtype=np.int32)
-    step, v = max(1, PIECE // d**3 // nV), np.arange(nV)
+def _digit_rows(basis, p):
+    """rows[v], int8: the digit row of X_v = sum_i v_i B_i over the basis
+    rows B_i, v in base p, built one coordinate at a time."""
+    rows = np.zeros((1, basis.shape[1]), dtype=np.int8)
+    for b in basis:
+        rows = np.concatenate([(rows + (a * b % p).astype(np.int8)) % p
+                               for a in range(p)])
+    return rows
+
+
+def _kernel_matrices(ring, rows, d):
+    """I + pi^(m-1) X for the digit rows of X, as (n, d, d) index
+    matrices; I has top digits 0 at m >= 2, so adding cannot carry."""
+    scal = np.array(ring.kernel_scalars(), dtype=np.int32)
+    return ring.identity_mat(d) + rows.reshape(len(rows), d, d, -1) @ scal
+
+
+def _matrices(ring, lifts, basis):
+    """Every matrix of a table enumerated over its level below: element
+    j |V| + v is (I + pi^(m-1) X_v) s_j, one ``mat_mul`` of the |V| kernel
+    matrices and the lifts of each piece of whole fibres."""
+    L, d, _ = lifts.shape
+    kernel = _kernel_matrices(ring, _digit_rows(basis, ring.p), d)
+    mats = np.empty((L, len(kernel), d, d), dtype=np.int32)
+    step = max(1, PIECE // d**3 // len(kernel))
     for lo in range(0, L, step):
-        J = np.arange(lo, min(L, lo + step))[:, None]
-        x = lifts[J]  # (J, 1, d, d), broadcast over every v of the fibre
-        for s, w, table in tables:
-            x = ring.ADD.take(x * ring.size
-                              + table.take(res[J] * w + v // s % w, axis=0))
-        mats[lo * nV:(lo + J.size) * nV] = x.reshape(-1, d, d)
-    return mats
-
-
-def _kernel_tables(ring, basis, residues):
-    """[(p^lo, p^h, table)] over groups of h coordinates of v, lo the
-    first: table[r p^h + u] is pi^(m-1) X_u s_r, X_u = sum_i u_i
-    B_(lo+i), built one coordinate at a time.  One group holds every
-    coordinate unless its table would pass TABLE_ENTRIES entries."""
-    p, k, R, d = ring.p, basis.shape[0], len(residues), residues.shape[1]
-    # (R, k, d*d*f): every basis row times every residue
-    top = _times_residues(ring, basis[None], residues[:, None])
-    scal = np.array(ring.kernel_scalars(), dtype=np.int64)
-    mult = np.arange(p)[:, None, None, None]
-    steps = (mult * top.reshape(R, k, 1, d, d, -1) % p @ scal) \
-        .astype(np.int32)  # (R, k, p, d, d)
-    h = k
-    while h > 1 and R * p**h * d * d > TABLE_ENTRIES:
-        h -= 1
-    tables = []
-    for lo in range(0, k, h):
-        table = np.zeros((R, 1, d, d), dtype=np.int32)
-        for i in range(lo, min(k, lo + h)):
-            table = np.concatenate(
-                [ring.ADD[table, steps[:, i, a, None]] for a in range(p)],
-                axis=1)
-        tables.append((p**lo, table.shape[1], table.reshape(-1, d, d)))
-    return tables
+        mats[lo:lo + step] = ring.mat_mul(kernel, lifts[lo:lo + step, None])
+    return mats.reshape(-1, d, d)
 
 
 class LiftRecord:
@@ -841,15 +838,15 @@ class LiftRecord:
     Ad(r) on V for each residue r (``adj``: row i of adj[r] holds the
     coordinates of Ad(r) B_i = r B_i r^-1).  A table and the record are
     fixed by a Schreier transversal and its cocycles.  The record is also
-    the table's kernel description for orbit labelling: the spans below
-    give the kernel translations of each node.
+    the table's kernel description for orbit labelling (the spans below)
+    and what the level above reads the table by: its residue classes and
+    the coordinates its lifts are checked with.
 
-    ``table`` is the one route from a record to its GroupTable, taken by
-    a fresh enumeration (``_KernelIndex.record``) and by a disk-cache hit
-    alike: ``rho`` by a broadcast, the inverses by the kernel formula with
-    an involution check, and the matrices left to ``_matrices``, called
-    when they are first read.  The table keeps the record, so a store
-    never builds its matrices.
+    ``table`` is the one route from a record to its GroupTable, for a
+    fresh enumeration and a disk-cache hit alike: ``rho`` by a broadcast,
+    the inverses by the kernel formula with an involution check, and the
+    matrices by ``_matrices`` when first read, so a store never builds
+    them.
     """
 
     ARRAYS = ("lifts", "coc", "maps", "e", "lower_inv", "res", "residues",
@@ -932,8 +929,7 @@ class LiftRecord:
         ], axis=1)
 
     def matrices(self):
-        return _matrices(self.ring, self.lifts, self.res, self.residues,
-                         self.basis)
+        return _matrices(self.ring, self.lifts, self.basis)
 
     def table(self, generators, name, dim_scheme):
         """The GroupTable, its matrices left to be rebuilt on first read."""
@@ -941,32 +937,68 @@ class LiftRecord:
                           self.rho(), generators, name, dim_scheme, self)
 
 
-class _KernelIndex:
+class _Coordinates:
+    """The v with prod = (I + pi^(m-1) X_v) s_J, for products over the
+    lifts s_J of a level m >= 2, checked in digit space: the enumeration
+    reads its cocycles with it, and the level above its lifts over a
+    record.  With y = D(prod) - D(s_J), D the top digits, prod - s_J must
+    be y scal entrywise (an index is its digits below pi^(m-1) plus D scal
+    with no carry, so every lower digit agrees), and z = (y mod p) s_r^-1,
+    s_r^-1 the inverse residue of J, the digit row of X_v, v read at the
+    pivots of V: with checked inverse residues, exactly when prod is
+    (I + pi^(m-1) X_v) s_J."""
+
+    def __init__(self, ring, lifts, res, inverse_residues, basis):
+        self.ring, self.p, self.lifts, self.res = ring, ring.p, lifts, res
+        self.inverse_residues, self.basis = inverse_residues, basis
+        self.top = ring.top_digits().astype(np.int8)
+        self.scal = np.array(ring.kernel_scalars(), dtype=np.int32)
+        self.rows = _digit_rows(basis, ring.p)
+        # the leading 1 of each row of the reduced echelon basis
+        self.pivots = (basis != 0).argmax(axis=1)
+
+    def read(self, prod, J):
+        """(v, ok): the coordinates of each product over the lift s_J, and
+        whether every product passes the digit check."""
+        p = self.p
+        low = self.lifts.take(J, axis=0)
+        y = self.top.take(prod, axis=0) - self.top.take(low, axis=0)
+        low -= prod  # s_J - prod + y scal, 0 iff every lower digit agrees
+        for j, u in enumerate(self.scal):
+            low += y[..., j] * u
+        off = low.any()
+        del low  # not held through the level-1 product
+        y += (y < 0) * np.int8(p)  # mod p, y in (-p, p)
+        inv = self.inverse_residues.take(self.res.take(J), axis=0)
+        z = _times_residues(self.ring, y.reshape(len(J), -1), inv)
+        v = z[:, self.pivots] @ p ** np.arange(self.pivots.size)
+        return v, not off and (z == self.rows.take(v, axis=0)).all()
+
+
+class _KernelIndex(_Coordinates):
     """The enumeration of a level m >= 2 table over ``lower``, the
     level-(m-1) table of the same family: it forms and checks the products
     that fix the table's ``LiftRecord``, with no search at level m, and
-    is dropped once the record is made.
+    is dropped once the record is made; the coordinates it reads are over
+    its own lifts.
 
     V is the F_p-span of the top pi-adic digits of the kernel generators.
-    ``_lift`` runs a BFS over the lower table under the level-m
-    generators: it moves on lower indices with ``maps[g]`` (the lower rho
-    column of the projection of g) and forms each product s_j g as a
-    level-m ``mat_mul``.  The first product over a new lower element J
-    becomes its lift s_J (s_0 = I); every product gives the cocycle
-    c(j, g) in F_p^k, s_j g = (I + pi^(m-1) X_c) s_J, read as the digits at
-    the pivots of V of (D(s_j g) - D(s_J)) s_r^-1, with D the top digits
-    and s_r the residue of J.  Each product is checked digit by digit
-    (``_cocycles``), so a product that is not a kernel element times its
-    lift raises IdentityError, and the lifts are checked against the
-    lower table.
+    ``_lift`` runs a BFS over the lower table, moving on lower indices
+    with ``maps[g]`` (the lower rho column of the projection of g): the
+    first level-m product s_j g over a new lower element J is its lift
+    s_J (s_0 = I), and every product gives the cocycle c(j, g),
+    s_j g = (I + pi^(m-1) X_c) s_J, read and checked by ``_Coordinates``.
+    A lower table with a record is read through it, residues and lift
+    check alike; its matrices are read only where ``maps`` looks a
+    product up.
 
-    The generated group H fills every id j |V| + v: by Schreier's lemma H
-    meets the kernel in the span of the cocycles, which ``_lift`` checks
-    has rank k, and every lower element is lifted.  Since
-    pi^(2(m-1)) = 0, x g = (I + pi^(m-1) (X_v + X_c)) s_J, so the record
-    fixes ``rho``; the inverse cocycles come from one checked product
-    s_j s_j' per lower element (``_inverse_cocycles``), and Ad(r) on V for
-    every residue r from |R| k more checked products (``_adjoint``).
+    By Schreier's lemma the generated group meets the kernel in the span
+    of the cocycles, so it fills every id j |V| + v when their rank is k
+    and every lower element is lifted.  Since pi^(2(m-1)) = 0,
+    x g = (I + pi^(m-1) (X_v + X_c)) s_J, so the record fixes ``rho``; the
+    inverse cocycles come from one checked product s_j s_j' per lower
+    element (``_inverse_cocycles``), and Ad(r) on V for every residue r
+    from |R| k more (``_adjoint``).
     """
 
     def __init__(self, ring, gen_mats, lower, kernel, name, cap):
@@ -975,32 +1007,20 @@ class _KernelIndex:
         if lower.ring is not low or lower.d != d:
             raise GroupsError(f"{lower.name} is not a level-{low.m} table "
                               f"for {name}")
-        p = self.p = ring.p
-        self.ring, self.name = ring, name
-        self.top = ring.top_digits().astype(np.int8)
-        self.scal = np.array(ring.kernel_scalars(), dtype=np.int32)
-        self.basis, self.kpiv = _kernel_basis(ring, kernel)
-        k = self.k = self.basis.shape[0]
-        self.nV = p**k
+        self.name, basis = name, _kernel_basis(ring, kernel)
+        self.k = basis.shape[0]
+        self.nV = ring.p**self.k
         if lower.size * self.nV > cap:
             raise TooLarge(f"group {name} exceeded cap: its {lower.size} "
                            f"lower elements times |V| = {self.nV} give "
                            f"{lower.size * self.nV} elements, so enumeration "
                            f"would reach {cap + 1}")
-        self.res, self.first = _residues(lower)
-        self.residues = lower.ring.mat_project(lower.mats[self.first], 1)
-        self.inverse_residues = lower.ring.mat_project(
-            lower.mats[lower.inv[self.first]], 1)
+        res, self.first, self.residues, inverse_residues = \
+            _residue_data(lower)
         one = ring.subring_level(1)
-        if not (one.mat_mul(self.residues, self.inverse_residues)
+        if not (one.mat_mul(self.residues, inverse_residues)
                 == one.identity_mat(d)).all():
             raise IdentityError(f"an inverse residue of {name} is wrong")
-        # rows[v]: the digit row of X_v = sum_i v_i B_i, one digit at a time
-        self.rows = np.zeros((1, self.basis.shape[1]), dtype=np.int8)
-        for b in self.basis:
-            self.rows = np.concatenate([
-                (self.rows + (a * b % p).astype(np.int8)) % p
-                for a in range(p)])
         # the map j -> proj(s_j g) of each generator g on the lower table
         cols = {encode_mat(g): c for c, (_, g) in enumerate(lower.generators)}
         ident = encode_mat(low.identity_mat(d))
@@ -1018,15 +1038,16 @@ class _KernelIndex:
                     lower.lookup_batch(low.mat_mul(lower.mats[r:r + per], gp))
                     for r in range(0, lower.size, per)
                 ])
+        super().__init__(ring, np.zeros((lower.size, d, d), dtype=np.int32),
+                         res, inverse_residues, basis)
         self._lift(ring, gen_mats, lower)
 
     def _lift(self, ring, gen_mats, lower):
         """The lifts s_j and the cocycles coc[g, j] = c(j, g), by a BFS over
         the lower table: the only products formed apart from the |R| k of
-        ``_adjoint`` and the |G_(m-1)| of ``inverses``.  Raises GroupsError
-        unless the generators fill every id."""
+        ``_adjoint`` and the |G_(m-1)| of ``_inverse_cocycles``.  Raises
+        GroupsError unless the generators fill every id."""
         ngens, d = gen_mats.shape[:2]
-        self.lifts = np.zeros((lower.size, d, d), dtype=np.int32)
         self.lifts[0] = ring.identity_mat(d)
         lifted = np.zeros(lower.size, dtype=bool)
         lifted[0] = True
@@ -1053,10 +1074,7 @@ class _KernelIndex:
             raise GroupsError(f"the generators of {self.name} reach "
                               f"{lifted.sum()} of the {lower.size} elements "
                               f"of {lower.name}")
-        if not (ring.mat_project(self.lifts, lower.ring.m)
-                == lower.mats).all():
-            raise IdentityError(f"a lift of {self.name} is not over its "
-                                f"lower element")
+        self._check_lifts(lower)
         # Schreier's lemma: the group meets the kernel in the span of the
         # cocycles, the values s_j g s_J^-1 on the transversal of lifts
         p, k = self.p, self.k
@@ -1067,6 +1085,27 @@ class _KernelIndex:
             raise GroupsError(f"the generators of {self.name} meet the kernel "
                               f"in F_p-rank {rank}, not {k}")
 
+    def _check_lifts(self, lower):
+        """IdentityError unless each lift s_j lies over the lower element
+        j: proj(s_j) must read as (I + pi^(m-2) X_v') s'_J' with the
+        coordinates of the lower record, j = J' |V'| + v', or equal the
+        stored matrix of a lower table with no record."""
+        low, rec, per = lower.ring, lower.record, self.per
+        proj = self.ring.mat_project(self.lifts, low.m)
+        if rec is None:
+            over = (proj == lower.mats).all()
+        else:
+            read = _Coordinates(low, rec.lifts, rec.res,
+                                self.inverse_residues, rec.basis).read
+            J, v = np.divmod(np.arange(lower.size), rec.nV)
+            over = True
+            for lo in range(0, lower.size, per):
+                got, ok = read(proj[lo:lo + per], J[lo:lo + per])
+                over = over and ok and (got == v[lo:lo + per]).all()
+        if not over:
+            raise IdentityError(f"a lift of {self.name} is not over its "
+                                f"lower element")
+
     def _adjoint(self):
         """(R, k, k) int8: row i of adj[r] holds the coordinates of
         Ad(r) B_i = r B_i r^-1, as the cocycle of the product
@@ -1074,31 +1113,15 @@ class _KernelIndex:
         J = first[r] of residue r; ``_cocycles`` checks every product."""
         p, k, first = self.p, self.k, self.first
         units, d = p ** np.arange(k), self.lifts.shape[-1]
-        # I has top digits 0 at m >= 2, so adding pi^(m-1) B_i cannot carry
-        basis = self.ring.identity_mat(d) + self.basis.reshape(k, d, d, -1) \
-            @ self.scal
+        basis = _kernel_matrices(self.ring, self.basis, d)
         prod = self.ring.mat_mul(self.lifts[first][:, None], basis[None])
         v = self._cocycles(prod.reshape(-1, d, d), np.repeat(first, k))
         return (v[:, None] // units % p).reshape(-1, k, k).astype(np.int8)
 
     def _cocycles(self, prod, J):
-        """The v with prod = (I + pi^(m-1) X_v) s_J for each product over
-        its lift, checked by digits: with y = D(prod) - D(s_J), D the top
-        digits, prod - s_J must be y scal entrywise (an index is its digits
-        below pi^(m-1) plus D scal, with no carry), and z = (y mod p) s_r^-1
-        the digit row of X_v, s_r^-1 the inverse residue of J."""
-        low = self.lifts.take(J, axis=0)
-        y = self.top.take(prod, axis=0) - self.top.take(low, axis=0)
-        low -= prod  # s_J - prod + y scal, 0 iff every lower digit agrees
-        for j, u in enumerate(self.scal):
-            low += y[..., j] * u
-        off = low.any()
-        del low  # not held through the level-1 product
-        y += (y < 0) * np.int8(self.p)  # mod p, y in (-p, p)
-        inv = self.inverse_residues.take(self.res.take(J), axis=0)
-        z = _times_residues(self.ring, y.reshape(len(J), -1), inv)
-        v = z[:, self.kpiv] @ self.p ** np.arange(self.k)
-        if off or (z != self.rows.take(v, axis=0)).any():
+        """``read``, raising IdentityError unless every product passes."""
+        v, ok = self.read(prod, J)
+        if not ok:
             raise IdentityError(
                 f"a product of {self.name} lies off its kernel coordinates")
         return v

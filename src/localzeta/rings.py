@@ -168,6 +168,7 @@ class Ring:
         self._build_tables()
         self._proj_tables = {}
         self._kronecker = {}
+        self._unit_gens = None
 
     # ------------------------------------------------------------------
     # construction of the coefficient model and tables
@@ -486,28 +487,30 @@ class Ring:
         return gens
 
     def unit_generators(self):
-        """Greedy minimal generating list for the unit group, ascending."""
-        units = self.units()
-        target = len(units)
-        gens = []
-        span = {self.one}
-        for u in units:
-            if u in span:
-                continue
-            gens.append(u)
-            frontier = [u]
-            while frontier:
-                nxt = []
-                for s in list(span):
-                    for g in frontier:
-                        t = int(self.MUL[s, g])
-                        if t not in span:
-                            span.add(t)
-                            nxt.append(t)
-                frontier = nxt
-            if len(span) == target:
-                break
-        return gens
+        """Greedy minimal generating list for the unit group, ascending:
+        each unit outside the span of the units before it is taken.
+        Computed once per ring."""
+        if self._unit_gens is None:
+            span = np.zeros(self.size, dtype=bool)  # a subgroup H, as a mask
+            span[self.one] = True
+            spanned, target, gens = 1, int(self.UNIT.sum()), []
+            for u in np.flatnonzero(self.UNIT):
+                if spanned == target:
+                    break
+                if span[u]:
+                    continue
+                gens.append(int(u))
+                # units commute, so <H, u> is the union of the cosets
+                # H u^k, each new until u^k falls in H
+                row, coset = self.MUL[u], np.flatnonzero(span)
+                while True:
+                    coset = row[coset]
+                    if span[coset[0]]:
+                        break
+                    span[coset] = True
+                    spanned += coset.size
+            self._unit_gens = tuple(gens)
+        return list(self._unit_gens)
 
     # ------------------------------------------------------------------
     # matrix helpers (index matrices, batched)

@@ -257,6 +257,22 @@ def test_cap_must_be_a_positive_integer(argv, capsys):
     assert "--cap" in captured.err and "budget" not in captured.err
 
 
+TRANSFER = ["transfer", "--group", "chevalley:A1", "--levels", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    TRANSFER + ["--primes", "2", "--s1", "-"],
+    TRANSFER + ["--primes", "2", "--s2", "-"],
+    TRANSFER + ["--primes", ","],
+], ids=["s1-without-s2", "s2-without-s1", "no-primes"])
+def test_transfer_options_that_name_no_run_are_usage_errors(argv, capsys):
+    # a hecke transfer needs both subgroups, and a transfer a prime
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("group,lit,orders", [
     ("torus:A2", "zq:p=2,f=1,m=3", [1, 4, 16]),
     ("torus:A1", "zq:p=2,f=1,m=2", [1, 2]),

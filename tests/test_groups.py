@@ -97,9 +97,8 @@ def test_generate_forms_only_the_frontier_products(monkeypatch):
         lower = fam.table(ring.subring_level(ring.m - 1))
         formed.clear()  # count the top level's products only
         G = fam.table(ring, lower=lower)
-        residues = groups._residues(lower)[0].max() + 1
         assert sum(formed) == lower.size * len(G.generators) \
-            + residues * ring.f * fam.dim_scheme + lower.size
+            + len(G.record.residues) * ring.f * fam.dim_scheme + lower.size
         assert G.size == lower.size * ring.q ** fam.dim_scheme
         formed.clear()
         keyed = generate(ring, fam._generators(ring))
@@ -863,7 +862,7 @@ def test_kernel_span_is_the_enumerated_kernel(family, lit):
     # V has F_p-rank f dim_scheme, and the top digits of the enumerated
     # kernel of G(R_m) -> G(R_{m-1}) are exactly its span
     fam, ring = Family(family), parse_ring(lit)
-    basis, _ = groups._kernel_basis(ring, fam.kernel_generators(ring))
+    basis = groups._kernel_basis(ring, fam.kernel_generators(ring))
     assert basis.shape[0] == ring.f * fam.dim_scheme
     p = ring.p
     coeffs = np.array(list(itertools.product(range(p), repeat=len(basis))))
@@ -883,7 +882,7 @@ def test_kernel_rank_of_the_large_groups(family):
     fam = Family(family)
     for lit in ("zq:p=2,f=1,m=2", "fqt:p=3,f=1,m=3", "zq:p=2,f=2,m=2"):
         ring = parse_ring(lit)
-        basis, _ = groups._kernel_basis(ring, fam.kernel_generators(ring))
+        basis = groups._kernel_basis(ring, fam.kernel_generators(ring))
         assert basis.shape[0] == ring.f * fam.dim_scheme
 
 
@@ -905,8 +904,7 @@ def test_a_smaller_kernel_span_raises(monkeypatch):
     real = groups._kernel_basis
 
     def dropped(ring, kernel):
-        basis, piv = real(ring, kernel)
-        return basis[:-1], piv[:-1]
+        return real(ring, kernel)[:-1]
 
     monkeypatch.setattr(groups, "_kernel_basis", dropped)
     with pytest.raises(IdentityError):
@@ -956,8 +954,8 @@ def test_a_misread_cocycle_raises(monkeypatch, family, lit):
 def test_times_residues_matches_the_gather_oracle(lit):
     # the level-1 mat_mul (BLAS for zq with f = 1, _Kronecker otherwise)
     # against verify's MUL/ADD gather, which shares no code with it: every
-    # row times every residue, as _kernel_tables calls it for the matrix
-    # rebuild, and row i times residue i, as _KernelIndex._cocycles does
+    # row times every residue, broadcast, and row i times residue i, as
+    # _Coordinates.read calls it
     from localzeta import verify
     ring = parse_ring(lit)
     one = ring.subring_level(1)
@@ -1069,23 +1067,76 @@ def test_a_wrong_inverse_residue_raises(monkeypatch, family, lit):
     assert formed == []
 
 
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=3,f=1,m=4"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=5"),
+    ("chevalley:A1", "zq:p=2,f=2,m=3"),
+    ("parabolic:B2:a1", "fqt:p=2,f=1,m=3"),
+])
+def test_residue_data_from_the_record_matches_the_matrices(family, lit):
+    # a table with a record gives the level above its residue classes,
+    # residue matrices and inverse residues with no matrix; read from its
+    # rebuilt matrices they are the same
+    G = Family(family).table(parse_ring(lit))
+    res, first, residues, inverse_residues = groups._residue_data(G)
+    assert callable(G._mats)  # not rebuilt
+    want_res, want_first = groups._residues(G)
+    assert res.dtype == want_res.dtype and (res == want_res).all()
+    assert (first == want_first).all()
+    assert (residues == G.ring.mat_project(G.mats[first], 1)).all()
+    assert (inverse_residues
+            == G.ring.mat_project(G.mats[G.inv[first]], 1)).all()
+
+
+@pytest.mark.parametrize("family,lit", [
+    ("heisenberg", "zq:p=3,f=1,m=3"),
+    ("chevalley:A1", "fqt:p=2,f=2,m=3"),
+])
+def test_a_lower_record_with_a_wrong_lift_raises(family, lit):
+    # one digit of one entry of the last lift of the lower record changed,
+    # below or at its top digit: the lifts of the level above are no
+    # longer over the lower elements the record describes
+    fam, ring = Family(family), parse_ring(lit)
+    lower = tower(family, ring.subring_level(ring.m - 1).literal)[-1]
+    rec, low = lower.record, lower.ring
+    lifts = rec.lifts
+    for i in range(len(low.digits(0))):
+        rec.lifts = lifts.copy()
+        digits = list(low.digits(int(lifts[-1, 0, 1])))
+        digits[i] = (digits[i] + 1) % ring.p
+        rec.lifts[-1, 0, 1] = low.from_digits(digits)
+        with pytest.raises(IdentityError, match="not over its lower element"):
+            fam.table(ring, lower=lower)
+    rec.lifts = lifts
+    assert fam.table(ring, lower=lower).size \
+        == lower.size * ring.q ** fam.dim_scheme
+
+
+def recording_rebuilds(monkeypatch):
+    """The ring literal of every matrix rebuild of a lift record, in
+    order, recorded by wrapping ``groups._matrices``."""
+    real, rebuilt = groups._matrices, []
+
+    def recording(ring, *args):
+        rebuilt.append(ring.literal)
+        return real(ring, *args)
+
+    monkeypatch.setattr(groups, "_matrices", recording)
+    return rebuilt
+
+
 @pytest.mark.parametrize("argv,built", [
     (["hecke", "--group", "B2", "--s1", "a1", "--s2", "a2",
       "--ring", "fqt:p=2,f=1,m=3"], 0),
-    (["cc", "--group", "heisenberg", "--ring", "zq:p=3,f=1,m=5"], 2),
-    (["cc", "--group", "chevalley:A1", "--ring", "fqt:p=2,f=1,m=6"], 3),
+    (["cc", "--group", "heisenberg", "--ring", "zq:p=3,f=1,m=5"], 0),
+    (["cc", "--group", "chevalley:A1", "--ring", "fqt:p=2,f=1,m=6"], 1),
 ])
 def test_the_enumeration_builds_no_kernel_tables(monkeypatch, capsys, argv,
                                                   built):
-    # kernel tables are built only to rebuild matrices when they are read:
-    # the lower levels whose lifts the level above checks
-    real, calls = groups._kernel_tables, []
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(groups, "_kernel_tables", counting)
+    # the enumeration reads a lower table through its record: its
+    # matrices are rebuilt only for a generator that ``maps`` looks up,
+    # here tau(1 + t + t^2) at level 4, which looks products up in level 3
+    rebuilt = recording_rebuilds(monkeypatch)
     monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
     cache.clear_memo()
     try:
@@ -1093,7 +1144,7 @@ def test_the_enumeration_builds_no_kernel_tables(monkeypatch, capsys, argv,
     finally:
         cache.clear_memo()
     capsys.readouterr()
-    assert len(calls) == built
+    assert rebuilt == ["fqt:p=2,f=1,m=3"] * built
 
 
 def test_no_generators_over_a_lower_table_raise_the_unfilled_error():
@@ -1116,42 +1167,23 @@ def test_digit_add_sums_digitwise(p, k):
     assert (groups._digit_add(p, k)(v, c) == want).all()
 
 
-@pytest.mark.parametrize("family,lit", [
-    ("chevalley:A1", "zq:p=2,f=2,m=2"),
-    ("heisenberg", "zq:p=3,f=1,m=3"),
-])
-def test_kernel_tables_split_by_coordinate_keep_the_golden_tables(
-        monkeypatch, family, lit):
-    # a table per coordinate of V, added one after another
-    monkeypatch.setattr(groups, "TABLE_ENTRIES", 1)
-    G = tower(family, lit)[-1]
-    got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
-    assert got == GOLDEN_TABLES[family, lit]
-
-
 def test_cc_never_rebuilds_the_top_matrices(monkeypatch, capsys):
-    # cc counts classes by gathers on rho, inv and the kernel coordinates;
-    # a level's matrices are rebuilt only when the level above checks its
-    # lifts against them, or when they are read
-    real, rebuilt = groups._matrices, []
-
-    def recording(ring, *args):
-        rebuilt.append(ring.literal)
-        return real(ring, *args)
-
-    monkeypatch.setattr(groups, "_matrices", recording)
+    # cc counts classes by gathers on rho, inv and the kernel coordinates,
+    # and each level checks its lifts against the record of the level
+    # below: a level's matrices are rebuilt only when they are read
+    rebuilt = recording_rebuilds(monkeypatch)
     monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
     cache.clear_memo()
     try:
         assert cli.main(["cc", "--group", "heisenberg",
                          "--ring", "zq:p=3,f=1,m=4"]) == 0
-        assert rebuilt == ["zq:p=3,f=1,m=2"]
+        assert rebuilt == []
         top = parse_ring("zq:p=3,f=1,m=3")
         G = cache.table_for("heisenberg", top)  # memo hit
-        assert rebuilt == ["zq:p=3,f=1,m=2"]
+        assert rebuilt == []
         # read later, the matrices are those of the packed-key route
         assert_isomorphic(G, keyed_table("heisenberg", top.literal))
-        assert rebuilt == ["zq:p=3,f=1,m=2", "zq:p=3,f=1,m=3"]
+        assert rebuilt == ["zq:p=3,f=1,m=3"]
     finally:
         cache.clear_memo()
     capsys.readouterr()
@@ -1266,21 +1298,15 @@ def test_a_table_from_disk_equals_the_fresh_one(tmp_path, monkeypatch,
 def test_a_store_never_builds_the_matrices(tmp_path, monkeypatch):
     # the top table is stored as its lift record: its matrices stay a
     # function, and rebuilding them is left to their first read
-    real, rebuilt = groups._matrices, []
-
-    def recording(ring, *args):
-        rebuilt.append(ring.literal)
-        return real(ring, *args)
-
-    monkeypatch.setattr(groups, "_matrices", recording)
+    rebuilt = recording_rebuilds(monkeypatch)
     monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
     cache.clear_memo()
     try:
         G = cache.table_for("chevalley:A1", parse_ring("fqt:p=2,f=1,m=3"))
         assert len(list(tmp_path.glob("table-*.bin"))) == 3
         assert callable(G._mats)
-        # level 2 is read once, when level 3 checks its lifts
-        assert rebuilt == ["fqt:p=2,f=1,m=2"]
+        # level 3 checks its lifts against the record of level 2
+        assert rebuilt == []
     finally:
         cache.clear_memo()
 

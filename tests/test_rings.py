@@ -266,6 +266,44 @@ def test_unit_generators_span():
         assert gens == sorted(gens)
 
 
+def greedy_unit_generators(ring):
+    """The greedy list as first written, closing the span under products
+    with each new element in Python sets: the oracle of the mask closure
+    in ``Ring.unit_generators``."""
+    units = ring.units()
+    gens, span = [], {ring.one}
+    for u in units:
+        if u in span:
+            continue
+        gens.append(u)
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for s in list(span):
+                for g in frontier:
+                    t = int(ring.MUL[s, g])
+                    if t not in span:
+                        span.add(t)
+                        nxt.append(t)
+            frontier = nxt
+        if len(span) == len(units):
+            break
+    return gens
+
+
+@pytest.mark.parametrize("lit", [
+    "zq:p=2,f=1,m=12", "zq:p=2,f=2,m=3", "fqt:p=3,f=2,m=3",
+    "fqt:p=2,f=1,m=12", "zn:n=360", "zn:n=4095",
+])
+def test_unit_generators_match_the_greedy_search(lit):
+    ring = parse_ring(lit)
+    gens = ring.unit_generators()
+    assert gens == greedy_unit_generators(ring)
+    assert all(type(u) is int for u in gens)
+    gens.append(0)  # the caller's copy: the ring keeps its own
+    assert ring.unit_generators() == gens[:-1]
+
+
 def test_matrix_multiplication_paths_agree():
     # the int64 fast path (f=1 and zn) must match the table path
     for lit in ["zq:p=2,f=1,m=3", "zn:n=12"]:
