@@ -1110,12 +1110,18 @@ class _KernelIndex(_Coordinates):
         """(R, k, k) int8: row i of adj[r] holds the coordinates of
         Ad(r) B_i = r B_i r^-1, as the cocycle of the product
         s_J (I + pi^(m-1) B_i) = (I + pi^(m-1) r B_i r^-1) s_J over s_J,
-        J = first[r] of residue r; ``_cocycles`` checks every product."""
-        p, k, first = self.p, self.k, self.first
+        J = first[r] of residue r; ``_cocycles`` checks every product.
+        The |R| k products are formed and read ``per`` at a time."""
+        p, k, per = self.p, self.k, self.per
         units, d = p ** np.arange(k), self.lifts.shape[-1]
         basis = _kernel_matrices(self.ring, self.basis, d)
-        prod = self.ring.mat_mul(self.lifts[first][:, None], basis[None])
-        v = self._cocycles(prod.reshape(-1, d, d), np.repeat(first, k))
+        J = np.repeat(self.first, k)
+        i = np.tile(np.arange(k), self.first.size)
+        v = np.concatenate([
+            self._cocycles(self.ring.mat_mul(self.lifts[J[lo:lo + per]],
+                                             basis[i[lo:lo + per]]),
+                           J[lo:lo + per])
+            for lo in range(0, J.size, per)])
         return (v[:, None] // units % p).reshape(-1, k, k).astype(np.int8)
 
     def _cocycles(self, prod, J):

@@ -10,13 +10,22 @@ Three kinds of coefficient ring are supported, all finite:
   checks via the Chinese remainder theorem).
 
 Elements are represented by their canonical integer index in ``range(size)``.
-The index is the little-endian base-p digit string of the coefficient vector:
+A ``zn`` index is the residue itself.  ``zq`` and ``fqt`` share one digit
+model: with pi = p for ``zq`` and pi = t for ``fqt``, each element is
+sum_{k<m, j<f} d_kj pi^k x^j with digits d_kj in [0, p), and its index is
+the base-p number with digit d_kj at one position:
 
-* ``zq``: element sum_j c_j x^j with c_j in [0, p^m) has index
-  sum_j c_j * (p^m)^j; digits are the m base-p digits of c_0, then of c_1, ...
-* ``fqt``: element sum_i a_i t^i with a_i in F_q (itself a degree-f residue
-  index) has index sum_i idx(a_i) * q^i.
-* ``zn``: the residue itself.
+* ``W[k, j]``, the index of pi^k x^j, is p^(k + m j) for ``zq`` (the m
+  base-p digits of the coefficient of x^j, then of x^(j+1), ...) and
+  p^(f k + j) for ``fqt`` (the coefficient of t^k, a residue index, then
+  that of t^(k+1), ...).  This is the only place the two kinds differ
+  before + and x carry digits.
+* ``DIGITS[a, k, j] = a // W[k, j] % p``, read-only int64.
+* ``char``, the characteristic: p^m for ``zq``, p for ``fqt``, n for ``zn``.
+
+The valuation is the first k with a nonzero digit row, the projection to
+level k keeps rows k' < k against the level-k ``W``, and pi^(m-1) R is
+spanned by ``W[m-1]``.
 
 Elementwise arithmetic goes through precomputed numpy tables (ADD, MUL,
 NEG, INV), which keeps matrix work over these rings vectorizable.
@@ -144,6 +153,7 @@ class Ring:
             if _factor(p) != [(p, 1)] or f < 1 or m < 1:
                 raise RingError(f"bad parameters p={p}, f={f}, m={m}")
             self.p, self.f, self.m = p, f, m
+            self.char = p**m if kind == "zq" else p
             self.q = p**f
             self.size = self.q**m
             self.n = None
@@ -151,7 +161,7 @@ class Ring:
         elif kind == "zn":
             if n is None or n < 2:
                 raise RingError(f"bad modulus n={n}")
-            self.n = n
+            self.n = self.char = n
             self.p = self.f = self.m = None
             self.q = None
             self.size = n
@@ -164,7 +174,12 @@ class Ring:
             )
         self.zero = 0
         self.one = 1 if self.size > 1 else 0
-        self._coeffs = None
+        self.W = self.DIGITS = None
+        if self.p is not None:
+            k, j = np.ogrid[:self.m, :self.f]
+            self.W = p ** (k + m * j if kind == "zq" else f * k + j)
+            self.DIGITS = np.arange(self.size)[:, None, None] // self.W % p
+            self.DIGITS.setflags(write=False)
         self._build_tables()
         self._proj_tables = {}
         self._kronecker = {}
@@ -173,24 +188,10 @@ class Ring:
     # ------------------------------------------------------------------
     # construction of the coefficient model and tables
 
-    def _coeff_array(self):
-        """(size, width) read-only array of coefficient vectors, index
-        order; built on first use."""
-        if self._coeffs is None:
-            if self.kind == "zn":
-                C = np.arange(self.n, dtype=np.int64)[:, None]
-            else:
-                base, width = (self.p**self.m, self.f) if self.kind == "zq" \
-                    else (self.q, self.m)
-                C = _base_digits(self.size, base, width)
-            C.setflags(write=False)
-            self._coeffs = C
-        return self._coeffs
-
     def _x_powers(self):
         """(2f-1, f) array: row j holds x^j reduced modulo h, with
         coefficients mod p^m for ``zq`` and mod p for ``fqt``."""
-        P = self.p**self.m if self.kind == "zq" else self.p
+        P = self.char
         h = self.modulus
         cur = [1] + [0] * (self.f - 1)
         rows = []
@@ -203,7 +204,7 @@ class Ring:
     def _build_tables(self):
         size = self.size
         if self.kind == "zn" or (self.kind == "zq" and self.f == 1):
-            mod = self.n if self.kind == "zn" else self.p**self.m
+            mod = self.char
             # int32 throughout, reduced in place: RING_TABLE_CAP bounds
             # every product by 4095^2 < 2^31
             idx = np.arange(size, dtype=np.int32)
@@ -223,10 +224,9 @@ class Ring:
         T*f) array D holds the coefficient, mod P, of t^i x^j (i < T, j < f)
         of each element; P = p^m and T = 1 for ``zq``, P = p and T = m for
         ``fqt``."""
-        if self.kind == "zq":
-            return self.p**self.m, 1, self._coeff_array()
-        return self.p, self.m, _base_digits(self.size, self.p,
-                                            self.m * self.f)
+        if self.kind == "zq":  # the coefficient of x^j: digit rows by p^k
+            return self.char, 1, self.p ** np.arange(self.m) @ self.DIGITS
+        return self.char, self.m, self.DIGITS.reshape(self.size, -1)
 
     def _build_poly_tables(self):
         """ADD, MUL and NEG of ``fqt`` and of Galois rings from the digits:
@@ -293,19 +293,10 @@ class Ring:
         self.INV = inv
 
     def _valuation_table(self):
-        if self.kind == "zq":
-            pm, p = self.p**self.m, self.p
-            C = self._coeff_array()
-            v = np.full(C.shape, self.m, dtype=np.int32)
-            for e in range(self.m - 1, -1, -1):
-                mask = C % (p ** (e + 1)) != 0
-                v[mask] = np.minimum(v[mask], e)
-            return v.min(axis=1).astype(np.int32)
-        C = self._coeff_array()  # fqt
-        v = np.full(self.size, self.m, dtype=np.int32)
-        for i in range(self.m - 1, -1, -1):
-            v[C[:, i] != 0] = i
-        return v
+        """The first digit row k that is nonzero, m for 0."""
+        rows = self.DIGITS.any(axis=2)
+        return np.where(rows.any(axis=1), rows.argmax(axis=1),
+                        self.m).astype(np.int32)
 
     # ------------------------------------------------------------------
     # scalar operations (indices in, indices out)
@@ -345,11 +336,7 @@ class Ring:
         return int(self.VAL[a])
 
     def from_int(self, c):
-        if self.kind == "zn":
-            return c % self.n
-        if self.kind == "zq":
-            return c % (self.p**self.m)
-        return c % self.p  # fqt: prime-field image sits in coefficient 0
+        return c % self.char  # the prime-ring image sits in digit row 0
 
     def elements(self):
         return range(self.size)
@@ -362,65 +349,26 @@ class Ring:
 
     def digits(self, a):
         """Little-endian base-p digit tuple; inverse of from_digits."""
-        if self.kind == "zn":
+        if self.DIGITS is None:
             raise RingError("zn elements are plain residues; no digit encoding")
-        p = self.p
-        out = []
-        if self.kind == "zq":
-            pm = p**self.m
-            for _ in range(self.f):
-                c = a % pm
-                a //= pm
-                for _ in range(self.m):
-                    out.append(c % p)
-                    c //= p
-        else:
-            for _ in range(self.m):
-                c = a % self.q
-                a //= self.q
-                for _ in range(self.f):
-                    out.append(c % p)
-                    c //= p
-        return tuple(out)
+        return tuple(a // self.p**e % self.p for e in range(self.m * self.f))
 
     def from_digits(self, digs):
-        p = self.p
-        if self.kind == "zq":
-            pm = p**self.m
-            coeffs = []
-            it = iter(digs)
-            for _ in range(self.f):
-                c = 0
-                for k in range(self.m):
-                    c += next(it) * p**k
-                coeffs.append(c)
-            return sum(c * pm**j for j, c in enumerate(coeffs))
-        coeffs = []
-        it = iter(digs)
-        for _ in range(self.m):
-            c = 0
-            for k in range(self.f):
-                c += next(it) * p**k
-            coeffs.append(c)
-        return sum(c * self.q**i for i, c in enumerate(coeffs))
+        return sum(d * self.p**e for e, d in enumerate(digs))
 
     def element_str(self, a):
         if self.kind == "zn":
             return str(a)
-        C = self._coeff_array()
-        if self.kind == "zq":
-            terms = []
-            for j in range(self.f):
-                c = int(C[a, j])
-                if c:
-                    terms.append(f"{c}" if j == 0 else f"{c}*x^{j}")
-            return " + ".join(terms) if terms else "0"
-        terms = []
-        for i in range(self.m):
-            c = int(C[a, i])
-            if c:
-                terms.append(f"[{c}]" if i == 0 else f"[{c}]*t^{i}")
-        return " + ".join(terms) if terms else "0"
+        row = self.DIGITS[a]  # row k: the digits of pi^k
+        if self.kind == "zq":  # coefficients of x^j in [0, p^m)
+            coeffs = self.p ** np.arange(self.m) @ row
+            const, term = "{}", "{}*x^{}"
+        else:  # coefficients of t^i, as residue indices
+            coeffs = row @ self.p ** np.arange(self.f)
+            const, term = "[{}]", "[{}]*t^{}"
+        terms = [(term if i else const).format(int(c), i)
+                 for i, c in enumerate(coeffs) if c]
+        return " + ".join(terms) or "0"
 
     # ------------------------------------------------------------------
     # levels and projections
@@ -438,14 +386,7 @@ class Ring:
         if k in self._proj_tables:
             return self._proj_tables[k]
         low = self.subring_level(k)
-        C = self._coeff_array()
-        if self.kind == "zq":
-            pk = self.p**k
-            w = (pk ** np.arange(self.f, dtype=np.int64))
-            tab = ((C % pk) * w).sum(axis=1).astype(np.int32)
-        else:
-            w = (self.q ** np.arange(k, dtype=np.int64))
-            tab = (C[:, :k] * w).sum(axis=1).astype(np.int32)
+        tab = (self.DIGITS[:, :k] * low.W).sum(axis=(1, 2)).astype(np.int32)
         if tab.min() < 0 or tab.max() >= low.size:
             raise RingError(
                 f"{self.literal}: projection to level {k} leaves its range"
@@ -457,18 +398,12 @@ class Ring:
         """(size, f) array: the F_p digits of each element's coefficient
         of pi^(m-1), in the digit order of the level-1 ring, so that
         adding pi^(m-1) u adds the digits of u modulo p."""
-        C = self._coeff_array()
-        if self.kind == "zq":
-            return C // self.p ** (self.m - 1)
-        return _base_digits(self.q, self.p, self.f)[C[:, self.m - 1]]
+        return self.DIGITS[:, self.m - 1]
 
     def kernel_scalars(self):
         """pi^(m-1) u for u running through the F_p-basis x^j of the
         residue field: the F_p-basis of the ideal pi^(m-1) R."""
-        step = self.p**self.m if self.kind == "zq" else self.p
-        low = self.p ** (self.m - 1) if self.kind == "zq" \
-            else self.q ** (self.m - 1)
-        return [low * step**j for j in range(self.f)]
+        return self.W[self.m - 1].tolist()
 
     # ------------------------------------------------------------------
     # generator selection (deterministic)
@@ -477,14 +412,8 @@ class Ring:
         """Canonical generating set of the additive group (digit basis)."""
         if self.kind == "zn":
             return [1]
-        if self.kind == "zq":
-            pm = self.p**self.m
-            return [int(pm**j) for j in range(self.f)]
-        gens = []
-        for i in range(self.m):
-            for j in range(self.f):
-                gens.append(int((self.p**j) * self.q**i))
-        return gens
+        # Z/p^m-module basis x^j for zq; every pi^k x^j for fqt, of char p
+        return (self.W[0] if self.kind == "zq" else self.W.ravel()).tolist()
 
     def unit_generators(self):
         """Greedy minimal generating list for the unit group, ascending:
@@ -521,12 +450,7 @@ class Ring:
         return out
 
     def mat_from_int(self, M):
-        arr = np.asarray(M, dtype=np.int64)
-        if self.kind == "zn":
-            return (arr % self.n).astype(np.int32)
-        if self.kind == "zq":
-            return (arr % (self.p**self.m)).astype(np.int32)
-        return (arr % self.p).astype(np.int32)
+        return (np.asarray(M, dtype=np.int64) % self.char).astype(np.int32)
 
     def mat_mul(self, A, B):
         """Batched product of index matrices, broadcast like np.matmul;
@@ -576,12 +500,6 @@ class Ring:
 
     def key(self):
         return (self.kind, self.p, self.f, self.m, self.n)
-
-
-def _base_digits(size, base, width):
-    """(size, width) little-endian base-`base` digits of range(size)."""
-    idx = np.arange(size, dtype=np.int64)
-    return np.stack([idx // base**j % base for j in range(width)], axis=1)
 
 
 class _Kronecker:
@@ -704,26 +622,30 @@ def make_ring(kind, p=None, f=None, m=None, n=None) -> Ring:
 
 
 def parse_ring(text: str) -> Ring:
-    """Parse a ring literal such as ``zq:p=2,f=1,m=3`` or ``zn:n=12``."""
+    """Parse a ring literal such as ``zq:p=2,f=1,m=3`` or ``zn:n=12``: each
+    key of its kind once, and no other key."""
     try:
         kind, _, rest = text.partition(":")
         kind = kind.strip()
-        params = {}
-        for part in rest.split(","):
-            key, _, val = part.partition("=")
-            params[key.strip()] = int(val)
+        pairs = [(key.strip(), int(val)) for key, _, val in
+                 (part.partition("=") for part in rest.split(","))]
     except Exception as exc:
         raise RingError(f"malformed ring literal {text!r}") from exc
-    if kind in ("zq", "fqt"):
-        missing = {"p", "f", "m"} - set(params)
-        if missing:
-            raise RingError(f"ring literal {text!r} missing {sorted(missing)}")
-        return make_ring(kind, p=params["p"], f=params["f"], m=params["m"])
-    if kind == "zn":
-        if "n" not in params:
-            raise RingError(f"ring literal {text!r} missing n")
-        return make_ring("zn", n=params["n"])
-    raise RingError(f"unknown ring kind in literal {text!r}")
+    keys = {"zq": {"p", "f", "m"}, "fqt": {"p", "f", "m"}, "zn": {"n"}}
+    if kind not in keys:
+        raise RingError(f"unknown ring kind in literal {text!r}")
+    names = [key for key, _ in pairs]
+    repeated = sorted({key for key in names if names.count(key) > 1})
+    if repeated:
+        raise RingError(f"ring literal {text!r} repeats {repeated}")
+    params = dict(pairs)
+    missing, unknown = keys[kind] - set(params), set(params) - keys[kind]
+    if missing:
+        raise RingError(f"ring literal {text!r} missing {sorted(missing)}")
+    if unknown:
+        raise RingError(f"ring literal {text!r}: {kind} takes no "
+                        f"{sorted(unknown)}")
+    return make_ring(kind, **params)
 
 
 def crt_split(n):

@@ -215,6 +215,16 @@ def test_exit_codes():
     assert b"cells exceed budget 4096" in proc.stderr
 
 
+@pytest.mark.parametrize("ring", [
+    "zq:p=2,f=1,m=2,m=3", "zq:p=2,f=1,m=3,x=5", "zn:n=6,p=3",
+], ids=["repeated-key", "unknown-key", "zn-extra-key"])
+def test_ring_literal_with_a_bad_key_is_a_usage_error(ring):
+    proc = run_cli(["cc", "--group", "heisenberg", "--ring", ring])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ring literal")
+
+
 SERIES = ["presburger", "--where", "n >= 0", "--sum", "q^(-n*s)"]
 
 

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from localzeta import rings
 from localzeta.rings import (
     NotAUnit,
     Ring,
@@ -180,7 +181,7 @@ def test_projection_is_ring_homomorphism():
 def test_table_invariants_raise(monkeypatch):
     # raised, not asserted, so they hold under python -O too
     ring = Ring("fqt", p=2, f=1, m=2)
-    monkeypatch.setattr(ring, "_coeff_array", lambda: np.full((4, 2), 2))
+    monkeypatch.setattr(ring, "DIGITS", np.full((4, 2, 1), 2))
     with pytest.raises(RingError, match="range"):
         ring.project_table(1)
 
@@ -478,13 +479,185 @@ def test_residue_ring_tables_match_the_int64_formula(kind, params):
     assert ring.NEG.tobytes() == ((-idx) % mod).astype(np.int32).tobytes()
 
 
-def test_coefficient_array_is_built_once():
-    ring = Ring("fqt", p=3, f=2, m=2)
-    C = ring._coeff_array()
-    assert ring._coeff_array() is C and not C.flags.writeable
-    ring.element_str(5)
-    ring.project_table(1)
-    assert ring._coeff_array() is C
+def test_digit_table_is_built_once():
+    # every digit reader reads the one table the constructor built
+    for ring in (Ring("fqt", p=3, f=2, m=2), Ring("zq", p=3, f=2, m=2)):
+        D = ring.DIGITS
+        assert D.dtype == np.int64 and not D.flags.writeable
+        assert np.shares_memory(ring.top_digits(), D)
+        ring.element_str(5)
+        ring.project_table(1)
+        ring._poly_digits()
+        assert ring.DIGITS is D
+    fqt = Ring("fqt", p=3, f=2, m=2)
+    assert np.shares_memory(fqt._poly_digits()[2], fqt.DIGITS)
+
+
+def test_ring_over_the_cap_raises_before_any_table():
+    tracemalloc.start()
+    try:
+        with pytest.raises(RingError, match="exceeds table cap"):
+            Ring("zq", p=2, f=1, m=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a digit table of 2^40 elements would need 2^40 * 40 * 8 bytes
+    assert peak < 1 << 20
+
+
+# The per-kind index formulas that the digit model (W, DIGITS, char)
+# replaced, kept as its oracle.
+
+def _base_digits(size, base, width):
+    idx = np.arange(size, dtype=np.int64)
+    return np.stack([idx // base**j % base for j in range(width)], axis=1)
+
+
+def _old_coeffs(ring):
+    """zq: the coefficient of x^j in [0, p^m); fqt: the coefficient of
+    t^i, a residue index."""
+    if ring.kind == "zq":
+        return _base_digits(ring.size, ring.p**ring.m, ring.f)
+    return _base_digits(ring.size, ring.q, ring.m)
+
+
+def _old_valuation(ring, C):
+    if ring.kind == "zq":
+        p = ring.p
+        v = np.full(C.shape, ring.m, dtype=np.int32)
+        for e in range(ring.m - 1, -1, -1):
+            mask = C % (p ** (e + 1)) != 0
+            v[mask] = np.minimum(v[mask], e)
+        return v.min(axis=1).astype(np.int32)
+    v = np.full(ring.size, ring.m, dtype=np.int32)
+    for i in range(ring.m - 1, -1, -1):
+        v[C[:, i] != 0] = i
+    return v
+
+
+def _old_project(ring, C, k):
+    if ring.kind == "zq":
+        pk = ring.p**k
+        w = pk ** np.arange(ring.f, dtype=np.int64)
+        return ((C % pk) * w).sum(axis=1).astype(np.int32)
+    w = ring.q ** np.arange(k, dtype=np.int64)
+    return (C[:, :k] * w).sum(axis=1).astype(np.int32)
+
+
+def _old_top_digits(ring, C):
+    if ring.kind == "zq":
+        return C // ring.p ** (ring.m - 1)
+    return _base_digits(ring.q, ring.p, ring.f)[C[:, ring.m - 1]]
+
+
+def _old_kernel_scalars(ring):
+    step = ring.p**ring.m if ring.kind == "zq" else ring.p
+    low = ring.p ** (ring.m - 1) if ring.kind == "zq" \
+        else ring.q ** (ring.m - 1)
+    return [low * step**j for j in range(ring.f)]
+
+
+def _old_additive_generators(ring):
+    if ring.kind == "zq":
+        pm = ring.p**ring.m
+        return [int(pm**j) for j in range(ring.f)]
+    return [int((ring.p**j) * ring.q**i)
+            for i in range(ring.m) for j in range(ring.f)]
+
+
+def _old_digits(ring, a):
+    p, out = ring.p, []
+    outer, base, inner = (ring.f, ring.p**ring.m, ring.m) \
+        if ring.kind == "zq" else (ring.m, ring.q, ring.f)
+    for _ in range(outer):
+        c = a % base
+        a //= base
+        for _ in range(inner):
+            out.append(c % p)
+            c //= p
+    return tuple(out)
+
+
+def _old_char(ring):
+    return ring.p**ring.m if ring.kind == "zq" else ring.p
+
+
+def _old_poly_digits(ring, C):
+    if ring.kind == "zq":
+        return ring.p**ring.m, 1, C
+    return ring.p, ring.m, _base_digits(ring.size, ring.p, ring.m * ring.f)
+
+
+def _old_element_str(ring, C, a):
+    terms = []
+    if ring.kind == "zq":
+        for j in range(ring.f):
+            c = int(C[a, j])
+            if c:
+                terms.append(f"{c}" if j == 0 else f"{c}*x^{j}")
+    else:
+        for i in range(ring.m):
+            c = int(C[a, i])
+            if c:
+                terms.append(f"[{c}]" if i == 0 else f"[{c}]*t^{i}")
+    return " + ".join(terms) if terms else "0"
+
+
+def _same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
+
+
+def _digit_model_rings(kind, p):
+    """Every m under the table cap for f = 1, 2, 3, and for p = 2 the
+    4096-element rings of f = 4, 6, 12 too."""
+    out = []
+    for f in (1, 2, 3, 4, 6, 12):
+        m = 1
+        while p ** (f * m) <= rings.RING_TABLE_CAP:
+            if f <= 3 or p ** (f * m) == rings.RING_TABLE_CAP:
+                out.append((f, m))
+            m += 1
+    return out
+
+
+@pytest.mark.parametrize("kind", ["zq", "fqt"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_model_matches_the_per_kind_formulas(monkeypatch, kind, p):
+    # rings without their ADD/MUL tables, which the digit model never
+    # reads, and uncached, so no table-less ring reaches make_ring's cache
+    monkeypatch.setattr(
+        Ring, "_build_tables",
+        lambda self: setattr(self, "VAL", self._valuation_table()))
+    monkeypatch.setattr(rings, "make_ring", lambda kind, p=None, f=None,
+                        m=None, n=None: Ring(kind, p=p, f=f, m=m))
+    rng = np.random.default_rng(p)
+    for f, m in _digit_model_rings(kind, p):
+        ring = Ring(kind, p=p, f=f, m=m)
+        C = _old_coeffs(ring)
+        _same(ring.VAL, _old_valuation(ring, C))
+        for k in range(1, m + 1):
+            _same(ring.project_table(k), _old_project(ring, C, k))
+        _same(ring.top_digits(), _old_top_digits(ring, C))
+        for got, want in ((ring.kernel_scalars(), _old_kernel_scalars(ring)),
+                          (ring.additive_generators(),
+                           _old_additive_generators(ring))):
+            assert got == want and all(type(g) is int for g in got)
+        P, T, D = ring._poly_digits()
+        oP, oT, oD = _old_poly_digits(ring, C)
+        assert (P, T) == (oP, oT) and type(P) is int
+        _same(D, oD)
+        char = _old_char(ring)
+        for c in (-2 * char - 1, -char, -1, 0, 1, char - 1, char, 3 * char + 2):
+            got = ring.from_int(c)
+            assert got == c % char and type(got) is int
+        M = rng.integers(-5 * ring.size, 5 * ring.size, size=(3, 4, 4))
+        _same(ring.mat_from_int(M), (M % char).astype(np.int32))
+        for a in range(ring.size):
+            digs = ring.digits(a)
+            assert digs == _old_digits(ring, a)
+            assert ring.from_digits(digs) == a
+            assert ring.element_str(a) == _old_element_str(ring, C, a)
 
 
 def test_matrix_ops_table_ring():
@@ -522,6 +695,19 @@ def test_literal_roundtrip_and_errors():
         parse_ring("zq:p=2,f=6,m=3")  # 2^18 over the table cap
     with pytest.raises(RingError):
         Ring("zn", n=1)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("zq:p=2,f=1,m=2,m=3", r"repeats \['m'\]"),
+    ("fqt:p=2,p=2,f=1,m=3", r"repeats \['p'\]"),
+    ("zn:n=6,n=6", r"repeats \['n'\]"),
+    ("zq:p=2,f=1,m=3,x=5", r"zq takes no \['x'\]"),
+    ("fqt:p=2,f=1,m=3,n=4", r"fqt takes no \['n'\]"),
+    ("zn:n=6,p=3", r"zn takes no \['p'\]"),
+])
+def test_literals_refuse_repeated_and_unknown_keys(text, match):
+    with pytest.raises(RingError, match=match):
+        parse_ring(text)
 
 
 def test_from_int_is_canonical():
