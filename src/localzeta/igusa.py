@@ -18,22 +18,26 @@ evaluates one point per singular zero of each level: the work is the sum
 of the singular zeros, not of N_n * q^d.  zero_count, the plain scan of
 the whole grid, is the oracle for those counts.  The budget applies to
 the points evaluated: the level-1 grid is checked before the scan, and a
-bound on all later evaluations before any lift.  The arithmetic stays in
-lookup tables, so the numbers are an independent check on any closed
-form.
+bound on all later evaluations before any lift.  f is parsed into its
+expansion, a Laurent, and the gradient is read off its terms; the
+arithmetic at the points stays in the ring's lookup tables, so the numbers
+are an independent check on any closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .groups import IdentityError, TooLarge
+from .laurent import Laurent
 from .rings import Ring
 from .zeta import ZetaSeries
 
 GRID_CAP = 10**8
+EXPANSION_CAP = 5 * 10**5  # pairs of terms in one product while parsing
 CHUNK = 1 << 18
 
 
@@ -42,36 +46,17 @@ class IgusaError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# polynomial expressions
+# polynomials
 
 
-class Poly:
-    """Expression tree over named variables with integer constants."""
+class Poly(NamedTuple):
+    """An integer polynomial as parsed: terms is its expansion, a Laurent
+    with non-negative exponents in vars, the sorted identifiers of text.
+    vars is read from the tokens, so x in x - x still counts."""
 
-    __slots__ = ("ast", "vars", "text")
-
-    def __init__(self, ast, text):
-        self.ast = ast
-        self.text = text
-        names = set()
-        _collect_vars(ast, names)
-        self.vars = tuple(sorted(names))
-
-    def __repr__(self):
-        return f"Poly({self.text!r}, vars={self.vars})"
-
-
-def _collect_vars(ast, out):
-    op = ast[0]
-    if op == "var":
-        out.add(ast[1])
-    elif op in ("add", "sub", "mul"):
-        _collect_vars(ast[1], out)
-        _collect_vars(ast[2], out)
-    elif op in ("neg",):
-        _collect_vars(ast[1], out)
-    elif op == "pow":
-        _collect_vars(ast[1], out)
+    terms: Laurent
+    vars: tuple
+    text: str
 
 
 def _tokenize(text):
@@ -102,11 +87,41 @@ def _tokenize(text):
     return tokens
 
 
+def _product(a, b):
+    """a * b, refused before it is formed if it costs over EXPANSION_CAP:
+    its pairs of terms, each counted once per 4096-bit block of the largest
+    coefficient on either side, so that 7^100000000 is refused as well."""
+    pairs = len(a.terms) * len(b.terms)
+    for p in (a, b):
+        pairs *= 1 + max(map(int.bit_length, p.terms.values()),
+                         default=0) // 4096
+    if pairs > EXPANSION_CAP:
+        raise TooLarge(f"expanding the polynomial would multiply {pairs} "
+                       f"pairs of terms, over budget {EXPANSION_CAP}")
+    return a * b
+
+
+def _power(base, k):
+    # square-and-multiply through _product, squaring only while bits are left
+    out = Laurent.const(1, base.nvars)
+    while k:
+        if k & 1:
+            out = _product(out, base)
+        k >>= 1
+        if k:
+            base = _product(base, base)
+    return out
+
+
 def parse_poly(text) -> Poly:
-    """Grammar: integer literals, identifiers, + - * ^ and parentheses."""
+    """Grammar: integer literals, identifiers, + - * ^ and parentheses.
+    The polynomial is expanded as it is parsed, each product by _product."""
     if isinstance(text, Poly):
         return text
     tokens = _tokenize(text)
+    names = tuple(sorted({v for k, v in tokens if k == "ident"}))
+    d = len(names)
+    variables = {name: Laurent.var(i, d) for i, name in enumerate(names)}
     pos = [0]
 
     def peek():
@@ -122,9 +137,9 @@ def parse_poly(text) -> Poly:
     def atom():
         k = peek()
         if k == "int":
-            return ("const", take("int"))
+            return Laurent.const(take("int"), d)
         if k == "ident":
-            return ("var", take("ident"))
+            return variables[take("ident")]
         if k == "(":
             take("(")
             node = expr()
@@ -138,152 +153,90 @@ def parse_poly(text) -> Poly:
         if peek() == "^":
             take("^")
             if peek() == "int":
-                return ("pow", base, take("int"))
+                return _power(base, take("int"))
             raise IgusaError("exponent must be a nonnegative integer")
         return base
 
     def factor():
         if peek() == "-":
             take("-")
-            return ("neg", factor())
+            return -factor()
         return power()
 
     def term():
         node = factor()
         while peek() == "*":
             take("*")
-            node = ("mul", node, factor())
+            node = _product(node, factor())
         return node
 
     def expr():
         node = term()
         while peek() in ("+", "-"):
             if take(peek()) == "+":
-                node = ("add", node, term())
+                node = node + term()
             else:
-                node = ("sub", node, term())
+                node = node - term()
         return node
 
     root = expr()
     take("end")
-    return Poly(root, text if isinstance(text, str) else str(text))
+    return Poly(root, names, text if isinstance(text, str) else str(text))
 
 
-_ZERO = ("const", 0)
-_ONE = ("const", 1)
+def _partials(f):
+    """The formal partials of the Laurent f, one per variable: the term
+    c x^e of f gives c e_i x^(e - 1_i) in the i-th, where e_i > 0."""
+    return [
+        Laurent(f.nvars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                          for e, c in f.terms.items() if e[i]})
+        for i in range(f.nvars)
+    ]
 
 
-def _neg(a):
-    return _ZERO if a == _ZERO else ("neg", a)
+def _evaluate(f, ring: Ring, points):
+    """f at each column of the (d, n) index array points, as ring indices,
+    monomial by monomial; each power by square-and-multiply inside it."""
+    out = None
+    for e, c in f.terms.items():
+        c = ring.from_int(c)
+        if c == ring.zero:
+            continue  # most terms of (x + 1)^1000 over Z/8, say
+        term = None
+        for x, k in zip(points, e):
+            while k:
+                if k & 1:
+                    term = x if term is None else ring.MUL[term, x]
+                k >>= 1
+                if k:
+                    x = ring.MUL[x, x]
+        if term is None:
+            term = np.full(points.shape[1], c, dtype=np.int32)
+        elif c != ring.one:
+            term = ring.MUL[c].take(term)
+        out = term if out is None else ring.ADD[out, term]
+    if out is None:
+        return np.full(points.shape[1], ring.zero, dtype=np.int32)
+    return out
 
 
-def _add(a, b):
-    if a == _ZERO:
-        return b
-    return a if b == _ZERO else ("add", a, b)
-
-
-def _sub(a, b):
-    if b == _ZERO:
-        return a
-    return _neg(b) if a == _ZERO else ("sub", a, b)
-
-
-def _mul(a, b):
-    if _ZERO in (a, b):
-        return _ZERO
-    if a == _ONE:
-        return b
-    return a if b == _ONE else ("mul", a, b)
-
-
-def _pow(base, n):
-    if n == 0:
-        return _ONE
-    return base if n == 1 else ("pow", base, n)
-
-
-def _derivative(ast, name):
-    """Formal partial derivative of ast in the variable name, as an AST.
-
-    pow with exponent n becomes n * base^(n-1) * base'.  The constants 0
-    and 1 are folded where they meet neg, add, sub, mul and pow, so the
-    partial in a variable that ast never mentions is ("const", 0).
-    """
-    op = ast[0]
-    if op == "const":
-        return _ZERO
-    if op == "var":
-        return _ONE if ast[1] == name else _ZERO
-    if op == "neg":
-        return _neg(_derivative(ast[1], name))
-    if op in ("add", "sub"):
-        join = _add if op == "add" else _sub
-        return join(_derivative(ast[1], name), _derivative(ast[2], name))
-    if op == "mul":
-        a, b = ast[1], ast[2]
-        return _add(_mul(_derivative(a, name), b),
-                    _mul(a, _derivative(b, name)))
-    if op == "pow":
-        base, n = ast[1], ast[2]
-        if n == 0:
-            return _ZERO
-        return _mul(_mul(("const", n), _pow(base, n - 1)),
-                    _derivative(base, name))
-    raise IgusaError(f"unknown node {op!r}")
-
-
-def _eval_chunk(ast, ring, coords, width):
-    op = ast[0]
-    if op == "const":
-        return np.full(width, ring.from_int(ast[1]), dtype=np.int32)
-    if op == "var":
-        return coords[ast[1]]
-    if op == "neg":
-        return ring.NEG[_eval_chunk(ast[1], ring, coords, width)]
-    if op == "add":
-        a = _eval_chunk(ast[1], ring, coords, width)
-        b = _eval_chunk(ast[2], ring, coords, width)
-        return ring.ADD[a, b]
-    if op == "sub":
-        a = _eval_chunk(ast[1], ring, coords, width)
-        b = _eval_chunk(ast[2], ring, coords, width)
-        return ring.ADD[a, ring.NEG[b]]
-    if op == "mul":
-        a = _eval_chunk(ast[1], ring, coords, width)
-        b = _eval_chunk(ast[2], ring, coords, width)
-        return ring.MUL[a, b]
-    if op == "pow":
-        base = _eval_chunk(ast[1], ring, coords, width)
-        out = np.full(width, ring.one, dtype=np.int32)
-        k = ast[2]
-        while k:
-            if k & 1:
-                out = ring.MUL[out, base]
-            base = ring.MUL[base, base]
-            k >>= 1
-        return out
-    raise IgusaError(f"unknown node {op!r}")
+def _is_zero(f, ring: Ring, points):
+    """Boolean mask: f = 0 at each column of the (d, n) array points."""
+    return _evaluate(f, ring, points) == ring.zero
 
 
 def zero_count(poly, ring: Ring) -> int:
     """N = #{x in ring^d : f(x) = 0} over the d variables f mentions, by
     exhaustive evaluation; the budget is checked against that grid."""
     poly = parse_poly(poly)
-    names = poly.vars
-    grid = ring.size ** len(names)
+    d = len(poly.vars)
+    grid = ring.size**d
     if grid > GRID_CAP:
         raise TooLarge(f"grid of {grid} points exceeds budget {GRID_CAP}")
     total = 0
     for lo in range(0, grid, CHUNK):
-        hi = min(grid, lo + CHUNK)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        coords = {
-            name: ((idx // ring.size**axis) % ring.size).astype(np.int32)
-            for axis, name in enumerate(names)
-        }
-        vals = _eval_chunk(poly.ast, ring, coords, hi - lo)
-        total += int((vals == ring.zero).sum())
+        points = _digit_strings(ring.size, d, lo, min(grid, lo + CHUNK))
+        total += int(np.count_nonzero(_is_zero(poly.terms, ring, points)))
     return total
 
 
@@ -336,12 +289,6 @@ def _lifts(table, zeros, q, d):
             yield out
 
 
-def _is_zero(ast, ring: Ring, names, points):
-    """Boolean mask: f = 0 at each column of the (d, n) array points."""
-    coords = dict(zip(names, points))
-    return _eval_chunk(ast, ring, coords, points.shape[1]) == ring.zero
-
-
 def _level_one_zeros(poly, ring: Ring):
     """(smooth, singular): the zeros of f on the residue grid F_q^d.
 
@@ -350,17 +297,17 @@ def _level_one_zeros(poly, ring: Ring):
     where it vanishes.  The grid is the set of lifts of the level-0 point,
     scanned in pieces of at most CHUNK points.
     """
-    names = poly.vars
-    partials = [_derivative(poly.ast, name) for name in names]
+    d = len(poly.vars)
+    partials = _partials(poly.terms)
     table = _lift_table(ring, 0)
-    origin = np.zeros((len(names), 1), dtype=table.dtype)
+    origin = np.zeros((d, 1), dtype=table.dtype)
     smooth = 0
     singular = [origin[:, :0]]
-    for grid in _lifts(table, origin, ring.q, len(names)):
-        zeros = grid[:, _is_zero(poly.ast, ring, names, grid)]
+    for grid in _lifts(table, origin, ring.q, d):
+        zeros = grid[:, _is_zero(poly.terms, ring, grid)]
         flat = np.ones(zeros.shape[1], dtype=bool)
         for partial in partials:
-            flat &= _is_zero(partial, ring, names, zeros)
+            flat &= _is_zero(partial, ring, zeros)
         smooth += int(np.count_nonzero(~flat))
         singular.append(zeros[:, flat])
     return smooth, np.concatenate(singular, axis=1)
@@ -406,8 +353,7 @@ so the zeros fall in two kinds, fixed by their image on level 1.  A
         ring, table = rings[k], tables[k]
         for r in range(0, zeros.shape[1], CHUNK):
             piece = zeros[:, r:r + CHUNK]
-            passed = piece[:, _is_zero(poly.ast, ring, poly.vars,
-                                       table[piece, 0])]
+            passed = piece[:, _is_zero(poly.terms, ring, table[piece, 0])]
             counts[k] += passed.shape[1] * fibre
             if k + 1 < m:
                 for lifts in _lifts(table, passed, q, d):
@@ -431,26 +377,18 @@ def level_set_measures(poly, ring: Ring):
     poly = parse_poly(poly)
     if ring.VAL is None:
         raise IgusaError(f"no valuation on {ring.literal}")
-    d = len(poly.vars)
-    q = ring.q
-    m = ring.m
+    d, q, m = len(poly.vars), ring.q, ring.m
     rings = [ring.subring_level(k) for k in range(1, m + 1)]
     counts = [1]  # N_0: the empty congruence
     counts += _stationary_zero_counts(poly, rings)
-    measures = []
-    for n in range(m):
-        mu = Fraction(counts[n], q ** (n * d)) - Fraction(
-            counts[n + 1], q ** ((n + 1) * d)
-        )
-        measures.append(mu)
-    tail = Fraction(counts[m], q ** (m * d))
+    mass = [Fraction(n, q ** (k * d)) for k, n in enumerate(counts)]
     return {
         "poly": poly.text,
         "ring": ring.literal,
         "arity": d,
         "zero_counts": counts[1:],
-        "measures": measures,
-        "tail": tail,
+        "measures": [a - b for a, b in zip(mass, mass[1:])],  # mu(v = n)
+        "tail": mass[m],
     }
 
 

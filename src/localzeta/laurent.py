@@ -1,8 +1,9 @@
 """Multivariate Laurent polynomials with exact coefficients.
 
-This is the one polynomial type of the summation path: it holds the
-numerators of rational functions and the multipliers that the Presburger
-engine creates by telescoping and Faulhaber sums.
+This is the one polynomial type of the package: it holds the expansion of
+every Igusa polynomial, and on the summation path the numerators of
+rational functions and the multipliers that the Presburger engine creates
+by telescoping and Faulhaber sums.
 
 Terms are stored sparsely as ``{exponent tuple: coefficient}`` with zero
 coefficients dropped, so equality is structural and exact.  Exponents may be
@@ -141,8 +142,9 @@ class Laurent:
         while k:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return acc
 
     def monomial_inverse(self):

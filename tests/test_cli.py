@@ -446,6 +446,36 @@ def test_benchmark_job_stdout_is_pinned(monkeypatch):
         cache.clear_memo()
 
 
+# (poly, ring) of seven igusa reports: factored input, cancelled variables,
+# f = 2, a power under unary minus and a constant.  IGUSA_SHA256 is the
+# sha256 of their stdout, concatenated in this order; CI pins it too.
+IGUSA_REPORTS = [
+    ("(x + y)^3 - x*y + 1", "fqt:p=3,f=1,m=3"),
+    ("a+b+c-a-b-c", "zq:p=2,f=1,m=3"),
+    ("x^3 - y^2", "fqt:p=2,f=1,m=5"),
+    ("-(x*y)^2 + 2*x - 7", "zq:p=3,f=2,m=2"),
+    ("(w + 2*x + 3*x^2*y)*x - y*z", "zq:p=2,f=1,m=4"),
+    ("x - x", "zq:p=2,f=1,m=5"),
+    ("9", "zq:p=3,f=1,m=3"),
+]
+IGUSA_SHA256 = (
+    "8d3b8a8a93ea74fa482ca768dcdca84f32e9388763a8b28069ba080eb1877920"
+)
+
+
+def test_igusa_reports_are_pinned():
+    import contextlib
+    import io
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for poly, ring in IGUSA_REPORTS:
+            assert cli.main(["igusa", "--poly", poly, "--ring", ring]) == 0
+    got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == IGUSA_SHA256
+
+
 def test_verify_failure_exit_code(monkeypatch):
     from localzeta import verify
 

@@ -1,10 +1,12 @@
+import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from localzeta import igusa
+from localzeta import cli, igusa
 from localzeta.groups import IdentityError, TooLarge
 from localzeta.igusa import (
     IgusaError,
@@ -13,6 +15,7 @@ from localzeta.igusa import (
     parse_poly,
     zero_count,
 )
+from localzeta.laurent import Laurent
 from localzeta.rings import make_ring, parse_ring
 from localzeta.zeta import (
     expand,
@@ -28,13 +31,116 @@ DET3 = "a*e*i+b*f*g+c*d*h-c*e*g-b*d*i-a*f*h"
 def test_parse_poly_basics():
     p = parse_poly(DET)
     assert p.vars == ("a", "b", "c", "d")
-    assert p.ast == (
-        "sub", ("mul", ("var", "a"), ("var", "b")),
-        ("mul", ("var", "c"), ("var", "d")),
-    )
-    assert parse_poly("x_1 + 12").vars == ("x_1",)
+    assert p.terms.terms == {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1}
+    p = parse_poly("x_1 + 12")
+    assert (p.vars, p.terms.terms) == (("x_1",), {(1,): 1, (0,): 12})
     # unary minus binds looser than ^
-    assert parse_poly("-x^2").ast == ("neg", ("pow", ("var", "x"), 2))
+    assert parse_poly("-x^2").terms.terms == {(2,): -1}
+    assert parse_poly("(x + 1)^2 - x^2").terms.terms == {(1,): 2, (0,): 1}
+
+
+@pytest.mark.parametrize("text,arity", [
+    ("a+b+c-a-b-c", 3), ("x - x", 1), ("0*y + 1", 1), ("x^0", 1),
+])
+def test_vars_are_syntactic(text, arity):
+    # every identifier of the text is an axis, also where its terms cancel
+    assert parse_poly(text).terms.terms in ({}, {(0,) * arity: 1})
+    rep = level_set_measures(text, make_ring("zq", p=2, f=1, m=3))
+    assert rep["arity"] == arity
+
+
+def _sparse(rng, names):
+    # the seeded monomial shapes of the igusa benchmark polynomials
+    terms = []
+    for shape in ("{u}", "{u}*{v}", "{u}^2*{v}"):
+        u, v = rng.sample(names, 2)
+        terms.append(f"{rng.randint(1, 3)}*" + shape.format(u=u, v=v))
+    return " + ".join(terms)
+
+
+def _oracle_polys(rng):
+    for _ in range(10):
+        w, x, y, z = rng.sample(["w", "x", "y", "z"], 4)
+        yield f"{w} + " + _sparse(rng, [x, y, z])
+        yield f"({w} + {_sparse(rng, [x, y, z])})*{x} - {y}*{z}"
+        k, j, c = rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 99)
+        yield (f"-(({w} - {rng.randint(0, 9)}*{x})^{k} + {c})^{j}"
+               f" - -{y}*{c}^2 + {rng.randint(0, 9)}")
+
+
+def _int_value(text, names, point):
+    # Python's own integer arithmetic, independent of Laurent and the rings
+    return eval(text.replace("^", "**"), {}, dict(zip(names, point)))
+
+
+def test_expansion_agrees_with_integer_arithmetic():
+    rng = random.Random(20261020)
+    for text in _oracle_polys(rng):
+        f = parse_poly(text)
+        for _ in range(5):
+            point = [rng.randint(-20, 20) for _ in f.vars]
+            assert f.terms.evaluate(point) == _int_value(text, f.vars, point)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2)])
+def test_evaluate_agrees_with_integer_arithmetic(p, m):
+    # over Z/p^m an index is its residue, so _evaluate must give f mod p^m
+    ring = make_ring("zq", p=p, f=1, m=m)
+    rng = random.Random(p)
+    for text in _oracle_polys(rng):
+        f = parse_poly(text)
+        cols = [[rng.randrange(p**m) for _ in f.vars] for _ in range(50)]
+        want = [_int_value(text, f.vars, col) % p**m for col in cols]
+        points = np.array(cols, dtype=np.int64).T
+        assert igusa._evaluate(f.terms, ring, points).tolist() == want
+
+
+def test_expansion_budget_refuses_a_product_before_forming_it(monkeypatch):
+    formed = []
+    mul = Laurent.__mul__
+
+    def spy(a, b):
+        formed.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    monkeypatch.setattr(Laurent, "__mul__", spy)
+    monkeypatch.setattr(igusa, "EXPANSION_CAP", 12)
+    assert len(parse_poly("(a + b + c)*(w + x + y + z)").terms.terms) == 12
+    assert formed == [12]
+    formed.clear()
+    monkeypatch.setattr(igusa, "EXPANSION_CAP", 11)
+    with pytest.raises(TooLarge, match="12 pairs of terms, over budget 11"):
+        parse_poly("(a + b + c)*(w + x + y + z)")
+    assert formed == []
+    # powers square through the same check: (x + 1)^4 squares x + 1 (4
+    # pairs), then x^2 + 2x + 1 (9 pairs)
+    monkeypatch.setattr(igusa, "EXPANSION_CAP", 8)
+    with pytest.raises(TooLarge, match="9 pairs"):
+        parse_poly("(x + 1)^4")
+    assert formed == [4]
+    # a coefficient counts once per 4096-bit block: 2^4096 (4097 bits)
+    # is formed, squaring it would cost 2 * 2 pairs
+    monkeypatch.setattr(igusa, "EXPANSION_CAP", 3)
+    assert parse_poly("2^4096").terms.terms == {(): 2**4096}
+    with pytest.raises(TooLarge, match="4 pairs"):
+        parse_poly("2^8192")
+
+
+def _igusa_exit_code(poly):
+    return cli.main(["igusa", "--poly", poly, "--ring", "zq:p=2,f=1,m=3"])
+
+
+def test_expansion_budget_at_the_command_line(capsys):
+    start = time.perf_counter()
+    assert _igusa_exit_code("(x+1)^100000") == 3
+    assert _igusa_exit_code("7^100000000") == 3
+    # each refusal takes about half a second; expanding would take hours
+    assert time.perf_counter() - start < 10
+    assert "over budget" in capsys.readouterr().err
+    # one term, however high its power, still runs, and so does the
+    # largest expansion the tests make: 489 * 513 pairs in its last product
+    assert _igusa_exit_code("x^1000000") == 0
+    assert _igusa_exit_code("(x+1)^1000") == 0
 
 
 def test_parse_poly_errors():
@@ -225,13 +331,13 @@ def test_lifting_memory_does_not_grow_with_zeros(monkeypatch):
 
 def test_budget_checked_before_any_level(monkeypatch):
     levels = []
-    eval_chunk = igusa._eval_chunk
+    evaluate = igusa._evaluate
 
-    def spy(ast, ring, coords, width):
+    def spy(f, ring, points):
         levels.append(ring.m)
-        return eval_chunk(ast, ring, coords, width)
+        return evaluate(f, ring, points)
 
-    monkeypatch.setattr(igusa, "_eval_chunk", spy)
+    monkeypatch.setattr(igusa, "_evaluate", spy)
     # a*b over F_2 has 4 grid points and one singular zero, (0, 0); up to
     # level 9 the lifting evaluates at most 4 + (4^8 - 1)/3 = 21849 points
     monkeypatch.setattr(igusa, "GRID_CAP", 21848)
@@ -274,28 +380,27 @@ def test_counts_without_variables(poly):
 
 
 def test_derivative_by_hand():
-    x, y = ("var", "x"), ("var", "y")
-
     def d(text, name):
-        return igusa._derivative(parse_poly(text).ast, name)
+        f = parse_poly(text)
+        return igusa._partials(f.terms)[f.vars.index(name)].terms
 
-    assert d("x^3", "x") == ("mul", ("const", 3), ("pow", x, 2))
-    assert d("-x^2", "x") == ("neg", ("mul", ("const", 2), x))
-    assert d("(x + 1)^2", "x") == (
-        "mul", ("const", 2), ("add", x, ("const", 1)))
-    assert d("(x*y)^2", "x") == (
-        "mul", ("mul", ("const", 2), ("mul", x, y)), y)
-    assert d("x^1", "x") == ("const", 1)
-    assert d("x^0", "x") == ("const", 0)
-    assert d("x*y", "x") == y
-    assert d("x - y", "y") == ("neg", ("const", 1))
-    assert d("5", "x") == ("const", 0)
-    assert d("x^2 + 7", "y") == ("const", 0)
+    assert d("x^3", "x") == {(2,): 3}
+    assert d("-x^2", "x") == {(1,): -2}
+    assert d("(x + 1)^2", "x") == {(1,): 2, (0,): 2}
+    assert d("(x*y)^2", "x") == {(1, 2): 2}
+    assert d("x^1", "x") == {(0,): 1}
+    assert d("x^0", "x") == {}
+    assert d("x*y", "x") == {(0, 1): 1}
+    assert d("x - y", "y") == {(0, 0): -1}
+    assert igusa._partials(parse_poly("5").terms) == []
+    assert d("x^2 + 7 + 0*y", "y") == {}
 
 
 def test_derivative_of_square_vanishes_mod_two():
     # d(x^2)/dx = 2x vanishes mod 2, though not on Z/8
-    dx = igusa.Poly(igusa._derivative(parse_poly("x^2").ast, "x"), "2*x")
+    (dx,) = igusa._partials(parse_poly("x^2").terms)
+    assert dx.terms == {(1,): 2}
+    dx = igusa.Poly(dx, ("x",), "2*x")
     assert zero_count(dx, make_ring("zq", p=2, f=1, m=1)) == 2
     assert zero_count(dx, make_ring("fqt", p=2, f=1, m=3)) == 8
     assert zero_count(dx, make_ring("zq", p=2, f=1, m=3)) == 2
@@ -331,7 +436,7 @@ def test_singular_zeros_have_all_or_no_zero_lifts(poly, ring):
     # brute force over the level-2 grid: the zero lifts of each level-1 point
     idx = np.arange(size**d)
     cols = [(idx // size**j % size).astype(np.int32) for j in range(d)]
-    vals = igusa._eval_chunk(f.ast, level2, dict(zip(f.vars, cols)), len(idx))
+    vals = igusa._evaluate(f.terms, level2, np.array(cols))
     proj = level2.project_table(1)
     below = sum(proj[c].astype(np.int64) * q**j for j, c in enumerate(cols))
     zero1 = np.bincount(below[proj[vals] == 0], minlength=q**d) > 0

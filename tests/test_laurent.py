@@ -123,6 +123,26 @@ def test_laurent_arithmetic_matches_fractions():
             assert got.evaluate(pt) == want
 
 
+@pytest.mark.parametrize("k,products", [(0, 0), (1, 1), (4, 3), (5, 4)])
+def test_pow_squares_only_while_bits_are_left(monkeypatch, k, products):
+    # square-and-multiply: one product per bit of k, one square per bit
+    # below the top one, and no square after the last bit
+    p = Laurent.var(0, 2) + Laurent.var(1, 2) + 1
+    want = Laurent.const(1, 2)
+    for _ in range(k):
+        want = want * p
+    calls = []
+    mul = Laurent.__mul__
+
+    def spy(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Laurent, "__mul__", spy)
+    assert p ** k == want
+    assert len(calls) == products
+
+
 def test_linform_arithmetic_matches_fractions():
     rng = random.Random(SEED + 1)
     for _ in range(300):
