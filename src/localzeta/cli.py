@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -236,6 +237,8 @@ def _cmd_verify(args):
 # ----------------------------------------------------------------------
 
 
+# built on first use, once per process: parse_args leaves it unchanged
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zeta",

@@ -19,9 +19,12 @@ has no integer point, and keeping it would only defer its death to the
 elimination of that variable, whose residue modulus is a multiple of the
 period, so every residue there grounds some congruence to false.
 
-Divergence is always an error, never a silent wrong value.  The engine
-refuses runaway case splits via the modulus budget and refuses formulas
-with more than four free variables.
+Divergence is always an error, never a silent wrong value, and an empty
+cell sums to 0: a variable with no bound or on a non-contracting ray
+raises ``Divergent`` only when ``_has_point`` finds an integer point
+for the rest of its term, by the branching (``_bound_branches``) that
+sums each variable.  The engine refuses runaway case splits via the
+modulus budget and refuses formulas with more than four free variables.
 """
 
 from __future__ import annotations
@@ -698,9 +701,8 @@ def _minus_infinity(lit, var):
     return ("true",) if c > 0 else ("false",)
 
 
-def _cooper(var, ast, limit=None):
-    """Eliminate exists var from a quantifier-free NNF formula; CellBudget
-    when that would substitute into more than limit pieces."""
+def _cooper(var, ast):
+    """Eliminate exists var from a quantifier-free NNF formula."""
     ast = simplify(ast)
     if var not in free_vars(ast):
         return ast
@@ -721,9 +723,6 @@ def _cooper(var, ast, limit=None):
             # -var + t <= 0: bound term is t, shifted to strict form t - 1
             b = lit[1].drop(var) - 1
             bterms[b.key()] = b
-    if limit is not None and D * (len(bterms) + 1) > limit:
-        raise CellBudget(f"eliminating {var} substitutes into "
-                         f"{D * (len(bterms) + 1)} pieces, over {limit}")
     at_minus_inf = _map_literals(
         scaled, lambda lit: _minus_infinity(lit, var))
 
@@ -1101,10 +1100,11 @@ def _tight_branches(forms, sense):
     """Disjoint branches picking the tight bound among candidate forms.
 
     sense=+1 picks the maximum (tight lower bound), -1 the minimum.
-    Yields (form, extra literals); first-minimal index tie-breaking.
+    Yields (form, extra literals); first-minimal index tie-breaking, and
+    (None, []) when there is no bound.
     """
-    if len(forms) == 1:
-        yield forms[0], []
+    if len(forms) <= 1:
+        yield (forms[0] if forms else None), []
         return
     for k, tight in enumerate(forms):
         lits = []
@@ -1131,13 +1131,6 @@ def _integral_le(lit):
     g = math.gcd(*form.nums.values())
     return ("le", LinForm._make({v: c // g for v, c in form.nums.items()},
                                -(-form.cnum // g), 1))
-
-
-def _disjuncts(ast):
-    """The operands of a formula's top-level disjunctions."""
-    if ast[0] == "or":
-        return _disjuncts(ast[1]) + _disjuncts(ast[2])
-    return [ast]
 
 
 def _rationally_empty(lits):
@@ -1170,37 +1163,36 @@ def _rationally_empty(lits):
         ]
 
 
-def _satisfiable(lits):
-    """Whether a conjunction of literals has an integer solution: True,
-    False, or None when undecided.
+def _has_point(lits):
+    """Whether a conjunction of literals has an integer point.
 
-    Each conjunction has its le-literals tightened (``_integral_le``) and
-    is tested by its rational relaxation (``_rationally_empty``), then by
-    Cooper elimination of one variable at a time, depth first over the
-    conjunctions each elimination yields, within CELL_BUDGET substituted
-    pieces in all (at most sqrt(CELL_BUDGET) eliminations of at most as
-    many pieces each).  A congruence with a rational coefficient, or a
-    system past that budget, leaves it undecided."""
-    per = math.isqrt(CELL_BUDGET)
-    todo = [lits]
-    for _ in range(per):
-        if not todo:
-            return False
-        alive, conj = _check_ground_lits(map(_integral_le, todo.pop()))
-        if not alive or _rationally_empty(conj):
-            continue
-        if not conj:
-            return True
-        ast = conj[0]
-        for lit in conj[1:]:
-            ast = ("and", ast, lit)
-        try:
-            ast = _cooper(min(free_vars(ast)), ast, limit=per)
-        except PresburgerError:
-            return None
-        todo += [list(_literals(d)) for d in _disjuncts(ast)
-                 if d[0] != "false"]
-    return None if todo else False
+    The le-literals are tightened (``_integral_le``) and tested by their
+    rational relaxation (``_rationally_empty``); then the variable with
+    the fewest splits (bound coefficients times residue moduli) is
+    eliminated through ``_bound_branches``, the engine's own exact
+    projection, with L <= U added where z has both bounds (a side with
+    none is a ray, on which z exists), and each branch is decided the
+    same way, depth first.  Exact: only ``ModulusBudget`` can stop it."""
+    alive, lits = _check_ground_lits(map(_integral_le, lits))
+    if not alive or _rationally_empty(lits):
+        return False
+    free = sorted(set().union(*(lit[1].nums for lit in lits)))
+    if not free:
+        return True
+
+    def splits(v):  # bounds to floor and residues to try, in product
+        return math.prod(abs(lit[1].nums[v]) if lit[0] == "le"
+                         else lit[2] * lit[1].den
+                         for lit in lits if v in lit[1].nums)
+
+    index = {v: i for i, v in enumerate(free)}
+    term = _Term(((), 1), Laurent.const(1, len(free)), LinForm(), LinForm(),
+                 lits)
+    return any(
+        _has_point(t.lits if L is None or U is None
+                   else t.lits + [("le", L - U)])
+        for t, L, U in _bound_branches(term, min(free, key=splits), index)
+    )
 
 
 def _times_moment(pref, k, dx, dy, coef=1):
@@ -1236,7 +1228,7 @@ def _sum_progression(term, z, lower, upper, ctx):
         return dy > 0 or (dy == 0 and dx < 0)
 
     if lower is None and upper is None:
-        if _satisfiable(term.lits) is not False:
+        if _has_point(term.lits):
             raise Divergent(f"variable {z} is unbounded in both directions")
         return
 
@@ -1290,7 +1282,7 @@ def _sum_progression(term, z, lower, upper, ctx):
         base, dx, dy = upper, -bx, -by
         sub = base - LinForm.of(z)
     if not contracting(dx, dy):
-        if _satisfiable(term.lits) is not False:
+        if _has_point(term.lits):
             raise Divergent(
                 f"ray {z} -> {'+' if lower is not None else '-'}infinity "
                 f"has non-contracting weight X^{dx} Y^{dy}"
@@ -1308,31 +1300,32 @@ def _sum_progression(term, z, lower, upper, ctx):
         )
 
 
-def _eliminate_variable(term, z, ctx):
+def _bound_branches(term, z, index):
+    """The disjoint branches that eliminate z from a term.
+
+    Yields (term, L, U): z runs from L to U on the branch's points, with
+    None for a side without a bound, and z is gone from the literals.
+    The branches come from ``_residue_branches``, then ``_unit_bounds``,
+    then ``_tight_branches`` for the lower and the upper bounds; a term
+    or branch with a false ground literal yields nothing."""
     alive, lits = _check_ground_lits(term.lits)
     if not alive:
         return
     term = _Term(term.pref, term.mult, term.xexp, term.yexp, lits)
-    _, residues = _residue_branches(term, z, ctx["index"])
+    _, residues = _residue_branches(term, z, index)
     for rterm in residues:
         for lowers, uppers, rest in _unit_bounds(rterm, z):
-            low_opts = (
-                list(_tight_branches(lowers, +1)) if lowers else [(None, [])]
-            )
-            up_opts = (
-                list(_tight_branches(uppers, -1)) if uppers else [(None, [])]
-            )
-            for L, llits in low_opts:
-                for U, ulits in up_opts:
-                    t = _Term(
-                        rterm.pref, rterm.mult, rterm.xexp, rterm.yexp,
-                        rest + llits + ulits,
-                    )
-                    alive2, lits2 = _check_ground_lits(t.lits)
-                    if not alive2:
-                        continue
-                    t.lits = lits2
-                    yield from _sum_progression(t, z, L, U, ctx)
+            for (L, llits), (U, ulits) in itertools.product(
+                    _tight_branches(lowers, +1), _tight_branches(uppers, -1)):
+                alive, lits = _check_ground_lits(rest + llits + ulits)
+                if alive:
+                    yield _Term(rterm.pref, rterm.mult, rterm.xexp,
+                                rterm.yexp, lits), L, U
+
+
+def _eliminate_variable(term, z, ctx):
+    for t, L, U in _bound_branches(term, z, ctx["index"]):
+        yield from _sum_progression(t, z, L, U, ctx)
 
 
 def _variable_order(free, A, B):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -265,6 +266,34 @@ def test_cap_must_be_a_positive_integer(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--cap" in captured.err and "budget" not in captured.err
+
+
+def test_the_parser_is_built_once_and_keeps_its_defaults(capsys,
+                                                        monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+
+    def levels(argv):
+        assert cli.main(SERIES + ["--q", "2"] + argv) == 0
+        return json.loads(capsys.readouterr().out)["M"]
+
+    assert levels([]) == "6"
+    assert levels(["--levels", "3"]) == "3"
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        cli.main(SERIES + ["--q", "2", "--levels", "0"])
+    assert exc.value.code == 2
+    assert cli.main(["presburger", "--where", "n >= 0 and", "--sum",
+                     "q^(-n*s)", "--levels", "4", "--q", "2"]) == 2
+    capsys.readouterr()
+    assert levels([]) == "6"
+    assert built.count("zeta") == 1  # the subcommands' are "zeta cc", ...
 
 
 TRANSFER = ["transfer", "--group", "chevalley:A1", "--levels", "2"]

@@ -522,8 +522,9 @@ def test_sum_empty_set_is_zero():
     "x >= 0 and n >= 0 and n = 1 mod 2 and n = 0 mod 2",
     # two lower bounds on x: the tight-bound literal has coefficient 1/2
     "2*x >= n and x >= 0 and n >= 0 and n <= -1",
-    # Cooper on n would substitute into 105 * 3 pieces, over its budget;
-    # the rational relaxation of the n, y literals is already empty
+    # eliminating n first would leave residue modulus 105 for y, over
+    # the budget; the rational relaxation of the n, y literals is
+    # already empty
     "x <= 0 and n >= 0 and 35*n + 6*y <= 2 and 21*n + 10*y >= 5 and y >= 0",
 ])
 def test_empty_cell_with_an_unbounded_variable_sums_to_zero(where):
@@ -555,17 +556,11 @@ def test_clashing_congruences_empty_a_cell_before_it_errs(where, weight):
     assert sum_rational(spec).rational.is_zero()
 
 
-def test_satisfiable_matches_a_search_over_a_box():
+def test_has_point_matches_a_search_over_a_box():
     # conjunctions inside the box -3 <= x, y <= 3, with rational
-    # coefficients on the inequalities, against every point of the box;
-    # a system past the budget may stay undecided (None), never wrong.
-    # Cooper alone decides 199; the rational relaxation shows 11 more
-    # empty.  Rounding each le-row by the gcd of its coefficients (the
-    # Omega test's tightening) decides 6 more when applied to the input,
-    # and 31 more again when applied to every conjunction Cooper yields
+    # coefficients on the inequalities, against every point of the box
     rng = random.Random(11)
     box = range(-3, 4)
-    decided = 0
     for _ in range(300):
         lits = [("le", LinForm({v: sign}, -3))
                 for v in "xy" for sign in (1, -1)]
@@ -586,10 +581,42 @@ def test_satisfiable_matches_a_search_over_a_box():
 
         want = any(all(holds(lit, {"x": x, "y": y}) for lit in lits)
                    for x in box for y in box)
-        got = presburger._satisfiable(lits)
-        assert got in (want, None)
-        decided += got is not None
-    assert decided >= 247
+        assert presburger._has_point(lits) == want
+
+
+BOX_RAY = "t >= 0 and -3 <= x and x <= 3 and -3 <= y and y <= 3 and "
+
+
+# systems of that box search with no integer point and a non-empty
+# rational relaxation, on the non-contracting ray t >= 0 (t is summed
+# first), each with a twin that changes only its congruence and has
+# points; Cooper's elimination within a budget left all five undecided
+@pytest.mark.parametrize("where,twin", [
+    ("6*y + 9 <= 8*x and 2*x + 12*y >= 9 and 2*x + 4*y = 3 mod 2",
+     "6*y + 9 <= 8*x and 2*x + 12*y >= 9 and 2*x + 4*y = 2 mod 2"),
+    ("3*x + 2*y >= -5 and 2*x + 3 <= 12*y and 3*y = 2 mod 3",
+     "3*x + 2*y >= -5 and 2*x + 3 <= 12*y and 3*y = 3 mod 3"),
+    ("8*y <= 3*x + 6 and 4*x = 3 mod 2",
+     "8*y <= 3*x + 6 and 4*x = 2 mod 2"),
+    ("6*x + 2*y <= -5 and 3*x + 2*y >= 0 and 4*x + 2*y = 0 mod 3",
+     "6*x + 2*y <= -5 and 3*x + 2*y >= 0 and 4*x + 2*y = 1 mod 3"),
+    ("3*x + 2*y >= 9 and 4*x + y <= 9 and 3*x - y = 1 mod 2",
+     "3*x + 2*y >= 9 and 4*x + y <= 9 and 3*x - y = 0 mod 2"),
+], ids=["even-odd", "3y-mod-3", "4x-mod-2", "mod-3-wedge", "mod-2-wedge"])
+def test_an_empty_system_on_a_ray_sums_to_zero(where, twin):
+    spec = SummationSpec(BOX_RAY + where, "q^(-x*s - y*s)")
+    assert solution_counts(spec, 6) == {}
+    assert sum_rational(spec).rational.is_zero()
+    spec = SummationSpec(BOX_RAY + twin, "q^(-x*s - y*s)")
+    assert solution_counts(spec, 6)
+    with pytest.raises(Divergent):
+        sum_rational(spec)
+
+
+def test_has_point_stops_at_the_modulus_budget():
+    # it decides or raises; it never guesses
+    with pytest.raises(ModulusBudget):
+        presburger._has_point([("cong", LinForm.of("x"), 128)])
 
 
 def test_sum_errors():
