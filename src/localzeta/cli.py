@@ -146,7 +146,9 @@ def _cmd_cc(args):
 def _cmd_hecke(args):
     ring = _series_ring(args)
     levels = ring.m if args.levels is None else args.levels
-    system = args.group.split(":", 1)[1] if ":" in args.group else args.group
+    system = args.group.removeprefix("chevalley:")
+    if ":" in system:
+        raise ValueError(f"hecke needs a chevalley family, not {args.group!r}")
     series = zt.hecke_zeta(system, args.s1, args.s2, ring.kind, ring.p,
                            ring.f, levels, cap=args.cap)
     return {

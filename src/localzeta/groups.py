@@ -16,8 +16,8 @@ j |V| + v.  Only the products over the lifts are formed; they fix a
 follow by gathers.  The level above reads the table through it, and its
 matrices are built, by one ``mat_mul`` per piece, only when read.
 Level-1 tables and ``zn`` are searched breadth-first with packed integer
-keys (``_KeyIndex``).  ``lookup_batch`` and ``contains_batch`` search a
-table's sorted keys, built on first use, for either route.  Every product
+keys (``_KeyIndex``).  ``lookup_batch`` searches a table's sorted keys,
+built on first use, for either route.  Every product
 that is formed is confirmed, entry or digit by digit, so a wrong V or a
 key collision raises IdentityError instead of mis-filing an element.
 
@@ -28,11 +28,12 @@ with no matrix product:
 * conjugacy classes by orbit partition under generator conjugation,
   cross-checkable against the commuting-pair count (class count times group
   order equals the number of commuting pairs);
-* double cosets of two enumerated subgroups by orbit partition of the
+* double cosets of two subgroups, each the index set its generators
+  reach in the table (``subgroup_indices``), by orbit partition of the
   two-sided action, cross-checkable against the pair count
   e = #{(x,y) : y in Q2, x y x^-1 in Q1} = b |Q1| |Q2|;
 * congruence depth w(x,y) = min entry valuation of xy - yx, and the
-  parabolic depth lambda_S via level projections.
+  parabolic depth lambda_S via the tower numbering of the levels.
 
 Orbits are labelled on nodes, read from the table's ``LiftRecord``: on a
 kernel-route table the kernel K = I + pi^(m-1) V acts on
@@ -274,13 +275,6 @@ class GroupTable:
     def lookup(self, mat):
         return int(self.lookup_batch(np.asarray(mat)[None])[0])
 
-    def contains_batch(self, mats):
-        """Membership of every matrix of an (n, d, d) stack."""
-        return self._locate(mats)[1]
-
-    def contains(self, mat):
-        return bool(self.contains_batch(np.asarray(mat)[None])[0])
-
     def mul(self, i, j):
         return int(
             self.lookup(self.ring.mat_mul(self.mats[i], self.mats[j]))
@@ -289,8 +283,10 @@ class GroupTable:
     # ------------------------------------------------------------------
     # actions as gathers on rho
 
-    def columns(self, sub: "GroupTable"):
-        """The rho column of each generator of sub.
+    def columns(self, gens):
+        """The rho column of each generator of a (provenance, matrix)
+        generator list, ``Family.generators`` or a table's own
+        ``generators``.
 
         Every family draws its generators from the same root, additive and
         unit lists, so a subgroup's generators are among this table's.  An
@@ -299,15 +295,13 @@ class GroupTable:
         cols = {encode_mat(g): c for c, (_, g) in enumerate(self.generators)}
         ident = encode_mat(self.ring.identity_mat(self.d))
         out = []
-        for prov, g in sub.generators:
+        for prov, g in gens:
             key = encode_mat(g)
             if key == ident:
                 continue
             if key not in cols:
                 raise GroupsError(
-                    f"generator {prov} of {sub.name} is not a generator "
-                    f"of {self.name}"
-                )
+                    f"generator {prov} is not a generator of {self.name}")
             out.append(cols[key])
         return out
 
@@ -456,15 +450,12 @@ class GroupTable:
     # ------------------------------------------------------------------
     # subgroups, double cosets, Hecke pairs
 
-    def subgroup_indices(self, sub: "GroupTable"):
-        """Sorted indices of a separately enumerated subgroup in this table.
-
-        A breadth-first search from the identity over the rho columns of
-        sub's generators; its size must equal sub.size.
-        """
-        if sub.ring is not self.ring or sub.d != self.d:
-            raise GroupsError("subgroup table over a different carrier")
-        cols = self.columns(sub)
+    def subgroup_indices(self, gens):
+        """Sorted indices of the subgroup that a generator list generates in
+        this table: a breadth-first search from the identity over the rho
+        columns of its generators (``columns``), so the subgroup is an
+        index set of this table and never a table of its own."""
+        cols = self.columns(gens)
         seen = np.zeros(self.size, dtype=bool)
         seen[0] = True  # generate puts the identity first
         frontier = np.zeros(1, dtype=np.int64)
@@ -472,48 +463,39 @@ class GroupTable:
             nxt = self.rho[frontier][:, cols].ravel()
             frontier = np.unique(nxt[~seen[nxt]])
             seen[frontier] = True
-        idx = np.flatnonzero(seen)
-        if idx.size != sub.size:
-            raise GroupsError(
-                f"{sub.name} generates {idx.size} elements of {self.name}, "
-                f"not its {sub.size}"
-            )
-        return idx
+        return np.flatnonzero(seen)
 
-    def double_coset_labels(self, sub1: "GroupTable", sub2: "GroupTable"):
+    def double_coset_labels(self, gens1, gens2, idx1=None, idx2=None):
         """Double-coset label per element, each numbered by its smallest
-        element: the orbits of x -> g1^-1 x and x -> x g2 for generators
-        g1 of sub1, g2 of sub2.  They are labelled on nodes: K_1 x K_2,
-        K_i the kernel part of sub i with coordinates V_i, moves v by
-        V_1 + Ad(r) V_2, r the residue of x."""
-        return self._double_coset_labels(sub1, sub2,
-                                         self.subgroup_indices(sub1),
-                                         self.subgroup_indices(sub2))
-
-    def _double_coset_labels(self, sub1, sub2, idx1, idx2):
-        """``double_coset_labels`` with the element indices idx1 and idx2
-        of the subgroups already found."""
-        moves = [(self.inverse_times, c) for c in self.columns(sub1)]
-        moves += [(self.times, c) for c in self.columns(sub2)]
+        element: the orbits of x -> g1^-1 x and x -> x g2 for g1 in the
+        generator list gens1 of Q1 and g2 in gens2 of Q2.  They are
+        labelled on nodes: K_1 x K_2, K_i the kernel part of Q_i with
+        coordinates V_i, moves v by V_1 + Ad(r) V_2, r the residue of x.
+        idx1 and idx2, the indices of Q1 and Q2, are found when not given."""
+        idx1 = self.subgroup_indices(gens1) if idx1 is None else idx1
+        idx2 = self.subgroup_indices(gens2) if idx2 is None else idx2
+        moves = [(self.inverse_times, c) for c in self.columns(gens1)]
+        moves += [(self.times, c) for c in self.columns(gens2)]
         return self._orbits(lambda rec: rec.double_coset_span(idx1, idx2),
                             moves)
 
-    def double_coset_data(self, sub1: "GroupTable", sub2: "GroupTable"):
-        """(b, e): double coset count and Hecke pair count.
+    def double_coset_data(self, gens1, gens2):
+        """(b, e, |Q1|, |Q2|) for the subgroups Q1 and Q2 that the generator
+        lists gens1 and gens2 generate in this table.
 
-        b is the number of double-coset labels; e = #{(x,y): y in sub2,
-        x y x^{-1} in sub1} comes from the conjugacy labels, so the
+        b is the number of double-coset labels; e = #{(x,y): y in Q2,
+        x y x^{-1} in Q1} comes from the conjugacy labels, so the
         identity e = b|Q1||Q2| checks two orbit partitions against each
         other.  Both are labelled on nodes of the same kernel; the
         matrix-product checks (``commuting_pairs``, ``pair_depth_counts``)
         stay independent of them.
         """
-        idx1 = self.subgroup_indices(sub1)
-        idx2 = self.subgroup_indices(sub2)
-        labels = self._double_coset_labels(sub1, sub2, idx1, idx2)
+        idx1 = self.subgroup_indices(gens1)
+        idx2 = self.subgroup_indices(gens2)
+        labels = self.double_coset_labels(gens1, gens2, idx1, idx2)
         b = int(labels.max()) + 1
         e = self.hecke_pairs(idx1, idx2)
-        return b, e
+        return b, e, idx1.size, idx2.size
 
     def hecke_pairs(self, idx1, idx2):
         """e = #{(x,y) : y in Q2, x y x^{-1} in Q1}, exactly.
@@ -1323,7 +1305,10 @@ class Family:
                 * ring.q ** ((ring.m - 1) * self.dim_scheme)
         return None
 
-    def _generators(self, ring, scalars=None, units=None):
+    def generators(self, ring, scalars=None, units=None):
+        """The (provenance, matrix) list the table over ring is generated
+        by; a subgroup family's list also finds the subgroup inside the
+        table of a larger family (``GroupTable.subgroup_indices``)."""
         if self.kind == "heisenberg":
             return _heisenberg_generators(ring, scalars)
         return _chevalley_generators(self.cg, ring, self.roots,
@@ -1335,7 +1320,7 @@ class Family:
         whose X span V."""
         scalars = ring.kernel_scalars()
         units = [ring.add(ring.one, t) for t in scalars]
-        return [g for _, g in self._generators(ring, scalars, units)]
+        return [g for _, g in self.generators(ring, scalars, units)]
 
     def check_cap(self, ring, cap, lower=None):
         """TooLarge when the order law (|lower| q^dim_scheme over a lower
@@ -1362,7 +1347,7 @@ class Family:
             kernel = self.kernel_generators(ring)
         elif lower is not None:
             raise GroupsError(f"{name} is not enumerated over a lower level")
-        return generate(ring, self._generators(ring), cap=cap, name=name,
+        return generate(ring, self.generators(ring), cap=cap, name=name,
                         dim_scheme=self.dim_scheme, lower=lower,
                         kernel=kernel, d=self.d)
 
@@ -1375,31 +1360,34 @@ class Family:
         return f"Family({self.text})"
 
 
-def parabolic_depths(table, sub_tables):
-    """lambda_S of every element: lam[i] is the largest k <= m with the
-    level-k projection of element i in P_S.
+def parabolic_depths(tables, subs):
+    """lambda_S of every element of the top table tables[-1]: lam[i] is
+    the largest k <= m with the level-k projection of element i in P_S.
 
-    sub_tables maps level k -> enumerated P_S table over the level-k ring.
-    Depth 0 means not even the residue image lies in P_S.
+    tables[k-1] is the level-k table of the top table's tower, and
+    subs[k-1] the generator list of P_S over its ring.  A tower element
+    j |V| + v lies over the lower element j, so the level-k projection of
+    top element i is i // (|G_top| / |G_k|), looked up in a mask of
+    ``subgroup_indices``.  Depth 0: not even the residue image is in P_S.
     """
-    ring = table.ring
-    lam = np.zeros(table.size, dtype=np.int64)
-    alive = np.ones(table.size, dtype=bool)
-    for k in range(1, ring.m + 1):
-        rows = np.flatnonzero(alive)
-        proj = ring.mat_project(table.mats[rows], k)
-        alive[rows] = sub_tables[k].contains_batch(proj)
+    top = tables[-1]
+    ids = np.arange(top.size)
+    lam = np.zeros(top.size, dtype=np.int64)
+    alive = np.ones(top.size, dtype=bool)
+    for k, (G, gens) in enumerate(zip(tables, subs), start=1):
+        member = np.zeros(G.size, dtype=bool)
+        member[G.subgroup_indices(gens)] = True
+        alive &= member[ids // (top.size // G.size)]
         lam[alive] = k
-        if not alive.any():
-            break
     return lam
 
 
-def parabolic_depth_coset(x_idx, table, sub_m):
-    """Lemma-style formula: max over y in P_S of min-val(y^{-1} x - I)."""
+def parabolic_depth_coset(x_idx, table, gens):
+    """Lemma-style formula: max over y in P_S of min-val(y^{-1} x - I),
+    P_S the subgroup the generator list gens generates in table."""
     ring = table.ring
     x = table.mats[x_idx]
-    yinv = table.mats[table.inv[table.subgroup_indices(sub_m)]]
+    yinv = table.mats[table.inv[table.subgroup_indices(gens)]]
     prod = ring.mat_mul(yinv, x)
     delta = ring.mat_sub(prod, ring.identity_mat(table.d))
     vals = ring.mat_min_valuation(delta)

@@ -385,7 +385,9 @@ def sub_family(system, text) -> Family:
 
 
 def hecke_zeta(system, s1, s2, kind, p, f, M, cap=ENUM_CAP) -> ZetaSeries:
-    """Double-coset counting series for two parabolic-type subgroups."""
+    """Double-coset counting series for two parabolic-type subgroups,
+    each the index set of G its generators reach, so each level enumerates
+    G alone; the pair law e = b |Q1| |Q2| is checked at every level."""
     if M < 1:
         raise ZetaError("M must be at least 1")
     fam = Family(f"chevalley:{system}")
@@ -393,10 +395,9 @@ def hecke_zeta(system, s1, s2, kind, p, f, M, cap=ENUM_CAP) -> ZetaSeries:
     coeffs = [Fraction(1)]
     for ring in _levels(kind, p, f, M):
         G = table_for(fam, ring, cap)
-        P1 = table_for(fam1, ring, cap)
-        P2 = table_for(fam2, ring, cap)
-        b, e = G.double_coset_data(P1, P2)
-        if e != b * P1.size * P2.size:
+        b, e, n1, n2 = G.double_coset_data(fam1.generators(ring),
+                                           fam2.generators(ring))
+        if e != b * n1 * n2:
             raise IdentityError(
                 f"double-coset/pair-count identity fails at level {ring.m}"
             )
@@ -475,53 +476,49 @@ def prop62_consistency(family, kind, p, f, M):
 def prop73_consistency(system, s1, s2, kind, p, f, M):
     """Parabolic-depth chain: pair-depth level sets match b_m |P1| |P2|.
 
-    Also checks the order law |P(level m)| = q^{m dim P} k_P(q) with
-    dim P = rank + #roots of the parabolic; failures land in the report,
-    nothing is raised.
+    P1 and P2 are index sets of G (``double_coset_data``).  Also checks
+    the order law |P(level m)| = q^{(m-1) dim P} |P(F_q)|, dim P = rank +
+    #roots, against level-1 subgroup tables enumerated on their own;
+    failures land in the report, nothing is raised.
     """
     q = p**f
     fam = Family(f"chevalley:{system}")
     fam1, fam2 = sub_family(system, s1), sub_family(system, s2)
     rings = _levels(kind, p, f, M)
     _check_pair_scan(fam.predicted_order(rings[-1]))
-    subs1, subs2 = {}, {}
+    tables = []
     levels = []
     deviations = []
-    e_by_level = {}
     for ring in rings:
         m = ring.m
         G = table_for(fam, ring)
-        P1 = table_for(fam1, ring)
-        P2 = table_for(fam2, ring)
-        subs1[m], subs2[m] = P1, P2
-        b, e = G.double_coset_data(P1, P2)
-        e_by_level[m] = e
-        chain_ok = e == b * P1.size * P2.size
+        tables.append(G)
+        b, e, n1, n2 = G.double_coset_data(fam1.generators(ring),
+                                           fam2.generators(ring))
         entry = {
             "m": m,
             "order": G.size,
             "b_m": b,
             "e_m": e,
-            "p1_order": P1.size,
-            "p2_order": P2.size,
-            "chain_ok": chain_ok,
+            "p1_order": n1,
+            "p2_order": n2,
+            "chain_ok": e == b * n1 * n2,
         }
-        for tag, sub, subfam in (("p1", P1, fam1), ("p2", P2, fam2)):
-            dim = subfam.dim_scheme
-            base = table_for(subfam, rings[0]).size
-            want = q ** ((m - 1) * dim) * base
-            entry[f"{tag}_order_law_ok"] = sub.size == want
-            if sub.size != want:
+        for tag, size, subfam in (("p1", n1, fam1), ("p2", n2, fam2)):
+            want = q ** ((m - 1) * subfam.dim_scheme) \
+                * table_for(subfam, rings[0]).size
+            entry[f"{tag}_order_law_ok"] = size == want
+            if size != want:
                 deviations.append(
                     f"order law fails for {subfam.text} at level {m}: "
-                    f"{sub.size} != {want}"
+                    f"{size} != {want}"
                 )
         levels.append(entry)
 
-    top = table_for(fam, rings[-1])
+    top = tables[-1]
     _check_pair_scan(top.size)
-    lam1 = parabolic_depths(top, subs1)
-    lam2 = parabolic_depths(top, subs2)
+    lam1 = parabolic_depths(tables, [fam1.generators(r) for r in rings])
+    lam2 = parabolic_depths(tables, [fam2.generators(r) for r in rings])
     mtop = rings[-1].m
     hist = np.zeros(mtop + 1, dtype=np.int64)
     inv_mats = top.mats[top.inv]
@@ -537,7 +534,7 @@ def prop73_consistency(system, s1, s2, kind, p, f, M):
     for entry in levels:
         m = entry["m"]
         entry["depth_pairs"] = int(pairs_ge[m])
-        m_ok = int(pairs_ge[m]) * entry["order"] ** 2 == e_by_level[m] * top_sq
+        m_ok = int(pairs_ge[m]) * entry["order"] ** 2 == entry["e_m"] * top_sq
         entry["measure_ok"] = m_ok
         measure.append(m_ok)
 

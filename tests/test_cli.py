@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from localzeta import cache, cli, groups
+from localzeta import cache, cli, groups, zeta
 from localzeta.rings import parse_ring
 
 
@@ -312,6 +312,61 @@ def test_transfer_options_that_name_no_run_are_usage_errors(argv, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("group", [
+    "borel:A1", "torus:A1", "unipotent:A2", "parabolic:A2:a1",
+    "rootset:A2:a1", "chevalley:A2:a1", "heisenberg:A1", ":A1",
+])
+def test_hecke_takes_only_a_system_or_a_chevalley_family(group, capsys):
+    # hecke counts double cosets in chevalley:<system>; any other family
+    # prefix is refused, not dropped
+    argv = ["hecke", "--group", group, "--ring", "zq:p=2,f=1,m=2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_hecke_reads_a_system_with_or_without_its_prefix(capsys):
+    for group in ("A1", "chevalley:A1"):
+        assert cli.main(["hecke", "--group", group,
+                         "--ring", "zq:p=2,f=1,m=2"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+    assert json.loads(first)["family"] == "chevalley:A1"
+
+
+def test_double_cosets_build_no_subgroup_table(tmp_path, monkeypatch,
+                                               capsys):
+    # hecke builds and stores the tables of G alone; prop73_consistency
+    # builds subgroup tables only at level 1, for its order law
+    built = []
+    enumerate_table = groups.Family.table
+
+    def recording(self, ring, *args, **kwargs):
+        built.append((self.text, ring.m))
+        return enumerate_table(self, ring, *args, **kwargs)
+
+    monkeypatch.setattr(groups.Family, "table", recording)
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    cache.clear_memo()
+    assert cli.main(["hecke", "--group", "B2", "--s1", "a1", "--s2", "a2",
+                     "--ring", "fqt:p=2,f=1,m=3"]) == 0
+    assert sorted(built) == [("chevalley:B2", 1), ("chevalley:B2", 2)]
+    stored = [_read_entry(path)[0] for path in tmp_path.glob(ENTRIES)]
+    assert sorted((h["family"], h["ring"]) for h in stored) == [
+        ("chevalley:B2", "fqt:p=2,f=1,m=1"),
+        ("chevalley:B2", "fqt:p=2,f=1,m=2")]
+    monkeypatch.delenv("ZETA_CACHE_DIR")
+    cache.clear_memo()
+    built.clear()
+    # levels 1-3 (A2 at level 2 passes the pair-scan cap)
+    assert zeta.prop73_consistency("A1", "-", "a1", "zq", 2, 1, 4)["ok"]
+    assert sorted(built) == [("chevalley:A1", 1), ("chevalley:A1", 2),
+                             ("chevalley:A1", 3), ("parabolic:A1:-", 1),
+                             ("parabolic:A1:a1", 1)]
+    cache.clear_memo()
+
+
 @pytest.mark.parametrize("group,lit,orders", [
     ("torus:A2", "zq:p=2,f=1,m=3", [1, 4, 16]),
     ("torus:A1", "zq:p=2,f=1,m=2", [1, 2]),
@@ -335,7 +390,7 @@ def test_a_torus_over_f2_keeps_its_tower(group, lit, orders, capsys,
     for m, order in enumerate(orders, start=1):
         level = ring.subring_level(m)
         G = cache.table_for(fam, level)
-        keyed = groups.generate(level, fam._generators(level), d=fam.d)
+        keyed = groups.generate(level, fam.generators(level), d=fam.d)
         assert G.size == keyed.size == order and G.d == fam.d
         assert G.class_count() == keyed.class_count() == order
     # the identity-alone table is stored and read back like any other
@@ -529,9 +584,9 @@ def test_internal_identity_failure_exit_code(monkeypatch, capsys):
 
     law = GroupTable.double_coset_data
 
-    def broken(self, P1, P2):
-        b, e = law(self, P1, P2)
-        return b, e + 1
+    def broken(self, gens1, gens2):
+        b, e, n1, n2 = law(self, gens1, gens2)
+        return b, e + 1, n1, n2
 
     monkeypatch.setattr(GroupTable, "double_coset_data", broken)
     cache.clear_memo()

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from localzeta import cache, cli, groups, rings
+from localzeta import cache, cli, groups, rings, zeta
 from localzeta.groups import (
     Family,
     GroupsError,
@@ -101,7 +101,7 @@ def test_generate_forms_only_the_frontier_products(monkeypatch):
             + len(G.record.residues) * ring.f * fam.dim_scheme + lower.size
         assert G.size == lower.size * ring.q ** fam.dim_scheme
         formed.clear()
-        keyed = generate(ring, fam._generators(ring))
+        keyed = generate(ring, fam.generators(ring))
         assert sum(formed) == keyed.size * len(keyed.generators)
 
 
@@ -212,13 +212,11 @@ def test_cap_fails_at_first_element_past_it():
 
 def test_double_cosets_trivial_cases():
     G = table("chevalley:A1", "zq:p=3,f=1,m=1")
-    b, e = G.double_coset_data(G, G)
-    assert b == 1 and e == G.size**2
-    triv = generate(G.ring, [(("id",), G.ring.identity_mat(G.d))],
-                    name="1", dim_scheme=0)
-    b, e = G.double_coset_data(triv, triv)
-    assert b == G.size and e == G.size
-    assert e == b * 1 * 1
+    b, e, n1, n2 = G.double_coset_data(G.generators, G.generators)
+    assert b == 1 and e == G.size**2 and n1 == n2 == G.size
+    for triv in ([(("id",), G.ring.identity_mat(G.d))], []):
+        b, e, n1, n2 = G.double_coset_data(triv, triv)
+        assert b == G.size and e == G.size and n1 == n2 == 1
 
 
 def test_bruhat_double_cosets():
@@ -231,8 +229,9 @@ def test_bruhat_double_cosets():
         system = fam.split(":")[1]
         G = table(fam, lit)
         B = table(f"borel:{system}", lit)
-        b, e = G.double_coset_data(B, B)
+        b, e, n1, n2 = G.double_coset_data(B.generators, B.generators)
         assert b == w
+        assert n1 == n2 == B.size
         assert e == b * B.size * B.size
 
 
@@ -240,7 +239,8 @@ def test_maximal_parabolic_cosets_a2():
     G = table("chevalley:A2", "zq:p=2,f=1,m=1")
     p1 = table("parabolic:A2:a1", "zq:p=2,f=1,m=1")
     p2 = table("parabolic:A2:a2", "zq:p=2,f=1,m=1")
-    b, e = G.double_coset_data(p1, p2)
+    b, e, n1, n2 = G.double_coset_data(p1.generators, p2.generators)
+    assert (n1, n2) == (p1.size, p2.size)
     assert b == 2  # |W_{S1} \ W / W_{S2}| for S3 with two point stabilizers
     assert e == b * p1.size * p2.size
     assert e % (p1.size * p2.size) == 0
@@ -249,7 +249,7 @@ def test_maximal_parabolic_cosets_a2():
 def test_hecke_pairs_against_direct_scan():
     G = table("chevalley:A1", "zq:p=3,f=1,m=1")
     B = table("borel:A1", "zq:p=3,f=1,m=1")
-    idx = G.subgroup_indices(B)
+    idx = G.subgroup_indices(B.generators)
     bset = set(int(i) for i in idx)
     direct = 0
     for x in range(G.size):
@@ -337,13 +337,12 @@ def test_pair_depth_counts_match_classes():
 
 def test_parabolic_depth_a1_z4():
     lit = "zq:p=2,f=1,m=2"
-    G = table("chevalley:A1", lit)
-    subs = {
-        1: table("borel:A1", "zq:p=2,f=1,m=1"),
-        2: table("borel:A1", lit),
-    }
-    B2 = subs[2]
-    lam = parabolic_depths(G, subs)
+    G1 = cache.table_for("chevalley:A1", parse_ring("zq:p=2,f=1,m=1"))
+    G = cache.table_for("chevalley:A1", parse_ring(lit))
+    borel = Family("borel:A1")
+    B2 = table("borel:A1", lit)
+    lam = parabolic_depths([G1, G], [borel.generators(G1.ring),
+                                     borel.generators(G.ring)])
     assert lam.shape == (G.size,)
     # x in P_S at full level -> depth m
     for y in range(0, B2.size, 3):
@@ -359,7 +358,32 @@ def test_parabolic_depth_a1_z4():
     assert lam[G.lookup(x0)] == 0
     # coset-representative formula agrees everywhere
     for gi in range(G.size):
-        assert lam[gi] == parabolic_depth_coset(gi, G, B2)
+        assert lam[gi] == parabolic_depth_coset(gi, G, B2.generators)
+
+
+# (group, top ring, subgroup literal) of the depth oracle: both ring
+# kinds, p = 2 and 3, f = 2 and a roots: set, every element of the top
+DEPTH_CASES = [
+    ("chevalley:A1", "zq:p=2,f=1,m=3", "-"),
+    ("chevalley:A1", "fqt:p=3,f=1,m=2", "-"),
+    ("chevalley:A1", "fqt:p=2,f=2,m=2", "-"),
+    ("chevalley:A1", "fqt:p=2,f=1,m=3", "roots:-a1"),
+    ("chevalley:A1", "zq:p=3,f=1,m=2", "all"),
+]
+
+
+@pytest.mark.parametrize("group,lit,text", DEPTH_CASES)
+def test_parabolic_depths_match_the_coset_formula(group, lit, text):
+    # the depths read off the tower numbering equal the lemma's
+    # max over y in P of min-val(y^-1 x - I), by matrix products
+    top = parse_ring(lit)
+    rings = [top.subring_level(m) for m in range(1, top.m + 1)]
+    tables = [cache.table_for(group, ring) for ring in rings]
+    fam = zeta.sub_family(group.split(":")[1], text)
+    lam = parabolic_depths(tables, [fam.generators(r) for r in rings])
+    G, gens = tables[-1], fam.generators(top)
+    want = [parabolic_depth_coset(i, G, gens) for i in range(G.size)]
+    assert lam.tolist() == want
 
 
 def test_projection_between_levels():
@@ -503,18 +527,43 @@ def test_pointer_jumping_on_random_permutations():
         assert (GroupTable._orbit_labels(n, perms) == want).all()
 
 
+# (group family, top ring) of the subgroup oracle, checked at every
+# level up to the top: both ring kinds, p = 2 and 3, f = 1 and 2, levels
+# 1-3 where ENUM_CAP allows the enumeration
+SUBGROUP_CASES = [
+    ("chevalley:A1", "zq:p=2,f=1,m=3"),
+    ("chevalley:A1", "fqt:p=3,f=1,m=3"),
+    ("chevalley:A1", "fqt:p=2,f=2,m=2"),
+    ("chevalley:A1", "zq:p=3,f=2,m=2"),
+    ("chevalley:A2", "zq:p=2,f=1,m=2"),
+    ("chevalley:A2", "fqt:p=3,f=1,m=1"),
+    ("chevalley:A2", "fqt:p=2,f=2,m=1"),
+    ("chevalley:B2", "fqt:p=2,f=1,m=1"),
+]
+
+
 def test_subgroup_indices_match_lookup():
-    lit = "fqt:p=2,f=1,m=2"
+    # the index set a subgroup's generators reach in the ambient table is
+    # the separately enumerated subgroup table, looked up by its matrices
+    for group, lit in SUBGROUP_CASES:
+        top = parse_ring(lit)
+        system = group.split(":")[1]
+        subs = ["-", "all", "roots:a1,-a1", "a1" if system == "A1" else "a2"]
+        if system == "A2":
+            subs.append("roots:a1,-a1,a2,a1+a2")
+        for m in range(1, top.m + 1):
+            ring = top.subring_level(m)
+            G = cache.table_for(group, ring)
+            for text in subs:
+                fam = zeta.sub_family(system, text)
+                P = cache.table_for(fam, ring)
+                idx = G.subgroup_indices(fam.generators(ring))
+                assert (idx == np.sort(G.lookup_batch(P.mats))).all(), \
+                    (group, ring.literal, text)
     H = small_table("heisenberg", "zq:p=2,f=1,m=3")
-    cases = [
-        (small_table("chevalley:A1", lit), small_table("parabolic:A1:-", lit)),
-        (small_table("parabolic:B2:a1", lit), table("parabolic:B2:-", lit)),
-        (H, generate(H.ring, H.generators[:2], name="sub")),
-    ]
-    for G, sub in cases:
-        idx = G.subgroup_indices(sub)
-        assert (idx == np.sort(G.lookup_batch(sub.mats))).all()
-        assert len(set(idx.tolist())) == sub.size
+    sub = generate(H.ring, H.generators[:2], name="sub")
+    idx = H.subgroup_indices(H.generators[:2])
+    assert (idx == np.sort(H.lookup_batch(sub.mats))).all()
 
 
 def test_subgroup_with_foreign_generator_raises():
@@ -522,21 +571,11 @@ def test_subgroup_with_foreign_generator_raises():
     (_, g), (_, h) = G.generators[:2]
     gh = G.ring.mat_mul(g, h)
     assert not any((gh == x).all() for _, x in G.generators)
-    sub = generate(G.ring, [(("gh",), gh)], name="sub")
+    foreign = [(("gh",), gh)]
     with pytest.raises(GroupsError, match="not a generator"):
-        G.subgroup_indices(sub)
+        G.subgroup_indices(foreign)
     with pytest.raises(GroupsError, match="not a generator"):
-        G.double_coset_data(sub, G)
-
-
-def test_subgroup_size_mismatch_raises():
-    lit = "fqt:p=2,f=1,m=2"
-    G = small_table("chevalley:A1", lit)
-    B = small_table("parabolic:A1:-", lit)
-    short = GroupTable(B.ring, B.mats[:-1], B.inv[:-1], B.rho[:-1],
-                       B.generators, "short", B.dim_scheme)
-    with pytest.raises(GroupsError, match="generates"):
-        G.subgroup_indices(short)
+        G.double_coset_data(foreign, G.generators)
 
 
 # ----------------------------------------------------------------------
@@ -646,7 +685,7 @@ def test_fold_collision_raises(monkeypatch):
     # generate without a lower table keeps packed keys at any level
     ring = parse_ring("zq:p=2,f=1,m=2")
     with pytest.raises(IdentityError, match="share a key"):
-        generate(ring, Family("borel:A2")._generators(ring))
+        generate(ring, Family("borel:A2").generators(ring))
     # a one-word table never folds
     assert generate(ring, groups._heisenberg_generators(ring)).size == 64
     # keys rebuilt after a cache load are checked for repeats too
@@ -683,8 +722,7 @@ def test_lookup_of_colliding_matrix_raises():
         G.lookup(y)
     with pytest.raises(IdentityError, match="matrix not in table"):
         G.lookup_batch(np.stack([x, y]))
-    assert not G.contains(y)
-    assert G.contains_batch(np.stack([x, y])).tolist() == [True, False]
+    assert G._locate(np.stack([x, y]))[1].tolist() == [True, False]
 
 
 def test_lookups_after_a_cache_load_rebuild_the_keys():
@@ -847,10 +885,10 @@ def assert_partitions_correspond(labels, keyed_labels, pi):
 def test_kernel_route_matches_the_oracle_search(family, lit):
     fam = Family(family)
     for G in tower(family, lit)[1:]:
-        mats, inv, rho = oracle_table(G.ring, fam._generators(G.ring))
+        mats, inv, rho = oracle_table(G.ring, fam.generators(G.ring))
         # generate without a lower table: the packed-key route, numbered
         # in the oracle's search order
-        keyed = generate(G.ring, fam._generators(G.ring))
+        keyed = generate(G.ring, fam.generators(G.ring))
         assert (keyed.mats == mats).all() and (keyed.inv == inv).all()
         assert (keyed.rho == rho).all()
         # the kernel route numbers the same group by kernel slot
@@ -920,7 +958,7 @@ def test_an_element_off_the_kernel_span_raises():
     lower = fam.table(ring.subring_level(1))
     odd = ring.identity_mat(3)
     odd[0, 1], odd[2, 2] = 3, 4
-    gens = fam._generators(ring) + [(("odd",), odd)]
+    gens = fam.generators(ring) + [(("odd",), odd)]
     with pytest.raises(IdentityError, match="off its kernel coordinates"):
         generate(ring, gens, lower=lower, name="odd",
                  kernel=fam.kernel_generators(ring))
@@ -978,7 +1016,7 @@ def kernel_index(family, lit):
     level-(m-1) one, with its lifts and cocycles made."""
     fam, ring = Family(family), parse_ring(lit)
     lower = fam.table(ring.subring_level(ring.m - 1))
-    gens = groups._canonical_generators(fam._generators(ring))
+    gens = groups._canonical_generators(fam.generators(ring))
     index = groups._KernelIndex(
         ring, np.array([g for _, g in gens], dtype=np.int32), lower,
         fam.kernel_generators(ring), "G", groups.ENUM_CAP)
@@ -1397,7 +1435,7 @@ def keyed_table(family, lit):
     group numbered in search order, every element its own node."""
     if (family, lit) not in _keyed:
         ring = parse_ring(lit)
-        _keyed[family, lit] = generate(ring, Family(family)._generators(ring))
+        _keyed[family, lit] = generate(ring, Family(family).generators(ring))
     return _keyed[family, lit]
 
 
@@ -1463,10 +1501,11 @@ def test_double_coset_labels_on_nodes_match_every_point(family, lit, pairs):
 
     for s1, s2 in pairs:
         P1, P2 = sub(s1), sub(s2)
-        got = G.double_coset_labels(P1, P2)
+        got = G.double_coset_labels(P1.generators, P2.generators)
         assert_partitions_correspond(
-            got, keyed.double_coset_labels(P1, P2), pi)
-        b, e = G.double_coset_data(P1, P2)
+            got, keyed.double_coset_labels(P1.generators, P2.generators), pi)
+        b, e, n1, n2 = G.double_coset_data(P1.generators, P2.generators)
+        assert (n1, n2) == (P1.size, P2.size)
         assert b == got.max() + 1 and e == b * P1.size * P2.size
         if s1 == s2 == "1":
             assert b == G.size
@@ -1538,7 +1577,7 @@ def test_a_table_loaded_from_disk_labels_on_its_stored_nodes(
     monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
     top = parse_ring("fqt:p=2,f=1,m=3")
     fresh = cache.table_for("chevalley:A1", top)
-    borel = cache.table_for("borel:A1", top)
+    borel = Family("borel:A1").generators(top)
     want = fresh.conjugation_labels().copy()
     want2 = fresh.double_coset_labels(borel, borel).copy()
     cache.clear_memo()
