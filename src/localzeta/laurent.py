@@ -21,6 +21,7 @@ the representation never shows in a result.  Division must go through
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 def exact(c):
@@ -119,8 +120,10 @@ class Laurent:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = exact(out.get(e, 0) + c1 * c2)
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
+                if type(s) is not int:
+                    s = exact(s)
                 if s:
                     out[e] = s
                 else:

@@ -17,7 +17,10 @@ integer solution (checked over one period, ``_congruences_clash``) is
 dropped when it is created.  This leaves the sum unchanged: the branch
 has no integer point, and keeping it would only defer its death to the
 elimination of that variable, whose residue modulus is a multiple of the
-period, so every residue there grounds some congruence to false.
+period, so every residue there grounds some congruence to false.  The
+branching reads only the literals and the denominators of z in the
+exponents, so one plan (``_bound_branches``) per literal list serves
+every term with those literals while z is eliminated.
 
 Divergence is always an error, never a silent wrong value, and an empty
 cell sums to 0: a variable with no bound or on a non-contracting ray
@@ -229,7 +232,7 @@ class LinForm:
                 and self.cnum == other.cnum and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.den, self.cnum, frozenset(self.nums.items())))
 
     def __repr__(self):
         parts = [f"{c}*{v}" for v, c in sorted(self.coeffs.items())]
@@ -256,9 +259,7 @@ def _ratio(k):
 
 def free_vars(ast):
     op = ast[0]
-    if op == "le":
-        return ast[1].vars()
-    if op in ("cong", "ncong"):
+    if op in ("le", "cong", "ncong"):
         return ast[1].vars()
     if op in ("true", "false"):
         return frozenset()
@@ -965,30 +966,27 @@ def _congruences_clash(lits):
     )
 
 
-def _residue_branches(term, z, index):
-    """Substitute z = M0*u + r; returns (M0, list of new Terms) with
-    congruences on z resolved into constraints on the rest.  index maps
-    each variable to its place in the multipliers.
+def _residue_branches(lits, z, denoms):
+    """Substitute z = M0*u + r, with u renamed z; returns (M0, [(r,
+    literals at r)]) with congruences on z resolved into constraints on
+    the rest.  M0 also clears denoms, the denominators of z in the
+    weight exponents.
 
     Each residue is decided by its congruences first: at r a congruence
     is its r = 0 form shifted by c*r, and a residue whose congruences
     are false, or clash (``_congruences_clash``), has no integer point.
-    The le-literals and exponents are shifted only for the residues
-    that remain."""
+    The le-literals are shifted only for the residues that remain."""
     zlits, rest = [], []
-    for lit in term.lits:
+    for lit in lits:
         (zlits if z in lit[1].nums else rest).append(lit)
-    denoms = [term.xexp.coeff_den(z), term.yexp.coeff_den(z)]
-    for lit in zlits:
-        d = lit[1].coeff_den(z)
-        denoms.append(d if lit[0] == "le" else d * lit[2])
-    M0 = math.lcm(*denoms)
+    M0 = math.lcm(*denoms, *(
+        lit[1].coeff_den(z) * (1 if lit[0] == "le" else lit[2])
+        for lit in zlits))
     if M0 > MODULUS_BUDGET:
         raise ModulusBudget(
             f"residue modulus {M0} for {z} exceeds {MODULUS_BUDGET}"
         )
     stretch = LinForm._make({z: M0}, 0, 1)  # z = M0*z with z reused as u
-    mult_stretch = _as_laurent(stretch, index)
     # (op, form at r = 0, coefficient c/d of r, modulus) in literal order
     shifted = []
     for lit in zlits:
@@ -1006,9 +1004,6 @@ def _residue_branches(term, z, index):
             )
         shifted.append((lit[0], form.drop(z), c, d, n))
     congs = [entry for entry in shifted if entry[0] != "le"]
-    cx, cy = term.xexp.nums.get(z, 0), term.yexp.nums.get(z, 0)
-    xexp = term.xexp.substitute(z, stretch)
-    yexp = term.yexp.substitute(z, stretch)
     branches = []
     for r in range(M0):
         at_r = [(op, form._shift(c * r, d), n) for op, form, c, d, n in congs]
@@ -1018,23 +1013,17 @@ def _residue_branches(term, z, index):
             continue
         # the literals in their order, less the congruences true at r
         kept = iter(at_r)
-        lits = list(rest)
+        out = list(rest)
         for op, form, c, d, _ in shifted:
             if op == "le":
-                lits.append(("le", form._shift(c * r, d)))
+                out.append(("le", form._shift(c * r, d)))
             elif (lit := next(kept))[1].nums:
-                lits.append(lit)
-        branches.append(_Term(
-            term.pref,
-            term.mult.substitute(index[z], mult_stretch + r),
-            xexp._shift(cx * r, term.xexp.den),
-            yexp._shift(cy * r, term.yexp.den),
-            lits,
-        ))
+                out.append(lit)
+        branches.append((r, out))
     return M0, branches
 
 
-def _unit_bounds(term, z):
+def _unit_bounds(lits, z):
     """Normalize every le-literal on z to z >= L or z <= U with exact
     integer-valued forms, branching on residues of the bound numerators.
 
@@ -1045,7 +1034,7 @@ def _unit_bounds(term, z):
     makes no branch.
     """
     zlits, rest = [], []
-    for lit in term.lits:
+    for lit in lits:
         (zlits if z in lit[1].nums else rest).append(lit)
     branches = [([], [], rest)]
     for lit in zlits:
@@ -1185,14 +1174,10 @@ def _has_point(lits):
                          else lit[2] * lit[1].den
                          for lit in lits if v in lit[1].nums)
 
-    index = {v: i for i, v in enumerate(free)}
-    term = _Term(((), 1), Laurent.const(1, len(free)), LinForm(), LinForm(),
-                 lits)
-    return any(
-        _has_point(t.lits if L is None or U is None
-                   else t.lits + [("le", L - U)])
-        for t, L, U in _bound_branches(term, min(free, key=splits), index)
-    )
+    _, plan = _bound_branches(lits, min(free, key=splits))
+    return any(_has_point(rest if L is None or U is None
+                          else rest + [("le", L - U)])
+               for _, rest, L, U in plan)
 
 
 def _times_moment(pref, k, dx, dy, coef=1):
@@ -1300,32 +1285,47 @@ def _sum_progression(term, z, lower, upper, ctx):
         )
 
 
-def _bound_branches(term, z, index):
-    """The disjoint branches that eliminate z from a term.
-
-    Yields (term, L, U): z runs from L to U on the branch's points, with
-    None for a side without a bound, and z is gone from the literals.
-    The branches come from ``_residue_branches``, then ``_unit_bounds``,
-    then ``_tight_branches`` for the lower and the upper bounds; a term
-    or branch with a false ground literal yields nothing."""
-    alive, lits = _check_ground_lits(term.lits)
+def _bound_branches(lits, z, denoms=()):
+    """The plan that eliminates z from lits: (M0, branches), a branch
+    (r, rest, L, U) running z from L to U (None for a side without a
+    bound) at z = M0*z + r where rest holds, z gone from rest.  The
+    branches come from ``_residue_branches`` (M0 also clears denoms),
+    then ``_unit_bounds``, then ``_tight_branches`` for the lower and
+    the upper bounds; one with a false ground literal is dropped.  The
+    plan reads literals only, so it serves every term that has them."""
+    alive, lits = _check_ground_lits(lits)
     if not alive:
-        return
-    term = _Term(term.pref, term.mult, term.xexp, term.yexp, lits)
-    _, residues = _residue_branches(term, z, index)
-    for rterm in residues:
-        for lowers, uppers, rest in _unit_bounds(rterm, z):
+        return 1, []
+    M0, residues = _residue_branches(lits, z, denoms)
+    plan = []
+    for r, rlits in residues:
+        for lowers, uppers, rest in _unit_bounds(rlits, z):
             for (L, llits), (U, ulits) in itertools.product(
                     _tight_branches(lowers, +1), _tight_branches(uppers, -1)):
-                alive, lits = _check_ground_lits(rest + llits + ulits)
+                alive, blits = _check_ground_lits(rest + llits + ulits)
                 if alive:
-                    yield _Term(rterm.pref, rterm.mult, rterm.xexp,
-                                rterm.yexp, lits), L, U
+                    plan.append((r, blits, L, U))
+    return M0, plan
 
 
 def _eliminate_variable(term, z, ctx):
-    for t, L, U in _bound_branches(term, z, ctx["index"]):
-        yield from _sum_progression(t, z, L, U, ctx)
+    """Sum z out of a term along the plan of its literals, derived once
+    per literal list and weight denominators of z (ctx["plans"])."""
+    denoms = (term.xexp.coeff_den(z), term.yexp.coeff_den(z))
+    key = (tuple(term.lits), denoms)
+    if key not in ctx["plans"]:
+        ctx["plans"][key] = _bound_branches(term.lits, z, denoms)
+    M0, plan = ctx["plans"][key]
+    stretch = LinForm._make({z: M0}, 0, 1)  # z = M0*z + r, z reused as u
+    mult_stretch = _as_laurent(stretch, ctx["index"])
+    at = {}
+    for r, lits, L, U in plan:
+        if r not in at:  # the term at z = M0*z + r
+            at[r] = (term.mult.substitute(ctx["index"][z], mult_stretch + r),
+                     term.xexp.substitute(z, stretch + r),
+                     term.yexp.substitute(z, stretch + r))
+        yield from _sum_progression(_Term(term.pref, *at[r], lits),
+                                    z, L, U, ctx)
 
 
 def _variable_order(free, A, B):
@@ -1388,7 +1388,7 @@ def _ground_terms(spec: SummationSpec):
         for cell in cell_list
     ]
     for z in order:
-        nxt = []
+        ctx["plans"], nxt = {}, []
         for term in terms:
             nxt.extend(_eliminate_variable(term, z, ctx))
         terms = nxt

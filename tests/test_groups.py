@@ -678,6 +678,9 @@ def test_fold_separates_rows_differing_in_the_last_word():
 
 
 def test_fold_collision_raises(monkeypatch):
+    # the table whose keys a cache load rebuilds, enumerated under the
+    # real fold whether or not an earlier test built it
+    G = small_table("parabolic:B2:a1", "fqt:p=2,f=1,m=2")
     # with every multi-word key equal, the entry check must refuse to
     # merge two matrices rather than number them as one element
     monkeypatch.setattr(groups, "_fold",
@@ -689,7 +692,6 @@ def test_fold_collision_raises(monkeypatch):
     # a one-word table never folds
     assert generate(ring, groups._heisenberg_generators(ring)).size == 64
     # keys rebuilt after a cache load are checked for repeats too
-    G = small_table("parabolic:B2:a1", "fqt:p=2,f=1,m=2")
     loaded = GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators,
                         G.name, G.dim_scheme)
     with pytest.raises(IdentityError, match="share a key"):

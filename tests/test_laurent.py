@@ -8,6 +8,7 @@ result must be in normal form: an int, or a Fraction that is not integral,
 and never a float.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +142,40 @@ def test_pow_squares_only_while_bits_are_left(monkeypatch, k, products):
     monkeypatch.setattr(Laurent, "__mul__", spy)
     assert p ** k == want
     assert len(calls) == products
+
+
+def _fraction_product(f, g):
+    """The terms of f * g, summed in Fractions and then normalised."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {e: exact(c) for e, c in out.items() if c}
+
+
+def test_products_keep_int_coefficients_ints():
+    rng = random.Random(SEED + 3)
+    for _ in range(300):
+        f, g = _laurent(rng), _laurent(rng)
+        got = f * g
+        assert got.terms == _fraction_product(f, g)
+        _assert_normal(got.terms.values())
+        if all(type(c) is int for h in (f, g) for c in h.terms.values()):
+            assert all(type(c) is int for c in got.terms.values())
+    # Fractions that multiply or add up to integers leave ints, and terms
+    # that cancel leave nothing
+    half = Laurent(1, {(1,): Fraction(1, 2), (0,): Fraction(1, 2)})
+    got = half * Laurent(1, {(1,): Fraction(1, 2), (0,): Fraction(-1, 2)})
+    assert got.terms == {(2,): Fraction(1, 4), (0,): Fraction(-1, 4)}
+    got = half * 2
+    assert got.terms == {(1,): 1, (0,): 1}
+    assert all(type(c) is int for c in got.terms.values())
+    # big binomials stay exact ints
+    p = (Laurent.var(0, 1) + 1) ** 300
+    assert len(p.terms) == 301
+    assert all(type(c) is int for c in p.terms.values())
+    assert p.terms[(150,)] == math.comb(300, 150)
 
 
 def test_linform_arithmetic_matches_fractions():

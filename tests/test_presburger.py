@@ -796,12 +796,10 @@ def test_unit_bounds_rejects_non_inequalities():
     z = LinForm.of("z")
     # a congruence on z must have been resolved by the residue split
     with pytest.raises(PresburgerError, match="not an integral inequality"):
-        presburger._unit_bounds(_term([("cong", z, 3)]), "z")
+        presburger._unit_bounds([("cong", z, 3)], "z")
     # so must a rational coefficient of z
     with pytest.raises(PresburgerError, match="not an integral inequality"):
-        presburger._unit_bounds(
-            _term([("le", z.scale(Fraction(1, 2)) - 3)]), "z"
-        )
+        presburger._unit_bounds([("le", z.scale(Fraction(1, 2)) - 3)], "z")
 
 
 def _holds(lit, env):
@@ -847,16 +845,17 @@ def test_congruence_clash_reads_single_variable_literals_only():
     assert not presburger._congruences_clash(
         [("cong", x, 67), ("cong", x - 1, 67)])
     # z <= x/2 on x = 1 mod 2 keeps only the residue x = 1 mod 2 ...
-    term = _term([("le", z.scale(2) - x), ("cong", x - 1, 2)])
-    assert len(presburger._unit_bounds(term, "z")) == 1
+    lits = [("le", z.scale(2) - x), ("cong", x - 1, 2)]
+    assert len(presburger._unit_bounds(lits, "z")) == 1
     # ... and with x + y in place of x both residues stay
-    term = _term([("le", z.scale(2) - x - y), ("cong", x + y - 1, 2)])
-    assert len(presburger._unit_bounds(term, "z")) == 2
+    lits = [("le", z.scale(2) - x - y), ("cong", x + y - 1, 2)]
+    assert len(presburger._unit_bounds(lits, "z")) == 2
     # z + x = 0 mod 3 on x = 1 mod 3 leaves only z = 2 mod 3
-    term = _term([("cong", z + x, 3), ("cong", x - 1, 3)])
-    assert len(presburger._residue_branches(term, "z", INDEX)[1]) == 1
-    term = _term([("cong", z + x + y, 3), ("cong", x + y - 1, 3)])
-    assert len(presburger._residue_branches(term, "z", INDEX)[1]) == 3
+    lits = [("cong", z + x, 3), ("cong", x - 1, 3)]
+    _, residues = presburger._residue_branches(lits, "z", ())
+    assert [r for r, _ in residues] == [2]
+    lits = [("cong", z + x + y, 3), ("cong", x + y - 1, 3)]
+    assert len(presburger._residue_branches(lits, "z", ())[1]) == 3
 
 
 def test_clashing_residues_are_dropped_when_created(monkeypatch):
@@ -933,6 +932,56 @@ def test_each_prefactor_key_is_built_once(monkeypatch):
     assert hashlib.sha256(repr(res.rational).encode()).hexdigest() == (
         "4795ef40282df03328068704f94684dd9f07371d5518c4df741aa218de21d83f")
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("modulus,rational,coeffs", [
+    (3, "(3*Y + 3*Y^4) / (1 - X^0 Y^3)^2", [0, 3, 0, 0, 9, 0, 0, 15]),
+    (2, "(3*Y + Y^3) / (1 - X^0 Y^2)^2", [0, 3, 0, 7, 0, 11, 0, 15]),
+])
+def test_a_residue_split_substitutes_into_the_multiplier(modulus, rational,
+                                                          coeffs):
+    # summing l leaves the multiplier 2*n + 1; the split on n = 1 mod
+    # modulus must turn it into 2*(modulus*n + 1) + 1, the same for every
+    # term whatever plan it shares
+    spec = SummationSpec(f"0 <= l and l <= 2*n and n = 1 mod {modulus}",
+                         "q^(-n*s)")
+    res = sum_rational(spec)
+    assert repr(res.rational) == rational
+    series = expand(res.rational, 3, 8)
+    assert series.coeffs == coeffs
+    assert brute_force_series(spec, 3, 8, 16) == series
+
+
+def test_each_literal_list_is_planned_once_per_variable(monkeypatch):
+    planned, eliminated = [], []
+    plan, eliminate = (presburger._bound_branches,
+                       presburger._eliminate_variable)
+
+    def recording_plan(lits, z, denoms=()):
+        planned.append((z, tuple(lits), denoms))
+        return plan(lits, z, denoms)
+
+    def counting_eliminate(term, z, ctx):
+        eliminated.append(z)
+        return eliminate(term, z, ctx)
+
+    monkeypatch.setattr(presburger, "_bound_branches", recording_plan)
+    monkeypatch.setattr(presburger, "_eliminate_variable",
+                        counting_eliminate)
+    spec = SummationSpec(
+        "0 <= a and a <= 3*n and 0 <= b and b <= 3*n and a + 3*b = 0 mod 5",
+        "q^(-n*s - a - b)")
+    res = sum_rational(spec)
+    # recorded when every term derived its own branches
+    assert hashlib.sha256(repr(res.rational).encode()).hexdigest() == (
+        "d25ddd9c6e99f23b3561d09cff81b45bbd711458355e57b9a06a05742d8bef68")
+    assert expand(res.rational, 2, 4) == brute_force_series(spec, 2, 4, 12)
+    # no key repeats: the plans memo is reset per variable, so a repeat
+    # would be a miss of the memo
+    assert len(planned) == len(set(planned))
+    # 151 terms share 40 plans
+    assert len(eliminated) == 151
+    assert len(planned) == 40
 
 
 def test_empty_two_sided_ranges_yield_no_terms(monkeypatch):
