@@ -2,8 +2,9 @@
 
 A GroupTable is a fully enumerated finite group of d x d matrices over one
 of the rings from :mod:`localzeta.rings`, with the right-regular table
-``rho``, the id of x * g for every element x and generator g, and the
-inverse map that gathers on ``rho`` give.
+``rho``, the id of x * g for every generator g and element x, one
+contiguous row per generator, and the inverse map that gathers on ``rho``
+give.
 
 Elements get their ids by one of two routes, fixed by the ring (see
 ``generate``).  Every ``zq`` and ``fqt`` table at level m >= 2 is
@@ -58,7 +59,6 @@ from .chevalley import chevalley_group
 ENUM_CAP = 2_000_000
 PAIR_SCAN_CAP = 20_000
 PIECE = 1 << 18  # multiply-adds in one mat_mul call of generate
-RHO_BLOCK = 1 << 16  # rho entries of one block of the kernel route
 FOLD_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying is a bijection
 
 
@@ -201,10 +201,11 @@ def _reduction_table(M, p):
 class GroupTable:
     """An enumerated group with its right-regular table.
 
-    ``rho[x, c]`` is the index of ``x * g_c`` for the c-th generator, so
-    every action the counting layer needs is a gather on ``rho`` and
-    ``inv``: x g = rho_g[x], g^-1 x = inv[rho_g[inv[x]]], and g^-1 x g
-    composes the two.  ``mats`` is an (N, d, d) int32 array, or a
+    ``rho`` is an (ngens, N) int32 array, generator-major: ``rho[c, x]``
+    is the index of ``x * g_c`` for the c-th generator, so every action
+    the counting layer needs is a gather on one row ``rho_g = rho[c]``
+    and on ``inv``: x g = rho_g[x], g^-1 x = inv[rho_g[inv[x]]], and
+    g^-1 x g composes the two.  ``mats`` is an (N, d, d) int32 array, or a
     function that builds it, called on the first read: the counting layer
     reads only ``rho``, ``inv`` and ``record``.  A table enumerated over
     its level below is derived from its ``record`` (``LiftRecord.table``)
@@ -218,7 +219,7 @@ class GroupTable:
         self.record = record
         self._mats = mats
         self.inv = inv  # (N,) int64 index of inverse
-        self.rho = rho  # (N, ngens) int32 index of x * g
+        self.rho = rho  # (ngens, N) int32: rho[c, x] is the index of x * g_c
         self.generators = generators  # list of (provenance, matrix)
         self.name = name
         self.dim_scheme = dim_scheme
@@ -236,7 +237,7 @@ class GroupTable:
 
     @property
     def size(self):
-        return self.rho.shape[0]
+        return self.rho.shape[1]
 
     @property
     def mats(self):
@@ -282,15 +283,21 @@ class GroupTable:
 
     # ------------------------------------------------------------------
     # actions as gathers on rho
+    #
+    # A take copies int32 indices to intp before it gathers, and fancy
+    # indexing casts them in chunks.  The table- and node-sized gathers at
+    # int32 indices (the output of a rho row) in inverse_times and _orbits
+    # are fancy indexes, since that copy raised the peak memory of a class
+    # count by 8 MB; the other gathers are takes, which are faster.
 
     def columns(self, gens):
-        """The rho column of each generator of a (provenance, matrix)
+        """The rho row of each generator of a (provenance, matrix)
         generator list, ``Family.generators`` or a table's own
         ``generators``.
 
         Every family draws its generators from the same root, additive and
         unit lists, so a subgroup's generators are among this table's.  An
-        identity generator acts trivially and gets no column.
+        identity generator acts trivially and gets no row.
         """
         cols = {encode_mat(g): c for c, (_, g) in enumerate(self.generators)}
         ident = encode_mat(self.ring.identity_mat(self.d))
@@ -306,17 +313,17 @@ class GroupTable:
         return out
 
     def times(self, x, col):
-        """x g for the element indices x and the generator g of rho column
+        """x g for the element indices x and the generator g of rho row
         col."""
-        return self.rho[x, col]
+        return self.rho[col].take(x)
 
     def inverse_times(self, x, col):
         """g^-1 x, as inv[rho_g[inv[x]]]."""
-        return self.inv[self.rho[self.inv[x], col]]
+        return self.inv[self.rho[col].take(self.inv.take(x))]
 
     def conjugate(self, x, col):
         """g^-1 x g, as rho_g[g^-1 x]."""
-        return self.rho[self.inverse_times(x, col), col]
+        return self.rho[col].take(self.inverse_times(x, col))
 
     # ------------------------------------------------------------------
     # conjugacy
@@ -325,32 +332,38 @@ class GroupTable:
     def _orbit_labels(n, perms):
         """Orbit label per point under the group the permutations generate.
 
-        Hook and shortcut (Shiloach and Vishkin): every edge x -- p(x)
-        whose ends have different parents hooks the larger parent onto the
-        smaller, then pointer jumping flattens every tree to a star; repeat
-        until no edge joins two stars.  A parent never rises, so each orbit
-        ends as one star rooted at its smallest element; labels number the
-        orbits in that order.
+        Hook and shortcut (Shiloach and Vishkin), on int32 parents: for
+        each permutation p, every edge x -- p(x) whose ends have different
+        parents hooks the larger parent onto the smaller, and one pointer
+        jump right after each hook shortcuts every path (as in FastSV).
+        Stop after a round over the permutations that hooks no edge: then
+        the parent is the same along every edge, so it is one point r on
+        each orbit, r in the orbit, and the orbit is a star rooted at r.
+        A parent is never above its point and never rises, so r is the
+        orbit's smallest point; labels number the orbits in that order.
+        Every hook with its jump lowers some parent, the hook when the
+        forest is flat and the jump when it is not, so the loop ends.  The
+        hook is a fancy assignment: where a parent is hooked by several
+        edges one of them wins, and each writes at most the old parent.
+        The gathers are takes: on parents of a node count, they beat fancy
+        indexing even with the copy of their int32 indices.
         """
-        parent = np.arange(n, dtype=np.int64)
+        parent = np.arange(n, dtype=np.int32)
         hooked = True
         while hooked:
             hooked = False
             for p in perms:
-                a, b = parent, parent[p]
-                cross = a != b
+                b = parent.take(p)
+                cross = parent != b
                 if cross.any():
                     hooked = True
-                    a, b = a[cross], b[cross]
+                    a, b = parent[cross], b[cross]
                     high = np.maximum(a, b)
-                    parent[high] = np.minimum(parent[high], np.minimum(a, b))
-            while True:
-                grand = parent[parent]
-                if np.array_equal(grand, parent):
-                    break
-                parent = grand
-        roots = parent == np.arange(n)
-        return (np.cumsum(roots) - 1)[parent]
+                    parent[high] = np.minimum(parent.take(high),
+                                              np.minimum(a, b))
+                    parent = parent.take(parent)
+        roots = parent == np.arange(n, dtype=np.int32)
+        return (np.cumsum(roots) - 1).take(parent)
 
     def _nodes(self, span):
         """(node, reps): the node of every element, nodes numbered by their
@@ -388,7 +401,7 @@ class GroupTable:
 
     def _orbits(self, span, moves):
         """Orbit label per element under the gather maps moves, (action,
-        column) pairs that send nodes of span to nodes, span a function of
+        row) pairs that send nodes of span to nodes, span a function of
         the record; with no record every element is its own node.  Each
         move is evaluated at the node representatives only; one that fixes
         every node is dropped, and one that is not a permutation of the
@@ -421,10 +434,15 @@ class GroupTable:
         to (I + pi^(m-1) (X_v + w - Ad(r) w)) s_j, w in V, r the residue of
         s_j, since pi^(2(m-1)) = 0: its nodes are the cosets v + W_r,
         W_r = (1 - Ad r) V, and the classes are the orbits of x -> g^-1 x g
-        on them.
+        on them.  A generator whose conjugation fixes every generator
+        (their element indices are rho[:, 0], the products 1 g_c)
+        commutes with the whole group and fixes every element, so it is
+        skipped before any node is moved.
         """
         if self._labels is None:
-            moves = [(self.conjugate, c) for c in range(len(self.generators))]
+            gens = self.rho[:, 0]
+            moves = [(self.conjugate, c) for c in range(gens.size)
+                     if not np.array_equal(self.conjugate(gens, c), gens)]
             self._labels = self._orbits(LiftRecord.conjugation_span, moves)
         return self._labels
 
@@ -453,15 +471,23 @@ class GroupTable:
     def subgroup_indices(self, gens):
         """Sorted indices of the subgroup that a generator list generates in
         this table: a breadth-first search from the identity over the rho
-        columns of its generators (``columns``), so the subgroup is an
-        index set of this table and never a table of its own."""
-        cols = self.columns(gens)
+        rows of its generators (``columns``), so the subgroup is an index
+        set of this table and never a table of its own.  Each layer keeps
+        one occurrence of each new element, the one whose position its
+        slot in ``last`` holds, so no layer is sorted."""
+        rows = [self.rho[c] for c in self.columns(gens)]
         seen = np.zeros(self.size, dtype=bool)
         seen[0] = True  # generate puts the identity first
-        frontier = np.zeros(1, dtype=np.int64)
+        last = np.empty(self.size, dtype=np.int32)
+        frontier = np.zeros(1, dtype=np.int32)
         while frontier.size:
-            nxt = self.rho[frontier][:, cols].ravel()
-            frontier = np.unique(nxt[~seen[nxt]])
+            # frontier[:0] stands in for the rows of an empty generator list
+            nxt = np.concatenate([frontier[:0]]
+                                 + [row.take(frontier) for row in rows])
+            nxt = nxt[~seen[nxt]]
+            at = np.arange(nxt.size, dtype=np.int32)
+            last[nxt] = at
+            frontier = nxt[last[nxt] == at]
             seen[frontier] = True
         return np.flatnonzero(seen)
 
@@ -600,17 +626,17 @@ def _inverses(rho, parent, letter, layers):
     """Every element's inverse index, by gathers on rho along the BFS
     tree, a Schreier vector: x = parent[x] g_letter[x] for x > 0, and the
     identity 0 is alone in the first of the (lo, hi) layers.  g_c^-1 y
-    starts from the x with rho[x, c] = 0 and follows the tree, as
+    starts from the x with rho[c, x] = 0 and follows the tree, as
     (g_c^-1 parent(y)) g_letter(y); then x^-1 = g^-1 parent(x)^-1."""
-    left = np.empty(rho.shape[::-1], rho.dtype)  # left[c, y] = g_c^-1 y
+    left = np.empty_like(rho)  # left[c, y] = g_c^-1 y
     for c, row in enumerate(left):
-        to_one = np.flatnonzero(rho[:, c] == 0)
+        to_one = np.flatnonzero(rho[c] == 0)
         if not to_one.size:
             raise GroupsError(f"generator {c} never reaches the identity")
         row[0] = to_one[0]
         for lo, hi in layers[1:]:
-            row[lo:hi] = rho[row[parent[lo:hi]], letter[lo:hi]]
-    inv = np.zeros(rho.shape[0], dtype=np.int64)
+            row[lo:hi] = rho[letter[lo:hi], row[parent[lo:hi]]]
+    inv = np.zeros(rho.shape[1], dtype=np.int64)
     for lo, hi in layers[1:]:
         inv[lo:hi] = left[letter[lo:hi], inv[parent[lo:hi]]]
     if not (inv[inv] == np.arange(inv.size)).all():
@@ -812,7 +838,7 @@ class LiftRecord:
     reduced echelon basis B_0..B_(k-1) (``basis``, digit rows), and the
     element x = (I + pi^(m-1) X_v) s_j has the id j |V| + v, v the base-p
     coordinates of X_v.  The record holds the lifts s_j (``lifts``); the
-    lower rho column of each generator g (``maps[g]``) and the cocycles
+    lower rho row of each generator g (``maps[g]``) and the cocycles
     coc[g, j], s_j g = (I + pi^(m-1) X_c) s_(maps[g][j]) with c = coc[g, j];
     the lower inverses (``lower_inv``) and the cocycles e[j] of
     s_j s_(lower_inv[j]) = I + pi^(m-1) X_e; the residue class ``res[j]``
@@ -850,20 +876,15 @@ class LiftRecord:
         return {key: getattr(self, key) for key in self.ARRAYS}
 
     def rho(self):
-        """rho[j |V| + v, g] = maps[g][j] |V| + (v + c(j, g)): one gather
-        of the rows v -> v + c of the distinct cocycle values c and an add,
-        for a block of lower elements and every generator at a time."""
-        L, nV = self.lifts.shape[0], self.nV
-        vals, at = _distinct(self.coc, nV)
-        rows = self.digit_add(vals[:, None], np.arange(nV)).astype(np.int32)
-        J = self.maps * np.int32(nV)
-        rho = np.empty((L, nV, J.shape[0]), dtype=np.int32)
-        step = max(1, RHO_BLOCK // rho[0].size)
-        for lo in range(0, L, step):
-            block = rows.take(at[:, lo:lo + step], axis=0)  # (ngens, j, v)
-            block += J[:, lo:lo + step, None]
-            rho[lo:lo + step] = block.transpose(1, 2, 0)
-        return rho.reshape(L * nV, -1)
+        """rho[g, j |V| + v] = maps[g][j] |V| + (v + c(j, g)): one gather
+        of the rows v -> v + c of the distinct cocycle values c, which
+        lays rho out generator-major as it is, and an add."""
+        vals, at = _distinct(self.coc, self.nV)
+        rows = self.digit_add(vals[:, None], np.arange(self.nV)) \
+            .astype(np.int32)
+        rho = rows.take(at, axis=0)  # (ngens, j, v)
+        rho += self.maps[:, :, None] * np.int32(self.nV)
+        return rho.reshape(rho.shape[0], -1)
 
     def inverses(self, name):
         """inv[j |V| + v] = j' |V| + u: with j' = lower_inv[j], r = res[j']
@@ -966,7 +987,7 @@ class _KernelIndex(_Coordinates):
 
     V is the F_p-span of the top pi-adic digits of the kernel generators.
     ``_lift`` runs a BFS over the lower table, moving on lower indices
-    with ``maps[g]`` (the lower rho column of the projection of g): the
+    with ``maps[g]`` (the lower rho row of the projection of g): the
     first level-m product s_j g over a new lower element J is its lift
     s_J (s_0 = I), and every product gives the cocycle c(j, g),
     s_j g = (I + pi^(m-1) X_c) s_J, read and checked by ``_Coordinates``.
@@ -1014,7 +1035,7 @@ class _KernelIndex(_Coordinates):
             if key == ident:
                 row[:] = np.arange(lower.size)
             elif key in cols:
-                row[:] = lower.rho[:, cols[key]]
+                row[:] = lower.rho[cols[key]]
             else:
                 row[:] = np.concatenate([
                     lower.lookup_batch(low.mat_mul(lower.mats[r:r + per], gp))
@@ -1186,10 +1207,10 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
             letter.append(c0 + col)
             size += fresh.size
             block[c0:c1, r0:r1] = ids.reshape(c1 - c0, r1 - r0)
-        rho.append(block.T)
+        rho.append(block)
         layers.append((lo, lo + width))
         lo += width
-    rho = np.concatenate(rho)
+    rho = np.concatenate(rho, axis=1)
     inv = _inverses(rho, np.concatenate(parent), np.concatenate(letter),
                     layers)
     return GroupTable(ring, index.matrices(size), inv, rho, gens, name,

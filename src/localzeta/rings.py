@@ -575,7 +575,7 @@ class _Kronecker:
         self.naccs = len(supports)
 
     def __call__(self, A, B):
-        Ae, Be = self.enc[:, A], self.enc[:, B]
+        Ae, Be = self.enc.take(A, axis=1), self.enc.take(B, axis=1)
         accs = [None] * self.naccs
         carry = None
         last = len(self.groups) - 1

@@ -213,12 +213,12 @@ def table_product_checks(table):
     matrix products alone (a MUL/ADD gather, not Ring.mat_mul), with no
     key and no lookup.
 
-    rho_ok: mats[rho[:, c]] equals mats * g_c entry by entry for every
+    rho_ok: mats[rho[c]] equals mats * g_c entry by entry for every
     generator; inv_ok: mats[inv] * mats is the identity for every element.
     """
     ring, mats = table.ring, table.mats
     rho_ok = all(
-        np.array_equal(mats[table.rho[:, c]], _gather_mat_mul(ring, mats, g))
+        np.array_equal(mats[table.rho[c]], _gather_mat_mul(ring, mats, g))
         for c, (_, g) in enumerate(table.generators)
     )
     ident = ring.identity_mat(table.d)

@@ -154,11 +154,11 @@ def test_a_corrupted_inverse_product_raises(monkeypatch):
 def test_inverses_reject_a_table_that_is_no_group():
     # x -> x g never reaches the identity: g is not a unit
     with pytest.raises(GroupsError, match="never reaches the identity"):
-        groups._inverses(np.array([[1], [1]], dtype=np.int32),
+        groups._inverses(np.array([[1, 1]], dtype=np.int32),
                          np.zeros(2, np.int64), np.zeros(2, np.int64),
                          [(0, 1), (1, 2)])
-    # both columns reach the identity, but neither is a permutation
-    rho = np.array([[0, 1], [2, 0], [0, 0]], dtype=np.int32)
+    # both rows reach the identity, but neither is a permutation
+    rho = np.array([[0, 2, 0], [1, 0, 0]], dtype=np.int32)
     with pytest.raises(IdentityError, match="not an involution"):
         groups._inverses(rho, np.array([0, 0, 1]), np.array([0, 1, 0]),
                          [(0, 1), (1, 2), (2, 3)])
@@ -479,11 +479,11 @@ def _fixpoint_labels(n, perms):
 @pytest.mark.parametrize("family,lit", SMALL_TABLES)
 def test_rho_is_the_right_multiplication_table(family, lit):
     G = small_table(family, lit)
-    assert G.rho.shape == (G.size, len(G.generators))
-    assert G.rho.dtype == np.int32
+    assert G.rho.shape == (len(G.generators), G.size)
+    assert G.rho.dtype == np.int32 and G.rho.flags.c_contiguous
     for c, (_, g) in enumerate(G.generators):
         want = G.lookup_batch(G.ring.mat_mul(G.mats, g))
-        assert (G.rho[:, c] == want).all()
+        assert (G.rho[c] == want).all()
 
 
 @pytest.mark.parametrize("family,lit", SMALL_TABLES)
@@ -525,6 +525,68 @@ def test_pointer_jumping_on_random_permutations():
             perms.append(p)
         want = _fixpoint_labels(n, perms)
         assert (GroupTable._orbit_labels(n, perms) == want).all()
+
+
+def _union_find_labels(n, perms):
+    """Orbit labels by a pure-Python union-find over the permutations,
+    the orbits numbered in the order of their smallest points."""
+    up = list(range(n))
+
+    def find(x):
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    for p in perms:
+        for x, y in enumerate(p.tolist()):
+            rx, ry = find(x), find(y)
+            up[max(rx, ry)] = min(rx, ry)
+    number = {}
+    return np.array([number.setdefault(find(x), len(number))
+                     for x in range(n)])
+
+
+def _seeded_perms(rng, n, kind, k):
+    """k permutations of range(n) of one kind, as int32 or int64 arrays."""
+    perms = []
+    for i in range(k):
+        if kind == "identity":
+            p = np.arange(n)
+        elif kind == "cycle":  # one n-cycle through a shuffled order
+            order = rng.permutation(n)
+            p = np.empty(n, dtype=np.int64)
+            p[order] = np.roll(order, -1)
+        elif kind == "involution":  # disjoint transpositions
+            p = np.arange(n)
+            moved = rng.permutation(n)[:rng.integers(0, n + 1) // 2 * 2]
+            a, b = moved[0::2], moved[1::2]
+            p[a], p[b] = b, a
+        else:  # a quarter of the points moved, many left fixed
+            p = np.arange(n)
+            moved = rng.choice(n, size=n // 4, replace=False)
+            p[moved] = rng.permutation(moved)
+        perms.append(p.astype(np.int32 if i % 2 else np.int64))
+    return perms
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 5000])
+@pytest.mark.parametrize("kind", ["identity", "cycle", "involution",
+                                  "sparse"])
+def test_orbit_labels_match_a_union_find(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    for k in (0, 1, 2, 12, 16):
+        if kind == "cycle" and k > 1:
+            continue
+        perms = _seeded_perms(rng, n, kind, k)
+        want = _union_find_labels(n, perms)
+        assert np.array_equal(GroupTable._orbit_labels(n, perms), want)
+    if kind == "involution":
+        # involutions together with one cycle: a single orbit
+        perms = _seeded_perms(rng, n, kind, 3) \
+            + _seeded_perms(rng, n, "cycle", 1)
+        assert np.array_equal(GroupTable._orbit_labels(n, perms),
+                              np.zeros(n, dtype=np.int64))
 
 
 # (group family, top ring) of the subgroup oracle, checked at every
@@ -588,7 +650,8 @@ def _array_sha256(arr):
     return hashlib.sha256(head + arr.tobytes()).hexdigest()
 
 
-# sha256 of (dtype, shape, bytes) of mats, inv and rho.  The level-1
+# sha256 of (dtype, shape, bytes) of mats, inv and rho, rho hashed
+# element-major (N, ngens), the layout the disk cache stores.  The level-1
 # tables were recorded from the enumeration that numbered elements through
 # a dict of byte encodings; the tower levels (m >= 2) are numbered by kernel
 # slot, element (I + pi^(m-1) X_v) s_j at j |V| + v, and were recorded when
@@ -632,7 +695,7 @@ GOLDEN_TABLES = {
 def test_golden_tables(family, lit):
     # element order, inverses and rho are those the cache format stores
     G = table(family, lit)
-    got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
+    got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho.T))
     assert got == GOLDEN_TABLES[family, lit]
     assert cache.FORMAT_VERSION == 5
 
@@ -801,7 +864,8 @@ def test_cap_below_the_order_law_fails_before_enumerating(
 def oracle_table(ring, generators):
     """(mats, inv, rho) by a breadth-first search over a dict keyed by
     encode_mat bytes: each layer times g_0, then g_1, ..., new elements in
-    the order they occur; x^-1 = g^-1 parent(x)^-1 along the search tree."""
+    the order they occur; x^-1 = g^-1 parent(x)^-1 along the search tree.
+    rho[c, x] is the index of x g_c, as in GroupTable."""
     def encode_mat(mat):  # the canonical key that orders the generators
         return np.ascontiguousarray(mat, dtype="<u2").tobytes()
 
@@ -826,7 +890,7 @@ def oracle_table(ring, generators):
                 rows[x][c] = index[key]
         layer = found
     inv = [index[encode_mat(m)] for m in inv_mats]
-    return np.array(mats), np.array(inv), np.array(rows)
+    return np.array(mats), np.array(inv), np.array(rows).T
 
 
 def tower(family, lit):
@@ -870,7 +934,7 @@ def assert_isomorphic(G, keyed):
     assert G.size == keyed.size
     assert np.array_equal(np.sort(pi), np.arange(keyed.size))
     assert G.rho.dtype == keyed.rho.dtype and G.inv.dtype == keyed.inv.dtype
-    assert (keyed.rho[pi] == pi[G.rho]).all()
+    assert (keyed.rho[:, pi] == pi[G.rho]).all()
     assert (keyed.inv[pi] == pi[G.inv]).all()
     return pi
 
@@ -934,7 +998,7 @@ def test_kernel_rank_of_the_large_groups(family):
 ])
 def test_kernel_route_keeps_the_golden_tables(family, lit):
     G = tower(family, lit)[-1]
-    got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho))
+    got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho.T))
     assert got == GOLDEN_TABLES[family, lit]
     assert_isomorphic(G, keyed_table(family, lit))
 
@@ -1335,6 +1399,43 @@ def test_a_table_from_disk_equals_the_fresh_one(tmp_path, monkeypatch,
         cache.clear_memo()
 
 
+# sha256 of whole cache files, recorded when the tables held rho
+# element-major: flat tables (level 1 and zn) store mats, inv and rho,
+# element-major still; a tower level stores its lift record, whose maps
+# and cocycles were generator-major already
+DISK_ENTRIES = {
+    ("chevalley:A1", "fqt:p=2,f=1,m=1"):
+        "4d1778137c5993e71fd4778e2797a0f994da965bb922b15dc3a764ff26109396",
+    ("chevalley:A1", "fqt:p=2,f=1,m=2"):
+        "5c8775a06c97280bb72660d4ab487c9c988834139109515f49b037d4cafaf793",
+    ("heisenberg", "zn:n=6"):
+        "a4ac5afb5f44077b118d05d56beb7976438ffcb31a192f02a6a50cd63e0aee62",
+    ("heisenberg", "zq:p=3,f=1,m=1"):
+        "8047a65bd62a68395ddef61c0c665a6ecdab689adb392443388f79c1d4734a62",
+    ("heisenberg", "zq:p=3,f=1,m=2"):
+        "96be930af307c665e6b106af413baa066482c654860e07340afbe9fee903c7f1",
+}
+
+
+def test_cache_files_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    cache.clear_memo()
+    try:
+        for family, lit in DISK_ENTRIES:
+            fam, ring = Family(family), parse_ring(lit)
+            G = cache.table_for(fam, ring)
+            with open(cache._cache_path(fam, ring), "rb") as fh:
+                got = hashlib.sha256(fh.read()).hexdigest()
+            assert got == DISK_ENTRIES[family, lit], (family, lit)
+            cache.clear_memo()
+            loaded = cache.table_for(fam, ring)  # a disk hit
+            assert loaded is not G and loaded.rho.flags.c_contiguous
+            assert loaded.rho.shape == (len(G.generators), G.size)
+            assert (loaded.rho == G.rho).all()
+    finally:
+        cache.clear_memo()
+
+
 def test_a_store_never_builds_the_matrices(tmp_path, monkeypatch):
     # the top table is stored as its lift record: its matrices stay a
     # function, and rebuilding them is left to their first read
@@ -1539,6 +1640,36 @@ def test_identity_moves_are_dropped(monkeypatch):
     assert G.class_count() == keyed_table("heisenberg", "zq:p=3,f=1,m=2") \
         .class_count()
     assert len(G.generators) == 3 and seen[0] == 2
+
+
+@pytest.mark.parametrize("family,lit,central", [
+    ("heisenberg", "zq:p=3,f=1,m=3", True),
+    ("heisenberg", "fqt:p=2,f=2,m=2", True),
+    ("chevalley:A1", "fqt:p=3,f=1,m=3", False),
+])
+def test_central_generators_never_move_the_nodes(monkeypatch, family, lit,
+                                                 central):
+    # the central e13 generators of the Heisenberg group are skipped before
+    # any node is moved; A1 has no central generator, so every one moves
+    G = table(family, lit)
+    every = np.arange(G.size)
+    want = _fixpoint_labels(G.size, [G.conjugate(every, c)
+                                     for c in range(len(G.generators))])
+    reps = G._nodes(G.record.conjugation_span())[1]
+    moved = []
+    real = GroupTable.conjugate
+
+    def recording(self, x, col):
+        if np.array_equal(x, reps):
+            moved.append(col)
+        return real(self, x, col)
+
+    monkeypatch.setattr(GroupTable, "conjugate", recording)
+    assert (G.conjugation_labels() == want).all()
+    e13 = [c for c, (prov, _) in enumerate(G.generators)
+           if prov[0] == "e13"]
+    assert bool(e13) == central
+    assert moved == [c for c in range(len(G.generators)) if c not in e13]
 
 
 def test_a_corrupted_node_map_raises(monkeypatch):

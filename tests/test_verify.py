@@ -84,7 +84,7 @@ def test_table_product_checks_catch_broken_tables():
     G = Family("chevalley:A1").table(make_ring("fqt", 2, 1, 2))
     assert verify.table_product_checks(G) == (True, True)
     rho = G.rho.copy()
-    rho[[3, 4], 1] = rho[[4, 3], 1]
+    rho[1, [3, 4]] = rho[1, [4, 3]]
     inv = G.inv.copy()
     inv[[5, 6]] = inv[[6, 5]]
     for bad, want in [(rho, (False, True)), (inv, (True, False))]:
