@@ -273,14 +273,6 @@ class GroupTable:
             raise IdentityError(f"matrix not in table {self.name}")
         return idx
 
-    def lookup(self, mat):
-        return int(self.lookup_batch(np.asarray(mat)[None])[0])
-
-    def mul(self, i, j):
-        return int(
-            self.lookup(self.ring.mat_mul(self.mats[i], self.mats[j]))
-        )
-
     # ------------------------------------------------------------------
     # actions as gathers on rho
     #
@@ -539,23 +531,6 @@ class GroupTable:
 
     # ------------------------------------------------------------------
     # congruence depth
-
-    def commutator_depth(self, i, j):
-        """w(x,y) = min entry valuation of xy - yx, truncated at m."""
-        x, y = self.mats[i], self.mats[j]
-        diff = self.ring.mat_sub(
-            self.ring.mat_mul(x, y), self.ring.mat_mul(y, x)
-        )
-        return int(self.ring.mat_min_valuation(diff))
-
-    def commutator_depth_kernel(self, i, j):
-        """Same depth via max{k : x^-1 y^-1 x y lies in the level-k kernel}."""
-        xiyi = self.ring.mat_mul(self.mats[self.inv[i]], self.mats[self.inv[j]])
-        comm = self.ring.mat_mul(
-            xiyi, self.ring.mat_mul(self.mats[i], self.mats[j])
-        )
-        delta = self.ring.mat_sub(comm, self.ring.identity_mat(self.d))
-        return int(self.ring.mat_min_valuation(delta))
 
     def pair_depth_counts(self):
         """histogram[k] = #{(x,y) : w(x,y) >= k} for 0 <= k <= m."""

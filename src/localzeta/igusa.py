@@ -3,25 +3,32 @@
 From the zero counts N_n of an integer polynomial at each truncation
 level the measures mu(v(f) = n) are exact rationals, and their generating
 series in t = q^{-s} is the truncated integral of |f|^s over the
-d-dimensional unit polydisc.  The counts are exhaustive.  Every zero at
-level n + 1 lies over a zero at level n, because truncation is a ring
-homomorphism, and for n >= 1 the stationary phase identity
+d-dimensional unit polydisc.  The counts are exhaustive, and every level
+is counted in the top ring R_m alone.  A point of level k is its
+canonical digit lift, the index of R_m whose digit rows k and above are
+zero.  Truncation is a ring homomorphism, so f vanishes at level k exactly
+where the valuation of f at that lift is at least k, and every zero at
+level n + 1 lies over a zero at level n.  For n >= 1 the stationary phase
+identity
 
     f(y + pi^n t) = f(y) + pi^n grad f(y mod pi) . t   (mod pi^(n+1))
 
 splits the zeros by the formal gradient mod pi.  A smooth zero (gradient
 nonzero) has exactly q^(d-1) zero lifts, all smooth, so it is counted and
 never evaluated again.  A singular zero (gradient zero) has all q^d of its
-lifts as zeros, or none, and one evaluation decides which.  So
+lifts as zeros, or none, and one evaluation decides which.  Its lifts add
+pi^n u to each coordinate, u in the residue field: a digit step, one of q
+indices per level, added to an index with no carry.  So
 level_set_measures scans the q^d points of level 1 once and then
 evaluates one point per singular zero of each level: the work is the sum
 of the singular zeros, not of N_n * q^d.  zero_count, the plain scan of
-the whole grid, is the oracle for those counts.  The budget applies to
-the points evaluated: the level-1 grid is checked before the scan, and a
-bound on all later evaluations before any lift.  f is parsed into its
-expansion, a Laurent, and the gradient is read off its terms; the
-arithmetic at the points stays in the ring's lookup tables, so the numbers
-are an independent check on any closed form.
+the whole grid of one ring, run on each truncation, is the oracle for
+those counts.  The budget applies to the points evaluated: the level-1
+grid is checked before the scan, and a bound on all later evaluations
+before any lift.  f is parsed into its expansion, a Laurent, and the
+gradient is read off its terms; the arithmetic at the points stays in the
+ring's lookup tables, so the numbers are an independent check on any
+closed form.
 """
 
 from __future__ import annotations
@@ -220,11 +227,6 @@ def _evaluate(f, ring: Ring, points):
     return out
 
 
-def _is_zero(f, ring: Ring, points):
-    """Boolean mask: f = 0 at each column of the (d, n) array points."""
-    return _evaluate(f, ring, points) == ring.zero
-
-
 def zero_count(poly, ring: Ring) -> int:
     """N = #{x in ring^d : f(x) = 0} over the d variables f mentions, by
     exhaustive evaluation; the budget is checked against that grid."""
@@ -236,29 +238,48 @@ def zero_count(poly, ring: Ring) -> int:
     total = 0
     for lo in range(0, grid, CHUNK):
         points = _digit_strings(ring.size, d, lo, min(grid, lo + CHUNK))
-        total += int(np.count_nonzero(_is_zero(poly.terms, ring, points)))
+        total += int(np.count_nonzero(
+            _evaluate(poly.terms, ring, points) == ring.zero))
     return total
 
 
-def _lift_table(ring: Ring, k):
-    """(|R_k|, q) table: row x lists the q elements of ring over x in R_k.
+def _vanishes(f, ring: Ring, points, k):
+    """Boolean mask: f = 0 mod pi^k at each column of the (d, n) array
+    points.  Truncation to level k is a ring homomorphism, so this is f = 0
+    at the level-k truncation of the points."""
+    return ring.VAL[_evaluate(f, ring, points)] >= k
 
-    ring is at level k + 1 and R_k is its truncation at level k; level 0
-    is a single point.  The entries take the smallest unsigned dtype that
-    holds them, which keeps the lifted zeros small.
+
+def _residue_digits(ring: Ring):
+    """(q, f) array: row u holds the F_p digits of the residue u, in the
+    digit order of the level-1 ring."""
+    return np.arange(ring.q)[:, None] // ring.p ** np.arange(ring.f) % ring.p
+
+
+def _digit_steps(ring: Ring):
+    """(m, q) array: entry (k, u) is the index of pi^k u, u running
+    through the residue field.
+
+    A point of level k is its canonical lift to ring, the index whose
+    digit rows k and above are zero, so adding a row-k step to it is an
+    index sum with no carry.  The entries take the smallest unsigned dtype
+    that holds an index of ring, which keeps the lifted zeros small.
     """
-    q = ring.q
-    dtype = np.min_scalar_type(ring.size - 1)
-    if k == 0:
-        return np.arange(q, dtype=dtype).reshape(1, q)
-    proj = ring.project_table(k)
-    fibres = np.bincount(proj, minlength=q**k)
-    if fibres.shape != (q**k,) or (fibres != q).any():
+    steps = ring.W @ _residue_digits(ring).T
+    return steps.astype(np.min_scalar_type(ring.size - 1))
+
+
+def _check_steps(ring: Ring, steps):
+    """steps, once each entry (k, u) reads back through ring.DIGITS as the
+    digits of u in row k and zero in every other row."""
+    eye = np.eye(ring.m, dtype=bool)[:, None, :, None]
+    if not np.array_equal(ring.DIGITS[steps],
+                          eye * _residue_digits(ring)[:, None, :]):
         raise IdentityError(
-            f"projection {ring.literal} -> level {k} has a fibre "
-            f"of size other than {q}"
+            f"a digit step of {ring.literal} does not read back to its "
+            f"residue in its own digit row"
         )
-    return np.argsort(proj, kind="stable").astype(dtype).reshape(-1, q)
+    return steps
 
 
 def _digit_strings(q, d, lo, hi):
@@ -267,78 +288,79 @@ def _digit_strings(q, d, lo, hi):
     return np.arange(lo, hi, dtype=np.int64) // powers[:, None] % q
 
 
-def _lifts(table, zeros, q, d):
+def _lifts(step, zeros, q, d):
     """The q^d lifts of the columns of zeros, in pieces of at most CHUNK.
 
-    zeros is a (d, n) array on R_k and table the level-(k+1) lift table.
-    Lift (column r, digit string s) has coordinate j equal to
-    table[zeros[j, r], digits[j, s]]; each piece is a (d, width) array on
-    R_{k+1}, its lifts taken column by column.
+    zeros is a (d, n) array of level-k points and step the row k of
+    _digit_steps.  Lift (column r, digit string s) has coordinate j equal
+    to zeros[j, r] + step[digits[j, s]]; each piece is a (d, width) array
+    of level-(k + 1) points, its lifts taken column by column.
     """
     fibre = q**d
     rows = max(1, CHUNK // fibre)  # zeros per piece
     width = min(fibre, CHUNK)  # digit strings per piece
     for lo in range(0, fibre, width):
-        digits = _digit_strings(q, d, lo, min(fibre, lo + width))
+        digits = step[_digit_strings(q, d, lo, min(fibre, lo + width))]
         for r in range(0, zeros.shape[1], rows):
             block = zeros[:, r:r + rows]
-            out = np.empty((d, block.shape[1] * digits.shape[1]),
-                           dtype=table.dtype)
-            for j in range(d):
-                out[j] = np.take(table[block[j]], digits[j], axis=1).ravel()
-            yield out
+            # (d, rows * width), not (d, -1): with d = 0 there is no -1
+            yield (block[:, :, None] + digits[:, None, :]).reshape(
+                d, block.shape[1] * digits.shape[1])
 
 
-def _level_one_zeros(poly, ring: Ring):
+def _level_one_zeros(poly, ring: Ring, step):
     """(smooth, singular): the zeros of f on the residue grid F_q^d.
 
-    ring is at level 1.  smooth is the number of zeros where the formal
-    gradient of f is nonzero; singular is a (d, s) array of the zeros
-    where it vanishes.  The grid is the set of lifts of the level-0 point,
-    scanned in pieces of at most CHUNK points.
+    step is the row 0 of _digit_steps(ring).  smooth is the number of
+    zeros where the formal gradient of f is nonzero mod pi; singular is a
+    (d, s) array of the zeros where it vanishes, as their canonical lifts
+    to ring.  The grid is the set of lifts of the level-0 point, scanned in
+    pieces of at most CHUNK points.
     """
     d = len(poly.vars)
     partials = _partials(poly.terms)
-    table = _lift_table(ring, 0)
-    origin = np.zeros((d, 1), dtype=table.dtype)
+    origin = np.zeros((d, 1), dtype=step.dtype)
     smooth = 0
     singular = [origin[:, :0]]
-    for grid in _lifts(table, origin, ring.q, d):
-        zeros = grid[:, _is_zero(poly.terms, ring, grid)]
+    for grid in _lifts(step, origin, ring.q, d):
+        zeros = grid[:, _vanishes(poly.terms, ring, grid, 1)]
         flat = np.ones(zeros.shape[1], dtype=bool)
         for partial in partials:
-            flat &= _is_zero(partial, ring, zeros)
+            flat &= _vanishes(partial, ring, zeros, 1)
         smooth += int(np.count_nonzero(~flat))
         singular.append(zeros[:, flat])
     return smooth, np.concatenate(singular, axis=1)
 
 
-def _stationary_zero_counts(poly, rings):
-    """N_k = #{x in R_k^d : f(x) = 0} for the d variables f mentions.
+def _stationary_zero_counts(poly, ring: Ring):
+    """N_k = #{x in R_k^d : f(x) = 0} for 1 <= k <= m, the d variables f
+    mentions and R_k the level-k truncation of ring.
 
-    rings[k - 1] is the level-k ring.  For k >= 1, a level-k zero x with
-    lift y and any t in R^d satisfy
+    Every point is its canonical lift to ring, and f vanishes at level k
+    where its value in ring has valuation at least k.  For k >= 1, a
+    level-k zero x with lift y and any t in R^d satisfy
 
         f(y + pi^k t) = f(y) + pi^k grad f(x mod pi) . t   (mod pi^(k+1)),
 
-so the zeros fall in two kinds, fixed by their image on level 1.  A
+    so the zeros fall in two kinds, fixed by their image on level 1.  A
     smooth zero (gradient nonzero mod pi) has exactly q^(d-1) zero lifts,
     all smooth again: its subtree is counted without evaluation.  A
     singular zero (gradient zero mod pi) has all q^d of its lifts as
-    zeros, singular again, or none: f at the lift table[x, 0] decides
-    which.  Only singular zeros are lifted, depth first in pieces of at
-    most CHUNK; the deepest level keeps only their number.
+    zeros, singular again, or none: f at x itself, the lift with digit row
+    k zero, decides which.  Only singular zeros are lifted, by the digit
+    steps of row k, depth first in pieces of at most CHUNK; the deepest
+    level keeps only their number.
 
     The budget caps the points evaluated: q^d for the level-1 scan,
     checked before it, and q^d + s_1 * sum_{j=0}^{m-2} q^(jd) in all,
     with s_1 the singular level-1 zeros, checked before any lift.
     """
-    q, d, m = rings[0].q, len(poly.vars), len(rings)
+    q, d, m = ring.q, len(poly.vars), ring.m
     fibre = q**d
     if fibre > GRID_CAP:
         raise TooLarge(f"grid of {fibre} points exceeds budget {GRID_CAP}")
-    tables = {k: _lift_table(rings[k], k) for k in range(1, m)}
-    smooth, singular = _level_one_zeros(poly, rings[0])
+    steps = _check_steps(ring, _digit_steps(ring))
+    smooth, singular = _level_one_zeros(poly, ring, steps[0])
     bound = fibre + singular.shape[1] * sum(fibre**j for j in range(m - 1))
     if bound > GRID_CAP:
         raise TooLarge(
@@ -349,14 +371,13 @@ so the zeros fall in two kinds, fixed by their image on level 1.  A
     counts[0] += singular.shape[1]
 
     def lift(k, zeros):
-        # zeros: singular zeros of level k; their lifts live on rings[k]
-        ring, table = rings[k], tables[k]
+        # zeros: singular zeros of level k; a passing one's lifts add row k
         for r in range(0, zeros.shape[1], CHUNK):
             piece = zeros[:, r:r + CHUNK]
-            passed = piece[:, _is_zero(poly.terms, ring, table[piece, 0])]
+            passed = piece[:, _vanishes(poly.terms, ring, piece, k + 1)]
             counts[k] += passed.shape[1] * fibre
             if k + 1 < m:
-                for lifts in _lifts(table, passed, q, d):
+                for lifts in _lifts(steps[k], passed, q, d):
                     lift(k + 1, lifts)
 
     if m > 1:
@@ -370,17 +391,16 @@ def level_set_measures(poly, ring: Ring):
     Uses mu(v >= n) = q^{-nd} N_n with N_n the zero count at level n over
     the d variables f mentions, so the measures and the tail q^{-md} N_m
     partition 1 exactly.  The N_n come from the stationary-phase count,
-    which lifts only the singular zeros through the fibres of the
-    projection; zero_count is the brute-force oracle for them.  The
-    budget caps the points evaluated.
+    which runs in ring alone and lifts only the singular zeros, by digit
+    steps; zero_count on each truncation of ring is the brute-force oracle
+    for them.  The budget caps the points evaluated.
     """
     poly = parse_poly(poly)
     if ring.VAL is None:
         raise IgusaError(f"no valuation on {ring.literal}")
     d, q, m = len(poly.vars), ring.q, ring.m
-    rings = [ring.subring_level(k) for k in range(1, m + 1)]
     counts = [1]  # N_0: the empty congruence
-    counts += _stationary_zero_counts(poly, rings)
+    counts += _stationary_zero_counts(poly, ring)
     mass = [Fraction(n, q ** (k * d)) for k, n in enumerate(counts)]
     return {
         "poly": poly.text,

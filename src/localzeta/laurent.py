@@ -64,18 +64,28 @@ class Laurent:
     # ------------------------------------------------------------------
 
     @classmethod
+    def _one_term(cls, nvars, e, c):
+        # one term needs none of the normalising constructor's merging
+        r = cls.__new__(cls)
+        r.nvars = nvars
+        c = exact(c)
+        r.terms = {e: c} if c else {}
+        return r
+
+    @classmethod
     def const(cls, c, nvars):
-        return cls(nvars, {(0,) * nvars: c})
+        return cls._one_term(nvars, (0,) * nvars, c)
 
     @classmethod
     def var(cls, i, nvars, power=1):
         e = [0] * nvars
-        e[i] = power
-        return cls(nvars, {tuple(e): 1})
+        e[i] = int(power)
+        return cls._one_term(nvars, tuple(e), 1)
 
     @classmethod
     def monomial(cls, c, exps):
-        return cls(len(exps), {tuple(exps): c})
+        e = tuple(map(int, exps))
+        return cls._one_term(len(e), e, c)
 
     def is_zero(self):
         return not self.terms

@@ -176,7 +176,7 @@ class Ring:
         self.one = 1 if self.size > 1 else 0
         self.W = self.DIGITS = None
         if self.p is not None:
-            k, j = np.ogrid[:self.m, :self.f]
+            k, j = np.arange(m)[:, None], np.arange(f)
             self.W = p ** (k + m * j if kind == "zq" else f * k + j)
             self.DIGITS = np.arange(self.size)[:, None, None] // self.W % p
             self.DIGITS.setflags(write=False)

@@ -29,6 +29,13 @@ from localzeta.groups import (
 )
 from localzeta.rings import parse_ring
 
+from group_helpers import (
+    commutator_depth,
+    commutator_depth_kernel,
+    lookup,
+    mul,
+)
+
 
 def table(family, ring_lit):
     return Family(family).table(parse_ring(ring_lit))
@@ -258,7 +265,7 @@ def test_hecke_pairs_against_direct_scan():
             conj = G.ring.mat_mul(
                 G.ring.mat_mul(G.mats[x], G.mats[y]), xinv
             )
-            if G.lookup(conj) in bset:
+            if lookup(G, conj) in bset:
                 direct += 1
     assert direct == G.hecke_pairs(idx, idx)
 
@@ -319,12 +326,12 @@ def test_commutator_depth_examples():
     central[0, 2] = 2
     x23 = ring.identity_mat(3)
     x23[1, 2] = 2
-    i, j, k = G.lookup(x12), G.lookup(central), G.lookup(x23)
-    ident_idx = G.lookup(ring.identity_mat(3))
-    assert G.commutator_depth(i, ident_idx) == 2  # commuting: full depth
-    assert G.commutator_depth(i, j) == 2  # central partner
-    assert G.commutator_depth(i, k) == 1  # commutator entry 2, valuation 1
-    assert G.commutator_depth_kernel(i, k) == 1
+    i, j, k = lookup(G, x12), lookup(G, central), lookup(G, x23)
+    ident_idx = lookup(G, ring.identity_mat(3))
+    assert commutator_depth(G, i, ident_idx) == 2  # commuting: full depth
+    assert commutator_depth(G, i, j) == 2  # central partner
+    assert commutator_depth(G, i, k) == 1  # commutator entry 2, valuation 1
+    assert commutator_depth_kernel(G, i, k) == 1
 
 
 def test_pair_depth_counts_match_classes():
@@ -346,16 +353,16 @@ def test_parabolic_depth_a1_z4():
     assert lam.shape == (G.size,)
     # x in P_S at full level -> depth m
     for y in range(0, B2.size, 3):
-        gi = G.lookup(B2.mats[y])
+        gi = lookup(G, B2.mats[y])
         assert lam[gi] == 2
     # the promised example: x_{-a}(2) has depth exactly 1
     cg = Family("chevalley:A1").cg
     neg = cg.rs.negative(cg.rs.positive[0])
     x = cg.x(G.ring, neg, 2)
-    assert lam[G.lookup(x)] == 1
+    assert lam[lookup(G, x)] == 1
     # residue image outside the parabolic -> depth 0
     x0 = cg.x(G.ring, neg, 1)
-    assert lam[G.lookup(x0)] == 0
+    assert lam[lookup(G, x0)] == 0
     # coset-representative formula agrees everywhere
     for gi in range(G.size):
         assert lam[gi] == parabolic_depth_coset(gi, G, B2.generators)
@@ -398,9 +405,9 @@ def test_projection_between_levels():
     rng = np.random.default_rng(3)
     for _ in range(25):
         i, j = rng.integers(0, G2.size, size=2)
-        k = G2.mul(int(i), int(j))
+        k = mul(G2, int(i), int(j))
         lhs = proj[k]
-        rhs = G1.mul(int(proj[i]), int(proj[j]))
+        rhs = mul(G1, int(proj[i]), int(proj[j]))
         assert lhs == rhs
 
 
@@ -758,7 +765,7 @@ def test_fold_collision_raises(monkeypatch):
     loaded = GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators,
                         G.name, G.dim_scheme)
     with pytest.raises(IdentityError, match="share a key"):
-        loaded.lookup(G.mats[1])
+        lookup(loaded, G.mats[1])
 
 
 def test_lookup_of_colliding_matrix_raises():
@@ -784,7 +791,7 @@ def test_lookup_of_colliding_matrix_raises():
     assert (y != x).any()
     assert G._pack(y[None])[0] == G._pack(x[None])[0]
     with pytest.raises(IdentityError, match="matrix not in table"):
-        G.lookup(y)
+        lookup(G, y)
     with pytest.raises(IdentityError, match="matrix not in table"):
         G.lookup_batch(np.stack([x, y]))
     assert G._locate(np.stack([x, y]))[1].tolist() == [True, False]
@@ -1158,7 +1165,7 @@ def test_a_wrong_inverse_residue_raises(monkeypatch, family, lit):
     ident = lower.ring.identity_mat(lower.d)
     x = next(j for j in first if (lower.mats[j] != ident).any())
     lower.inv = lower.inv.copy()
-    lower.inv[x] = lower.lookup(ident)
+    lower.inv[x] = lookup(lower, ident)
     real, formed = ring.mat_mul, []
 
     def counting(*args):

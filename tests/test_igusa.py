@@ -273,6 +273,14 @@ LIFT_CASES = [
     (DET3, "fqt:p=2,f=1,m=2", None),
     ("a+b+c-a-b-c", "zq:p=2,f=1,m=4", None),
     ("a+b+c-a-b-c", "fqt:p=3,f=1,m=2", 4),
+] + [
+    # both ring kinds at every p of 2, 3 and 5 and f of 1, 2 and 3, each
+    # at the deepest level whose scan stays small
+    (poly, f"{kind}:p={p},f={f},m={m}", None)
+    for poly in ("x^3 - y^2", "x*y - 6")
+    for kind in ("zq", "fqt")
+    for p, f, m in [(2, 1, 5), (2, 2, 3), (2, 3, 2), (3, 1, 4), (3, 2, 2),
+                    (3, 3, 2), (5, 1, 3), (5, 2, 2), (5, 3, 1)]
 ]
 
 
@@ -300,13 +308,51 @@ def test_lifted_counts_in_small_pieces(monkeypatch, chunk):
     assert level_set_measures(DET, top)["zero_counts"] == want
 
 
-def test_lift_checks_fibre_sizes(monkeypatch):
-    top = make_ring("fqt", p=2, f=1, m=2)
-    bad = top.project_table(1).copy()
-    bad[bad == 1] = 0  # one fibre of size 2q, one empty
-    monkeypatch.setitem(top._proj_tables, 1, bad)
-    with pytest.raises(IdentityError, match="fibre"):
+def test_lift_checks_its_digit_steps():
+    # step (k, u) is pi^k u: the digits of u (as the level-1 ring orders
+    # them) in digit row k, zero in every other row, and the check accepts
+    # exactly that array
+    for lit in ("fqt:p=2,f=1,m=3", "zq:p=3,f=1,m=2", "zq:p=2,f=2,m=3",
+                "fqt:p=3,f=2,m=2"):
+        ring = parse_ring(lit)
+        one = ring.subring_level(1)
+        steps = igusa._digit_steps(ring)
+        assert steps.shape == (ring.m, ring.q)
+        assert steps.dtype == np.min_scalar_type(ring.size - 1)
+        for k in range(ring.m):
+            for u in range(ring.q):
+                rows = ring.DIGITS[steps[k, u]]
+                assert rows[k].tolist() == one.DIGITS[u, 0].tolist()
+                assert not np.delete(rows, k, axis=0).any()
+        assert igusa._check_steps(ring, steps) is steps
+
+
+@pytest.mark.parametrize("lit,k,u", [
+    ("fqt:p=2,f=1,m=2", 1, 1),
+    ("zq:p=2,f=1,m=3", 0, 1),
+    ("zq:p=3,f=1,m=2", 1, 2),
+    ("zq:p=2,f=2,m=2", 1, 2),
+    ("fqt:p=2,f=2,m=2", 0, 3),
+])
+def test_a_corrupt_digit_step_is_refused(monkeypatch, lit, k, u):
+    # one wrong entry of the steps stops the count before any point is
+    # evaluated
+    top = parse_ring(lit)
+    build, evaluated = igusa._digit_steps, []
+
+    def corrupt(ring):
+        steps = build(ring).copy()
+        steps[k, u] = (int(steps[k, u]) + 1) % ring.size
+        return steps
+
+    def spy(f, ring, points):
+        evaluated.append(points)
+
+    monkeypatch.setattr(igusa, "_digit_steps", corrupt)
+    monkeypatch.setattr(igusa, "_evaluate", spy)
+    with pytest.raises(IdentityError, match="digit step"):
         level_set_measures("x", top)
+    assert not evaluated
 
 
 def test_lifting_memory_does_not_grow_with_zeros(monkeypatch):
@@ -315,8 +361,6 @@ def test_lifting_memory_does_not_grow_with_zeros(monkeypatch):
     monkeypatch.setattr(igusa, "CHUNK", 1 << 12)
     top = make_ring("zq", p=2, f=1, m=7)
     poly = "a+b+c-a-b-c"
-    for k in range(1, top.m + 1):
-        top.subring_level(k)
     tracemalloc.start()
     try:
         assert zero_count(poly, top) == top.size**3
@@ -330,12 +374,14 @@ def test_lifting_memory_does_not_grow_with_zeros(monkeypatch):
 
 
 def test_budget_checked_before_any_level(monkeypatch):
-    levels = []
+    f = parse_poly("a*b")
+    evaluated = []
     evaluate = igusa._evaluate
 
-    def spy(f, ring, points):
-        levels.append(ring.m)
-        return evaluate(f, ring, points)
+    def spy(g, ring, points):
+        if g is f.terms:  # f itself, not a partial
+            evaluated.extend(map(tuple, points.T.tolist()))
+        return evaluate(g, ring, points)
 
     monkeypatch.setattr(igusa, "_evaluate", spy)
     # a*b over F_2 has 4 grid points and one singular zero, (0, 0); up to
@@ -343,13 +389,15 @@ def test_budget_checked_before_any_level(monkeypatch):
     monkeypatch.setattr(igusa, "GRID_CAP", 21848)
     top = make_ring("zq", p=2, f=1, m=9)
     with pytest.raises(TooLarge, match="up to 21849 points"):
-        level_set_measures("a*b", top)
-    assert set(levels) == {1}  # the level-1 scan ran, no lift did
-    levels.clear()
+        level_set_measures(f, top)
+    # the level-1 scan met each grid point once; any lift would have
+    # evaluated f at (0, 0) again
+    assert sorted(evaluated) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    evaluated.clear()
     monkeypatch.setattr(igusa, "GRID_CAP", 3)
     with pytest.raises(TooLarge, match="grid of 4 points"):
-        level_set_measures("a*b", top)
-    assert not levels
+        level_set_measures(f, top)
+    assert not evaluated
 
 
 @pytest.mark.parametrize(
@@ -407,9 +455,11 @@ def test_derivative_of_square_vanishes_mod_two():
     # so the one zero of x^2 over F_2 is singular, and the zero (0, 0) of
     # x^2 + y is smooth
     f2 = make_ring("zq", p=2, f=1, m=1)
-    smooth, singular = igusa._level_one_zeros(parse_poly("x^2"), f2)
+    step = igusa._digit_steps(f2)[0]
+    smooth, singular = igusa._level_one_zeros(parse_poly("x^2"), f2, step)
     assert (smooth, singular.tolist()) == (0, [[0]])
-    smooth, singular = igusa._level_one_zeros(parse_poly("x^2 + y"), f2)
+    smooth, singular = igusa._level_one_zeros(parse_poly("x^2 + y"), f2,
+                                              step)
     assert (smooth, singular.shape) == (2, (2, 0))
 
 
@@ -430,7 +480,6 @@ SPLIT_CASES = [
 @pytest.mark.parametrize("poly,ring", SPLIT_CASES)
 def test_singular_zeros_have_all_or_no_zero_lifts(poly, ring):
     level2 = parse_ring(ring)
-    level1 = level2.subring_level(1)
     f = parse_poly(poly)
     q, d, size = level2.q, len(f.vars), level2.size
     # brute force over the level-2 grid: the zero lifts of each level-1 point
@@ -442,9 +491,13 @@ def test_singular_zeros_have_all_or_no_zero_lifts(poly, ring):
     zero1 = np.bincount(below[proj[vals] == 0], minlength=q**d) > 0
     lifts = np.bincount(below[vals == level2.zero], minlength=q**d)
     all_or_none = (lifts == 0) | (lifts == q**d)
-    smooth, singular = igusa._level_one_zeros(f, level1)
+    # the scan runs in the level-2 ring; its singular zeros are canonical
+    # lifts, which project to their level-1 points
+    smooth, singular = igusa._level_one_zeros(
+        f, level2, igusa._digit_steps(level2)[0])
     assert smooth == int((zero1 & ~all_or_none).sum())
-    flat = sum(singular[j].astype(np.int64) * q**j for j in range(d))
+    assert not level2.DIGITS[singular][..., 1:, :].any()
+    flat = sum(proj[singular[j]].astype(np.int64) * q**j for j in range(d))
     assert sorted(flat) == list(np.flatnonzero(zero1 & all_or_none))
 
 
