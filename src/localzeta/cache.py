@@ -5,14 +5,14 @@ safe), and an optional on-disk store under ``ZETA_CACHE_DIR``.  An entry
 is one file: an 8-byte little-endian length, a JSON header of that
 length, and one little-endian int32 buffer with the arrays the header
 lists, by name and shape, in order.  A table enumerated over its level
-below is stored as its ``LiftRecord`` and derived from it on load by the
-route a fresh enumeration takes, so a store never builds its matrices;
-any other table stores its matrices, inverses and rho, rho element-major
-(row x holds the index of x * g_c in column c, the transpose of the
-table's generator-major rows), so format 5 entries keep their bytes.
-One sha256 covers the buffer, the names and shapes, and the provenance,
-name and dim_scheme of the table; an entry that fails validation is
-discarded with a warning and recomputed, never trusted.
+below is stored as its ``LiftRecord``, residues in level-1 id order,
+and derived from it on load by the route a fresh enumeration takes, so
+a store never builds its matrices; any other table stores its
+matrices, inverses and rho, as the table holds them.  One sha256 covers
+the buffer, the names and shapes, and the provenance, name and
+dim_scheme of the table; an entry that fails validation (a record with
+lifts in no whole residue blocks, say) is discarded with a warning and
+recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .groups import (ENUM_CAP, Family, GroupTable, LiftRecord, TooLarge,
                      has_tower)
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _memo = {}
 
@@ -117,8 +117,8 @@ def _load_disk(fam: Family, ring):
             return LiftRecord(ring, **arrays).table(
                 generators, header["name"], header["dim_scheme"])
         return GroupTable(ring, arrays["mats"], arrays["inv"].astype(np.int64),
-                          np.ascontiguousarray(arrays["rho"].T), generators,
-                          header["name"], header["dim_scheme"])
+                          arrays["rho"], generators, header["name"],
+                          header["dim_scheme"])
     except Exception as exc:  # corrupted entry: recompute, never trust
         sys.stderr.write(f"warning: discarding cache entry {path}: {exc}\n")
         return None
@@ -133,7 +133,7 @@ def _store_disk(fam: Family, ring, table: GroupTable):
         root = os.path.dirname(path)
         os.makedirs(root, exist_ok=True)
         arrays = table.record.arrays() if table.record is not None else {
-            "mats": table.mats, "inv": table.inv, "rho": table.rho.T}
+            "mats": table.mats, "inv": table.inv, "rho": table.rho}
         # np.stack refuses the empty list of a one-element table
         arrays["gen_mats"] = np.array([g for _, g in table.generators],
                                       dtype=np.int32)

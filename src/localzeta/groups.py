@@ -174,14 +174,16 @@ def _echelon(A, p):
 
 def _reductions(span, p):
     """(M, rank): for each (n, k) matrix of span over F_p, the k x k
-    matrix M with v M the canonical representative of v modulo its row
-    space (zero at the pivot columns), and the rank of that row space."""
-    E, rank, pivot = _echelon(span, p)
+    matrix M with v M the smallest element of v + its row space (column i
+    the digit of p^i), and the rank of that space: the echelon runs from
+    the top digit, so v M is zero at each row's highest nonzero column,
+    where any nonzero vector of the space is first nonzero."""
+    E, rank, pivot = _echelon(span[..., ::-1], p)
     R, _, k = E.shape
     M = np.broadcast_to(np.eye(k, dtype=np.int64), (R, k, k)).copy()
     r, col = np.nonzero(pivot >= 0)
     M[r, col] = (M[r, col] - E[r, pivot[r, col]]) % p
-    return M, rank
+    return M[:, ::-1, ::-1], rank
 
 
 def _reduction_table(M, p):
@@ -226,8 +228,9 @@ class GroupTable:
         # a table with no generators is the identity alone, built eagerly
         self.d = generators[0][1].shape[0] if generators else mats.shape[1]
         if record is not None and not (
-                record.res.size * record.nV == self.size
-                and record.adj.shape[0] > record.res.max()):
+                len(record.lifts) * record.nV == self.size
+                and record.stride * len(record.residues) == len(record.lifts)
+                == record.stride * len(record.adj)):
             raise IdentityError(f"the kernel coordinates of {name} do not "
                                 f"fit its {self.size} elements")
         self._pack = _Packing(ring, self.d)
@@ -362,9 +365,10 @@ class GroupTable:
         smallest elements reps, ascending.
 
         The node of x = j |V| + v is (j, v reduced modulo the row space of
-        span[r]), r = res[j] of the record: the orbit of x under the kernel
-        translations span[r] stands for.  Raises IdentityError unless every
-        reduced v stands for the p^rank values of its coset.
+        span[r]), r = j // stride the residue of j: the orbit of x under the
+        translations span[r] stands for, whose smallest element is
+        j |V| + red[r, v].  Raises IdentityError unless every reduced v
+        stands for the p^rank values of its coset and is at most each.
         """
         rec = self.record
         p, nV, R = rec.ring.p, rec.nV, rec.adj.shape[0]
@@ -376,14 +380,11 @@ class GroupTable:
                 == p ** rank[:, None]).all():
             raise IdentityError(f"a node of {self.name} is not a coset of "
                                 f"its kernel translations")
-        # rep[r, v]: the smallest v' with red[r, v'] = red[r, v], so the
-        # smallest element of the node of j |V| + v is j |V| + rep[res[j], v]
-        at = (red + np.arange(0, R * nV, nV)[:, None]).ravel()
-        low = np.full(R * nV, nV, dtype=np.int32)
-        np.minimum.at(low, at, np.tile(np.arange(nV, dtype=np.int32), R))
-        rep = low[at].reshape(R, nV)
+        if not (red <= np.arange(nV)).all():
+            raise IdentityError(f"a node of {self.name} is not numbered by "
+                                f"its smallest element")
         n = self.size
-        first = rep[rec.res]
+        first = np.repeat(red.astype(np.int32), rec.stride, axis=0)
         first += np.arange(0, n, nV, dtype=np.int32)[:, None]
         first = first.ravel()
         reps = np.flatnonzero(first == np.arange(n))
@@ -697,30 +698,21 @@ def _kernel_basis(ring, kernel):
     return E[0, :rank[0]].astype(A.dtype)
 
 
-def _residues(lower):
-    """(res, first): res[i] numbers the residue class mod pi of the lower
-    element i, in the order of the residue matrices, so that every level
-    numbers them alike, and first[r] is the first element of class r."""
-    res = lower.ring.mat_project(lower.mats, 1).astype(np.uint16)
-    flat = np.ascontiguousarray(res.reshape(lower.size, -1))
-    keys = flat.view(np.dtype((np.void, flat.shape[1] * 2))).ravel()
-    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
-    return cls.astype(np.int32), first
-
-
 def _residue_data(lower):
-    """``_residues``, the residue matrix of each class and that of the
-    inverse of its first element; read off the record of a lower table
-    with one, where J |V'| + v' is in the class of J, with no matrix."""
+    """(stride, residues, inverse_residues): the residue class of lower
+    element j is its level-1 ancestor j // stride, residues[r] is the
+    matrix of class r and inverse_residues[r] that of the inverse of its
+    first element r stride, read off the record of a table with one.
+    GroupsError for a table above level 1 with no record: no id blocks."""
     rec = lower.record
     if rec is None:
-        res, first = _residues(lower)
-        residues = lower.ring.mat_project(lower.mats[first], 1)
-    else:
-        res = np.repeat(rec.res, rec.nV)
-        first = np.unique(rec.res, return_index=True)[1] * rec.nV
-        residues = rec.residues
-    return res, first, residues, residues[res[lower.inv[first]]]
+        if lower.ring.m > 1:
+            raise GroupsError(f"{lower.name} has no lift record: enumerate "
+                              f"it over its own level below")
+        return 1, lower.mats, lower.mats[lower.inv]
+    stride = rec.stride * rec.nV
+    return (stride, rec.residues,
+            rec.residues[lower.inv[::stride] // stride])
 
 
 def _times_residues(ring, rows, residues):
@@ -816,14 +808,15 @@ class LiftRecord:
     lower rho row of each generator g (``maps[g]``) and the cocycles
     coc[g, j], s_j g = (I + pi^(m-1) X_c) s_(maps[g][j]) with c = coc[g, j];
     the lower inverses (``lower_inv``) and the cocycles e[j] of
-    s_j s_(lower_inv[j]) = I + pi^(m-1) X_e; the residue class ``res[j]``
-    of each lower element and the residue matrices (``residues``); and
-    Ad(r) on V for each residue r (``adj``: row i of adj[r] holds the
-    coordinates of Ad(r) B_i = r B_i r^-1).  A table and the record are
-    fixed by a Schreier transversal and its cocycles.  The record is also
-    the table's kernel description for orbit labelling (the spans below)
-    and what the level above reads the table by: its residue classes and
-    the coordinates its lifts are checked with.
+    s_j s_(lower_inv[j]) = I + pi^(m-1) X_e; the residue matrices
+    (``residues``), r that of the level-1 element r, which lower j is over
+    for r = j // stride (|G_(m-1)| / |G_1|); and Ad(r) on V for each r
+    (``adj``: row i of adj[r] holds the coordinates of Ad(r) B_i =
+    r B_i r^-1).  A table and the record are fixed by a Schreier
+    transversal and its cocycles.  The record is also the table's kernel
+    description for orbit labelling (the spans below) and what the level
+    above reads the table by: its residue classes and the coordinates its
+    lifts are checked with.
 
     ``table`` is the one route from a record to its GroupTable, for a
     fresh enumeration and a disk-cache hit alike: ``rho`` by a broadcast,
@@ -832,17 +825,18 @@ class LiftRecord:
     them.
     """
 
-    ARRAYS = ("lifts", "coc", "maps", "e", "lower_inv", "res", "residues",
-              "adj", "basis")
+    ARRAYS = ("lifts", "coc", "maps", "e", "lower_inv", "residues", "adj",
+              "basis")
 
-    def __init__(self, ring, lifts, coc, maps, e, lower_inv, res, residues,
-                 adj, basis):
+    def __init__(self, ring, lifts, coc, maps, e, lower_inv, residues, adj,
+                 basis):
         self.ring = ring
-        self.lifts, self.coc, self.maps, self.e, self.lower_inv, self.res, \
+        self.lifts, self.coc, self.maps, self.e, self.lower_inv, \
             self.residues, self.basis = (
                 np.asarray(a, dtype=np.int32) for a in
-                (lifts, coc, maps, e, lower_inv, res, residues, basis))
+                (lifts, coc, maps, e, lower_inv, residues, basis))
         self.adj = np.asarray(adj, dtype=np.int8)
+        self.stride = len(self.lifts) // len(self.residues)
         self.k = self.basis.shape[0]
         self.nV = ring.p**self.k
         self.digit_add = _digit_add(ring.p, self.k)
@@ -862,13 +856,15 @@ class LiftRecord:
         return rho.reshape(rho.shape[0], -1)
 
     def inverses(self, name):
-        """inv[j |V| + v] = j' |V| + u: with j' = lower_inv[j], r = res[j']
-        and s_j s_j' = I + pi^(m-1) X_e, x^-1 = s_j' (I - pi^(m-1) X_e)
+        """inv[j |V| + v] = j' |V| + u: with j' = lower_inv[j], r the
+        residue j' // stride and s_j s_j' = I + pi^(m-1) X_e,
+        x^-1 = s_j' (I - pi^(m-1) X_e)
         (I - pi^(m-1) X_v) = (I - pi^(m-1) Ad(r) (X_e + X_v)) s_j', so u is
         -(e + v) Ad(r): one gather of the rows v -> u of the distinct
         pairs (r, e).  The result must be an involution."""
         nV, p, jp = self.nV, self.ring.p, self.lower_inv
-        pairs, at = _distinct(self.res[jp].astype(np.int64) * nV + self.e,
+        pairs, at = _distinct((jp // self.stride).astype(np.int64) * nV
+                              + self.e,
                               self.adj.shape[0] * nV)
         r, e = np.divmod(pairs, nV)
         neg = _reduction_table(-self.adj.astype(np.int64) % p, p) \
@@ -926,9 +922,10 @@ class _Coordinates:
     pivots of V: with checked inverse residues, exactly when prod is
     (I + pi^(m-1) X_v) s_J."""
 
-    def __init__(self, ring, lifts, res, inverse_residues, basis):
-        self.ring, self.p, self.lifts, self.res = ring, ring.p, lifts, res
-        self.inverse_residues, self.basis = inverse_residues, basis
+    def __init__(self, ring, lifts, stride, inverse_residues, basis):
+        self.ring, self.p, self.stride = ring, ring.p, stride
+        self.lifts, self.inverse_residues = lifts, inverse_residues
+        self.basis = basis
         self.top = ring.top_digits().astype(np.int8)
         self.scal = np.array(ring.kernel_scalars(), dtype=np.int32)
         self.rows = _digit_rows(basis, ring.p)
@@ -947,7 +944,7 @@ class _Coordinates:
         off = low.any()
         del low  # not held through the level-1 product
         y += (y < 0) * np.int8(p)  # mod p, y in (-p, p)
-        inv = self.inverse_residues.take(self.res.take(J), axis=0)
+        inv = self.inverse_residues.take(J // self.stride, axis=0)
         z = _times_residues(self.ring, y.reshape(len(J), -1), inv)
         v = z[:, self.pivots] @ p ** np.arange(self.pivots.size)
         return v, not off and (z == self.rows.take(v, axis=0)).all()
@@ -993,8 +990,7 @@ class _KernelIndex(_Coordinates):
                            f"lower elements times |V| = {self.nV} give "
                            f"{lower.size * self.nV} elements, so enumeration "
                            f"would reach {cap + 1}")
-        res, self.first, self.residues, inverse_residues = \
-            _residue_data(lower)
+        stride, self.residues, inverse_residues = _residue_data(lower)
         one = ring.subring_level(1)
         if not (one.mat_mul(self.residues, inverse_residues)
                 == one.identity_mat(d)).all():
@@ -1017,7 +1013,7 @@ class _KernelIndex(_Coordinates):
                     for r in range(0, lower.size, per)
                 ])
         super().__init__(ring, np.zeros((lower.size, d, d), dtype=np.int32),
-                         res, inverse_residues, basis)
+                         stride, inverse_residues, basis)
         self._lift(ring, gen_mats, lower)
 
     def _lift(self, ring, gen_mats, lower):
@@ -1073,7 +1069,7 @@ class _KernelIndex(_Coordinates):
         if rec is None:
             over = (proj == lower.mats).all()
         else:
-            read = _Coordinates(low, rec.lifts, rec.res,
+            read = _Coordinates(low, rec.lifts, rec.stride,
                                 self.inverse_residues, rec.basis).read
             J, v = np.divmod(np.arange(lower.size), rec.nV)
             over = True
@@ -1088,13 +1084,15 @@ class _KernelIndex(_Coordinates):
         """(R, k, k) int8: row i of adj[r] holds the coordinates of
         Ad(r) B_i = r B_i r^-1, as the cocycle of the product
         s_J (I + pi^(m-1) B_i) = (I + pi^(m-1) r B_i r^-1) s_J over s_J,
-        J = first[r] of residue r; ``_cocycles`` checks every product.
-        The |R| k products are formed and read ``per`` at a time."""
+        J = r stride the first element of residue r; ``_cocycles`` checks
+        every product.  The |R| k products are formed and read ``per`` at
+        a time."""
         p, k, per = self.p, self.k, self.per
         units, d = p ** np.arange(k), self.lifts.shape[-1]
         basis = _kernel_matrices(self.ring, self.basis, d)
-        J = np.repeat(self.first, k)
-        i = np.tile(np.arange(k), self.first.size)
+        R = len(self.residues)
+        J = np.repeat(np.arange(R) * self.stride, k)
+        i = np.tile(np.arange(k), R)
         v = np.concatenate([
             self._cocycles(self.ring.mat_mul(self.lifts[J[lo:lo + per]],
                                              basis[i[lo:lo + per]]),
@@ -1125,7 +1123,7 @@ class _KernelIndex(_Coordinates):
     def record(self, lower):
         adj = self._adjoint()
         return LiftRecord(self.ring, self.lifts, self.coc, self.maps,
-                          self._inverse_cocycles(lower), lower.inv, self.res,
+                          self._inverse_cocycles(lower), lower.inv,
                           self.residues, adj, self.basis)
 
 

@@ -701,6 +701,34 @@ def test_cache_discards_corrupted_kernel_coordinates(tmp_path, monkeypatch,
                                           capsys) == 1
 
 
+def test_cache_discards_a_record_whose_lifts_fill_no_residue_blocks(
+        tmp_path, monkeypatch, capsys):
+    # the level-2 record with one residue fewer, rehashed, so only the fit
+    # of its arrays can refuse it: its lift count is no multiple of its
+    # residue count, and the entry is discarded, not trusted
+    monkeypatch.delenv("ZETA_CACHE_DIR", raising=False)
+    fresh, _ = _cc_in_process(capsys)
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    _cc_in_process(capsys)
+    (path,) = [path for path in tmp_path.glob(ENTRIES)
+               if "residues" in _read_entry(path)[1]]
+    header, arrays = _read_entry(path)
+    arrays["residues"] = arrays["residues"][:-1]
+    assert len(arrays["lifts"]) % len(arrays["residues"])
+    header["arrays"] = [[key, list(arrays[key].shape)]
+                        for key, _ in header["arrays"]]
+    header["sha256"] = cache._entry_hash(
+        header["arrays"], [np.ascontiguousarray(arrays[key], dtype="<i4")
+                           for key, _ in header["arrays"]],
+        header["provenance"], header["name"], header["dim_scheme"])
+    _write_entry(path, header, arrays)
+    out, err = _cc_in_process(capsys)
+    cache.clear_memo()
+    assert out == fresh
+    assert err.count("discarding cache entry") == 1
+    assert str(path) in err and "do not fit" in err
+
+
 def test_store_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     from localzeta.rings import make_ring
 

@@ -700,11 +700,12 @@ GOLDEN_TABLES = {
 
 @pytest.mark.parametrize("family,lit", sorted(GOLDEN_TABLES))
 def test_golden_tables(family, lit):
-    # element order, inverses and rho are those the cache format stores
+    # element order, inverses and rho are those the cache format stores;
+    # rho is hashed element-major, as it was recorded
     G = table(family, lit)
     got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho.T))
     assert got == GOLDEN_TABLES[family, lit]
-    assert cache.FORMAT_VERSION == 5
+    assert cache.FORMAT_VERSION == 6
 
 
 def _big_int_words(mats, bits, nwords):
@@ -1158,12 +1159,13 @@ def test_a_product_passes_only_as_the_element_at_its_coordinates(
 def test_a_wrong_inverse_residue_raises(monkeypatch, family, lit):
     # the lower inverse map sends the first element of one nontrivial
     # residue class to the identity, so that class's inverse residue is
-    # wrong: the enumeration refuses it before any level-m product
+    # wrong: the enumeration refuses it before any level-m product.  The
+    # lower table is at level 1, so every element is the first of its
+    # class, numbered by its own id
     fam, ring = Family(family), parse_ring(lit)
     lower = fam.table(ring.subring_level(1))
-    first = groups._residues(lower)[1]
     ident = lower.ring.identity_mat(lower.d)
-    x = next(j for j in first if (lower.mats[j] != ident).any())
+    x = next(j for j in range(lower.size) if (lower.mats[j] != ident).any())
     lower.inv = lower.inv.copy()
     lower.inv[x] = lookup(lower, ident)
     real, formed = ring.mat_mul, []
@@ -1182,21 +1184,40 @@ def test_a_wrong_inverse_residue_raises(monkeypatch, family, lit):
     ("heisenberg", "zq:p=3,f=1,m=4"),
     ("chevalley:A1", "fqt:p=2,f=1,m=5"),
     ("chevalley:A1", "zq:p=2,f=2,m=3"),
+    ("chevalley:A1", "fqt:p=3,f=1,m=3"),
+    ("heisenberg", "fqt:p=2,f=2,m=2"),
     ("parabolic:B2:a1", "fqt:p=2,f=1,m=3"),
 ])
 def test_residue_data_from_the_record_matches_the_matrices(family, lit):
     # a table with a record gives the level above its residue classes,
-    # residue matrices and inverse residues with no matrix; read from its
-    # rebuilt matrices they are the same
+    # residue matrices and inverse residues with no matrix: the lower
+    # element j is in the class j // stride, numbered by its level-1
+    # ancestor.  Read from its rebuilt matrices they are the same
     G = Family(family).table(parse_ring(lit))
-    res, first, residues, inverse_residues = groups._residue_data(G)
+    stride, residues, inverse_residues = groups._residue_data(G)
     assert callable(G._mats)  # not rebuilt
-    want_res, want_first = groups._residues(G)
-    assert res.dtype == want_res.dtype and (res == want_res).all()
-    assert (first == want_first).all()
-    assert (residues == G.ring.mat_project(G.mats[first], 1)).all()
+    assert stride * len(residues) == G.size
+    level1 = Family(family).table(G.ring.subring_level(1))
+    assert len(residues) == level1.size
+    assert (residues == level1.mats).all()
+    cls = np.arange(G.size) // stride
+    assert (G.ring.mat_project(G.mats, 1) == residues[cls]).all()
+    first = np.arange(len(residues)) * stride
     assert (inverse_residues
             == G.ring.mat_project(G.mats[G.inv[first]], 1)).all()
+
+
+@pytest.mark.parametrize("lit", ["fqt:p=2,f=1,m=3", "zq:p=2,f=2,m=3"])
+def test_a_lower_table_with_no_record_above_level_one_is_refused(lit):
+    # a breadth-first table at level 2 numbers its elements in search
+    # order, so its residue classes are no blocks of ids: the level above
+    # is not enumerated over it
+    fam, ring = Family("chevalley:A1"), parse_ring(lit)
+    low = ring.subring_level(ring.m - 1)
+    lower = generate(low, fam.generators(low), name="bfs")
+    assert lower.record is None
+    with pytest.raises(GroupsError, match="bfs has no lift record"):
+        fam.table(ring, lower=lower)
 
 
 @pytest.mark.parametrize("family,lit", [
@@ -1406,21 +1427,21 @@ def test_a_table_from_disk_equals_the_fresh_one(tmp_path, monkeypatch,
         cache.clear_memo()
 
 
-# sha256 of whole cache files, recorded when the tables held rho
-# element-major: flat tables (level 1 and zn) store mats, inv and rho,
-# element-major still; a tower level stores its lift record, whose maps
-# and cocycles were generator-major already
+# sha256 of whole cache files, recorded at format 6: flat tables (level 1
+# and zn) store mats, inv and rho, rho generator-major as the table holds
+# it; a tower level stores its lift record, its residue matrices and Ad(r)
+# in level-1 id order
 DISK_ENTRIES = {
     ("chevalley:A1", "fqt:p=2,f=1,m=1"):
-        "4d1778137c5993e71fd4778e2797a0f994da965bb922b15dc3a764ff26109396",
+        "b57ff894003aa12112b50a40e468e8901f9eefbfc759a783f362ef2bc790f8eb",
     ("chevalley:A1", "fqt:p=2,f=1,m=2"):
-        "5c8775a06c97280bb72660d4ab487c9c988834139109515f49b037d4cafaf793",
+        "61dedaa97859bf9267f4ca5f94698ca5b3e8de1fc97d68feb70bda363d4c3a55",
     ("heisenberg", "zn:n=6"):
-        "a4ac5afb5f44077b118d05d56beb7976438ffcb31a192f02a6a50cd63e0aee62",
+        "35615ba54b2e62a8d0e1208bfda27f47a1a4c5844b14ac955e33558b7109975b",
     ("heisenberg", "zq:p=3,f=1,m=1"):
-        "8047a65bd62a68395ddef61c0c665a6ecdab689adb392443388f79c1d4734a62",
+        "55ae0149db041af81433de3e78b2407d9b6f1ef450333fc95a9495ebf33c10da",
     ("heisenberg", "zq:p=3,f=1,m=2"):
-        "96be930af307c665e6b106af413baa066482c654860e07340afbe9fee903c7f1",
+        "dc314bbc94f9e91a4788ff5338afda4e9efb7a4b2da45babd83b9edc4c1ee8cd",
 }
 
 
@@ -1694,6 +1715,44 @@ def test_a_corrupted_node_map_raises(monkeypatch):
         G.class_count()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reductions_give_the_smallest_element_of_each_coset(p):
+    # seeded spans of up to k = 5 rows, rank deficient ones among them:
+    # u M is the smallest base-p number in u + the row space, found by
+    # listing the whole row space
+    rng = np.random.default_rng(p)
+    for k in range(1, 6 if p < 5 else 5):
+        weights = p ** np.arange(k)
+        vecs = np.array(list(itertools.product(range(p), repeat=k)))[:, ::-1]
+        for n in range(1, k + 2):
+            span = rng.integers(0, p, size=(3, n, k))
+            span[0, -1] = span[0, 0]  # a repeated row
+            M, rank = groups._reductions(span, p)
+            red = groups._reduction_table(M, p).reshape(3, -1)
+            coefs = np.array(list(itertools.product(range(p), repeat=n)))
+            for r in range(3):
+                space = np.unique(coefs @ span[r] % p, axis=0)
+                assert len(space) == p ** rank[r]
+                least = ((vecs[:, None] + space) % p @ weights).min(axis=1)
+                assert (red[r] == least).all(), (p, k, n, r)
+
+
+def test_a_node_numbered_off_its_smallest_element_raises(monkeypatch):
+    # the reduction of the forward echelon, zero at the lowest nonzero
+    # column of each row, picks one element of every coset, but not
+    # always the smallest
+    real = groups._reductions
+
+    def forward(span, p):
+        M, rank = real(span[..., ::-1], p)
+        return M[:, ::-1, ::-1], rank
+
+    G = table("chevalley:A1", "zq:p=3,f=1,m=2")
+    monkeypatch.setattr(groups, "_reductions", forward)
+    with pytest.raises(IdentityError, match="smallest element"):
+        G.class_count()
+
+
 def test_a_move_that_is_no_node_permutation_raises(monkeypatch):
     G = table("chevalley:A1", "zq:p=3,f=1,m=2")
     monkeypatch.setattr(GroupTable, "conjugate",
@@ -1703,13 +1762,16 @@ def test_a_move_that_is_no_node_permutation_raises(monkeypatch):
 
 
 def test_kernel_coordinates_must_fit_the_table():
+    # one residue fewer leaves lifts that fill no whole residue blocks,
+    # one lift fewer too few slots for the table
     G = table("heisenberg", "zq:p=2,f=1,m=2")
-    arrays = G.record.arrays()
-    arrays["res"] = arrays["res"][:-1]
-    short = groups.LiftRecord(G.ring, **arrays)
-    with pytest.raises(IdentityError, match="do not fit"):
-        GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators, G.name,
-                   G.dim_scheme, short)
+    for field in ("residues", "lifts"):
+        arrays = G.record.arrays()
+        arrays[field] = arrays[field][:-1]
+        short = groups.LiftRecord(G.ring, **arrays)
+        with pytest.raises(IdentityError, match="do not fit"):
+            GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators, G.name,
+                       G.dim_scheme, short)
 
 
 def test_a_table_loaded_from_disk_labels_on_its_stored_nodes(
@@ -1724,7 +1786,7 @@ def test_a_table_loaded_from_disk_labels_on_its_stored_nodes(
     generated.clear()
     loaded = cache.table_for("chevalley:A1", top)  # disk hit, memo empty
     assert generated == [] and loaded is not fresh
-    for a, b in ((loaded.record.res, fresh.record.res),
+    for a, b in ((loaded.record.residues, fresh.record.residues),
                  (loaded.record.adj, fresh.record.adj)):
         assert a.dtype == b.dtype and (a == b).all()
     assert (loaded.conjugation_labels() == want).all()
