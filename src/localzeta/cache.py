@@ -9,10 +9,10 @@ below is stored as its ``LiftRecord``, residues in level-1 id order,
 and derived from it on load by the route a fresh enumeration takes, so
 a store never builds its matrices; any other table stores its
 matrices, inverses and rho, as the table holds them.  One sha256 covers
-the buffer, the names and shapes, and the provenance, name and
-dim_scheme of the table; an entry that fails validation (a record with
-lifts in no whole residue blocks, say) is discarded with a warning and
-recomputed, never trusted.
+the buffer, the names and shapes, and the provenance and name of the
+table; an entry that fails validation (a record with lifts in no whole
+residue blocks, say) is discarded with a warning and recomputed, never
+trusted.  The order law stays on the ``Family``: no entry stores it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .groups import (ENUM_CAP, Family, GroupTable, LiftRecord, TooLarge,
                      has_tower)
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _memo = {}
 
@@ -63,11 +63,10 @@ def _disk_key(fam: Family, ring) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def _entry_hash(shapes, chunks, provenance, name, dim_scheme):
+def _entry_hash(shapes, chunks, provenance, name):
     """sha256 over the buffer, in chunks, and every header field the
     loader uses."""
-    h = hashlib.sha256(
-        json.dumps([shapes, provenance, name, dim_scheme]).encode())
+    h = hashlib.sha256(json.dumps([shapes, provenance, name]).encode())
     for chunk in chunks:
         h.update(chunk)
     return h.hexdigest()
@@ -101,8 +100,7 @@ def _load_disk(fam: Family, ring):
             buf = np.fromfile(fh, dtype="<i4")
         shapes, provenance = header["arrays"], header["provenance"]
         if header["sha256"] != _entry_hash(shapes, [buf], provenance,
-                                           header["name"],
-                                           header["dim_scheme"]):
+                                           header["name"]):
             raise ValueError("content hash mismatch")
         names = LiftRecord.ARRAYS if has_tower(ring) else _FLAT_ARRAYS
         if [key for key, _ in shapes] != [*names, "gen_mats"]:
@@ -114,11 +112,10 @@ def _load_disk(fam: Family, ring):
         generators = [(tuple(prov), g) for prov, g in
                       zip(provenance, arrays.pop("gen_mats"))]
         if has_tower(ring):
-            return LiftRecord(ring, **arrays).table(
-                generators, header["name"], header["dim_scheme"])
+            return LiftRecord(ring, **arrays).table(generators,
+                                                    header["name"])
         return GroupTable(ring, arrays["mats"], arrays["inv"].astype(np.int64),
-                          arrays["rho"], generators, header["name"],
-                          header["dim_scheme"])
+                          arrays["rho"], generators, header["name"])
     except Exception as exc:  # corrupted entry: recompute, never trust
         sys.stderr.write(f"warning: discarding cache entry {path}: {exc}\n")
         return None
@@ -147,11 +144,9 @@ def _store_disk(fam: Family, ring, table: GroupTable):
             "struct": fam.struct_hash(),
             "ring": ring.literal,
             "name": table.name,
-            "dim_scheme": table.dim_scheme,
             "provenance": provenance,
             "arrays": shapes,
-            "sha256": _entry_hash(shapes, chunks, provenance, table.name,
-                                  table.dim_scheme),
+            "sha256": _entry_hash(shapes, chunks, provenance, table.name),
         }, sort_keys=True).encode()
         fd, tmp = tempfile.mkstemp(
             dir=root, prefix=os.path.basename(path) + ".", suffix=".tmp"
@@ -175,7 +170,9 @@ def table_for(family, ring, cap=ENUM_CAP) -> GroupTable:
 
     On a miss, level m >= 2 of ``zq`` or ``fqt`` is enumerated over the
     level-(m-1) table, fetched through table_for once the order law allows
-    the cap; a memo or disk hit fetches nothing below."""
+    the cap; a family with no order law is refused by the route, before
+    any product of the level (``groups._KernelIndex``).  A memo or disk
+    hit fetches nothing below."""
     fam = as_family(family)
     key = _memo_key(fam, ring)
     table = _memo.get(key)

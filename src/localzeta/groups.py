@@ -10,7 +10,8 @@ Elements get their ids by one of two routes, fixed by the ring (see
 ``generate``).  Every ``zq`` and ``fqt`` table at level m >= 2 is
 numbered over the level-(m-1) table by its congruence kernel
 (``_KernelIndex``): G(R_m) -> G(R_{m-1}) is onto with the abelian kernel
-I + pi^(m-1) V, |V| = q^dim_scheme, so an element is (I + pi^(m-1) X_v)
+I + pi^(m-1) V, |V| = q^dim_scheme (the order law, held by the
+``Family`` alone; no table carries it), so an element is (I + pi^(m-1) X_v)
 s_j for a lift s_j of the lower element j, and its id is its kernel slot
 j |V| + v.  Only the products over the lifts are formed; they fix a
 ``LiftRecord`` of O(|G_(m-1)|) arrays, from which rho and the inverses
@@ -21,6 +22,9 @@ keys (``_KeyIndex``).  ``lookup_batch`` searches a table's sorted keys,
 built on first use, for either route.  Every product
 that is formed is confirmed, entry or digit by digit, so a wrong V or a
 key collision raises IdentityError instead of mis-filing an element.
+A cap is refused before any product of the level: by the order law
+(``Family.check_cap``) where the family has one, else by the route, which
+checks |G_(m-1)| |V| before it forms a level-m product.
 
 On top of the table sit the counting routines used by the zeta layer;
 their group actions are integer gathers on ``rho`` and the inverse map,
@@ -35,6 +39,12 @@ with no matrix product:
   e = #{(x,y) : y in Q2, x y x^-1 in Q1} = b |Q1| |Q2|;
 * congruence depth w(x,y) = min entry valuation of xy - yx, and the
   parabolic depth lambda_S via the tower numbering of the levels.
+
+A generator's rho row is found by ``GroupTable.column``, for a subgroup's
+generator list and for the kernel route's maps on the lower table alike.
+The pair scans that check the orbit counts by matrix products
+(``commuting_pairs``, ``pair_depth_counts`` and the zeta chains) share
+one cap, ``PAIR_SCAN_CAP``, checked by ``check_pair_scan``.
 
 Orbits are labelled on nodes, read from the table's ``LiftRecord``: on a
 kernel-route table the kernel K = I + pi^(m-1) V acts on
@@ -55,6 +65,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chevalley import chevalley_group
+from .rings import RingError
 
 ENUM_CAP = 2_000_000
 PAIR_SCAN_CAP = 20_000
@@ -73,6 +84,14 @@ class TooLarge(RuntimeError):
 class IdentityError(RuntimeError):
     """An identity the computation relies on failed: a defect, not a
     usage error, so it is deliberately not a ValueError."""
+
+
+def check_pair_scan(order):
+    """TooLarge when a pair scan over order elements passes PAIR_SCAN_CAP;
+    a None order (no order law) passes."""
+    if order is not None and order > PAIR_SCAN_CAP:
+        raise TooLarge(
+            f"pair scan over {order} elements exceeds cap {PAIR_SCAN_CAP}")
 
 
 def encode_mat(mat) -> bytes:
@@ -215,8 +234,7 @@ class GroupTable:
     cache; ``record`` is None for a table with no kernel.
     """
 
-    def __init__(self, ring, mats, inv, rho, generators, name, dim_scheme,
-                 record=None):
+    def __init__(self, ring, mats, inv, rho, generators, name, record=None):
         self.ring = ring
         self.record = record
         self._mats = mats
@@ -224,7 +242,6 @@ class GroupTable:
         self.rho = rho  # (ngens, N) int32: rho[c, x] is the index of x * g_c
         self.generators = generators  # list of (provenance, matrix)
         self.name = name
-        self.dim_scheme = dim_scheme
         # a table with no generators is the identity alone, built eagerly
         self.d = generators[0][1].shape[0] if generators else mats.shape[1]
         if record is not None and not (
@@ -237,6 +254,7 @@ class GroupTable:
         # (sorted keys, their element indices), built on first use
         self._sorted = None
         self._labels = None
+        self._columns = None
 
     @property
     def size(self):
@@ -285,27 +303,31 @@ class GroupTable:
     # are fancy indexes, since that copy raised the peak memory of a class
     # count by 8 MB; the other gathers are takes, which are faster.
 
+    def column(self, mat):
+        """The rho row of the generator mat, or None for the identity,
+        which acts trivially and has none; GroupsError for any other
+        matrix.  The rows are found by one dict, built on first use."""
+        if self._columns is None:
+            self._columns = {encode_mat(g): c
+                             for c, (_, g) in enumerate(self.generators)}
+            self._columns[encode_mat(self.ring.identity_mat(self.d))] = None
+        key = encode_mat(mat)
+        if key not in self._columns:
+            raise GroupsError(f"matrix {np.asarray(mat).tolist()} is not a "
+                              f"generator of {self.name}")
+        return self._columns[key]
+
     def columns(self, gens):
         """The rho row of each generator of a (provenance, matrix)
         generator list, ``Family.generators`` or a table's own
-        ``generators``.
+        ``generators``, by ``column``.
 
         Every family draws its generators from the same root, additive and
         unit lists, so a subgroup's generators are among this table's.  An
         identity generator acts trivially and gets no row.
         """
-        cols = {encode_mat(g): c for c, (_, g) in enumerate(self.generators)}
-        ident = encode_mat(self.ring.identity_mat(self.d))
-        out = []
-        for prov, g in gens:
-            key = encode_mat(g)
-            if key == ident:
-                continue
-            if key not in cols:
-                raise GroupsError(
-                    f"generator {prov} is not a generator of {self.name}")
-            out.append(cols[key])
-        return out
+        cols = (self.column(g) for _, g in gens)
+        return [c for c in cols if c is not None]
 
     def times(self, x, col):
         """x g for the element indices x and the generator g of rho row
@@ -445,9 +467,7 @@ class GroupTable:
     def commuting_pairs(self):
         """#{(x,y) : xy = yx} by direct scan (independent of orbits)."""
         n = self.size
-        if n > PAIR_SCAN_CAP:
-            raise TooLarge(
-                f"pair scan over {n} elements exceeds cap {PAIR_SCAN_CAP}")
+        check_pair_scan(n)
         total = 0
         E = self.mats
         for i in range(n):
@@ -534,11 +554,12 @@ class GroupTable:
     # congruence depth
 
     def pair_depth_counts(self):
-        """histogram[k] = #{(x,y) : w(x,y) >= k} for 0 <= k <= m."""
+        """histogram[k] = #{(x,y) : w(x,y) >= k} for 0 <= k <= m.
+        RingError on ``zn``, which has no valuation, before any product."""
+        if self.ring.VAL is None:
+            raise RingError(f"valuation undefined on {self.ring.literal}")
         n = self.size
-        if n > PAIR_SCAN_CAP:
-            raise TooLarge(
-                f"pair scan over {n} elements exceeds cap {PAIR_SCAN_CAP}")
+        check_pair_scan(n)
         m = self.ring.m
         hist = np.zeros(m + 1, dtype=np.int64)
         E = self.mats
@@ -905,10 +926,10 @@ class LiftRecord:
     def matrices(self):
         return _matrices(self.ring, self.lifts, self.basis)
 
-    def table(self, generators, name, dim_scheme):
+    def table(self, generators, name):
         """The GroupTable, its matrices left to be rebuilt on first read."""
         return GroupTable(self.ring, self.matrices, self.inverses(name),
-                          self.rho(), generators, name, dim_scheme, self)
+                          self.rho(), generators, name, self)
 
 
 class _Coordinates:
@@ -995,23 +1016,22 @@ class _KernelIndex(_Coordinates):
         if not (one.mat_mul(self.residues, inverse_residues)
                 == one.identity_mat(d)).all():
             raise IdentityError(f"an inverse residue of {name} is wrong")
-        # the map j -> proj(s_j g) of each generator g on the lower table
-        cols = {encode_mat(g): c for c, (_, g) in enumerate(lower.generators)}
-        ident = encode_mat(low.identity_mat(d))
+        # the map j -> proj(s_j g) of each generator g on the lower table:
+        # the lower rho row of the projection, or its products looked up
+        # where the projection is no lower generator
         per = self.per = max(1, PIECE // d**3)  # products of one piece
         self.maps = np.empty((len(gen_mats), lower.size), dtype=np.int32)
         for g, row in zip(gen_mats, self.maps):
             gp = ring.mat_project(g, low.m)
-            key = encode_mat(gp)
-            if key == ident:
-                row[:] = np.arange(lower.size)
-            elif key in cols:
-                row[:] = lower.rho[cols[key]]
-            else:
+            try:
+                c = lower.column(gp)
+            except GroupsError:
                 row[:] = np.concatenate([
                     lower.lookup_batch(low.mat_mul(lower.mats[r:r + per], gp))
                     for r in range(0, lower.size, per)
                 ])
+                continue
+            row[:] = np.arange(lower.size) if c is None else lower.rho[c]
         super().__init__(ring, np.zeros((lower.size, d, d), dtype=np.int32),
                          stride, inverse_residues, basis)
         self._lift(ring, gen_mats, lower)
@@ -1127,8 +1147,8 @@ class _KernelIndex(_Coordinates):
                           self.residues, adj, self.basis)
 
 
-def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
-             lower=None, kernel=None, d=1):
+def generate(ring, generators, cap=ENUM_CAP, name="G", lower=None,
+             kernel=None, d=1):
     """The group the generator list generates, as a GroupTable.
 
     generators: list of (provenance, matrix), deduplicated and sorted by
@@ -1157,10 +1177,9 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
     d = gens[0][1].shape[0] if gens else d
     gen_mats = np.array([g for _, g in gens], dtype=np.int32) \
         .reshape(-1, d, d)
-    dim_scheme = dim_scheme if dim_scheme is not None else d
     if lower is not None:
         return _KernelIndex(ring, gen_mats, lower, kernel, name, cap) \
-            .record(lower).table(gens, name, dim_scheme)
+            .record(lower).table(gens, name)
     index = _KeyIndex(ring, gen_mats, d, name)
     ngens = len(gens)
     # element x > 0 is parent[x] * gen_mats[letter[x]]
@@ -1186,8 +1205,7 @@ def generate(ring, generators, cap=ENUM_CAP, name="G", dim_scheme=None,
     rho = np.concatenate(rho, axis=1)
     inv = _inverses(rho, np.concatenate(parent), np.concatenate(letter),
                     layers)
-    return GroupTable(ring, index.matrices(size), inv, rho, gens, name,
-                      dim_scheme)
+    return GroupTable(ring, index.matrices(size), inv, rho, gens, name)
 
 
 # ----------------------------------------------------------------------
@@ -1316,11 +1334,9 @@ class Family:
         units = [ring.add(ring.one, t) for t in scalars]
         return [g for _, g in self.generators(ring, scalars, units)]
 
-    def check_cap(self, ring, cap, lower=None):
-        """TooLarge when the order law (|lower| q^dim_scheme over a lower
-        table, else predicted_order) gives more than cap elements."""
-        order = self.predicted_order(ring) if lower is None \
-            else lower.size * ring.q ** self.dim_scheme
+    def check_cap(self, ring, cap):
+        """TooLarge when predicted_order gives more than cap elements."""
+        order = self.predicted_order(ring)
         if order is not None and order > cap:
             raise TooLarge(f"group {self.text}/{ring.literal} exceeded cap: "
                            f"its order law gives {order} elements, so "
@@ -1330,20 +1346,21 @@ class Family:
         """Enumerate the group over ring.  A tower level is enumerated over
         lower, the level-(m-1) table, itself enumerated first when not
         given.  The order law is checked before each level, so a cap that
-        predicted_order refuses raises TooLarge before any product."""
+        predicted_order refuses raises TooLarge before any product; a
+        family with no order law is refused by the route, which checks
+        |lower| |V| against the cap before any level-m product
+        (``_KernelIndex``)."""
         name = f"{self.text}/{ring.literal}"
         self.check_cap(ring, cap)
         kernel = None
         if has_tower(ring):
             if lower is None:
                 lower = self.table(ring.subring_level(ring.m - 1), cap)
-            self.check_cap(ring, cap, lower)
             kernel = self.kernel_generators(ring)
         elif lower is not None:
             raise GroupsError(f"{name} is not enumerated over a lower level")
         return generate(ring, self.generators(ring), cap=cap, name=name,
-                        dim_scheme=self.dim_scheme, lower=lower,
-                        kernel=kernel, d=self.d)
+                        lower=lower, kernel=kernel, d=self.d)
 
     def struct_hash(self):
         if self.kind == "heisenberg":

@@ -245,19 +245,6 @@ class RootSystem:
                     return False
         return True
 
-    def closure(self, subset):
-        ss = {tuple(v) for v in subset}
-        changed = True
-        while changed:
-            changed = False
-            for a in list(ss):
-                for b in list(ss):
-                    s = self.add(a, b)
-                    if s is not None and s not in ss:
-                        ss.add(s)
-                        changed = True
-        return sorted(ss, key=self.index)
-
     def parabolic_roots(self, subset):
         """Roots of the standard parabolic of type ``subset``.
 

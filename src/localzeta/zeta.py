@@ -14,6 +14,10 @@ The two consistency chains tie measure-theoretic counts to class counts:
 * parabolic depth: #{pairs with min(lam_{S2}(y), lam_{S1}(xyx^-1)) >= m}
   scales the same way to e_m = #{(x,y): y in P2, xyx^-1 in P1}, which in
   turn equals b_m |P1| |P2|.
+
+Both chains scan pairs of the top table, so each refuses a top level
+whose order law passes the pair-scan cap before it fetches any table,
+by the one check of that cap (``groups.check_pair_scan``).
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ import numpy as np
 from .cache import as_family, table_for
 from .groups import (
     ENUM_CAP,
-    PAIR_SCAN_CAP,
     Family,
     IdentityError,
-    TooLarge,
+    check_pair_scan,
     parabolic_depths,
 )
 from .laurent import Laurent, exact
@@ -409,15 +412,6 @@ def hecke_zeta(system, s1, s2, kind, p, f, M, cap=ENUM_CAP) -> ZetaSeries:
 # consistency chains
 
 
-def _check_pair_scan(order):
-    """TooLarge when a pair scan over order elements passes its cap; a
-    None order (no order law) is left to the scan itself."""
-    if order is not None and order > PAIR_SCAN_CAP:
-        raise TooLarge(
-            f"pair scan over {order} elements exceeds cap {PAIR_SCAN_CAP}"
-        )
-
-
 def prop62_consistency(family, kind, p, f, M):
     """Ties the commutator-depth level sets to class counts, exactly.
 
@@ -430,7 +424,7 @@ def prop62_consistency(family, kind, p, f, M):
     """
     fam = as_family(family)
     rings = _levels(kind, p, f, M)
-    _check_pair_scan(fam.predicted_order(rings[-1]))
+    check_pair_scan(fam.predicted_order(rings[-1]))
     top = table_for(fam, rings[-1])
     hist = top.pair_depth_counts()
     top_sq = top.size**2
@@ -485,7 +479,7 @@ def prop73_consistency(system, s1, s2, kind, p, f, M):
     fam = Family(f"chevalley:{system}")
     fam1, fam2 = sub_family(system, s1), sub_family(system, s2)
     rings = _levels(kind, p, f, M)
-    _check_pair_scan(fam.predicted_order(rings[-1]))
+    check_pair_scan(fam.predicted_order(rings[-1]))
     tables = []
     levels = []
     deviations = []
@@ -516,7 +510,7 @@ def prop73_consistency(system, s1, s2, kind, p, f, M):
         levels.append(entry)
 
     top = tables[-1]
-    _check_pair_scan(top.size)
+    check_pair_scan(top.size)
     lam1 = parabolic_depths(tables, [fam1.generators(r) for r in rings])
     lam2 = parabolic_depths(tables, [fam2.generators(r) for r in rings])
     mtop = rings[-1].m

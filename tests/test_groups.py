@@ -27,7 +27,7 @@ from localzeta.groups import (
     parabolic_depth_coset,
     parabolic_depths,
 )
-from localzeta.rings import parse_ring
+from localzeta.rings import RingError, parse_ring
 
 from group_helpers import (
     commutator_depth,
@@ -342,6 +342,20 @@ def test_pair_depth_counts_match_classes():
     assert hist[2] == G.commuting_pairs()
 
 
+def test_pair_depth_counts_refuse_a_ring_with_no_valuation(monkeypatch):
+    # Z/6 has no valuation: the depth histogram is refused, naming the
+    # ring, before any product, while the commuting pairs are counted
+    G = table("heisenberg", "zn:n=6")
+    real, products = rings.Ring.mat_mul, []
+    monkeypatch.setattr(
+        rings.Ring, "mat_mul",
+        lambda self, A, B: products.append(1) or real(self, A, B))
+    with pytest.raises(RingError, match="valuation undefined on zn:n=6"):
+        G.pair_depth_counts()
+    assert products == []
+    assert G.commuting_pairs() == 55 * 216
+
+
 def test_parabolic_depth_a1_z4():
     lit = "zq:p=2,f=1,m=2"
     G1 = cache.table_for("chevalley:A1", parse_ring("zq:p=2,f=1,m=1"))
@@ -647,6 +661,16 @@ def test_subgroup_with_foreign_generator_raises():
         G.double_coset_data(foreign, G.generators)
 
 
+def test_column_finds_generators_and_nothing_for_the_identity():
+    G = small_table("chevalley:A1", "fqt:p=2,f=1,m=2")
+    assert [G.column(g) for _, g in G.generators] \
+        == list(range(len(G.generators)))
+    assert G.column(G.ring.identity_mat(G.d)) is None
+    (_, g), (_, h) = G.generators[:2]
+    with pytest.raises(GroupsError, match="not a generator"):
+        G.column(G.ring.mat_mul(g, h))
+
+
 # ----------------------------------------------------------------------
 # packed keys
 
@@ -705,7 +729,7 @@ def test_golden_tables(family, lit):
     G = table(family, lit)
     got = tuple(_array_sha256(a) for a in (G.mats, G.inv, G.rho.T))
     assert got == GOLDEN_TABLES[family, lit]
-    assert cache.FORMAT_VERSION == 6
+    assert cache.FORMAT_VERSION == 7
 
 
 def _big_int_words(mats, bits, nwords):
@@ -764,7 +788,7 @@ def test_fold_collision_raises(monkeypatch):
     assert generate(ring, groups._heisenberg_generators(ring)).size == 64
     # keys rebuilt after a cache load are checked for repeats too
     loaded = GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators,
-                        G.name, G.dim_scheme)
+                        G.name)
     with pytest.raises(IdentityError, match="share a key"):
         lookup(loaded, G.mats[1])
 
@@ -801,7 +825,7 @@ def test_lookup_of_colliding_matrix_raises():
 def test_lookups_after_a_cache_load_rebuild_the_keys():
     G = small_table("parabolic:B2:a1", "fqt:p=2,f=1,m=2")
     loaded = GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators,
-                        G.name, G.dim_scheme)
+                        G.name)
     rows = np.random.default_rng(9).permutation(G.size)
     assert (loaded.lookup_batch(G.mats[rows]) == rows).all()
     assert (loaded.lookup_batch(G.mats[G.inv]) == G.inv).all()
@@ -1421,27 +1445,26 @@ def test_a_table_from_disk_equals_the_fresh_one(tmp_path, monkeypatch,
             assert [(p, g.tolist()) for p, g in loaded.generators] \
                 == [(p, g.tolist()) for p, g in fresh.generators]
             assert loaded.class_count() == fresh.class_count()
-            assert (loaded.name, loaded.dim_scheme, loaded.d) \
-                == (fresh.name, fresh.dim_scheme, fresh.d)
+            assert (loaded.name, loaded.d) == (fresh.name, fresh.d)
     finally:
         cache.clear_memo()
 
 
-# sha256 of whole cache files, recorded at format 6: flat tables (level 1
+# sha256 of whole cache files, recorded at format 7: flat tables (level 1
 # and zn) store mats, inv and rho, rho generator-major as the table holds
 # it; a tower level stores its lift record, its residue matrices and Ad(r)
 # in level-1 id order
 DISK_ENTRIES = {
     ("chevalley:A1", "fqt:p=2,f=1,m=1"):
-        "b57ff894003aa12112b50a40e468e8901f9eefbfc759a783f362ef2bc790f8eb",
+        "9a84c6f66de4d6e90bd9e78f213f617d7c6a96c123078ce50a4ff20fad3de19d",
     ("chevalley:A1", "fqt:p=2,f=1,m=2"):
-        "61dedaa97859bf9267f4ca5f94698ca5b3e8de1fc97d68feb70bda363d4c3a55",
+        "fe34b4138b08a526a285f02ab1e2b949d724717e137aa00cf3f94e15c139eacf",
     ("heisenberg", "zn:n=6"):
-        "35615ba54b2e62a8d0e1208bfda27f47a1a4c5844b14ac955e33558b7109975b",
+        "4d9cacf0931ca080ed505abfd874f152a5b91b887174715757991e5990cb1820",
     ("heisenberg", "zq:p=3,f=1,m=1"):
-        "55ae0149db041af81433de3e78b2407d9b6f1ef450333fc95a9495ebf33c10da",
+        "1178abb137770ebcffca0b442f3640cbcc832d3151dbc5c8f6c2bfa78472ec2c",
     ("heisenberg", "zq:p=3,f=1,m=2"):
-        "dc314bbc94f9e91a4788ff5338afda4e9efb7a4b2da45babd83b9edc4c1ee8cd",
+        "feede2bfe9fe17539afaa272fe4ea996cb3da32b05ecc0b1d877546f5f8357d5",
 }
 
 
@@ -1529,8 +1552,9 @@ def test_order_law_refuses_before_any_top_level_product(monkeypatch):
         for m in (1, 2):
             cache.table_for("borel:A2", parse_ring(f"zq:p=2,f=1,m={m}"),
                             cap=1000)
-        with pytest.raises(TooLarge, match="exceeded cap: its order law "
-                           "gives 8192 elements"):
+        # borel has no order law: the route refuses |B(Z/4)| |V| = 256 * 32
+        with pytest.raises(TooLarge, match=r"exceeded cap: its 256 lower "
+                           r"elements times \|V\| = 32 give 8192 elements"):
             cache.table_for("borel:A2", parse_ring("zq:p=2,f=1,m=3"),
                             cap=1000)
     finally:
@@ -1771,7 +1795,7 @@ def test_kernel_coordinates_must_fit_the_table():
         short = groups.LiftRecord(G.ring, **arrays)
         with pytest.raises(IdentityError, match="do not fit"):
             GroupTable(G.ring, G.mats, G.inv, G.rho, G.generators, G.name,
-                       G.dim_scheme, short)
+                       short)
 
 
 def test_a_table_loaded_from_disk_labels_on_its_stored_nodes(

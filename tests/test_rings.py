@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from localzeta import rings
+# the scalar MUL/ADD gather: the oracle for every mat_mul route, the one
+# ``verify --suite tables`` holds the tables' products to
+from localzeta.verify import _gather_mat_mul
 from localzeta.rings import (
     NotAUnit,
     Ring,
@@ -322,14 +325,6 @@ def test_matrix_multiplication_paths_agree():
                         acc = ring.add(acc, ring.mul(A[n, i, k], B[n, k, j]))
                     slow[n, i, j] = acc
         assert (fast == slow).all()
-
-
-def _gather_mat_mul(ring, A, B):
-    """The scalar MUL/ADD gather: the oracle for every mat_mul route."""
-    acc = ring.MUL[A[..., :, 0, None], B[..., None, 0, :]]
-    for t in range(1, A.shape[-1]):
-        acc = ring.ADD[acc, ring.MUL[A[..., :, t, None], B[..., None, t, :]]]
-    return acc
 
 
 def _int_mat_mul(ring, A, B):

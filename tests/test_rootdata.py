@@ -147,7 +147,6 @@ def test_closures():
     x, y = a2.simple
     assert a2.is_closed([x])
     assert not a2.is_closed([x, y])
-    assert set(a2.closure([x, y])) == {x, y, a2.add(x, y)}
     # positives always closed
     for name in SYSTEMS:
         rs = root_system(name)

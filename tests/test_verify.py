@@ -90,7 +90,7 @@ def test_table_product_checks_catch_broken_tables():
     for bad, want in [(rho, (False, True)), (inv, (True, False))]:
         broken = GroupTable(
             G.ring, G.mats, bad if bad is inv else G.inv,
-            bad if bad is rho else G.rho, G.generators, G.name, G.dim_scheme,
+            bad if bad is rho else G.rho, G.generators, G.name,
         )
         assert verify.table_product_checks(broken) == want
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from localzeta import cache, groups, zeta
+from localzeta import cache, groups
 from localzeta.groups import TooLarge
 from localzeta.laurent import Laurent
 from localzeta.rings import parse_ring
@@ -360,7 +360,6 @@ def test_pair_scans_refuse_past_their_cap(monkeypatch):
     # with the cap at 10, the 8 elements of Heis(Z/2) are scanned and the
     # 64 of Heis(Z/4) (and the 48 of A1(Z/4)) are refused
     monkeypatch.setattr(groups, "PAIR_SCAN_CAP", 10)
-    monkeypatch.setattr(zeta, "PAIR_SCAN_CAP", 10)
     small = cache.table_for("heisenberg", parse_ring("zq:p=2,f=1,m=1"))
     assert small.commuting_pairs() == 5 * 8
     assert small.pair_depth_counts()[1] == 5 * 8
@@ -381,7 +380,7 @@ def test_pair_scans_refuse_by_the_order_law_first(generated, monkeypatch):
     # Heis(Z/4) (64) and A1(Z/4) (48)
     with pytest.raises(TooLarge, match="pair scan over 737280 elements"):
         prop73_consistency("B2", "a1", "a2", "fqt", 2, 1, 3)
-    monkeypatch.setattr(zeta, "PAIR_SCAN_CAP", 10)
+    monkeypatch.setattr(groups, "PAIR_SCAN_CAP", 10)
     with pytest.raises(TooLarge, match="pair scan over 64 elements"):
         prop62_consistency("heisenberg", "zq", 2, 1, 3)
     with pytest.raises(TooLarge, match="pair scan over 48 elements"):
